@@ -9,16 +9,13 @@ rides a :class:`RunScheduler` backed by the persistent run cache
 simulations entirely; set ``REPRO_CACHE_DIR`` to relocate the cache or
 ``REPRO_JOBS`` to bound worker processes.
 
-The ``engine_bench_records`` / ``parallel_bench_records`` /
-``turbo_bench_records`` / ``macro_bench_records`` /
-``fragstore_bench_records`` / ``codegen_bench_records`` fixtures
-collect timing records (filled in by ``test_engine_speedup.py``,
-``test_parallel_speedup.py``, ``test_turbo_speedup.py``,
-``test_macro_speedup.py``, ``test_codegen_speedup.py`` and the
-fragment-store ablation in ``test_ucode_cache_ablation.py``) and write
-them through one shared
-:func:`write_bench_json` at session teardown, so successive runs leave
-machine-readable ``BENCH_*.json`` records with a common schema::
+The ``*_bench_records`` fixtures collect timing records (filled in by
+``test_engine_speedup.py``, ``test_parallel_speedup.py``, the
+fragment-store ablation in ``test_ucode_cache_ablation.py``,
+``test_shard_speedup.py`` and ``test_serve_speedup.py``) and write them
+through one shared :func:`write_bench_json` at session teardown, so
+successive runs leave machine-readable ``BENCH_*.json`` records with a
+common schema::
 
     {
       "machine":  {platform, python, cpu_count, processor},
@@ -42,10 +39,7 @@ from repro.evaluation.runner import RunScheduler
 _BENCH_DIR = Path(__file__).resolve().parent
 ENGINE_BENCH_PATH = _BENCH_DIR / "BENCH_engine.json"
 PARALLEL_BENCH_PATH = _BENCH_DIR / "BENCH_parallel.json"
-TURBO_BENCH_PATH = _BENCH_DIR / "BENCH_turbo.json"
-MACRO_BENCH_PATH = _BENCH_DIR / "BENCH_macro.json"
 FRAGSTORE_BENCH_PATH = _BENCH_DIR / "BENCH_fragstore.json"
-CODEGEN_BENCH_PATH = _BENCH_DIR / "BENCH_codegen.json"
 SHARD_BENCH_PATH = _BENCH_DIR / "BENCH_shard.json"
 SERVE_BENCH_PATH = _BENCH_DIR / "BENCH_serve.json"
 
@@ -106,27 +100,9 @@ def parallel_bench_records():
 
 
 @pytest.fixture(scope="session")
-def turbo_bench_records():
-    """Turbo-engine timing records, dumped as BENCH_turbo.json."""
-    yield from _records_fixture(TURBO_BENCH_PATH)
-
-
-@pytest.fixture(scope="session")
-def macro_bench_records():
-    """Macro-kernel timing records, dumped as BENCH_macro.json."""
-    yield from _records_fixture(MACRO_BENCH_PATH)
-
-
-@pytest.fixture(scope="session")
 def fragstore_bench_records():
     """Fragment-store ablation records, dumped as BENCH_fragstore.json."""
     yield from _records_fixture(FRAGSTORE_BENCH_PATH)
-
-
-@pytest.fixture(scope="session")
-def codegen_bench_records():
-    """Codegen-layer speedup records, dumped as BENCH_codegen.json."""
-    yield from _records_fixture(CODEGEN_BENCH_PATH)
 
 
 @pytest.fixture(scope="session")

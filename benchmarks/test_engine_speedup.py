@@ -1,9 +1,10 @@
-"""Engine micro-benchmark: fast pre-decoded engine vs. reference.
+"""Engine micro-benchmark: the accelerated engine vs. reference.
 
 Runs the full fifteen-kernel liquid suite at hardware width 8 under both
-engines and asserts the fast engine's >= 2x wall-clock speedup (the
-tentpole acceptance criterion).  The measured numbers are recorded in
-``benchmarks/BENCH_engine.json`` via the session fixture in conftest.
+engines and asserts the fast engine's (superblock fusion plus fragment
+kernels) >= 2x wall-clock speedup over the reference interpreter.  The
+measured numbers are recorded in ``benchmarks/BENCH_engine.json`` via
+the session fixture in conftest.
 
 The differential suite (``tests/test_engine_differential.py``) already
 proves the two engines bit-identical, so this file only measures time;
@@ -38,7 +39,7 @@ def test_engine_speedup(engine_bench_records):
     programs = [build_liquid_program(build_kernel(name))
                 for name in BENCHMARK_ORDER]
 
-    _run_suite(programs, "fast")  # warm caches and decode tables
+    _run_suite(programs, "fast")  # warm imports and the allocator
     fast_seconds, fast_cycles = min(
         _run_suite(programs, "fast") for _ in range(2))
     ref_seconds, ref_cycles = _run_suite(programs, "reference")

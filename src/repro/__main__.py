@@ -49,6 +49,7 @@ import argparse
 import sys
 
 from repro.core.scalarize import build_baseline_program, build_liquid_program
+from repro.interp.executor import ENGINES
 from repro.kernels.suite import BENCHMARK_ORDER, build_kernel
 from repro.simd.accelerator import config_for_width
 from repro.system.machine import Machine, MachineConfig
@@ -241,7 +242,11 @@ def _cmd_serve(args) -> int:
     print(f"serving simulations at {server.url} "
           f"({server.jobs} worker{'s' if server.jobs != 1 else ''}, "
           f"cache: {backend}; Ctrl-C to stop)")
+    import signal
     import time
+    # SIGTERM takes the Ctrl-C path: shutdown() stops the pool workers,
+    # which would otherwise outlive us holding the listening socket.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         while True:
             time.sleep(3600)
@@ -382,8 +387,7 @@ def _cmd_codegen(args) -> int:
 
     kernel = build_kernel(args.benchmark)
     program = build_liquid_program(kernel)
-    config = MachineConfig(accelerator=config_for_width(args.width),
-                           engine="turbo")
+    config = MachineConfig(accelerator=config_for_width(args.width))
     result = Machine(config).run(program)
     entries = [t.entry for t in result.translations
                if t.ok and t.entry is not None]
@@ -519,7 +523,7 @@ def main(argv=None) -> int:
     sweep_p.add_argument("--widths", nargs="*", type=int,
                          default=[2, 4, 8, 16],
                          help="SIMD widths to sweep (default: 2 4 8 16)")
-    sweep_p.add_argument("--engine", default="fast",
+    sweep_p.add_argument("--engine", default="fast", choices=ENGINES,
                          help="execution engine (default: fast)")
     sweep_p.add_argument("--jobs", type=int, default=None, metavar="N",
                          help="worker processes (default: cpu count)")
@@ -625,8 +629,8 @@ def main(argv=None) -> int:
     tel_p.add_argument("benchmark", choices=BENCHMARK_ORDER)
     tel_p.add_argument("--width", type=int, default=8,
                        help="accelerator width (default: 8)")
-    tel_p.add_argument("--engine", default="macro",
-                       help="execution engine (default: macro)")
+    tel_p.add_argument("--engine", default="fast", choices=ENGINES,
+                       help="execution engine (default: fast)")
     tel_p.add_argument("--program", choices=("liquid", "baseline"),
                        default="liquid",
                        help="program form to run (default: liquid)")

@@ -4,10 +4,10 @@ A *backend* turns lifted IR (:mod:`repro.codegen.ir`) into executable
 closures.  Two ship today:
 
 * ``"numpy"`` (:class:`~repro.codegen.numpy_backend.NumpyBackend`) —
-  whole-array kernels for the macro engine's loop/chain/nest shapes;
+  whole-array kernels for the fragment plan's loop/chain/nest shapes;
 * ``"superblock"``
   (:class:`~repro.codegen.superblock.SuperblockBackend`) — fused run
-  closures and block/loop timing specializations for the turbo engine.
+  closures and block/loop timing specializations for fused blocks.
 
 Backends register by name in :data:`BACKENDS`; a future
 numexpr/C-emitting backend plugs in through :func:`register_backend`
@@ -15,7 +15,7 @@ with the same ``lower_loop``/``lower_chain`` surface as the numpy
 backend — callers resolve by name via :func:`get_backend` and never
 import a concrete backend class.  A lowering method returning ``None``
 means "no bit-identical lowering exists" and the caller falls back
-(for the macro engine, to the per-block path).
+(for a fragment kernel, to the per-block path).
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Shared ``exec()``-compile helpers for every generated closure.
 
-All runtime code generation in the repo — turbo's fused superblocks and
-per-block timing closures, macro's whole-loop numpy kernels and
+All runtime code generation in the repo — the fused superblocks and
+per-block timing closures, the whole-loop numpy kernels and
 whole-chain kernels, and the compiled loop-timing specializations —
 funnels through :func:`compile_closure`.  The helpers standardize the
-three idioms the engines used to hand-roll separately:
+idioms the generators used to hand-roll separately:
 
 * **Source assembly** (:func:`assemble`): a ``def`` header plus body
   lines carrying their own relative indentation, joined under one
@@ -13,31 +13,18 @@ three idioms the engines used to hand-roll separately:
   ``<kind:label@entry>`` — e.g. ``<macro-kernel:fir_mac_fn_ucode_w16@2>``
   — so profiler output and tracebacks attribute time to a named kernel
   instead of ``<string>``.
-* **Compiled-code caching**: code objects are memoized on
-  ``(filename, source)``.  Fragment sources are pure functions of the
-  fragment's encoded bytes (plus width/config facets already embedded
-  in the source), so byte-identical fragments compiled for different
-  pc offsets or in different runs share one ``compile()`` pass; only
-  the cheap ``exec`` into a fresh namespace repeats.
 
-Telemetry: every real ``compile()`` bumps ``codegen.compile.<kind>``
-and every cache hit bumps ``codegen.compile-cached.<kind>``
-(docs/observability.md).
+Nothing is cached here: generated code lives as long as the tables of
+the one machine run that compiled it.  Telemetry: every ``compile()``
+bumps ``codegen.compile.<kind>`` (docs/observability.md).
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from repro.observability import telemetry as _telemetry
-
-#: Bounded code-object memo; generous — a full fifteen-kernel sweep
-#: compiles well under a hundred distinct sources per width.
-_CODE_CACHE_CAP = 512
-
-_code_cache: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
 
 
 def closure_filename(kind: str, label: str, entry) -> str:
@@ -71,22 +58,7 @@ def assemble(header: str, body: Iterable[str], indent: str = "    ") -> str:
 
 def compile_closure(source: str, filename: str, namespace: dict,
                     fn_name: str, kind: str = "closure"):
-    """``exec()``-compile *source* and return ``namespace[fn_name]``.
-
-    The compiled code object is cached on ``(filename, source)``; the
-    ``exec`` into *namespace* always runs, so each call gets closures
-    bound to its own namespace constants.
-    """
-    key = (filename, source)
-    code = _code_cache.get(key)
-    if code is None:
-        code = compile(source, filename, "exec")
-        _code_cache[key] = code
-        if len(_code_cache) > _CODE_CACHE_CAP:
-            _code_cache.popitem(last=False)
-        _telemetry.get().count("codegen.compile." + kind)
-    else:
-        _code_cache.move_to_end(key)
-        _telemetry.get().count("codegen.compile-cached." + kind)
-    exec(code, namespace)
+    """``exec()``-compile *source* and return ``namespace[fn_name]``."""
+    _telemetry.get().count("codegen.compile." + kind)
+    exec(compile(source, filename, "exec"), namespace)
     return namespace[fn_name]

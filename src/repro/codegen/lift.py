@@ -8,7 +8,7 @@ alternating scalar segments and counted loops with statically known
 trip counts, a whole-fragment :class:`~repro.codegen.ir.ChainNode`
 (:func:`lift_chain`) — the shape the paper's fissioned permutation
 loops take after translation (§3, loop fission), and the one that lets
-the macro engine run a whole fragment invocation as a single kernel.
+the fast engine run a whole fragment invocation as a single kernel.
 
 :func:`lift_superblock` is the superblock-side lift: it scans one
 straight-line run of a decoded program (the discovery previously

@@ -1,15 +1,15 @@
 """Superblock backend: fused-run and timing-closure emission.
 
 Lowers :class:`~repro.codegen.ir.BlockSpec` superblocks (lifted by
-:func:`repro.codegen.lift.lift_superblock`) into the turbo engine's two
+:func:`repro.codegen.lift.lift_superblock`) into the fast engine's two
 closure kinds — the fused ``run(state)`` executor and the per-block
 ``_timing(pipe, mem, taken)`` accounting specialization — plus the
-whole-loop ``_loop(pipe, trips, lats)`` timing closure the macro engine
-attaches to loop-body blocks.  This is the codegen previously
+whole-loop ``_loop(pipe, trips, lats)`` timing closure the fragment
+kernels attach to loop-body blocks.  This is the codegen previously
 hand-rolled inline in ``repro/interp/turbo.py`` (fused blocks, block
 timing) and ``repro/interp/macro.py`` (loop timing), now behind the
 shared ``Backend`` protocol with sources compiled through
-:mod:`repro.codegen.emit` (stable filenames, code-object cache).
+:mod:`repro.codegen.emit` (stable filenames).
 
 The emitted code is semantically unchanged from the inline versions:
 
@@ -339,8 +339,8 @@ def emit_block_timing(spec: BlockSpec, *, icache_hit: int,
       batched access still advances the generation counter and
       re-stamps the line, so recency ordering — and every future
       hit/miss/writeback decision — is unchanged.
-    * Config latencies/penalties are literals; the memo key of
-      :func:`~repro.interp.turbo.superblock_table_for` includes the
+    * Config latencies/penalties are literals; a table lives for one
+      ``Machine.run`` over one
       :class:`~repro.pipeline.core.PipelineConfig`, so a compiled
       closure never outlives its constants.
 

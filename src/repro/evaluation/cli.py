@@ -50,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--engine", choices=ENGINES,
                         default="fast",
                         help="execution engine (results are bit-identical; "
-                             "'turbo' fuses superblocks, 'reference' is the "
-                             "slow canonical interpreter)")
+                             "'reference' is the slow canonical "
+                             "interpreter)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for simulations (default: "
                              "os.cpu_count(); 1 = in-process/sequential)")

@@ -44,7 +44,7 @@ from repro.system.metrics import arrays_equal
 
 #: Engine sweep order for differential verdicts (reference first: it is
 #: the oracle the other engines are compared against).
-ENGINE_ORDER = ("reference", "fast", "turbo", "macro")
+ENGINE_ORDER = ("reference", "fast")
 
 
 def translate_at_width(program: Program, config: MachineConfig,

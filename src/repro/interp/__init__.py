@@ -6,7 +6,6 @@ from repro.interp.executor import (
     ExecutionError,
     Executor,
     FastExecutor,
-    TurboExecutor,
     make_executor,
 )
 from repro.interp.state import MachineState, SymbolTable
@@ -17,7 +16,6 @@ __all__ = [
     "ExecutionError",
     "Executor",
     "FastExecutor",
-    "TurboExecutor",
     "make_executor",
     "MachineState",
     "SymbolTable",

@@ -28,8 +28,8 @@ from repro.memory.alignment import vector_alignment_ok
 from repro.simd.permutations import PermPattern
 from repro.simd.vector_ops import vector_binary, vector_reduce, vector_unary
 
-__all__ = ["ExecutionError", "Executor", "FastExecutor", "TurboExecutor",
-           "make_executor", "ENGINES"]
+__all__ = ["ExecutionError", "Executor", "FastExecutor", "make_executor",
+           "ENGINES"]
 
 Number = Union[int, float]
 
@@ -423,67 +423,26 @@ class FastExecutor:
         return self.handlers[self.state.pc](self.state)
 
 
-class TurboExecutor(FastExecutor):
-    """Superblock-fused engine: fast-engine tables plus block fusion.
-
-    Per-instruction semantics are exactly :class:`FastExecutor`'s — the
-    same pre-decoded handler table backs :meth:`execute`, so observers
-    (tracing, the dynamic translator) see identical eager
-    :class:`~repro.interp.events.RetireEvent` streams.  The win comes
-    from the machine loop: when no observer needs per-instruction
-    events, it executes whole superblocks through
-    :class:`repro.interp.turbo.SuperblockTable` fused closures and
-    accounts their timing with one batched
-    :meth:`~repro.pipeline.core.PipelineModel.account_block` call (see
-    ``docs/execution-engines.md``).
-
-    Because its tables are pure functions of the program, the turbo
-    engine memoizes the decode pass across :class:`Machine` runs
-    (:func:`repro.interp.turbo.decoded_table_for`): re-running the same
-    program object skips straight to the already-fused blocks, which is
-    what makes short kernels profitable to fuse at all.  The fast
-    engine deliberately keeps its per-run decode — it is the measured
-    baseline.
-    """
-
-    def __init__(self, state: MachineState, table=None) -> None:
-        if table is None:
-            from repro.interp.turbo import decoded_table_for
-            table = decoded_table_for(state.program)
-        super().__init__(state, table)
-
-
-#: engine name -> factory(state, table); tuple order is the doc order.
-#: "macro" shares the turbo executor — it differs only in the machine
-#: loop, which additionally runs recognized translated-fragment loops
-#: through whole-trip-count kernels (repro/interp/macro.py).  Both
-#: accelerated engines generate their closures through the shared
-#: codegen layer (repro/codegen/, docs/codegen.md): the superblock
-#: backend emits turbo's fused blocks and timing specializations, the
-#: numpy backend emits macro's loop/chain/nest kernels.
-_ENGINE_FACTORIES = {
-    "fast": lambda state, table: FastExecutor(state, table),
-    "turbo": lambda state, table: TurboExecutor(state, table),
-    "macro": lambda state, table: TurboExecutor(state, table),
-    "reference": lambda state, table: Executor(state),
-}
-
-#: Selectable execution engines ("fast" is the default production path).
-ENGINES = tuple(_ENGINE_FACTORIES)
+#: Selectable execution engines: "fast" (pre-decoded handlers plus
+#: superblock fusion and fragment kernels in the machine loop — the
+#: production default) and "reference" (the canonical per-step
+#: interpreter and the oracle the differential suite checks against).
+ENGINES = ("fast", "reference")
 
 
 def make_executor(state: MachineState, engine: str = "fast", table=None):
-    """Build the selected execution engine over *state*.
+    """Build the selected execution engine's per-instruction executor.
 
     ``table`` optionally supplies an already-predecoded program (fast
-    and turbo engines only), so callers running many short fragments can
-    amortize the decode pass.  Unknown engines are rejected with a
-    message listing :data:`ENGINES` dynamically, mirroring the CLI's
+    engine only), so callers running many short fragments can amortize
+    the decode pass.  Unknown engines are rejected with a message
+    listing :data:`ENGINES` dynamically, mirroring the CLI's
     ``--engine`` validation.
     """
-    factory = _ENGINE_FACTORIES.get(engine)
-    if factory is None:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    return factory(state, table)
+    if engine == "fast":
+        return FastExecutor(state, table)
+    if engine == "reference":
+        return Executor(state)
+    raise ValueError(
+        f"unknown engine {engine!r}; expected one of {ENGINES}"
+    )

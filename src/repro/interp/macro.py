@@ -1,7 +1,7 @@
 """Whole-loop macro-kernel execution of translated SIMD fragments.
 
 The translator emits fragments in a small regular language (see
-``repro/core/translate/translator.py``); the macro engine executes
+``repro/core/translate/translator.py``); the fast engine executes
 their hot shapes whole instead of per block.  Recognition and lowering
 live in the shared codegen layer (:mod:`repro.codegen`): the lift pass
 (:func:`repro.codegen.lift.lift_fragment`) raises a fragment into

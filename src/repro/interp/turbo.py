@@ -1,4 +1,4 @@
-"""Superblock-fused execution for the ``turbo`` engine.
+"""Superblock-fused execution for the ``fast`` engine.
 
 The fast engine (:mod:`repro.isa.decoded`) already pre-decodes every
 instruction into a handler closure, but still pays three per-instruction
@@ -33,7 +33,7 @@ each into one *fused* closure:
   Observers that genuinely need event objects — the dynamic translator
   while observing an outlined function, or a
   :class:`~repro.system.trace.TraceRecorder` — force the machine onto
-  the fast engine's per-instruction path, whose events are eager and
+  the per-instruction handler path, whose events are eager and
   bit-identical by construction (see ``docs/execution-engines.md``).
 
 Error fidelity is preserved exactly: a fused closure that faults
@@ -45,8 +45,7 @@ deferred into raising handlers just like :func:`repro.isa.decoded.predecode`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -76,7 +75,6 @@ from repro.isa.decoded import (
     predecode,
 )
 from repro.interp.macro import build_fragment_plan
-from repro.isa.encoding import encode_program
 from repro.isa.instructions import Imm, Instruction, Reg
 from repro.isa.opcodes import ELEM_SIZES, LOAD_ELEM, OPCODES, STORE_ELEM, InstrClass
 from repro.isa.registers import LINK_REGISTER, is_float_reg, is_int_reg
@@ -640,8 +638,8 @@ def _quiet_one(pc: int, instr: Instruction, program):
 # (repro.codegen.lift.lift_superblock) scans a straight-line run into a
 # BlockSpec, and the "superblock" backend (repro.codegen.superblock)
 # emits the fused run closure and the compiled timing specializations.
-# This module keeps the per-program tables, memoization, and the quiet
-# handlers the emitted code chains.
+# This module keeps the per-program tables and the quiet handlers the
+# emitted code chains.
 # ---------------------------------------------------------------------------
 
 
@@ -694,8 +692,7 @@ class SuperblockTable:
         self.code_base = code_base
         self.iline_bytes = line_bytes
         # Timing-model constants baked into the compiled timing closures
-        # (config-derived, so tables memoized per PipelineConfig — see
-        # superblock_table_for — never see them change).
+        # (config-derived; a table never outlives its run's pipeline).
         pconfig = pipeline.config
         self._icache_hit = pconfig.icache.hit_latency
         self._dcache_hit = pconfig.dcache.hit_latency
@@ -708,7 +705,9 @@ class SuperblockTable:
         #: bumps ``compiles``; ``lookups`` advances only through
         #: :meth:`block_at_counted`, which callers bind in place of
         #: :meth:`block_at` when telemetry is enabled — the plain hot
-        #: path stays untouched when it is not.
+        #: path stays untouched when it is not.  Tables are per-run, so
+        #: the totals are that run's ``turbo.superblock.*`` /
+        #: ``turbo.fragment.*`` counts.
         self.lookups = 0
         self.compiles = 0
 
@@ -719,13 +718,8 @@ class SuperblockTable:
         return block
 
     def block_at_counted(self, pc: int) -> FusedBlock:
-        """:meth:`block_at` plus a fusion-table lookup count.
-
-        Tables are memoized across runs, so consumers snapshot
-        ``lookups`` / ``compiles`` around a run and report the deltas
-        (``turbo.superblock.*`` / ``turbo.fragment.*`` counters); a
-        lookup that triggers ``_build`` is the table's "miss".
-        """
+        """:meth:`block_at` plus a fusion-table lookup count (a lookup
+        that triggers ``_build`` is the table's "miss")."""
         self.lookups += 1
         block = self._blocks.get(pc)
         if block is None:
@@ -769,117 +763,36 @@ class SuperblockTable:
 
 
 # ---------------------------------------------------------------------------
-# Cross-run memoization
+# Per-run tables
 #
-# Every turbo artifact is a pure function of the program object and a
-# hashable config slice: the decode table depends on the program alone,
-# and a SuperblockTable additionally on the PipelineConfig (fetch
-# addressing and the latencies baked into its compiled timing closures),
-# the marked-call map, and the hardware vector width.  Re-running the
-# same program therefore reuses the fused blocks instead of re-deriving
-# them — the per-run decode+fuse cost that would otherwise swamp short
-# kernels.  Compiled closures take ``state`` / ``pipe`` as arguments, so
-# nothing run-specific is captured.  A small strong-reference LRU bounds
-# memory; entries also pin their program, so ``id()`` keys cannot be
-# recycled while an entry is live.
+# Decode tables, fused blocks, their timing closures and fragment kernels
+# all live exactly as long as one Machine.run: the machine builds them
+# here on first use and drops them with the rest of its run-local state.
+# Nothing is memoized across runs, so a finished run pins none of its
+# programs or generated closures.
 # ---------------------------------------------------------------------------
-
-_MEMO_CAP = 32
-_decode_memo: "OrderedDict[int, DecodedProgram]" = OrderedDict()
-_table_memo: "OrderedDict[tuple, Tuple[DecodedProgram, SuperblockTable]]" \
-    = OrderedDict()
-
-
-def decoded_table_for(program) -> DecodedProgram:
-    """The memoized :func:`repro.isa.decoded.predecode` of *program*."""
-    key = id(program)
-    table = _decode_memo.get(key)
-    if table is not None and table.program is program:
-        _decode_memo.move_to_end(key)
-        return table
-    table = predecode(program)
-    _decode_memo[key] = table
-    if len(_decode_memo) > _MEMO_CAP:
-        _decode_memo.popitem(last=False)
-    return table
 
 
 def superblock_table_for(table: DecodedProgram, pipeline,
                          marked: Optional[List[bool]],
                          vector_width: Optional[int]) -> SuperblockTable:
-    """The memoized main-program :class:`SuperblockTable` for *table*.
+    """The main-program :class:`SuperblockTable` over *table*."""
+    return SuperblockTable(table, pipeline, marked, vector_width)
 
-    Fragment tables (``pc_offset`` / ``in_vector_unit``) are per-run
-    objects and stay in the machine's per-run dict instead.
+
+def fragment_tables_for(fragment, pipeline, width: int, offset: int):
+    """(decode table, SuperblockTable, plan) for one microcode fragment.
+
+    *plan* maps region-head pcs to whole-loop kernels
+    (:func:`repro.interp.macro.build_fragment_plan`), or is ``None``
+    when no region matched.
     """
-    key = (id(table), pipeline.config, vector_width,
-           None if marked is None else tuple(marked))
-    entry = _table_memo.get(key)
-    if entry is not None and entry[0] is table:
-        _table_memo.move_to_end(key)
-        return entry[1]
-    blocks = SuperblockTable(table, pipeline, marked, vector_width)
-    _table_memo[key] = (table, blocks)
-    if len(_table_memo) > _MEMO_CAP:
-        _table_memo.popitem(last=False)
-    return blocks
-
-
-_fragment_memo: "OrderedDict[tuple, tuple]" = OrderedDict()
-
-
-def fragment_tables_for(fragment, pipeline, width: int, offset: int,
-                        encoded: Optional[bytes] = None,
-                        macro: bool = False):
-    """(program, decode table, SuperblockTable, plan) for a fragment.
-
-    The dynamic translator rebuilds its fragments on every run, so they
-    cannot be memoized by object identity; but for a given source
-    program and configuration the translation is deterministic, so the
-    *bytes* recur — the key is :func:`~repro.isa.encoding.encode_program`
-    (which covers labels and data, i.e. everything decode consumes) plus
-    the width/offset/config facets baked into the fused blocks.  A hit
-    returns the previously fused fragment *program* too: the caller runs
-    that canonical object so the decode table's program-identity check
-    and the fused closures' resolved targets stay coherent.
-
-    *encoded*, when the caller already holds the fragment's canonical
-    bytes (:meth:`~repro.core.translate.ucode_cache.MicrocodeEntry.encoded_bytes`),
-    skips re-encoding.  With ``macro=True`` the entry additionally
-    carries the fragment's whole-loop plan
-    (:func:`repro.interp.macro.build_fragment_plan`), or ``None`` when
-    no loop matched; the macro flag is part of the key so turbo and
-    macro runs never share ``BlockTiming`` objects.
-    """
-    if encoded is None:
-        encoded = encode_program(fragment)
-    key = (encoded, width, offset, pipeline.config, macro)
-    entry = _fragment_memo.get(key)
-    if entry is not None:
-        _fragment_memo.move_to_end(key)
-        return entry
     table = predecode(fragment)
     blocks = SuperblockTable(table, pipeline, None, width, offset, True)
-    plan = None
-    if macro:
-        plan = build_fragment_plan(fragment, blocks, pipeline, width) or None
-    entry = (fragment, table, blocks, plan)
-    _fragment_memo[key] = entry
-    if len(_fragment_memo) > _MEMO_CAP:
-        _fragment_memo.popitem(last=False)
-    return entry
+    plan = build_fragment_plan(fragment, blocks, pipeline, width) or None
+    return table, blocks, plan
 
 
-def fragment_tables_for_entry(entry, pipeline, offset: int,
-                              macro: bool = False):
-    """:func:`fragment_tables_for` keyed by a microcode entry's identity.
-
-    A :class:`~repro.core.translate.ucode_cache.MicrocodeEntry` memoizes
-    its canonical bytes (and a store-loaded entry is seeded with the
-    wire bytes), so a fresh translation, a cross-width retranslation and
-    a persistent-store hit that agree byte-for-byte all land on the same
-    memo slot — none of them compiles the fused tables twice.
-    """
-    return fragment_tables_for(entry.fragment, pipeline, entry.width,
-                               offset, encoded=entry.encoded_bytes(),
-                               macro=macro)
+def fragment_tables_for_entry(entry, pipeline, offset: int):
+    """:func:`fragment_tables_for` for one microcode-cache entry."""
+    return fragment_tables_for(entry.fragment, pipeline, entry.width, offset)

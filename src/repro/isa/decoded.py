@@ -1009,7 +1009,7 @@ def _decode_one(pc: int, instr: Instruction, program) -> Handler:
 class DecodedProgram:
     """A program compiled to dense handler and timing-metadata tables."""
 
-    __slots__ = ("program", "handlers", "metas")
+    __slots__ = ("program", "handlers", "metas", "__weakref__")
 
     def __init__(self, program, handlers: List[Handler],
                  metas: List[Optional[InstrMeta]]) -> None:

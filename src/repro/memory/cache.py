@@ -376,7 +376,7 @@ class Cache:
         *count* accesses are guaranteed hits.  Equivalent to calling the
         per-access path *count* times — the read counter gains *count*,
         the tick advances *count* times, and the line's stamp lands on
-        the final tick — but in O(1).  The turbo engine uses this to
+        the final tick — but in O(1).  The fused superblock path uses this to
         batch consecutive instruction fetches from one I-cache line
         (``repro/interp/turbo.py``).
         """

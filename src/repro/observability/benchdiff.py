@@ -11,8 +11,7 @@ records as::
 
 This module diffs two such payloads on every speedup they carry —
 the top-level ``speedups`` map *and* the nested per-kernel speedups
-inside each record (``records[name]["kernels"]``, the shape
-``BENCH_macro.json``/``BENCH_turbo.json`` write, flattened to
+inside each record (``records[name]["kernels"]``, flattened to
 ``name/kernel``; see :func:`collect_speedups`) — and classifies each
 delta.  A *regression* is a record whose new speedup fell below
 ``old * (1 - tolerance)``; records missing from the new payload are
@@ -106,8 +105,7 @@ def collect_speedups(payload: dict, label: str = "payload"
     * each record's own ``"speedup"`` scalar — same name, same value as
       the flat map when both exist;
     * each record's nested per-kernel dicts
-      (``records[name]["kernels"][kernel]["speedup"]``, the shape
-      ``BENCH_macro.json`` and ``BENCH_turbo.json`` write), as
+      (``records[name]["kernels"][kernel]["speedup"]``), as
       ``"name/kernel"`` — so a kernel that regresses, appears, or
       vanishes is reported per kernel instead of being averaged into
       (or silently dropped from) the aggregate.

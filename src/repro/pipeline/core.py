@@ -45,7 +45,7 @@ class BlockTiming:
     """Static timing facts of one superblock, pre-extracted for
     :meth:`PipelineModel.account_block`.
 
-    The turbo engine builds one of these per fused block
+    The fast engine builds one of these per fused block
     (:mod:`repro.interp.turbo`): everything :meth:`PipelineModel.account`
     would have derived per retirement — fetch line numbers, read/write
     sets, latencies, memory access widths, the terminator kind — is
@@ -66,7 +66,7 @@ class BlockTiming:
 
     ``compiled``, when set, is a specialization of
     :meth:`PipelineModel.account_block`'s row loop for exactly these
-    rows — same arithmetic with the constants baked in (the turbo engine
+    rows — same arithmetic with the constants baked in (the fast engine
     generates one per fused block; see :mod:`repro.interp.turbo`).  It
     is an optimization hook only: ``account_block`` dispatches to it
     when present and runs the generic loop otherwise, with identical
@@ -302,7 +302,7 @@ class PipelineModel:
         ``taken`` is the terminating branch's outcome (ignored unless
         the terminator is a branch).
 
-        Blocks built by the turbo engine carry a compiled specialization
+        Fused blocks carry a compiled specialization
         of this very loop (``timing.compiled``); dispatching to it here
         keeps the API — and the equivalence contract — in one place.
         """
@@ -503,7 +503,7 @@ class PipelineModel:
     def fetch_profile(self):
         """(direct, code_base, line_bytes): how PCs map to icache fetches.
 
-        The turbo decode pass uses this to pre-compute each row's
+        The superblock decode pass uses this to pre-compute each row's
         ``fetch_key`` with the same addressing :meth:`account` applies.
         """
         return self._ifetch_direct, self._code_base, self._iline_bytes

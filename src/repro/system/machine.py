@@ -107,13 +107,11 @@ class MachineConfig:
     #: (defense in depth against translator bugs and the paper's
     #: false-positive scenario).
     verify_translations: bool = False
-    #: Execution engine: "fast" (pre-decoded handler tables + numpy
-    #: vector lowerings — the production default), "turbo" (superblock
-    #: fusion over the fast tables with batched timing and a
-    #: zero-allocation retire path), "macro" (turbo plus whole-loop
-    #: numpy kernels for translated SIMD fragments with batched d-cache
-    #: and pipeline replay — repro/interp/macro.py), or "reference"
-    #: (the canonical per-step interpreter).  All four are
+    #: Execution engine: "fast" (the production default: superblock
+    #: fusion with batched timing, whole-loop numpy kernels for
+    #: translated SIMD fragments, and pre-decoded per-instruction
+    #: handlers wherever an observer needs events) or "reference" (the
+    #: canonical per-step interpreter, kept as the oracle).  Both are
     #: bit-identical; see docs/execution-engines.md and
     #: tests/test_engine_differential.py.
     engine: str = "fast"
@@ -214,7 +212,8 @@ class Machine:
         hw_width = (config.accelerator.width
                     if config.accelerator is not None else None)
         state = MachineState(program, memory, symbols, vector_width=hw_width)
-        executor = make_executor(state, config.engine)
+        table = predecode(program) if config.engine == "fast" else None
+        executor = make_executor(state, config.engine, table)
         metas = executor.metas        # fast engine only; None for reference
         handlers = executor.handlers  # fast engine only; None for reference
         pipeline = PipelineModel(config.pipeline)
@@ -238,15 +237,12 @@ class Machine:
         blacklist = set()
         translating: Optional[DynamicTranslator] = None
         fragment_offsets: Dict[str, int] = {}
-        #: (function, width, encoded bytes) -> (program, DecodedProgram),
-        #: so repeated microcode runs under the fast/turbo/macro engines
-        #: pay the decode pass once.  Content keys, not ``id(fragment)``:
-        #: fragments are per-run objects and a recycled address must not
-        #: resurrect another fragment's tables.
+        #: entry.table_key -> (DecodedProgram, SuperblockTable, plan) from
+        #: repro.interp.turbo.fragment_tables_for_entry, so repeated
+        #: microcode runs pay the decode and fusion passes once per run.
+        #: Content keys, not ``id(entry)``: a re-translation after an
+        #: eviction or a preloaded twin reuses the same tables.
         fragment_tables: Dict[tuple, tuple] = {}
-        #: same key -> (program, DecodedProgram, SuperblockTable, plan)
-        #: from repro.interp.turbo.fragment_tables_for (turbo/macro).
-        fragment_blocks: Dict[tuple, tuple] = {}
         next_interrupt = (config.interrupt_interval
                           if config.interrupt_interval is not None else 0)
 
@@ -265,25 +261,21 @@ class Machine:
             and ins.target is not None
             for ins in instructions
         ]
-        # Turbo engine: fuse straight-line runs into superblocks executed
+        # Fast engine: fuse straight-line runs into superblocks executed
         # with one dispatch and one account_block() call.  A tracer needs
         # every RetireEvent, so tracing disables fusion wholesale; an
         # active translation disables it temporarily (checked per
-        # iteration below) — both then take the identical per-instruction
-        # fast path, whose events are eager.
+        # iteration below) — both then take the per-instruction handler
+        # path, whose events are eager.
         superblocks = None
         block_lookup = None
-        sb_lookups0 = sb_compiles0 = 0
-        if config.engine in ("turbo", "macro") and tracer is None:
-            superblocks = superblock_table_for(executor.table, pipeline,
+        if table is not None and tracer is None:
+            superblocks = superblock_table_for(table, pipeline,
                                                marked_call, hw_width)
             # Telemetry swaps in the counted lookup; the plain hot path
-            # is untouched when disabled.  Tables are memoized across
-            # runs, so per-run attribution needs a snapshot.
+            # is untouched when disabled.
             block_lookup = (superblocks.block_at_counted if tel_on
                             else superblocks.block_at)
-            sb_lookups0 = superblocks.lookups
-            sb_compiles0 = superblocks.compiles
         account_block = pipeline.account_block
         while not state.halted:
             if superblocks is not None and translating is None:
@@ -292,7 +284,7 @@ class Machine:
                     block = block_lookup(pc)
                     # Near max_steps, fall through to the per-instruction
                     # path so the step-limit error fires at the exact
-                    # instruction it would under the other engines.
+                    # instruction it would under the reference engine.
                     if steps + block.count <= max_steps:
                         steps += block.count
                         try:
@@ -329,8 +321,7 @@ class Machine:
                         if self.tracer is not None:
                             self.tracer.record(event, source="scalar")
                         self._run_fragment(entry, state, pipeline,
-                                           fragment_offsets, fragment_tables,
-                                           fragment_blocks)
+                                           fragment_offsets, fragment_tables)
                         stats.simd_runs += 1
                         state.pc = pc + 1
                         continue
@@ -407,7 +398,7 @@ class Machine:
         if tel_on:
             run_telemetry = self._flush_telemetry(
                 tel, run_mark, run_start, pipeline, superblocks,
-                sb_lookups0, sb_compiles0)
+                fragment_tables)
 
         return RunResult(
             program=program.name,
@@ -426,7 +417,7 @@ class Machine:
 
     def _flush_telemetry(self, tel, run_mark, run_start: float,
                          pipeline: PipelineModel, superblocks,
-                         sb_lookups0: int, sb_compiles0: int) -> dict:
+                         fragment_tables: Dict[tuple, tuple]) -> dict:
         """Fold end-of-run totals into the registry; return this run's slice.
 
         The pipeline and cache models keep their own per-run statistics;
@@ -454,10 +445,11 @@ class Machine:
             tel.count(f"{prefix}.write_misses", cstats.write_misses)
             tel.count(f"{prefix}.writebacks", cstats.writebacks)
         if superblocks is not None:
-            tel.count("turbo.superblock.lookups",
-                      superblocks.lookups - sb_lookups0)
-            tel.count("turbo.superblock.compiles",
-                      superblocks.compiles - sb_compiles0)
+            tel.count("turbo.superblock.lookups", superblocks.lookups)
+            tel.count("turbo.superblock.compiles", superblocks.compiles)
+            for _table, blocks, _plan in fragment_tables.values():
+                tel.count("turbo.fragment.lookups", blocks.lookups)
+                tel.count("turbo.fragment.compiles", blocks.compiles)
         elapsed = time.perf_counter() - run_start
         tel.record_span("machine.run", elapsed)
         return {"counters": tel.delta_since(run_mark),
@@ -522,72 +514,53 @@ class Machine:
     def _run_fragment(self, entry: MicrocodeEntry, state: MachineState,
                       pipeline: PipelineModel,
                       offsets: Dict[str, int],
-                      tables: Optional[Dict[tuple, tuple]] = None,
-                      block_tables: Optional[Dict[tuple, tuple]] = None,
-                      ) -> None:
+                      tables: Dict[tuple, tuple]) -> None:
         """Execute one cached translation on the SIMD accelerator."""
         fragment = entry.fragment
         if entry.function not in offsets:
             offsets[entry.function] = (_FRAGMENT_PC_BASE
                                        + len(offsets) * _FRAGMENT_PC_STRIDE)
         offset = offsets[entry.function]
-        engine = self.config.engine
-        table = None
-        blocks = None
-        plan = None
-        # Turbo/macro: fuse the fragment too (same rules as the main
-        # loop — tracing forces the per-instruction path).  Fragment
-        # rows skip instruction fetch and carry offset PCs, exactly like
-        # the per-event path below.  Fragments are rebuilt each run, so
-        # the fused tables are memoized by encoded bytes across runs; a
-        # hit substitutes the canonical (byte-identical) fragment
-        # program the tables were built over.  The per-run dicts are
-        # keyed by entry identity (function, width, bytes) for the same
-        # reason — see their declarations in :meth:`run`.
-        if engine in ("turbo", "macro") and self.tracer is None \
-                and tables is not None and block_tables is not None:
-            key = entry.table_key
-            cached = block_tables.get(key)
-            if cached is None:
-                cached = fragment_tables_for_entry(
-                    entry, pipeline, offset, macro=engine == "macro")
-                block_tables[key] = cached
-            fragment, table, blocks, plan = cached
-        elif engine in ("fast", "turbo", "macro") and tables is not None:
+        table = blocks = plan = None
+        # Fast engine: whole-loop kernels first, fused blocks otherwise
+        # (same rules as the main loop — tracing forces the
+        # per-instruction path).  Fragment rows skip instruction fetch
+        # and carry offset PCs, exactly like the per-event path below.
+        # A content-key hit runs the byte-identical fragment program the
+        # tables were built over.
+        if self.config.engine == "fast":
             key = entry.table_key
             cached = tables.get(key)
             if cached is None:
-                cached = (fragment, predecode(fragment))
-                tables[key] = cached
-            fragment, table = cached
+                cached = tables[key] = fragment_tables_for_entry(
+                    entry, pipeline, offset)
+            table, blocks, plan = cached
+            fragment = table.program
+            if self.tracer is not None:
+                blocks = plan = None
         frag_state = MachineState(fragment, state.memory, state.symbols,
                                   vector_width=entry.width)
         frag_state.regs = state.regs  # architectural scalar state is shared
-        # The per-event executor is built lazily: macro/turbo fragments
-        # that run entirely through plan kernels and fused blocks never
-        # reach the per-event path, so its construction cost (decode
-        # table wiring, handler binding) is skipped on the hot path.
+        # The per-event executor is built lazily: fragments that run
+        # entirely through kernels and fused blocks never reach the
+        # per-event path, so its construction is skipped on the hot path.
         frag_executor = None
         metas = handlers = None
         count = len(fragment.instructions)
         guard = 0
         max_steps = self.config.max_steps
         account_block = pipeline.account_block
-        # Telemetry: counted block lookups plus a snapshot for per-run
-        # attribution (fragment tables are memoized across runs).  One
-        # bool load per fragment invocation when disabled.
+        # Telemetry: counted block lookups, one bool load per fragment
+        # invocation when disabled.
         tel = _telemetry.get()
         tel_on = tel.enabled
         block_lookup = None
-        fb_lookups0 = fb_compiles0 = 0
         if blocks is not None:
             block_lookup = (blocks.block_at_counted if tel_on
                             else blocks.block_at)
-            fb_lookups0 = blocks.lookups
-            fb_compiles0 = blocks.compiles
         while frag_state.pc < count:
             if plan is not None:
-                # Macro engine: a recognized counted loop headed here is
+                # A recognized counted loop (or chain) headed here is
                 # executed whole — all remaining trips as one numpy
                 # kernel plus one batched timing call.  trips()/run()
                 # return None/False for anything the whole-array form
@@ -666,8 +639,3 @@ class Machine:
             )
             if self.tracer is not None:
                 self.tracer.record(event, source="ucode")
-        if tel_on and blocks is not None:
-            tel.count("turbo.fragment.lookups",
-                      blocks.lookups - fb_lookups0)
-            tel.count("turbo.fragment.compiles",
-                      blocks.compiles - fb_compiles0)

@@ -24,8 +24,8 @@ def payload(**speedups):
 
 
 def kernel_payload(record, aggregate, **kernels):
-    """Nested per-kernel payload, the BENCH_macro.json/BENCH_turbo.json
-    shape: a record scalar plus a per-kernel speedup map."""
+    """Nested per-kernel payload: a record scalar plus a per-kernel
+    speedup map."""
     return {
         "machine": {},
         "records": {record: {

@@ -36,6 +36,17 @@ class TestReproMain:
         with pytest.raises(SystemExit):
             repro_main([])
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--engine", "turbo"],
+        ["telemetry", "FIR", "--engine", "macro"],
+        ["telemetry", "FIR", "--engine", "fsat"],
+    ])
+    def test_rejects_bad_engine(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestEvaluationCli:
     def test_table2_only(self):
@@ -73,6 +84,12 @@ class TestEvaluationCli:
         with pytest.raises(SystemExit):
             eval_cli(["--experiments", "table2", "--jobs", "0"])
         assert "--jobs" in capsys.readouterr().err
+
+    def test_rejects_bad_engine(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            eval_cli(["--experiments", "table2", "--engine", "turbo"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_ucache_benchmark_flag_selects_benchmark(self):
         code, out = _capture(

@@ -5,9 +5,8 @@ Four angles on ``repro/codegen/``:
 * **Determinism** — lifting the same fragment bytes and lowering them
   through the numpy backend must produce byte-identical generated
   source, every time (a property test over real translated fragments;
-  the fragment store and the cross-run memo in
-  ``repro/interp/turbo.py`` both rely on content-keyed reuse being
-  safe).
+  the fragment store and the machine's per-run fragment tables both
+  rely on content-keyed reuse being safe).
 
 * **Coverage** — every :class:`~repro.codegen.ir.IRKind` member must
   be exercised by at least one lifted paper kernel, mirroring the
@@ -19,11 +18,11 @@ Four angles on ``repro/codegen/``:
   loop, §3 of the paper) are checked on synthetic fragments built to
   match them exactly, including the facts of the lifted IR.
 
-* **Bit-identity** — macro-plan execution of the new shapes (whole
+* **Bit-identity** — kernel execution of the new shapes (whole
   loop-nest and whole-chain kernels with batched timing) must leave
   machine state — memory bytes, both scalar register banks, flags,
   vector registers, retired count — *and* the pipeline/cache models
-  exactly where the per-block turbo path leaves them.  This is the
+  exactly where the per-block fused path leaves them.  This is the
   same contract tests/test_engine_differential.py enforces end-to-end
   for the translator's own fragments, applied to shapes the dynamic
   translator does not yet emit.
@@ -69,8 +68,7 @@ CORPUS_KERNELS = ("FIR", "FFT", "LU")
 def _translated_entries(kernel_name, width=WIDTH):
     """Run *kernel_name* once and return its completed translations."""
     program = build_liquid_program(build_kernel(kernel_name))
-    config = MachineConfig(accelerator=config_for_width(width),
-                           engine="turbo")
+    config = MachineConfig(accelerator=config_for_width(width))
     result = Machine(config).run(program)
     entries = [t.entry for t in result.translations
                if t.ok and t.entry is not None]
@@ -93,7 +91,7 @@ def _emit_sources(fragment, width, label):
 
     Lowers every lifted loop (the inner loop of a nested region, as
     the plan builder does) and the whole-fragment chain when present —
-    every numpy-backend artifact the macro engine would compile.
+    every numpy-backend artifact the fragment plan would compile.
     """
     backend = get_backend("numpy")
     ir = lift_fragment(fragment, width)
@@ -225,14 +223,16 @@ def _fill_arrays(memory, symbols, names, trip):
         memory.store_vector(symbols.address_of(name), "f32", values)
 
 
-def _drive(source, width, macro):
+def _drive(source, width, kernels):
     """Execute an assembled fragment the way Machine._run_fragment
-    does — plan kernels first (macro), fused blocks otherwise — and
-    return (state, pipeline, plan shape class names that ran)."""
-    program = assemble(source)
+    does — plan kernels first (if *kernels*), fused blocks otherwise —
+    and return (state, pipeline, plan shape class names that ran)."""
+    fragment = assemble(source)
     pipeline = PipelineModel()
-    fragment, _table, blocks, plan = fragment_tables_for(
-        program, pipeline, width, OFFSET, macro=macro)
+    _table, blocks, plan = fragment_tables_for(fragment, pipeline, width,
+                                               OFFSET)
+    if not kernels:
+        plan = None
     memory = Memory(1 << 16)
     symbols = SymbolTable()
     addr = 0x400
@@ -307,21 +307,20 @@ def test_nested_loop_is_lifted():
 
 def test_nested_loop_plan_shapes():
     program = assemble(nest_source(WIDTH))
-    _, _, _, plan = fragment_tables_for(
-        program, PipelineModel(), WIDTH, OFFSET, macro=True)
+    _, _, plan = fragment_tables_for(program, PipelineModel(), WIDTH, OFFSET)
     assert isinstance(plan[1], FragmentNestShape)
     assert isinstance(plan[2], FragmentLoopShape)
 
 
 def test_nested_loop_macro_is_bit_identical():
     src = nest_source(WIDTH)
-    macro_state, macro_pipe, ran = _drive(src, WIDTH, macro=True)
-    turbo_state, turbo_pipe, turbo_ran = _drive(src, WIDTH, macro=False)
+    kernel_state, kernel_pipe, ran = _drive(src, WIDTH, kernels=True)
+    block_state, block_pipe, block_ran = _drive(src, WIDTH, kernels=False)
     assert "FragmentNestShape" in ran, \
         f"nest kernel never ran (plan shapes that did: {ran})"
-    assert turbo_ran == []
-    assert _snapshot(macro_state, macro_pipe) == \
-        _snapshot(turbo_state, turbo_pipe)
+    assert block_ran == []
+    assert _snapshot(kernel_state, kernel_pipe) == \
+        _snapshot(block_state, block_pipe)
 
 
 # -- fissioned permutation chain ----------------------------------------------
@@ -342,8 +341,7 @@ def test_fission_chain_is_lifted():
 
 def test_fission_chain_plan_shape():
     program = assemble(chain_source(WIDTH))
-    _, _, _, plan = fragment_tables_for(
-        program, PipelineModel(), WIDTH, OFFSET, macro=True)
+    _, _, plan = fragment_tables_for(program, PipelineModel(), WIDTH, OFFSET)
     chain = plan[0]
     assert isinstance(chain, FragmentChainShape)
     assert chain.trips(None) == 1
@@ -351,15 +349,15 @@ def test_fission_chain_plan_shape():
 
 def test_fission_chain_macro_is_bit_identical():
     src = chain_source(WIDTH)
-    macro_state, macro_pipe, ran = _drive(src, WIDTH, macro=True)
-    turbo_state, turbo_pipe, _ = _drive(src, WIDTH, macro=False)
+    kernel_state, kernel_pipe, ran = _drive(src, WIDTH, kernels=True)
+    block_state, block_pipe, _ = _drive(src, WIDTH, kernels=False)
     assert ran == ["FragmentChainShape"], \
         "one whole-chain invocation must cover the entire fragment"
-    assert _snapshot(macro_state, macro_pipe) == \
-        _snapshot(turbo_state, turbo_pipe)
+    assert _snapshot(kernel_state, kernel_pipe) == \
+        _snapshot(block_state, block_pipe)
     # The chain materialized the first induction final for the stw.
-    n_addr = macro_state.symbols.address_of("N")
-    assert macro_state.memory.load(n_addr, "i32") == 4 * WIDTH
+    n_addr = kernel_state.symbols.address_of("N")
+    assert kernel_state.memory.load(n_addr, "i32") == 4 * WIDTH
 
 
 # -- telemetry: shape counters -------------------------------------------------
@@ -386,11 +384,11 @@ def test_new_shape_telemetry_counters():
                          ids=["nested-loop", "fission-chain"])
 def test_new_shapes_bit_identical_width16(make_source):
     src = make_source(16)
-    macro_state, macro_pipe, ran = _drive(src, 16, macro=True)
-    turbo_state, turbo_pipe, _ = _drive(src, 16, macro=False)
+    kernel_state, kernel_pipe, ran = _drive(src, 16, kernels=True)
+    block_state, block_pipe, _ = _drive(src, 16, kernels=False)
     assert ran, "no plan kernel ran at width 16"
-    assert _snapshot(macro_state, macro_pipe) == \
-        _snapshot(turbo_state, turbo_pipe)
+    assert _snapshot(kernel_state, kernel_pipe) == \
+        _snapshot(block_state, block_pipe)
 
 
 @pytest.mark.slow

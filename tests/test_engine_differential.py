@@ -1,9 +1,6 @@
-"""Differential conformance suite: fast / turbo / macro / reference.
+"""Differential conformance suite: fast vs. reference.
 
-The pre-decoded fast engine (``engine="fast"``), the superblock-fused
-turbo engine (``engine="turbo"``) and the whole-loop macro engine
-(``engine="macro"``, turbo plus ``repro.interp.macro`` fragment
-kernels) must be observationally
+The fast engine (``engine="fast"``) must be observationally
 indistinguishable from the reference interpreter — not just "same final
 arrays" but the same *complete* execution record:
 
@@ -16,19 +13,18 @@ arrays" but the same *complete* execution record:
   (``to_dict()``), including cache, translation and microcode-cache
   stats.
 
-Turbo needs both halves of the comparison: with a tracer attached it
-must fall back to the fast engine's per-instruction path (eager
-events), and *without* one it runs fused superblocks with batched
-timing — the untraced ``to_dict()`` comparison below is what exercises
-the fused path.
+The fast engine needs both halves of the comparison: with a tracer
+attached it runs its per-instruction handlers (eager events), and
+*without* one it runs fused superblocks with batched timing plus
+whole-loop fragment kernels, batched d-cache streams
+(``Cache.access_stream``) and folded loop timing
+(``PipelineModel.account_loop``) — the untraced ``to_dict()``
+comparison below is what exercises those paths.
 
 Every kernel of the paper's benchmark suite is swept at hardware widths
-2/4/8 (width 16 rides behind the ``slow`` marker).  The macro engine's
-untraced comparison is the one that exercises whole-loop fragment
-kernels, batched d-cache streams (``Cache.access_stream``) and folded
-loop timing (``PipelineModel.account_loop``).  This is the
+2/4/8 (width 16 rides behind the ``slow`` marker).  This is the
 equivalence contract described in docs/execution-engines.md; any
-optimization to the fast or turbo engines must keep this suite green.
+optimization to the fast engine must keep this suite green.
 """
 
 from __future__ import annotations
@@ -41,6 +37,7 @@ from repro.core.scalarize import build_liquid_program
 from repro.kernels.suite import BENCHMARK_ORDER, build_kernel
 from repro.simd.accelerator import config_for_width
 from repro.system.machine import Machine, MachineConfig
+from repro.system.trace import TraceRecorder
 
 WIDTHS = (2, 4, 8)
 
@@ -72,8 +69,6 @@ def _run_untraced(program, width, engine) -> dict:
 def _assert_identical(program, width):
     fast, fast_events = _run(program, width, "fast")
     ref, ref_events = _run(program, width, "reference")
-    turbo, turbo_events = _run(program, width, "turbo")
-    macro, macro_events = _run(program, width, "macro")
 
     assert fast.arrays == ref.arrays
     assert fast.cycles == ref.cycles
@@ -82,29 +77,17 @@ def _assert_identical(program, width):
         dataclasses.asdict(ref.pipeline)
     assert dataclasses.asdict(fast.icache) == dataclasses.asdict(ref.icache)
     assert dataclasses.asdict(fast.dcache) == dataclasses.asdict(ref.dcache)
+    assert fast.to_dict() == ref.to_dict()
 
-    # Traced turbo/macro must take the per-instruction path: the full
-    # serialized result and every event must match the other engines.
-    assert turbo.to_dict() == fast.to_dict() == ref.to_dict()
-    assert macro.to_dict() == ref.to_dict()
-    assert len(macro_events) == len(ref_events)
-
-    assert len(fast_events) == len(ref_events) == len(turbo_events)
-    for i, ((f_src, f_ev), (r_src, r_ev), (t_src, t_ev)) in enumerate(
-            zip(fast_events, ref_events, turbo_events)):
-        assert f_src == r_src == t_src, f"source diverges at event {i}"
+    assert len(fast_events) == len(ref_events)
+    for i, ((f_src, f_ev), (r_src, r_ev)) in enumerate(
+            zip(fast_events, ref_events)):
+        assert f_src == r_src, f"source diverges at event {i}"
         assert f_ev == r_ev, f"retire event diverges at event {i}: " \
                              f"{f_ev} != {r_ev}"
-        assert t_ev == r_ev, f"turbo retire event diverges at event {i}: " \
-                             f"{t_ev} != {r_ev}"
 
-    # Untraced runs exercise turbo's fused superblock path (batched
-    # account_block timing, zero-allocation retirement) and the macro
-    # engine's whole-loop fragment kernels: the complete serialized
-    # RunResult must still be bit-identical.
-    assert _run_untraced(program, width, "turbo") == \
-        _run_untraced(program, width, "fast") == ref.to_dict()
-    assert _run_untraced(program, width, "macro") == ref.to_dict()
+    # Untraced: fused superblocks and fragment kernels.
+    assert _run_untraced(program, width, "fast") == ref.to_dict()
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -126,13 +109,10 @@ def test_scalar_machine_engines_identical():
     program = build_liquid_program(build_kernel("FIR"))
     fast = Machine(MachineConfig(engine="fast")).run(program)
     ref = Machine(MachineConfig(engine="reference")).run(program)
-    turbo = Machine(MachineConfig(engine="turbo")).run(program)
-    macro = Machine(MachineConfig(engine="macro")).run(program)
     assert fast.arrays == ref.arrays
     assert fast.cycles == ref.cycles
     assert fast.instructions == ref.instructions
-    assert turbo.to_dict() == fast.to_dict() == ref.to_dict()
-    assert macro.to_dict() == ref.to_dict()
+    assert fast.to_dict() == ref.to_dict()
 
 
 @pytest.mark.parametrize("variant", [
@@ -143,11 +123,9 @@ def test_scalar_machine_engines_identical():
     dict(interrupt_interval=500),
 ])
 def test_turbo_identical_across_translator_configs(variant):
-    """Translator-heavy configs: fused and eager paths must agree."""
+    """Translator-heavy configs: fused (untraced) and eager (traced)
+    fast runs must agree."""
     program = build_liquid_program(build_kernel("FFT"))
-    results = [
-        Machine(MachineConfig(accelerator=config_for_width(4),
-                              engine=engine, **variant)).run(program).to_dict()
-        for engine in ("fast", "turbo", "macro")
-    ]
-    assert results[0] == results[1] == results[2]
+    config = MachineConfig(accelerator=config_for_width(4), **variant)
+    traced = Machine(config, tracer=TraceRecorder()).run(program)
+    assert Machine(config).run(program).to_dict() == traced.to_dict()

@@ -1,9 +1,15 @@
 """Integration tests for the full machine: translation lifecycle, caching,
 latency, blacklisting, and pre-translation."""
 
+import gc
+import weakref
+
 import pytest
 
+import repro.system.machine as machine_module
 from repro.core.scalarize import build_liquid_program
+from repro.kernels.suite import build_kernel
+from repro.simd.accelerator import config_for_width
 from repro.system.machine import Machine, MachineConfig, MachineError
 from repro.system.metrics import arrays_equal, outlined_function_sizes
 
@@ -90,6 +96,42 @@ class TestTranslationLifecycle:
         result = run_program(build_liquid_program(kernel), width=8)
         entry = result.translations[0].entry
         assert entry.simd_instruction_count <= entry.static_instructions
+
+
+class TestRunLifetime:
+    def test_generated_code_dies_with_the_run(self, monkeypatch):
+        """Decode tables and fused closures live exactly as long as one
+        ``Machine.run``: once the caller drops the program and the
+        result, nothing else keeps them (or the program) alive."""
+        refs = {}
+        real_tables = machine_module.superblock_table_for
+
+        def superblock_table_for(table, *args):
+            blocks = real_tables(table, *args)
+            refs["decoded"] = weakref.ref(table)
+            refs["blocks"] = weakref.ref(blocks)
+            block_at = blocks.block_at
+
+            def first_block(pc):
+                block = block_at(pc)
+                refs.setdefault("closure", weakref.ref(block.run))
+                return block
+            blocks.block_at = first_block
+            return blocks
+
+        monkeypatch.setattr(machine_module, "superblock_table_for",
+                            superblock_table_for)
+        program = build_liquid_program(build_kernel("FIR"))
+        config = MachineConfig(accelerator=config_for_width(8))
+        result = Machine(config).run(program)
+        assert result.successful_translations
+        assert set(refs) == {"decoded", "blocks", "closure"}
+        refs["program"] = weakref.ref(program)
+        del program, result
+        gc.collect()
+        alive = sorted(name for name, ref in refs.items()
+                       if ref() is not None)
+        assert alive == []
 
 
 class TestMarkingModes:

@@ -13,10 +13,11 @@ Three angles on ``repro/interp/macro.py``:
   net, so the analyzer's only legal failure mode is declining.  Each
   case here mutates one facet of a real translated fragment.
 
-* **Run-cache identity (ISSUE 4 satellite)** — ``CACHE_FORMAT_VERSION``
-  was deliberately not bumped: macro-engine results are bit-identical,
-  run keys are engine-invariant, and a macro run answers straight from
-  entries a turbo run wrote (zero re-simulations on a warm cache).
+* **Run-cache identity** — kernel execution leaves results
+  bit-identical, so ``CACHE_FORMAT_VERSION`` stays put: run keys are
+  engine-invariant, cache bytes written under ``fast`` equal the
+  reference engine's, and a reference context answers straight from
+  entries a fast run wrote (zero re-simulations on a warm cache).
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from repro.core.scalarize import build_liquid_program
 from repro.evaluation.experiments import EvalContext
 from repro.evaluation.runcache import RunCache, run_key
 from repro.evaluation.runner import RunScheduler, build_request_program
+from repro.interp.macro import FragmentChainShape
 from repro.interp.turbo import fragment_tables_for
 from repro.isa.instructions import Imm, Mem, Reg
 from repro.kernels.suite import build_kernel
 from repro.pipeline.core import PipelineModel
 from repro.simd.accelerator import config_for_width
 from repro.system.machine import Machine, MachineConfig
+from repro.system.trace import TraceRecorder
 
 WIDTH = 8
 OFFSET = 1 << 20  # arbitrary fragment PC offset, as the machine assigns
@@ -43,8 +46,7 @@ OFFSET = 1 << 20  # arbitrary fragment PC offset, as the machine assigns
 def _translated_entries(kernel_name):
     """Run *kernel_name* once and return its completed translations."""
     program = build_liquid_program(build_kernel(kernel_name))
-    config = MachineConfig(accelerator=config_for_width(WIDTH),
-                           engine="turbo")
+    config = MachineConfig(accelerator=config_for_width(WIDTH))
     result = Machine(config).run(program)
     entries = [t.entry for t in result.translations
                if t.ok and t.entry is not None]
@@ -52,9 +54,9 @@ def _translated_entries(kernel_name):
     return entries
 
 
-def _plan_for(fragment, width=WIDTH, macro=True):
-    _, _, _, plan = fragment_tables_for(
-        fragment, PipelineModel(), width, OFFSET, macro=macro)
+def _plan_for(fragment, width=WIDTH):
+    _, _, plan = fragment_tables_for(fragment, PipelineModel(), width,
+                                     OFFSET)
     return plan
 
 
@@ -106,11 +108,20 @@ def test_fir_shape_facts():
     assert shape.trip == cmp_instr.srcs[1].value
 
 
-def test_turbo_gets_no_plan():
-    """Without macro=True the memo entry carries plan=None — the turbo
-    engine must never take the whole-loop path."""
-    entry, = _translated_entries("FIR")
-    assert _plan_for(entry.fragment, macro=False) is None
+def test_traced_run_takes_no_kernel(monkeypatch):
+    """A tracer needs every retire event, so a traced run must never
+    take the whole-loop path; the same run untraced does."""
+    runs = []
+    real_run = FragmentChainShape.run
+    monkeypatch.setattr(
+        FragmentChainShape, "run",
+        lambda self, *args: runs.append(1) or real_run(self, *args))
+    program = build_liquid_program(build_kernel("FIR"))
+    config = MachineConfig(accelerator=config_for_width(WIDTH))
+    Machine(config, tracer=TraceRecorder()).run(program)
+    assert runs == []
+    Machine(config).run(program)
+    assert runs, "untraced FIR must run its whole-fragment kernel"
 
 
 # -- rejection ----------------------------------------------------------------
@@ -207,24 +218,23 @@ def _prefetch_subset(engine, cache_dir):
 
 
 def test_macro_run_cache_byte_identity(tmp_path, monkeypatch):
-    """Macro-engine cache entries are byte-identical to turbo's, and a
-    macro context answers from a turbo-written cache without simulating."""
-    turbo_dir = tmp_path / "turbo"
-    macro_dir = tmp_path / "macro"
-    _, turbo_requests, _ = _prefetch_subset("turbo", turbo_dir)
-    _, macro_requests, _ = _prefetch_subset("macro", macro_dir)
+    """Kernel-run cache entries are byte-identical to the reference
+    engine's, and a reference context answers from a fast-written
+    cache without simulating."""
+    fast_dir = tmp_path / "fast"
+    ref_dir = tmp_path / "reference"
+    _, fast_requests, _ = _prefetch_subset("fast", fast_dir)
+    _, ref_requests, _ = _prefetch_subset("reference", ref_dir)
 
-    turbo_cache = RunCache(turbo_dir)
-    macro_cache = RunCache(macro_dir)
-    for turbo_req, macro_req in zip(turbo_requests, macro_requests):
-        turbo_key = run_key(build_request_program(turbo_req),
-                            turbo_req.config)
-        macro_key = run_key(build_request_program(macro_req),
-                            macro_req.config)
-        assert turbo_key == macro_key, "run keys must be engine-invariant"
-        assert turbo_cache.path_for(turbo_key).read_bytes() == \
-            macro_cache.path_for(macro_key).read_bytes(), \
-            f"{turbo_req.benchmark}: cached bytes differ across engines"
+    fast_cache = RunCache(fast_dir)
+    ref_cache = RunCache(ref_dir)
+    for fast_req, ref_req in zip(fast_requests, ref_requests):
+        fast_key = run_key(build_request_program(fast_req), fast_req.config)
+        ref_key = run_key(build_request_program(ref_req), ref_req.config)
+        assert fast_key == ref_key, "run keys must be engine-invariant"
+        assert fast_cache.path_for(fast_key).read_bytes() == \
+            ref_cache.path_for(ref_key).read_bytes(), \
+            f"{fast_req.benchmark}: cached bytes differ across engines"
 
     machine_runs = []
     real_run = Machine.run
@@ -233,9 +243,9 @@ def test_macro_run_cache_byte_identity(tmp_path, monkeypatch):
         lambda self, program: machine_runs.append(program.name)
         or real_run(self, program))
     warm_ctx, warm_requests, warm_scheduler = _prefetch_subset(
-        "macro", turbo_dir)
+        "reference", fast_dir)
     assert machine_runs == [], \
-        f"macro re-simulated despite turbo-written cache: {machine_runs}"
+        f"reference re-simulated despite fast-written cache: {machine_runs}"
     assert warm_scheduler.stats.cache_hits == len(SUBSET)
     assert warm_scheduler.stats.executed == 0
     warm_cycles = {r.benchmark: warm_ctx.run_request(r).cycles

@@ -18,14 +18,21 @@ The contract ``repro serve`` must honor:
 import functools
 import json
 import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+import types
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.evaluation.runcache import RunCache
 from repro.evaluation.runner import (
     RunRequest,
@@ -97,6 +104,8 @@ class TestParseRunRequest:
         {"benchmark": "FIR", "repeat_factor": 99},
         {"benchmark": "FIR", "program_kind": "baseline", "width": 4},
         {"benchmark": "FIR", "surprise": 1},
+        {"benchmark": "FIR", "engine": "turbo"},
+        {"benchmark": "FIR", "engine": "macro"},
     ])
     def test_rejects_malformed(self, payload):
         with pytest.raises(ServeRequestError):
@@ -331,6 +340,47 @@ class TestFailureModes:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(server.url + "/nope", timeout=10)
         assert excinfo.value.code == 404
+
+
+def test_sigterm_shuts_down_server_and_pool(tmp_path):
+    """``repro serve`` treats SIGTERM like Ctrl-C: it exits promptly, no
+    forked pool worker survives holding the listening socket, and the
+    next client is refused instead of hanging."""
+    src = Path(repro.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--jobs", "1", "--cache-dir", str(tmp_path / "cache")],
+        stdout=subprocess.PIPE, text=True, env=env,
+        start_new_session=True)
+    try:
+        banner = proc.stdout.readline()
+        url = re.search(r"http://[\d.]+:(\d+)", banner)
+        assert url, f"no serving banner: {banner!r}"
+        port = int(url.group(1))
+        server = types.SimpleNamespace(url=url.group(0))
+        status, reply = post(server, FIR_W4)
+        assert status == 200 and reply["source"] == "cold"
+
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+        deadline = time.time() + 10
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.time() < deadline, "a pool worker outlived serve"
+            time.sleep(0.05)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.stdout.close()
+        proc.wait(timeout=10)
 
 
 def _fail_while_flagged(flag_path, request, encoded):

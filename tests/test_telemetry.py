@@ -150,8 +150,7 @@ class TestDifferential:
     """Telemetry must be invisible to simulation results and the cache."""
 
     def _config(self):
-        return MachineConfig(accelerator=config_for_width(4),
-                             engine="macro")
+        return MachineConfig(accelerator=config_for_width(4))
 
     def test_results_and_cache_bytes_identical(self, tmp_path):
         program = build_liquid_program(build_kernel("FIR"))

@@ -197,6 +197,6 @@ class TestMicrocodeEntryIdentity:
         loaded = MicrocodeEntry.from_dict(fresh.to_dict())
         assert loaded == fresh
         assert loaded.encoded_bytes() == fresh.encoded_bytes()
-        # Store-loaded and fresh entries key identically in fragment
-        # tables, so turbo/macro caches never duplicate work.
+        # Store-loaded and fresh entries key identically in the
+        # machine's fragment tables, so a run never fuses them twice.
         assert len({fresh.table_key, loaded.table_key}) == 1
