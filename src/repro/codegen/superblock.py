@@ -4,12 +4,12 @@ Lowers :class:`~repro.codegen.ir.BlockSpec` superblocks (lifted by
 :func:`repro.codegen.lift.lift_superblock`) into the fast engine's two
 closure kinds — the fused ``run(state)`` executor and the per-block
 ``_timing(pipe, mem, taken)`` accounting specialization — plus the
-whole-loop ``_loop(pipe, trips, lats)`` timing closure the fragment
-kernels attach to loop-body blocks.  This is the codegen previously
-hand-rolled inline in ``repro/interp/turbo.py`` (fused blocks, block
-timing) and ``repro/interp/macro.py`` (loop timing), now behind the
-shared ``Backend`` protocol with sources compiled through
-:mod:`repro.codegen.emit` (stable filenames).
+whole-window ``_loop(pipe, trips, lats, last_taken)`` timing closure
+:meth:`~repro.pipeline.core.PipelineModel.account_loop` compiles for a
+loop block on its first window (scalar self-loops and fragment loop
+bodies alike).  All of them go through the shared ``Backend`` protocol
+with sources compiled through :mod:`repro.codegen.emit` (stable
+filenames).
 
 The emitted code is semantically unchanged from the inline versions:
 
@@ -20,9 +20,11 @@ The emitted code is semantically unchanged from the inline versions:
   :meth:`~repro.pipeline.core.PipelineModel.account_block`'s row loop
   with the block's constants baked in, batching same-line instruction
   fetches through :meth:`~repro.memory.cache.Cache.repeat_hits`;
-* the loop-timing closure wraps the same row arithmetic in the
-  per-trip loop with its deterministic taken/.../not-taken branch
-  pattern, consuming pre-replayed d-cache latencies.
+* the loop-timing closure wraps the same row arithmetic in a per-trip
+  loop with the taken/.../taken/``last_taken`` branch pattern,
+  consuming the window's replayed D-cache latencies and a constant
+  I-cache hit term, with register ready times and the predictor
+  counter held in locals for the whole window.
 
 Telemetry: ``codegen.superblock.lowered.<kind>`` per emitted closure.
 """
@@ -366,7 +368,7 @@ def emit_block_timing(spec: BlockSpec, *, icache_hit: int,
         nonlocal rep_count, need_repeat
         if rep_count:
             need_repeat = True
-            emit(f"irh({prev_line}, {rep_count})")
+            emit(f"irh(({prev_line},), {rep_count})")
             rep_count = 0
 
     for (fetch_key, reads, reads_flags, writes, sets_flags,
@@ -483,93 +485,145 @@ def emit_block_timing(spec: BlockSpec, *, icache_hit: int,
         {}, "_timing", kind="block-timing")
 
 
-def emit_loop_timing(timing, pipeline, label: str, entry: int):
-    """``exec()``-generated specialization of
-    :meth:`~repro.pipeline.core.PipelineModel.account_loop` for one
-    loop-body block: the generic row loop unrolled with constants baked
-    (same style as the per-block ``compiled`` closures), wrapped in the
-    per-trip loop with its deterministic branch pattern.
+def emit_loop_timing(timing, *, icache_hit: int, dcache_hit: int,
+                     mispredict_penalty: int):
+    """Compile :meth:`~repro.pipeline.core.PipelineModel.account_loop`'s
+    hazard replay for one loop block.
+
+    The row arithmetic of :func:`emit_block_timing`, constants baked,
+    wrapped in a per-trip loop: ``_loop(pipe, trips, lats, last_taken)``
+    charges *trips* executions of the block, every trip taken but the
+    last, whose outcome is *last_taken*.  ``account_loop`` has already
+    advanced both caches, so:
+
+    * a load row reads its latency from *lats* (the window's
+      per-access D-cache latencies, trip-major, as returned by
+      :meth:`~repro.memory.cache.Cache.access_stream`); store rows only
+      skip past theirs, the write buffer hiding store latency;
+    * a fetched block (``fetch_mode == 1``) hits the I-cache on every
+      fetch, so each row adds the constant hit term
+      ``icache_hit - 1`` to its fetch-ready time.
+
+    Nothing but this block touches the pipeline during the window, so
+    the ready times of the registers (and flags) the rows name live in
+    locals: read once from ``reg_ready`` before the first trip, and the
+    written ones stored back once after the last.  Likewise the
+    back-branch applies the bimodal predictor's rules to a local copy
+    of its counter, read and written back once, with no predictor
+    method call per trip: a taken branch to an entry at or below it
+    mispredicts on counter 0 (on 1 as well when the target is
+    forward), a fall-through on any non-zero counter.
     """
-    dcache_hit = pipeline._dcache_hit
-    penalty = pipeline.config.mispredict_penalty
+    rows = timing.rows
+    fetch_extra = icache_hit - 1 if timing.fetch_mode == 1 else 0
+    penalty = mispredict_penalty
+    names = {}     # register -> local holding its ready time
+    written = []   # registers the rows write, in first-write order
+
+    def local(reg):
+        name = names.get(reg)
+        if name is None:
+            name = names[reg] = f"x{len(names)}"
+        return name
+
+    has_load = False
+    mem_index = 0
+    trip: List[str] = []
+    emit = trip.append
+    for i, (_fetch_key, reads, reads_flags, writes, sets_flags,
+            latency, mem_kind, _nbytes) in enumerate(rows):
+        # ``issue`` always holds the previous row's issue cycle, which
+        # is also the fetch-ready time of every row but a trip's first.
+        fetch = "fetch_ready" if i == 0 else "issue"
+        emit(f"ready = {fetch} + {fetch_extra}" if fetch_extra
+             else f"ready = {fetch}")
+        for reg in reads + ((_FLAGS,) if reads_flags else ()):
+            x = local(reg)
+            emit(f"if {x} > ready: ready = {x}")
+        emit("issue += 1")
+        emit("if ready > issue:")
+        emit("    data_stall += ready - issue")
+        emit("    issue = ready")
+        if mem_kind == 1:
+            has_load = True
+            emit(f"a = lats[k + {mem_index}]" if mem_index else "a = lats[k]")
+            emit("completion = issue + a")
+            emit(f"if a > {dcache_hit}:")
+            emit(f"    load_miss += a - {dcache_hit}")
+        else:
+            emit(f"completion = issue + {latency}")
+        if mem_kind:
+            mem_index += 1
+        for reg in tuple(writes) + ((_FLAGS,) if sets_flags else ()):
+            if reg not in written:
+                written.append(reg)
+            emit(f"{local(reg)} = completion")
+        emit("if completion > last_completion: "
+             "last_completion = completion")
+    if mem_index:
+        emit(f"k += {mem_index}")
+    emit("fetch_ready = issue")
+    # Counter values below this mispredict a taken branch: only 0 when
+    # the target is at or below the branch (cold backward-taken bias).
+    taken_ok = 1 if timing.branch_target <= timing.branch_pc else 2
+    bpc = timing.branch_pc
     body: List[str] = [
         "reg_ready = pipe._reg_ready",
         "get = reg_ready.get",
-        "stats = pipe.stats",
+    ]
+    body += [f"{x} = get({reg!r}, 0)" for reg, x in names.items()]
+    body += [
         "fetch_ready = pipe._fetch_ready",
-        "last_issue = pipe._last_issue",
+        "issue = pipe._last_issue",
         "last_completion = pipe._last_completion",
-        "predict = pipe.predictor.predict",
-        "update = pipe.predictor.update",
+        "pred = pipe.predictor",
+        f"c = pred.counter({bpc})",
         "data_stall = 0",
         "load_miss = 0",
-        "branch_penalty = 0",
         "mispredicts = 0",
         "k = 0",
-        "issue = last_issue",
-        "last_trip = trips - 1",
+        "last = trips - 1",
         "for _t in range(trips):",
     ]
-    emit = body.append
-    for (_fetch_key, reads, reads_flags, writes, sets_flags,
-         latency, mem_kind, _nbytes) in timing.rows:
-        emit("    ready = fetch_ready")
-        for reg in reads:
-            emit(f"    t = get({reg!r}, 0)")
-            emit("    if t > ready:")
-            emit("        ready = t")
-        if reads_flags:
-            emit(f"    t = get({_FLAGS!r}, 0)")
-            emit("    if t > ready:")
-            emit("        ready = t")
-        emit("    issue = last_issue + 1")
-        emit("    if ready > issue:")
-        emit("        data_stall += ready - issue")
-        emit("        issue = ready")
-        if mem_kind == 1:
-            emit("    a = lats[k]")
-            emit("    k += 1")
-            emit("    completion = issue + a")
-            emit(f"    if a > {dcache_hit}:")
-            emit(f"        load_miss += a - {dcache_hit}")
-        else:
-            # Stores and ALU rows: the d-cache was pre-advanced by
-            # access_stream; the write buffer hides store latency.
-            emit(f"    completion = issue + {latency}")
-        for reg in writes:
-            emit(f"    reg_ready[{reg!r}] = completion")
-        if sets_flags:
-            emit(f"    reg_ready[{_FLAGS!r}] = completion")
-        emit("    last_issue = issue")
-        emit("    fetch_ready = issue")
-        emit("    if completion > last_completion:")
-        emit("        last_completion = completion")
-    branch_pc = timing.branch_pc
-    branch_target = timing.branch_target
+    body += ["    " + line for line in trip]
     body += [
-        "    taken = _t != last_trip",
-        f"    predicted = predict({branch_pc}, "
-        f"{branch_target} if taken else {branch_pc})",
-        f"    update({branch_pc}, taken)",
-        "    if predicted != taken:",
+        "    if _t < last or last_taken:",
+        "        if c < 3:",
+        f"            if c < {taken_ok}:",
+        "                mispredicts += 1",
+        f"                fetch_ready = issue + 1 + {penalty}",
+        "            c += 1",
+        "    elif c:",
         "        mispredicts += 1",
         f"        fetch_ready = issue + 1 + {penalty}",
-        f"        branch_penalty += {penalty}",
-        "pipe._last_issue = last_issue",
+        "        c -= 1",
+        f"pred.set_counter({bpc}, c)",
+    ]
+    body += [f"reg_ready[{reg!r}] = {names[reg]}" for reg in written]
+    body += [
+        "pipe._last_issue = issue",
         "pipe._fetch_ready = fetch_ready",
         "pipe._last_completion = last_completion",
+        "stats = pipe.stats",
         f"stats.instructions += {timing.count} * trips",
-        f"stats.simd_instructions += {timing.simd} * trips",
         "stats.branches += trips",
         "stats.mispredicts += mispredicts",
-        "stats.branch_penalty_cycles += branch_penalty",
+        f"stats.branch_penalty_cycles += mispredicts * {penalty}",
         "stats.data_stall_cycles += data_stall",
-        "stats.load_miss_cycles += load_miss",
     ]
-    source = _emit.assemble("def _loop(pipe, trips, lats):", body)
+    if timing.simd:
+        body.append(f"stats.simd_instructions += {timing.simd} * trips")
+    if fetch_extra > 0:
+        body.append(f"stats.fetch_stall_cycles += "
+                    f"{fetch_extra * len(rows)} * trips")
+    if has_load:
+        body.append("stats.load_miss_cycles += load_miss")
+    source = _emit.assemble("def _loop(pipe, trips, lats, last_taken):",
+                            body)
     return _emit.compile_closure(
         source,
-        _emit.closure_filename("macro-loop-timing", label, entry),
+        _emit.closure_filename("loop-timing", timing.label,
+                               timing.branch_target),
         {}, "_loop", kind="loop-timing")
 
 
@@ -598,9 +652,12 @@ class SuperblockBackend:
             _telemetry.get().count("codegen.superblock.lowered.block-timing")
         return compiled
 
-    def lower_loop_timing(self, timing, pipeline, label: str, entry: int):
-        """The compiled whole-loop timing closure for one loop-body
+    def lower_loop_timing(self, timing, *, icache_hit: int, dcache_hit: int,
+                          mispredict_penalty: int):
+        """The compiled whole-window timing closure for one loop
         block."""
-        compiled = emit_loop_timing(timing, pipeline, label, entry)
+        compiled = emit_loop_timing(
+            timing, icache_hit=icache_hit, dcache_hit=dcache_hit,
+            mispredict_penalty=mispredict_penalty)
         _telemetry.get().count("codegen.superblock.lowered.loop-timing")
         return compiled

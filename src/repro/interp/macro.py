@@ -22,14 +22,13 @@ must leave — and assembles them into the fragment plan:
   ``add``/``cmp``/``blt`` around an induction reset plus one inner
   vector loop), run whole across the remaining outer trips.
 
-Timing stays bit-identical through the same two batched APIs as
-before: whole-loop d-cache streams replayed by
-:meth:`~repro.memory.cache.Cache.access_stream` (trip-major, program
-order — the exact sequence the per-block path would have issued), and
-pipeline hazards/branch prediction/statistics folded by
-:meth:`~repro.pipeline.core.PipelineModel.account_block` /
-:meth:`~repro.pipeline.core.PipelineModel.account_loop` over the very
-``BlockTiming`` objects the per-block path uses.
+Timing stays bit-identical by charging the very ``BlockTiming``
+objects the per-block path uses: straight-line steps through
+:meth:`~repro.pipeline.core.PipelineModel.account_block`, and loop
+iterations through
+:meth:`~repro.pipeline.core.PipelineModel.account_loop`, handed the
+loop's trip-major address stream (the exact sequence the per-block
+path would have issued), which it replays through the D-cache itself.
 
 Fallback contract: anything outside the recognized shapes produces no
 plan entry, and runtime conditions (misaligned or out-of-range slabs,
@@ -61,14 +60,20 @@ _INT31 = 1 << 31
 MIN_MACRO_TRIPS = 2
 
 
-def _site_arrays(sites, width: int):
-    """(strides, nbytes, writes, load_cols) numpy arrays for loop sites."""
-    strides = [esz * width for (_sym, esz, _w) in sites]
-    return (np.asarray(strides, dtype=np.int64),
-            np.asarray(strides, dtype=np.int64),  # one vector/site
-            np.asarray([w for (_s, _e, w) in sites], dtype=bool),
-            np.asarray([i for i, (_s, _e, w) in enumerate(sites) if not w],
-                       dtype=np.intp))
+def _site_strides(sites, width: int) -> np.ndarray:
+    """Per-trip address strides of loop sites: one vector per site."""
+    return np.asarray([esz * width for (_sym, esz, _w) in sites],
+                      dtype=np.int64)
+
+
+def _site_stream(bases, strides: np.ndarray, first: int,
+                 trips: int) -> np.ndarray:
+    """Trip-major address stream of *trips* iterations from *first*."""
+    if not len(strides):
+        return strides
+    return (np.asarray(bases, dtype=np.int64)[None, :]
+            + np.arange(first, first + trips, dtype=np.int64)[:, None]
+            * strides[None, :]).reshape(-1)
 
 
 class FragmentLoopShape:
@@ -83,8 +88,7 @@ class FragmentLoopShape:
     """
 
     __slots__ = ("head", "branch_pc", "blen", "width", "induction", "trip",
-                 "sites", "kernel", "timing",
-                 "_bases_stride", "_nbytes", "_writes", "_load_cols")
+                 "sites", "kernel", "timing", "_strides")
 
     def __init__(self, node: LoopNode, kernel) -> None:
         self.head = node.head
@@ -96,8 +100,11 @@ class FragmentLoopShape:
         self.sites = node.sites
         self.kernel = kernel
         self.timing = None  # attached by build_fragment_plan
-        (self._bases_stride, self._nbytes, self._writes,
-         self._load_cols) = _site_arrays(node.sites, node.width)
+        self._strides = _site_strides(node.sites, node.width)
+
+    def iterations(self, trips: int) -> int:
+        """Loop iterations one ``run(..., trips)`` covers."""
+        return trips
 
     def trips(self, state) -> Optional[int]:
         """Remaining trip count from live state, or None to fall back."""
@@ -138,24 +145,10 @@ class FragmentLoopShape:
 
         self.kernel(memory, state.vregs, regs, bases, trips)
 
-        # Timing: replay the loop's whole d-cache stream (trip-major,
-        # program order — identical to the per-block sequence; fragments
-        # never touch the i-cache), then fold the pipeline hazards and
-        # the taken/.../taken/not-taken branch pattern.
-        n_sites = len(bases)
-        if n_sites:
-            addr_mat = (np.asarray(bases, dtype=np.int64)[None, :]
-                        + np.arange(trips, dtype=np.int64)[:, None]
-                        * self._bases_stride[None, :])
-            lats = pipeline.dcache.access_stream(
-                addr_mat.reshape(-1),
-                np.tile(self._nbytes, trips),
-                np.tile(self._writes, trips))
-            load_lats = lats.reshape(trips, n_sites)[:, self._load_cols] \
-                .reshape(-1).tolist()
-        else:
-            load_lats = []
-        pipeline.account_loop(self.timing, trips, load_lats)
+        # Timing: every trip's accesses (trip-major, program order —
+        # the per-block sequence), the last trip falling through.
+        pipeline.account_loop(
+            self.timing, trips, _site_stream(bases, self._strides, 0, trips))
 
         # Architectural epilogue: final induction value, cmp flags,
         # fall-through pc, retire count — what the last trip leaves.
@@ -176,13 +169,12 @@ class FragmentChainShape:
     ``mov rI, #0`` in the chain itself), then replays the fragment's
     complete timing as a static schedule of block steps (segment +
     first loop iteration + back-branch, and the trailing segment) and
-    loop steps (iterations 2..n via ``access_stream`` +
-    ``account_loop``) over the same ``BlockTiming`` objects the
-    per-block path uses.
+    loop steps (iterations 2..n, one ``account_loop`` each) over the
+    same ``BlockTiming`` objects the per-block path uses.
     """
 
     __slots__ = ("blen", "width", "kernel", "steps", "sites", "count",
-                 "_flags_pair")
+                 "loop_trips", "_flags_pair")
 
     def __init__(self, chain: ChainNode, kernel, steps, count: int,
                  flags_pair: Tuple[int, int]) -> None:
@@ -192,11 +184,17 @@ class FragmentChainShape:
         self.steps = steps
         self.sites = chain.sites
         self.count = count  # fragment instruction count (exit pc)
+        #: iterations of all the chain's loops in one invocation
+        self.loop_trips = sum(n for (_ri, n, _sb) in chain.trips)
         self._flags_pair = flags_pair
 
     def trips(self, state) -> Optional[int]:
         """One whole-fragment invocation; trip counts are static."""
         return 1
+
+    def iterations(self, trips: int) -> int:
+        """Loop iterations one invocation covers: every loop's trips."""
+        return self.loop_trips
 
     def run(self, state, pipeline, trips: int) -> bool:
         regs = state.regs
@@ -222,28 +220,14 @@ class FragmentChainShape:
 
         account_block = pipeline.account_block
         account_loop = pipeline.account_loop
-        access_stream = pipeline.dcache.access_stream
         for step in self.steps:
             if step[0] == 0:
                 _, timing, ids, taken = step
                 account_block(timing, [bases[s] for s in ids], taken)
             else:
-                (_, timing, ids, ltrips, strides, nbytes, writes,
-                 load_cols) = step
-                n_sites = len(ids)
-                if n_sites:
-                    b = np.asarray([bases[s] for s in ids], dtype=np.int64)
-                    addr_mat = (b[None, :]
-                                + np.arange(1, ltrips + 1, dtype=np.int64)
-                                [:, None] * strides[None, :])
-                    lats = access_stream(addr_mat.reshape(-1),
-                                         np.tile(nbytes, ltrips),
-                                         np.tile(writes, ltrips))
-                    load_lats = lats.reshape(ltrips, n_sites)[:, load_cols] \
-                        .reshape(-1).tolist()
-                else:
-                    load_lats = []
-                account_loop(timing, ltrips, load_lats)
+                _, timing, ids, ltrips, strides = step
+                account_loop(timing, ltrips, _site_stream(
+                    [bases[s] for s in ids], strides, 1, ltrips))
 
         # The kernel set every induction final; the last flag-setting
         # instruction of a chain is the last loop's cmp.
@@ -266,8 +250,7 @@ class FragmentNestShape:
 
     __slots__ = ("head", "branch_pc", "blen", "width", "node", "inner",
                  "inner_trips", "kernel", "entry_timing", "loop_timing",
-                 "tail_timing",
-                 "_bases_stride", "_nbytes", "_writes", "_load_cols")
+                 "tail_timing", "_strides")
 
     def __init__(self, node: LoopNode, inner_trips: int, kernel,
                  entry_timing, loop_timing, tail_timing) -> None:
@@ -285,8 +268,11 @@ class FragmentNestShape:
         #: retired instructions per outer trip: reset + whole inner
         #: loop + outer add/cmp/blt.
         self.blen = 1 + inner_trips * inner.blen + 3
-        (self._bases_stride, self._nbytes, self._writes,
-         self._load_cols) = _site_arrays(inner.sites, node.width)
+        self._strides = _site_strides(inner.sites, node.width)
+
+    def iterations(self, trips: int) -> int:
+        """Loop iterations *trips* outer trips cover: outer × inner."""
+        return trips * self.inner_trips
 
     def trips(self, state) -> Optional[int]:
         """Remaining outer trips from live state, or None to fall back."""
@@ -322,34 +308,21 @@ class FragmentNestShape:
 
         account_block = pipeline.account_block
         account_loop = pipeline.account_loop
-        access_stream = pipeline.dcache.access_stream
         kernel = self.kernel
         entry_timing = self.entry_timing
         loop_timing = self.loop_timing
         tail_timing = self.tail_timing
         vregs = state.vregs
-        n_sites = len(bases)
         ltrips = inner_trips - 1
-        if n_sites and ltrips:
-            addr_mat = (np.asarray(bases, dtype=np.int64)[None, :]
-                        + np.arange(1, inner_trips, dtype=np.int64)[:, None]
-                        * self._bases_stride[None, :])
-            flat = addr_mat.reshape(-1)
-            nbytes_stream = np.tile(self._nbytes, ltrips)
-            writes_stream = np.tile(self._writes, ltrips)
+        # Inner iterations 2..n touch the same addresses every outer trip.
+        stream = _site_stream(bases, self._strides, 1, ltrips)
         last = trips - 1
         no_mem: List[int] = []
         for t in range(trips):
             kernel(memory, vregs, regs, bases, inner_trips)
             account_block(entry_timing, bases, True)
             if ltrips:
-                if n_sites:
-                    lats = access_stream(flat, nbytes_stream, writes_stream)
-                    load_lats = lats.reshape(ltrips, n_sites) \
-                        [:, self._load_cols].reshape(-1).tolist()
-                else:
-                    load_lats = []
-                account_loop(loop_timing, ltrips, load_lats)
+                account_loop(loop_timing, ltrips, stream)
             account_block(tail_timing, no_mem, t != last)
 
         # Epilogue: inner induction rests at its final value, outer
@@ -373,19 +346,21 @@ def _reject(reason: str):
     return None
 
 
-def _loop_block_timing(node: LoopNode, blocks, pipeline, sb_backend,
-                       label: str):
-    """The validated loop-body ``BlockTiming`` for *node*, with its
-    compiled whole-loop specialization attached, or None on mismatch."""
+def _loop_block_timing(node: LoopNode, blocks, width: int):
+    """The validated loop-body ``BlockTiming`` for *node*, or None on
+    mismatch.  ``account_loop`` takes each access's width and kind from
+    the block's memory rows, so those must be the sites' vectors, in
+    site order."""
     timing = blocks.block_at(node.head).timing
+    site_rows = [(esz * width, 2 if is_store else 1)
+                 for (_sym, esz, is_store) in node.sites]
+    mem_rows = [(row[7], row[6]) for row in timing.rows if row[6]]
     if (timing.fetch_mode != 0 or timing.term != 1
             or timing.count != node.blen
-            or len(timing.rows) != node.blen):
+            or len(timing.rows) != node.blen
+            or mem_rows != site_rows):
         # superblock discovery disagreed: stay per-block
         return _reject("timing-mismatch")
-    if timing.loop_compiled is None:
-        timing.loop_compiled = sb_backend.lower_loop_timing(
-            timing, pipeline, label, node.head)
     return timing
 
 
@@ -393,8 +368,7 @@ def _mem_rows(timing) -> int:
     return sum(1 for row in timing.rows if row[6])
 
 
-def _build_chain_shape(chain: ChainNode, fragment, blocks, pipeline,
-                       np_backend, sb_backend,
+def _build_chain_shape(chain: ChainNode, fragment, blocks, np_backend,
                        label: str) -> Optional[FragmentChainShape]:
     """Lower one chain and build its static timing schedule, or None."""
     lowered = np_backend.lower_chain(chain, label)
@@ -423,14 +397,11 @@ def _build_chain_shape(chain: ChainNode, fragment, blocks, pipeline,
             return _reject("chain-block-mismatch")
         steps.append((0, entry_timing, mem_ids, nloop > 1))
         if nloop > 1:
-            loop_timing = _loop_block_timing(region, blocks, pipeline,
-                                             sb_backend, label)
+            loop_timing = _loop_block_timing(region, blocks, chain.width)
             if loop_timing is None:
                 return None  # _loop_block_timing counted the rejection
-            strides, nbytes, writes, load_cols = _site_arrays(
-                region.sites, chain.width)
             steps.append((1, loop_timing, loop_ids, nloop - 1,
-                          strides, nbytes, writes, load_cols))
+                          _site_strides(region.sites, chain.width)))
         pending = []
         pos = region.branch_pc + 1
         last_loop = region
@@ -447,8 +418,7 @@ def _build_chain_shape(chain: ChainNode, fragment, blocks, pipeline,
                               flags_pair)
 
 
-def _build_nest_shape(node: LoopNode, blocks, pipeline, np_backend,
-                      sb_backend,
+def _build_nest_shape(node: LoopNode, blocks, np_backend,
                       label: str) -> Optional[FragmentNestShape]:
     """Lower one nested loop and validate its three blocks, or None."""
     inner = node.inner
@@ -465,8 +435,7 @@ def _build_nest_shape(node: LoopNode, blocks, pipeline, np_backend,
             or len(entry_timing.rows) != expected
             or _mem_rows(entry_timing) != len(inner.sites)):
         return _reject("timing-mismatch")
-    loop_timing = _loop_block_timing(inner, blocks, pipeline, sb_backend,
-                                     label)
+    loop_timing = _loop_block_timing(inner, blocks, node.width)
     if loop_timing is None:
         return None
     tail_timing = blocks.block_at(inner.branch_pc + 1).timing
@@ -478,29 +447,25 @@ def _build_nest_shape(node: LoopNode, blocks, pipeline, np_backend,
                              entry_timing, loop_timing, tail_timing)
 
 
-def build_fragment_plan(fragment, blocks, pipeline,
-                        width: int) -> Dict[int, object]:
+def build_fragment_plan(fragment, blocks, width: int) -> Dict[int, object]:
     """Map plan pc -> runtime shape for every recognizable region.
 
     Keys are loop-head pcs for :class:`FragmentLoopShape` /
     :class:`FragmentNestShape`, plus pc 0 for a whole-fragment
     :class:`FragmentChainShape`.  *blocks* is the fragment's
-    :class:`~repro.interp.turbo.SuperblockTable`: every shape reuses —
-    and attaches compiled whole-loop timings to — the superblocks
-    discovered at its pcs, guaranteeing the macro path and the
-    per-block path account the very same rows.
+    :class:`~repro.interp.turbo.SuperblockTable`: every shape reuses
+    the superblocks discovered at its pcs, guaranteeing the macro path
+    and the per-block path account the very same rows.
     """
     tel = _telemetry.get()
     label = getattr(fragment, "name", "fragment")
     np_backend = get_backend("numpy")
-    sb_backend = get_backend("superblock")
     ir = lift_fragment(fragment, width)
     plans: Dict[int, object] = {}
     for head in sorted(ir.loops):
         node = ir.loops[head]
         if node.inner is not None:
-            shape = _build_nest_shape(node, blocks, pipeline, np_backend,
-                                      sb_backend, label)
+            shape = _build_nest_shape(node, blocks, np_backend, label)
             if shape is not None:
                 plans[head] = shape
                 tel.count("macro.plan.recognized")
@@ -509,8 +474,7 @@ def build_fragment_plan(fragment, blocks, pipeline,
         if lowered is None:
             _reject("unsupported-lowering")
             continue
-        timing = _loop_block_timing(node, blocks, pipeline, sb_backend,
-                                    label)
+        timing = _loop_block_timing(node, blocks, node.width)
         if timing is None:
             continue
         shape = FragmentLoopShape(node, lowered.kernel)
@@ -519,8 +483,7 @@ def build_fragment_plan(fragment, blocks, pipeline,
         tel.count("macro.plan.recognized")
     if ir.chain is not None:
         chain_shape = _build_chain_shape(ir.chain, fragment, blocks,
-                                         pipeline, np_backend, sb_backend,
-                                         label)
+                                         np_backend, label)
         if chain_shape is not None:
             plans[0] = chain_shape
             tel.count("macro.plan.recognized")

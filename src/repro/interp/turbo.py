@@ -35,6 +35,11 @@ each into one *fused* closure:
   :class:`~repro.system.trace.TraceRecorder` — force the machine onto
   the per-instruction handler path, whose events are eager and
   bit-identical by construction (see ``docs/execution-engines.md``).
+* **One timing call per window of a hot loop.**  A block whose closing
+  branch targets its own entry (``FusedBlock.self_loop``) is re-run by
+  the machine trip after trip, and a whole window of trips is charged
+  with one :meth:`~repro.pipeline.core.PipelineModel.account_loop`
+  call over the window's address stream.
 
 Error fidelity is preserved exactly: a fused closure that faults
 restores ``state.pc`` to the faulting instruction and
@@ -653,15 +658,22 @@ class FusedBlock:
     execution order, ready for
     :meth:`~repro.pipeline.core.PipelineModel.account_block` together
     with ``timing``.
+
+    ``self_loop`` marks a block whose closing branch targets its own
+    entry: a taken trip lands back on this very block, so the machine
+    keeps running trips and charges a whole window of them with one
+    :meth:`~repro.pipeline.core.PipelineModel.account_loop`.
     """
 
-    __slots__ = ("run", "mem", "timing", "count")
+    __slots__ = ("run", "mem", "timing", "count", "self_loop")
 
-    def __init__(self, run, mem: List[int], timing: BlockTiming) -> None:
+    def __init__(self, run, mem: List[int], timing: BlockTiming,
+                 self_loop: bool = False) -> None:
         self.run = run
         self.mem = mem
         self.timing = timing
         self.count = timing.count
+        self.self_loop = self_loop
 
 
 class SuperblockTable:
@@ -749,17 +761,29 @@ class SuperblockTable:
         self.compiles += 1
         backend = get_backend("superblock")
         spec = lift_superblock(self, entry)
-        timing = BlockTiming(
-            spec.rows, spec.blen, spec.simd, self.fetch_mode,
-            spec.timing_term, spec.branch_pc, spec.branch_target,
-            backend.lower_block_timing(
+        self_loop = False
+        if spec.term == 1:
+            target, _err = _resolve_target(
+                self.program, self.instructions[spec.pcs[-1]].target)
+            self_loop = target == entry
+        compiled = None
+        if not (self_loop and not self.in_vector_unit):
+            # The machine charges a main-program self-loop a window of
+            # trips at a time (account_loop); its few single-trip
+            # charges take account_block's generic row loop, so only
+            # other blocks are worth a compiled timing closure.
+            compiled = backend.lower_block_timing(
                 spec,
                 icache_hit=self._icache_hit,
                 dcache_hit=self._dcache_hit,
                 mispredict_penalty=self._mispredict_penalty,
-                call_redirect_penalty=self._call_redirect_penalty))
+                call_redirect_penalty=self._call_redirect_penalty)
+        timing = BlockTiming(
+            spec.rows, spec.blen, spec.simd, self.fetch_mode,
+            spec.timing_term, spec.branch_pc, spec.branch_target,
+            compiled, spec.label)
         run, mem = backend.lower_block(spec, self)
-        return FusedBlock(run, mem, timing)
+        return FusedBlock(run, mem, timing, self_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +813,7 @@ def fragment_tables_for(fragment, pipeline, width: int, offset: int):
     """
     table = predecode(fragment)
     blocks = SuperblockTable(table, pipeline, None, width, offset, True)
-    plan = build_fragment_plan(fragment, blocks, pipeline, width) or None
+    plan = build_fragment_plan(fragment, blocks, width) or None
     return table, blocks, plan
 
 

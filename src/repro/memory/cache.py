@@ -368,22 +368,45 @@ class Cache:
         stats.writebacks += writebacks
         return lat
 
-    def repeat_hits(self, line_number: int, count: int) -> None:
-        """Account *count* extra read hits on a just-accessed line.
+    def repeat_hits(self, lines, passes: int) -> None:
+        """Account *passes* back-to-back read passes over *lines*.
 
-        Caller contract: the line was accessed immediately before this
-        call and nothing else touched the cache in between, so all
-        *count* accesses are guaranteed hits.  Equivalent to calling the
-        per-access path *count* times — the read counter gains *count*,
-        the tick advances *count* times, and the line's stamp lands on
-        the final tick — but in O(1).  The fused superblock path uses this to
-        batch consecutive instruction fetches from one I-cache line
-        (``repro/interp/turbo.py``).
+        *lines* is a sequence of line numbers in access order.  Caller
+        contract: every one of them is resident and nothing else
+        touches the cache until the passes are over, so every access is
+        a hit.  Equivalent to ``passes * len(lines)`` calls of
+        :meth:`_access_line_number` — the read counter and the tick
+        advance once per access, and each line's stamp lands on the
+        tick of its last access — in O(len(lines)).
+        ``tests/test_access_stream_property.py`` pins this.
+
+        The compiled block-timing closures
+        (:func:`repro.codegen.superblock.emit_block_timing`) batch
+        consecutive fetches of one just-accessed line as
+        ``repeat_hits((line,), count)``;
+        :meth:`~repro.pipeline.core.PipelineModel.account_loop` charges a
+        whole window of a loop block's fetches as
+        ``repeat_hits(fetch_lines, trips)``.
         """
-        self._tick = tick = self._tick + count
+        per_pass = len(lines)
+        tick0 = self._tick
+        self._tick = tick0 + per_pass * passes
+        base = tick0 + per_pass * (passes - 1) + 1
         num_sets = self._num_sets
-        self._stamps[line_number % num_sets][line_number // num_sets] = tick
-        self.stats.reads += count
+        stamps = self._stamps
+        for i, line in enumerate(lines):
+            stamps[line % num_sets][line // num_sets] = base + i
+        self.stats.reads += per_pass * passes
+
+    def lines_resident(self, lines) -> bool:
+        """True when every line number in *lines* is resident (no state
+        change) — the precondition of :meth:`repeat_hits`."""
+        num_sets = self._num_sets
+        stamps = self._stamps
+        for line in lines:
+            if line // num_sets not in stamps[line % num_sets]:
+                return False
+        return True
 
     def contains(self, addr: int) -> bool:
         """True when the line holding *addr* is resident (no state change)."""

@@ -51,3 +51,13 @@ class BimodalPredictor:
             self._counters[i] = min(3, self._counters[i] + 1)
         else:
             self._counters[i] = max(0, self._counters[i] - 1)
+
+    def counter(self, pc: int) -> int:
+        """The 2-bit counter *pc* maps to.  Batched replays
+        (:meth:`~repro.pipeline.core.PipelineModel.account_loop`) read
+        it once, apply :meth:`predict`/:meth:`update`'s rules to a local
+        copy per trip, and write it back with :meth:`set_counter`."""
+        return self._counters[self._index(pc)]
+
+    def set_counter(self, pc: int, value: int) -> None:
+        self._counters[self._index(pc)] = value

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.interp.events import RetireEvent
 from repro.isa.decoded import InstrMeta, meta_of
 from repro.isa.opcodes import ELEM_SIZES, OPCODES, InstrClass
@@ -39,6 +41,12 @@ _INSTR_BYTES = 4
 #: Enum members pre-bound: ``account`` tests these once per retirement.
 _BRANCH = InstrClass.BRANCH
 _CALL_OR_RET = (InstrClass.CALL, InstrClass.RET)
+
+
+def _int_list(addrs) -> list:
+    """*addrs* as a list of Python ints (an int64 array's scalars
+    would leak numpy integers into the caches' tag dicts)."""
+    return addrs.tolist() if isinstance(addrs, np.ndarray) else addrs
 
 
 class BlockTiming:
@@ -67,24 +75,28 @@ class BlockTiming:
     ``compiled``, when set, is a specialization of
     :meth:`PipelineModel.account_block`'s row loop for exactly these
     rows — same arithmetic with the constants baked in (the fast engine
-    generates one per fused block; see :mod:`repro.interp.turbo`).  It
-    is an optimization hook only: ``account_block`` dispatches to it
-    when present and runs the generic loop otherwise, with identical
-    cycle and stats results either way.
+    generates one per fused block except main-program self-loops, which
+    it charges through :meth:`PipelineModel.account_loop`; see
+    :mod:`repro.interp.turbo`).  It is an optimization hook only:
+    ``account_block`` dispatches to it when present and runs the
+    generic loop otherwise, with identical cycle and stats results
+    either way.
 
-    ``loop_compiled`` is the analogous hook for
-    :meth:`PipelineModel.account_loop`: a specialization of the whole
-    *trips*-times-around replay of this block, attached by the
-    macro-kernel layer (:mod:`repro.interp.macro`) to the loop-body
-    blocks of translated fragments.
+    ``loop_compiled`` and ``loop_stream`` belong to
+    :meth:`PipelineModel.account_loop`, which fills both the first time
+    it charges this block as a loop: the compiled whole-window replay
+    of the rows, and the per-trip stream profile (memory-row count,
+    their access widths and write flags, the rows' fetch lines).
+    ``label`` names the program the block came from, for the generated
+    closures' filenames.
     """
 
     __slots__ = ("rows", "count", "simd", "fetch_mode", "term",
-                 "branch_pc", "branch_target", "compiled", "loop_compiled")
+                 "branch_pc", "branch_target", "compiled", "loop_compiled",
+                 "loop_stream", "label")
 
     def __init__(self, rows, count, simd, fetch_mode, term,
-                 branch_pc=0, branch_target=0, compiled=None,
-                 loop_compiled=None):
+                 branch_pc=0, branch_target=0, compiled=None, label="block"):
         self.rows = rows
         self.count = count
         self.simd = simd
@@ -93,7 +105,9 @@ class BlockTiming:
         self.branch_pc = branch_pc
         self.branch_target = branch_target
         self.compiled = compiled
-        self.loop_compiled = loop_compiled
+        self.loop_compiled = None
+        self.loop_stream = None
+        self.label = label
 
 
 @dataclass(frozen=True)
@@ -395,108 +409,102 @@ class PipelineModel:
         stats.fetch_stall_cycles += fetch_stall
         stats.load_miss_cycles += load_miss
 
-    def account_loop(self, timing: BlockTiming, trips: int,
-                     load_latencies) -> None:
-        """Charge *trips* back-to-back executions of one fragment loop block.
+    def account_loop(self, timing: BlockTiming, trips: int, addrs,
+                     last_taken: bool = False) -> Optional[str]:
+        """Charge *trips* back-to-back executions of one loop block.
 
-        Equivalent to calling :meth:`account_block` *trips* times with
-        ``taken=True`` on every trip but the last, **except** that the
-        d-cache has already been advanced for every access of the whole
-        loop (via :meth:`~repro.memory.cache.Cache.access_stream`, in the
-        same trip-major program order ``account_block`` would have used):
-        load rows consume their pre-computed latencies from
-        *load_latencies* in access order, and store rows touch nothing
-        (their latency is hidden by the write buffer either way).  The
-        hazard bookkeeping, the per-trip branch prediction against the
-        real predictor, and every statistic are the sequential replay's
-        — the macro layer (:mod:`repro.interp.macro`) relies on this
-        being cycle- and stats-identical to the per-block path.
+        The definition: exactly what *trips* sequential
+        :meth:`account_block` calls would charge, trip ``t`` over the
+        per-trip slice ``addrs[t*m:(t+1)*m]`` (``m`` = the block's
+        memory rows), every trip taken but the last, whose outcome is
+        *last_taken*.  *addrs* is the window's trip-major address
+        stream, a list or an int64 array.  This is the one place a
+        loop's timing is replayed: the fast engine's scalar self-loop
+        windows (:class:`~repro.system.machine.Machine`) and its
+        fragment kernels (:mod:`repro.interp.macro`) both come here.
 
-        Only injected (``fetch_mode == 0``) blocks with a branch
-        terminator qualify — translated fragments never touch the
-        i-cache, which is what makes pre-advancing the d-cache safe:
-        no other cache access interleaves with the loop's.
+        The fast path replays the same operations in the same order,
+        batched per cache (I- and D-cache are separate structures, so
+        only the order within each matters):
 
-        ``timing.loop_compiled``, when set, is a specialization of this
-        very loop (generated by the macro layer) and is dispatched to,
-        mirroring the ``account_block`` / ``compiled`` pairing.
+        * the D-cache replays the whole stream with
+          :meth:`~repro.memory.cache.Cache.access_stream`;
+        * a fetched block (``fetch_mode == 1``) whose lines are all
+          resident hits on every fetch of the window, charged at once
+          with :meth:`~repro.memory.cache.Cache.repeat_hits`.  Cold
+          lines are brought in by charging the first trip with
+          :meth:`account_block`;
+        * the hazard, fetch-hit and back-branch replay runs in the
+          block's compiled loop closure
+          (:func:`repro.codegen.superblock.emit_loop_timing`), built on
+          the block's first window.
+
+        Anywhere the fast path does not apply, the definition runs
+        instead.  Returns None after the fast path, else that reason:
+        ``"not-branch"`` (the terminator is not a branch),
+        ``"fetch-mode"`` (``fetch_mode == 2``: fetches may straddle
+        lines) or ``"icache-conflict"`` (the block's lines evict each
+        other, so they are not all resident even after one trip).
         """
-        compiled = timing.loop_compiled
-        if compiled is not None:
-            compiled(self, trips, load_latencies)
-            return
-        if timing.fetch_mode != 0 or timing.term != 1:
-            raise ValueError(
-                "account_loop requires an injected block with a "
-                "branch terminator")
-        stats = self.stats
-        reg_ready = self._reg_ready
-        reg_get = reg_ready.get
-        fetch_ready = self._fetch_ready
-        last_issue = self._last_issue
-        last_completion = self._last_completion
-        dcache_hit = self._dcache_hit
-        predictor = self.predictor
-        predict = predictor.predict
-        update = predictor.update
-        rows = timing.rows
-        branch_pc = timing.branch_pc
-        branch_target = timing.branch_target
-        mispredict_penalty = self.config.mispredict_penalty
-        data_stall = load_miss = 0
-        issue = last_issue
-        lat_index = 0
-        last_trip = trips - 1
-        for trip in range(trips):
-            for (_fetch_key, reads, reads_flags, writes, sets_flags,
-                 latency, mem_kind, _nbytes) in rows:
-                ready = fetch_ready  # injected from microcode cache
-                for reg in reads:
-                    t = reg_get(reg, 0)
-                    if t > ready:
-                        ready = t
-                if reads_flags:
-                    t = reg_get(_FLAGS, 0)
-                    if t > ready:
-                        ready = t
-                issue = last_issue + 1
-                if ready > issue:
-                    data_stall += ready - issue
-                    issue = ready
-                if mem_kind == 1:
-                    access = load_latencies[lat_index]
-                    lat_index += 1
-                    completion = issue + access
-                    if access > dcache_hit:
-                        load_miss += access - dcache_hit
-                else:
-                    # Stores and ALU rows: the d-cache state change for
-                    # stores was already applied by access_stream.
-                    completion = issue + latency
-                for reg in writes:
-                    reg_ready[reg] = completion
-                if sets_flags:
-                    reg_ready[_FLAGS] = completion
-                last_issue = issue
-                fetch_ready = issue
-                if completion > last_completion:
-                    last_completion = completion
-            taken = trip != last_trip
-            stats.branches += 1
-            predicted = predict(branch_pc,
-                                branch_target if taken else branch_pc)
-            update(branch_pc, taken)
-            if predicted != taken:
-                stats.mispredicts += 1
-                fetch_ready = issue + 1 + mispredict_penalty
-                stats.branch_penalty_cycles += mispredict_penalty
-        self._last_issue = last_issue
-        self._fetch_ready = fetch_ready
-        self._last_completion = last_completion
-        stats.instructions += timing.count * trips
-        stats.simd_instructions += timing.simd * trips
-        stats.data_stall_cycles += data_stall
-        stats.load_miss_cycles += load_miss
+        stream = timing.loop_stream
+        if stream is None:
+            stream = self._prepare_loop(timing)
+        n_mem, nbytes, writes, fetch_lines = stream
+        reason = None
+        if timing.term != 1:
+            reason = "not-branch"
+        elif timing.fetch_mode == 2:
+            reason = "fetch-mode"
+        elif timing.fetch_mode == 1 \
+                and not self.icache.lines_resident(fetch_lines):
+            self.account_block(timing, _int_list(addrs[:n_mem]),
+                               trips > 1 or last_taken)
+            trips -= 1
+            if not trips:
+                return None
+            addrs = addrs[n_mem:]
+            if not self.icache.lines_resident(fetch_lines):
+                reason = "icache-conflict"
+        if reason is not None:
+            addrs = _int_list(addrs)
+            account_block = self.account_block
+            last = trips - 1
+            for trip in range(trips):
+                start = trip * n_mem
+                account_block(timing, addrs[start:start + n_mem],
+                              trip != last or last_taken)
+            return reason
+        if n_mem:
+            lats = self.dcache.access_stream(
+                addrs, np.tile(nbytes, trips), np.tile(writes, trips)
+            ).tolist()
+        else:
+            lats = None
+        if timing.fetch_mode == 1:
+            self.icache.repeat_hits(fetch_lines, trips)
+        timing.loop_compiled(self, trips, lats, last_taken)
+        return None
+
+    def _prepare_loop(self, timing: BlockTiming) -> tuple:
+        """Fill ``timing.loop_stream`` (and compile ``loop_compiled``)
+        on the block's first :meth:`account_loop` window."""
+        mem_rows = [row for row in timing.rows if row[6]]
+        stream = (len(mem_rows),
+                  np.asarray([row[7] for row in mem_rows], dtype=np.int64),
+                  np.asarray([row[6] == 2 for row in mem_rows], dtype=bool),
+                  tuple(row[0] for row in timing.rows))
+        timing.loop_stream = stream
+        if timing.term == 1 and timing.fetch_mode != 2:
+            # Imported here: the codegen layer imports this module.
+            from repro.codegen.backend import get_backend
+            config = self.config
+            timing.loop_compiled = get_backend(
+                "superblock").lower_loop_timing(
+                timing,
+                icache_hit=config.icache.hit_latency,
+                dcache_hit=config.dcache.hit_latency,
+                mispredict_penalty=config.mispredict_penalty)
+        return stream
 
     # -- helpers --------------------------------------------------------------------------
 

@@ -161,6 +161,11 @@ class MachineConfig:
 _FRAGMENT_PC_BASE = 1 << 20
 _FRAGMENT_PC_STRIDE = 1 << 12
 
+#: Most trips of a scalar self-loop one ``account_loop`` window charges.
+#: ``account_loop`` is exact for any trip count, so the cap only bounds
+#: the window's address stream (and with it peak memory).
+LOOP_WINDOW_TRIPS = 4096
+
 
 class Machine:
     """Executes programs under one :class:`MachineConfig`.
@@ -262,11 +267,12 @@ class Machine:
             for ins in instructions
         ]
         # Fast engine: fuse straight-line runs into superblocks executed
-        # with one dispatch and one account_block() call.  A tracer needs
-        # every RetireEvent, so tracing disables fusion wholesale; an
-        # active translation disables it temporarily (checked per
-        # iteration below) — both then take the per-instruction handler
-        # path, whose events are eager.
+        # with one dispatch and one account_block() call, or — for a
+        # block that loops on itself — one account_loop() call per
+        # window of trips.  A tracer needs every RetireEvent, so tracing
+        # disables fusion wholesale; an active translation disables it
+        # temporarily (checked per iteration below) — both then take the
+        # per-instruction handler path, whose events are eager.
         superblocks = None
         block_lookup = None
         if table is not None and tracer is None:
@@ -277,23 +283,51 @@ class Machine:
             block_lookup = (superblocks.block_at_counted if tel_on
                             else superblocks.block_at)
         account_block = pipeline.account_block
+        account_loop = pipeline.account_loop
         while not state.halted:
             if superblocks is not None and translating is None:
                 pc = state.pc
                 if 0 <= pc < n_instr and not marked_call[pc]:
                     block = block_lookup(pc)
+                    count = block.count
                     # Near max_steps, fall through to the per-instruction
                     # path so the step-limit error fires at the exact
                     # instruction it would under the reference engine.
-                    if steps + block.count <= max_steps:
-                        steps += block.count
+                    if steps + count <= max_steps:
+                        steps += count
+                        window = None
                         try:
                             taken = block.run(state)
+                            if taken and block.self_loop:
+                                # The taken branch re-entered this block:
+                                # run trips until it falls through, the
+                                # window cap, or the last trip max_steps
+                                # allows; then charge the window at once.
+                                run = block.run
+                                mem = block.mem
+                                window = mem[:]
+                                trips = 1
+                                limit = min(LOOP_WINDOW_TRIPS,
+                                            1 + (max_steps - steps) // count)
+                                while taken and trips < limit:
+                                    taken = run(state)
+                                    window += mem
+                                    trips += 1
                         except (ExecutionError, MemoryError_) as exc:
                             raise MachineError(
                                 f"{program.name} @pc={state.pc}: {exc}"
                             ) from exc
-                        account_block(block.timing, block.mem, taken)
+                        if window is None:
+                            account_block(block.timing, block.mem, taken)
+                            continue
+                        steps += (trips - 1) * count
+                        fallback = account_loop(block.timing, trips,
+                                                window, taken)
+                        if tel_on:
+                            tel.count("turbo.loop.windows")
+                            tel.observe("turbo.loop.trips", trips)
+                            if fallback is not None:
+                                tel.count("turbo.loop.fallback." + fallback)
                         continue
             steps += 1
             if steps > max_steps:
@@ -576,7 +610,8 @@ class Machine:
                         if kernel.run(frag_state, pipeline, trips):
                             if tel_on:
                                 tel.count("macro.kernel.invocations")
-                                tel.observe("macro.kernel.trips", trips)
+                                tel.observe("macro.kernel.trips",
+                                            kernel.iterations(trips))
                             guard += trips * kernel.blen
                             continue
                         elif tel_on:

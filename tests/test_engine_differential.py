@@ -15,14 +15,16 @@ arrays" but the same *complete* execution record:
 
 The fast engine needs both halves of the comparison: with a tracer
 attached it runs its per-instruction handlers (eager events), and
-*without* one it runs fused superblocks with batched timing plus
-whole-loop fragment kernels, batched d-cache streams
-(``Cache.access_stream``) and folded loop timing
-(``PipelineModel.account_loop``) — the untraced ``to_dict()``
-comparison below is what exercises those paths.
+*without* one it runs fused superblocks with batched timing — windows
+of self-loop trips and whole-loop fragment kernels both charged through
+``PipelineModel.account_loop`` and its batched D-cache stream
+(``Cache.access_stream``) — so the untraced ``to_dict()`` comparison
+below is what exercises those paths.
 
 Every kernel of the paper's benchmark suite is swept at hardware widths
-2/4/8 (width 16 rides behind the ``slow`` marker).  This is the
+2/4/8 (width 16 rides behind the ``slow`` marker), and so is its scalar
+baseline program on the accelerator-less machine (the CLI's
+``FAST_SUBSET`` kernels in tier-1, the rest behind ``slow``).  This is the
 equivalence contract described in docs/execution-engines.md; any
 optimization to the fast engine must keep this suite green.
 """
@@ -33,7 +35,8 @@ import dataclasses
 
 import pytest
 
-from repro.core.scalarize import build_liquid_program
+from repro.core.scalarize import build_baseline_program, build_liquid_program
+from repro.evaluation.cli import FAST_SUBSET
 from repro.kernels.suite import BENCHMARK_ORDER, build_kernel
 from repro.simd.accelerator import config_for_width
 from repro.system.machine import Machine, MachineConfig
@@ -52,18 +55,19 @@ class _Collector:
         self.events.append((source, event))
 
 
+def _config(width, engine):
+    accelerator = config_for_width(width) if width is not None else None
+    return MachineConfig(accelerator=accelerator, engine=engine)
+
+
 def _run(program, width, engine):
     tracer = _Collector()
-    config = MachineConfig(accelerator=config_for_width(width),
-                           engine=engine)
-    result = Machine(config, tracer=tracer).run(program)
+    result = Machine(_config(width, engine), tracer=tracer).run(program)
     return result, tracer.events
 
 
 def _run_untraced(program, width, engine) -> dict:
-    config = MachineConfig(accelerator=config_for_width(width),
-                           engine=engine)
-    return Machine(config).run(program).to_dict()
+    return Machine(_config(width, engine)).run(program).to_dict()
 
 
 def _assert_identical(program, width):
@@ -102,6 +106,19 @@ def test_engines_bit_identical(bench, width):
 def test_engines_bit_identical_width16(bench):
     program = build_liquid_program(build_kernel(bench))
     _assert_identical(program, 16)
+
+
+@pytest.mark.parametrize("bench", [
+    bench if bench in FAST_SUBSET
+    else pytest.param(bench, marks=pytest.mark.slow)
+    for bench in BENCHMARK_ORDER])
+def test_baseline_engines_bit_identical(bench):
+    """The plain ARM-926 baseline (no accelerator) over each kernel's
+    inlined scalar program — the runs every Figure 6 speedup divides
+    by.  Untraced, the fast engine charges their hot loops a window of
+    trips at a time (``PipelineModel.account_loop``)."""
+    program = build_baseline_program(build_kernel(bench))
+    _assert_identical(program, None)
 
 
 def test_scalar_machine_engines_identical():

@@ -7,10 +7,18 @@ import weakref
 import pytest
 
 import repro.system.machine as machine_module
-from repro.core.scalarize import build_liquid_program
+from repro.core.scalarize import build_baseline_program, build_liquid_program
+from repro.isa.assembler import assemble
 from repro.kernels.suite import build_kernel
+from repro.memory.cache import CacheConfig
+from repro.pipeline.core import PipelineConfig
 from repro.simd.accelerator import config_for_width
-from repro.system.machine import Machine, MachineConfig, MachineError
+from repro.system.machine import (
+    LOOP_WINDOW_TRIPS,
+    Machine,
+    MachineConfig,
+    MachineError,
+)
 from repro.system.metrics import arrays_equal, outlined_function_sizes
 
 from conftest import all_variants, perm_kernel, run_program, sat_kernel, simple_kernel
@@ -187,6 +195,100 @@ class TestMachineGuards:
         """)
         with pytest.raises(MachineError):
             Machine(MachineConfig()).run(program)
+
+
+def _counted_loop(trips: int, body=(), setup=()) -> str:
+    """A main-program self-loop: *body* then a count-up back-branch."""
+    return "\n".join([".data A i32 64 = 0", "main:", "mov r0, #0",
+                      *setup, "loop:", *body, "add r0, r0, #1",
+                      f"cmp r0, #{trips}", "blt loop", "halt"])
+
+
+def _both_engines(source: str, **config):
+    """(fast, reference) outcomes: ``to_dict()`` or the error text."""
+    program = assemble(source)
+    outcomes = []
+    for engine in ("fast", "reference"):
+        try:
+            result = Machine(MachineConfig(engine=engine, **config)
+                             ).run(program)
+            outcomes.append(result.to_dict())
+        except MachineError as exc:
+            outcomes.append(f"MachineError: {exc}")
+    return outcomes
+
+
+class TestLoopWindows:
+    """The fast engine charges a main-program self-loop a window of
+    trips at a time (``PipelineModel.account_loop``).  Every way a
+    window can end or decline must leave what the reference engine
+    leaves, error text included."""
+
+    BODY = ("ldw r2, [A + r1]", "add r2, r2, r0", "stw r2, [A + r1]",
+            "add r1, r1, #4", "and r1, r1, #252")
+
+    def test_loop_spans_several_windows(self):
+        trips = 2 * LOOP_WINDOW_TRIPS + 123
+        fast, ref = _both_engines(_counted_loop(trips, self.BODY,
+                                                ("mov r1, #0",)))
+        assert fast == ref
+        assert fast["instructions"] == 2 + trips * 8 + 1
+
+    @pytest.mark.parametrize("max_steps", [2 + 8 * 300 + 5, 8002, 8003])
+    def test_step_limit_inside_a_window(self, max_steps):
+        # The program retires 2 + 1000 * 8 + 1 = 8003 instructions.
+        source = _counted_loop(1000, self.BODY, ("mov r1, #0",))
+        fast, ref = _both_engines(source, max_steps=max_steps)
+        assert fast == ref
+        if max_steps < 8003:
+            assert fast.startswith("MachineError: ") and "exceeded" in fast
+        else:
+            assert fast["instructions"] == 8003
+
+    @pytest.mark.parametrize("max_steps", [None, 2502, 2503])
+    def test_out_of_range_load_on_a_late_trip(self, max_steps):
+        # r1 walks off the 4 MB memory image on trip 501, whose load is
+        # instruction 2 + 5 * 500 + 1 = 2503: a step limit just below
+        # it must stop the window before that trip runs.
+        start = (1 << 22) - 4 * 500
+        source = _counted_loop(
+            1000, ("ldw r2, [r1 + #0]", "add r1, r1, #4"),
+            (f"mov r1, #{start}",))
+        config = {} if max_steps is None else {"max_steps": max_steps}
+        fast, ref = _both_engines(source, **config)
+        assert fast == ref
+        assert fast.startswith("MachineError: ")
+        assert ("exceeded" in fast) == (max_steps == 2502)
+
+    def test_icache_conflict_falls_back(self):
+        # 70 body instructions span 9+ lines of a direct-mapped 256 B
+        # I-cache (8 sets), so the loop's own lines evict each other.
+        body = tuple(f"add r{2 + i % 4}, r{2 + i % 4}, #{i}"
+                     for i in range(70))
+        icache = CacheConfig(size_bytes=256, assoc=1, line_bytes=32)
+        fast, ref = _both_engines(_counted_loop(50, body),
+                                  pipeline=PipelineConfig(icache=icache))
+        assert fast == ref
+        assert fast["icache"]["read_misses"] > 50
+
+    def test_unaligned_code_base_falls_back(self):
+        # Fetches may straddle lines: fetch mode 2.
+        fast, ref = _both_engines(
+            _counted_loop(500, self.BODY, ("mov r1, #0",)),
+            pipeline=PipelineConfig(code_base=0x1002))
+        assert fast == ref
+
+    @pytest.mark.parametrize("pipeline", [
+        PipelineConfig(icache=CacheConfig(size_bytes=256, assoc=1,
+                                          line_bytes=32)),
+        PipelineConfig(code_base=0x1002),
+    ], ids=["direct-mapped-icache", "unaligned-code-base"])
+    def test_fallback_geometries_on_a_suite_baseline(self, pipeline):
+        program = build_baseline_program(build_kernel("FIR"))
+        fast = Machine(MachineConfig(pipeline=pipeline)).run(program)
+        ref = Machine(MachineConfig(pipeline=pipeline,
+                                    engine="reference")).run(program)
+        assert fast.to_dict() == ref.to_dict()
 
 
 class TestOutlinedSizes:

@@ -30,10 +30,17 @@ from repro.core.scalarize import build_liquid_program
 from repro.evaluation.experiments import EvalContext
 from repro.evaluation.runcache import RunCache, run_key
 from repro.evaluation.runner import RunScheduler, build_request_program
-from repro.interp.macro import FragmentChainShape
+from repro.interp.macro import (
+    FragmentChainShape,
+    FragmentLoopShape,
+    FragmentNestShape,
+    build_fragment_plan,
+)
 from repro.interp.turbo import fragment_tables_for
+from repro.isa.assembler import assemble
 from repro.isa.instructions import Imm, Mem, Reg
 from repro.kernels.suite import build_kernel
+from repro.observability import telemetry
 from repro.pipeline.core import PipelineModel
 from repro.simd.accelerator import config_for_width
 from repro.system.machine import Machine, MachineConfig
@@ -122,6 +129,99 @@ def test_traced_run_takes_no_kernel(monkeypatch):
     assert runs == []
     Machine(config).run(program)
     assert runs, "untraced FIR must run its whole-fragment kernel"
+
+
+# -- truthful trip counts ------------------------------------------------------
+
+def test_kernel_trips_histogram_counts_loop_iterations():
+    """``macro.kernel.trips`` records the loop iterations each kernel
+    invocation covered: FIR's whole-fragment chain covers its one
+    loop's trip / width iterations per invocation."""
+    entry, = _translated_entries("FIR")
+    loop = next(k for k in _plan_for(entry.fragment).values()
+                if isinstance(k, FragmentLoopShape))
+    per_call = loop.trip // WIDTH
+    program = build_liquid_program(build_kernel("FIR"))
+    tel = telemetry.enable()
+    try:
+        Machine(MachineConfig(accelerator=config_for_width(WIDTH))
+                ).run(program)
+        data = tel.to_dict()
+    finally:
+        telemetry.disable()
+    calls = data["counters"]["macro.kernel.invocations"]
+    assert data["histograms"]["macro.kernel.trips"] == {
+        "count": calls, "total": calls * per_call,
+        "min": per_call, "max": per_call}
+
+
+def test_iterations_of_each_shape():
+    """Loop: its trips.  Chain: the sum of its loops' static trips.
+    Nest: outer trips x inner trips."""
+    trip = 4 * WIDTH
+    nest = assemble(f"""
+        .data A f32 {trip} = 0.0
+        mov r4, #0
+    outer:
+        mov r1, #0
+    inner:
+        vld.f32 vf1, [A + r1]
+        vadd.f32 vf2, vf1, vf1
+        vst.f32 vf2, [A + r1]
+        add r1, r1, #{WIDTH}
+        cmp r1, #{trip}
+        blt inner
+        add r4, r4, #1
+        cmp r4, #5
+        blt outer
+    """)
+    plan = _plan_for(nest)
+    assert isinstance(plan[1], FragmentNestShape)
+    assert plan[1].iterations(5) == 5 * 4
+    assert isinstance(plan[2], FragmentLoopShape)
+    assert plan[2].iterations(3) == 3
+    chain = assemble(f"""
+        .data A f32 {trip} = 0.0
+        .data B f32 {trip} = 0.0
+        mov r1, #0
+    one:
+        vld.f32 vf1, [A + r1]
+        vst.f32 vf1, [B + r1]
+        add r1, r1, #{WIDTH}
+        cmp r1, #{trip}
+        blt one
+        mov r2, #0
+    two:
+        vld.f32 vf2, [B + r2]
+        vst.f32 vf2, [A + r2]
+        add r2, r2, #{WIDTH}
+        cmp r2, #{trip // 2}
+        blt two
+    """)
+    shape = _plan_for(chain)[0]
+    assert isinstance(shape, FragmentChainShape)
+    assert shape.iterations(shape.trips(None)) == 4 + 2
+
+
+def test_plan_rejects_sites_that_disagree_with_timing_rows(fir_fragment):
+    """``account_loop`` takes each access's width and kind from the
+    loop block's memory rows, so the plan admits a loop only when
+    those match its sites; here the block's ``vld`` row claims a
+    scalar width."""
+    _table, blocks, plan = fragment_tables_for(
+        fir_fragment, PipelineModel(), WIDTH, OFFSET)
+    head = fir_fragment.labels["u16"]
+    timing = blocks.block_at(head).timing
+    timing.rows = tuple(row[:7] + (4,) if row[6] == 1 else row
+                        for row in timing.rows)
+    tel = telemetry.enable()
+    try:
+        rebuilt = build_fragment_plan(fir_fragment, blocks, WIDTH)
+        counters = tel.to_dict()["counters"]
+    finally:
+        telemetry.disable()
+    assert head in plan and head not in rebuilt
+    assert counters["macro.plan.rejected.timing-mismatch"] >= 1
 
 
 # -- rejection ----------------------------------------------------------------

@@ -14,11 +14,14 @@ import pytest
 
 from repro.core.scalarize import build_liquid_program
 from repro.evaluation.runcache import RunCache, run_key
+from repro.isa.assembler import assemble
 from repro.kernels.suite import build_kernel
+from repro.memory.cache import CacheConfig
 from repro.observability import telemetry
 from repro.observability.telemetry import NullTelemetry, Telemetry
+from repro.pipeline.core import PipelineConfig
 from repro.simd.accelerator import config_for_width
-from repro.system.machine import Machine, MachineConfig
+from repro.system.machine import LOOP_WINDOW_TRIPS, Machine, MachineConfig
 
 
 @pytest.fixture(autouse=True)
@@ -201,3 +204,55 @@ class TestDifferential:
         assert RunResult.from_dict(wire).telemetry == on.telemetry
         del wire["telemetry"]
         assert RunResult.from_dict(wire).telemetry is None
+
+
+class TestLoopWindowCounters:
+    """``turbo.loop.*`` counts the fast engine's self-loop windows
+    truthfully, and ``turbo.superblock.lookups`` counts block
+    dispatches (a window is one dispatch, however many trips)."""
+
+    TRIPS = 2 * LOOP_WINDOW_TRIPS + 123
+
+    def _run(self, body_len=1, **config):
+        body = "\n".join(f"add r{1 + i % 3}, r{1 + i % 3}, #1"
+                         for i in range(body_len))
+        program = assemble(f"""
+        main:
+            mov r0, #0
+        loop:
+            {body}
+            add r0, r0, #1
+            cmp r0, #{self.TRIPS}
+            blt loop
+            halt
+        """)
+        tel = telemetry.enable()
+        try:
+            Machine(MachineConfig(**config)).run(program)
+            return tel.to_dict()
+        finally:
+            telemetry.disable()
+
+    def test_windows_trips_and_dispatches(self):
+        data = self._run()
+        counters = data["counters"]
+        # Dispatches: the entry block (mov + trip 1, whose branch
+        # targets pc 1, not its own entry), three windows of the
+        # self-loop at pc 1 (cap, cap, rest), and the halt block.
+        assert counters["turbo.superblock.lookups"] == 5
+        assert counters["turbo.loop.windows"] == 3
+        assert data["histograms"]["turbo.loop.trips"] == {
+            "count": 3, "total": self.TRIPS - 1, "min": 122,
+            "max": LOOP_WINDOW_TRIPS}
+        assert not any(name.startswith("turbo.loop.fallback.")
+                       for name in counters)
+
+    def test_fallback_reasons(self):
+        unaligned = self._run(pipeline=PipelineConfig(code_base=0x1002))
+        assert unaligned["counters"]["turbo.loop.fallback.fetch-mode"] == 3
+        # 70 body rows span 9+ lines of an 8-set direct-mapped I-cache.
+        icache = CacheConfig(size_bytes=256, assoc=1, line_bytes=32)
+        conflict = self._run(body_len=70,
+                             pipeline=PipelineConfig(icache=icache))
+        assert conflict["counters"][
+            "turbo.loop.fallback.icache-conflict"] == 3
