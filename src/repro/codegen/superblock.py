@@ -13,9 +13,9 @@ filenames).
 
 The emitted code is semantically unchanged from the inline versions:
 
-* the fused block chains quiet handlers and inlines the dominant
-  scalar shapes over hoisted register banks, restoring ``state.pc``
-  and the retired count on a fault;
+* the fused block runs the scalar shapes inline over the register
+  banks and memory buffer it hoists, chaining quiet handlers for the
+  rest, and restores ``state.pc`` and the retired count on a fault;
 * the block-timing closure unrolls
   :meth:`~repro.pipeline.core.PipelineModel.account_block`'s row loop
   with the block's constants baked in, batching same-line instruction
@@ -26,12 +26,15 @@ The emitted code is semantically unchanged from the inline versions:
   I-cache hit term, with register ready times and the predictor
   counter held in locals for the whole window.
 
-Telemetry: ``codegen.superblock.lowered.<kind>`` per emitted closure.
+Telemetry: ``codegen.superblock.lowered.<kind>`` per emitted closure;
+``codegen.superblock.inline`` / ``.chained.<opcode>`` per fused
+instruction, by the path it was emitted on.
 """
 
 from __future__ import annotations
 
-from typing import List
+import struct
+from typing import Dict, List
 
 import numpy as np
 
@@ -41,10 +44,18 @@ from repro.codegen.ir import BlockSpec
 from repro.isa.decoded import (
     _INT_ALU_FAST,
     _resolve_target,
+    _w32,
 )
-from repro.isa.instructions import Imm, Instruction, Reg
-from repro.isa.opcodes import OPCODES, InstrClass
+from repro.isa.instructions import Imm, Instruction, Reg, Sym
+from repro.isa.opcodes import (
+    ELEM_SIZES,
+    LOAD_ELEM,
+    OPCODES,
+    STORE_ELEM,
+    InstrClass,
+)
 from repro.isa.registers import LINK_REGISTER, is_float_reg, is_int_reg
+from repro.memory.memory import _FMT, _INT_MASK
 from repro.observability import telemetry as _telemetry
 from repro.pipeline.core import _FLAGS, _INSTR_BYTES
 
@@ -59,17 +70,170 @@ _COND_EXPRS = {
     "ge": 'flags["gt"] or flags["eq"]',
 }
 
+#: Integer ops whose :data:`~repro.isa.decoded._INT_ALU_FAST` form is
+#: ``_w32(expr)``, as an expression template: the inline form tests the
+#: i32 range itself and calls ``_w32`` only when the result wraps.
+_WRAPPED_EXPRS = {"add": "{a} + {b}", "sub": "{a} - {b}"}
 
-def _inline_lines(pc: int, instr: Instruction, ns: dict):
+_I32_MIN = -0x80000000
+_I32_MAX = 0x7FFFFFFF
+
+#: What converting a malformed or out-of-range immediate raises; the
+#: emitter then declines, leaving the error to the quiet handler at run
+#: time.
+_BAD_CONSTANT = (TypeError, ValueError, OverflowError)
+
+#: Scalar load/store opcode -> the precompiled ``struct`` accessor its
+#: inline form calls on the memory buffer, in
+#: :class:`~repro.memory.memory.Memory`'s own formats (stores pack the
+#: masked value unsigned, exactly as ``Memory.store`` does).
+_ACCESSORS = {
+    **{op: struct.Struct(_FMT[key]).unpack_from
+       for op, key in LOAD_ELEM.items()},
+    **{op: struct.Struct(_FMT[(elem, False)]).pack_into
+       for op, elem in STORE_ELEM.items()},
+}
+
+
+def _address(mem, scale: int, symbols):
+    """*mem*'s effective address as an int (every part known now) or a
+    source expression over ``ints``; None for the forms the quiet
+    handler keeps (a non-integer register or an undefined symbol,
+    whose lookup must fail at run time, from the faulting pc).
+
+    A symbol base is read from the run's table at fuse time: a table
+    lives for one ``Machine.run``, over that run's symbols.
+    """
+    const = 0
+    terms: List[str] = []
+    base = mem.base
+    if isinstance(base, Sym):
+        try:
+            const = symbols.address_of(base.name)
+        except KeyError:
+            return None
+    elif isinstance(base, Reg) and is_int_reg(base.name):
+        terms.append(f"ints[{base.name!r}]")
+    else:
+        return None
+    index = mem.index
+    if isinstance(index, Imm):
+        try:
+            const += int(index.value) * scale
+        except _BAD_CONSTANT:
+            return None
+    elif isinstance(index, Reg) and is_int_reg(index.name):
+        terms.append(f"ints[{index.name!r}] * {scale}" if scale > 1
+                     else f"ints[{index.name!r}]")
+    elif index is not None:
+        return None
+    if not terms:
+        return const
+    if const:
+        terms.append(str(const))
+    return " + ".join(terms)
+
+
+def _memory_lines(instr: Instruction, ns: dict, state):
+    """(lines, banks) for one scalar load or store, or None.
+
+    The access runs on the hoisted memory buffer (``buf``) through a
+    precompiled ``struct`` accessor, behind an inline test that is true
+    exactly when :meth:`~repro.memory.memory.Memory._check_load` /
+    ``_check_store`` would raise; only then is the check itself called,
+    so a fault's type and text still come from ``Memory``.  The
+    memory's size and read-only ranges are literals: both are fixed
+    once the loader has placed the program.  A constant address is
+    checked now — one that faults stays with the quiet handler.
+    """
+    opcode = instr.opcode
+    load = opcode in LOAD_ELEM
+    if load:
+        elem = LOAD_ELEM[opcode][0]
+        reg = instr.dst
+    else:
+        elem = STORE_ELEM[opcode]
+        reg = instr.srcs[0] if instr.srcs else None
+    if not isinstance(reg, Reg) or instr.mem is None:
+        return None
+    # A register of the other class takes the quiet handler's generic
+    # path (a conversion, or the reference's error).
+    if elem == "f32":
+        bank = "floats" if is_float_reg(reg.name) else None
+    else:
+        bank = "ints" if is_int_reg(reg.name) else None
+    nbytes = ELEM_SIZES[elem]
+    address = _address(instr.mem, nbytes, state.symbols)
+    if bank is None or address is None:
+        return None
+    memory = state.memory
+    limit = memory.size - nbytes
+    # Memory._check_store's overlap test ``a < end and a + n > start``,
+    # solved for ``a``.
+    guarded = [] if load else [(start - nbytes, end)
+                               for start, end in memory._ro_ranges]
+    lines: List[str] = []
+    needs = {bank, "buf"}
+    if isinstance(address, int):
+        if not 0 <= address <= limit or any(
+                low < address < end for low, end in guarded):
+            return None
+        a = str(address)
+    else:
+        faults = " or ".join([f"not 0 <= a <= {limit}"] + [
+            f"{low} < a < {end}" for low, end in guarded])
+        check = "_check_load" if load else "_check_store"
+        lines += [f"a = {address}",
+                  f"if {faults}:",
+                  f"    state.memory.{check}(a, {nbytes})"]
+        needs.add("ints")
+        a = "a"
+    access = f"_{opcode}"
+    ns[access] = _ACCESSORS[opcode]
+    target = f"{bank}[{reg.name!r}]"
+    if load and elem == "f32":
+        # Unpacking '<f' yields an exact binary32 value, which
+        # arith.f32 returns unchanged; only a NaN takes the rounding.
+        lines += [f"v = {access}(buf, {a})[0]",
+                  f"{target} = v if v == v else float(_f32(v))"]
+    elif load:
+        lines.append(f"{target} = {access}(buf, {a})[0]")
+    elif elem == "f32":
+        lines.append(f"{access}(buf, {a}, {target})")
+    else:
+        lines.append(f"{access}(buf, {a}, {target} & {_INT_MASK[elem]})")
+    lines.append(f"_m({a})")
+    return lines, needs
+
+
+def _float_operand(operand):
+    """Source for a binary32 operand: a float register, or an immediate
+    pre-rounded through float32 as the reference rounds operands
+    (None when that literal does not exist)."""
+    if isinstance(operand, Reg) and is_float_reg(operand.name):
+        return f"floats[{operand.name!r}]"
+    if isinstance(operand, Imm):
+        try:
+            value = float(np.float32(float(operand.value)))
+        except _BAD_CONSTANT:
+            return None
+        return _emit.literal(value)
+    return None
+
+
+def _inline_lines(pc: int, instr: Instruction, ns: dict, state):
     """(source lines, hoisted banks) for one instruction, or None.
 
     Lines assume ``ints`` / ``floats`` / ``flags`` locals bound to the
     live register banks (dict identity is stable for the whole run:
     :class:`~repro.isa.registers.RegisterFile` mutates its banks in
-    place, never rebinding them).  Each inline form is only used under
-    exactly the conditions for which the corresponding
-    ``repro/isa/decoded.py`` handler specializes, and computes the same
-    value by the same (documented) identities.
+    place, never rebinding them) and, for memory accesses, ``buf``
+    bound to the memory's byte buffer.  Each inline form is only used
+    under exactly the conditions for which it computes what the
+    corresponding quiet handler computes, by the same (documented)
+    identities.  *state* is the run's
+    :class:`~repro.interp.state.MachineState`, read here and never
+    bound into *ns*.
     """
     spec = OPCODES.get(instr.opcode)
     if spec is None:
@@ -85,20 +249,25 @@ def _inline_lines(pc: int, instr: Instruction, ns: dict):
         a_op, b_op = instr.srcs
         if not (isinstance(a_op, Reg) and is_int_reg(a_op.name)):
             return None
-        d, a = instr.dst.name, a_op.name
-        fn = f"f{pc}"
+        d, a = instr.dst.name, f"ints[{a_op.name!r}]"
         if isinstance(b_op, Reg) and is_int_reg(b_op.name):
-            ns[fn] = fast
-            return ([f"ints[{d!r}] = {fn}(ints[{a!r}], ints[{b_op.name!r}])"],
-                    {"ints"})
-        if isinstance(b_op, Imm):
+            b = f"ints[{b_op.name!r}]"
+        elif isinstance(b_op, Imm):
             try:
-                b_const = int(b_op.value)
-            except (TypeError, ValueError):
+                b = repr(int(b_op.value))
+            except _BAD_CONSTANT:
                 return None
-            ns[fn] = fast
-            return ([f"ints[{d!r}] = {fn}(ints[{a!r}], {b_const})"], {"ints"})
-        return None
+        else:
+            return None
+        expr = _WRAPPED_EXPRS.get(opcode)
+        if expr is not None:
+            # _w32 is the identity on the i32 range.
+            return ([f"v = {expr.format(a=a, b=b)}",
+                     f"ints[{d!r}] = v if {_I32_MIN} <= v <= {_I32_MAX} "
+                     f"else _w32(v)"], {"ints"})
+        fn = f"f{pc}"
+        ns[fn] = fast
+        return [f"ints[{d!r}] = {fn}({a}, {b})"], {"ints"}
 
     if cls is InstrClass.CMP:
         if len(instr.srcs) != 2:
@@ -126,62 +295,91 @@ def _inline_lines(pc: int, instr: Instruction, ns: dict):
     if cls is InstrClass.MOVE:
         if len(instr.srcs) != 1 or instr.dst is None:
             return None
+        base = "fmov" if opcode.startswith("fmov") else "mov"
+        cond = opcode[len(base):]
+        guard = _COND_EXPRS.get(cond) if cond else None
+        if cond and guard is None:
+            return None
         src = instr.srcs[0]
         d = instr.dst.name
-        if opcode == "mov" and is_int_reg(d):
+        lines = needs = None
+        if base == "mov" and is_int_reg(d):
             if isinstance(src, Imm):
                 try:
                     value = arith.wrap_int(int(src.value))
-                except (TypeError, ValueError):
+                except _BAD_CONSTANT:
                     return None
-                return ([f"ints[{d!r}] = {value}"], {"ints"})
-            if isinstance(src, Reg) and is_int_reg(src.name):
+                lines, needs = [f"ints[{d!r}] = {value}"], {"ints"}
+            elif isinstance(src, Reg) and is_int_reg(src.name):
                 # The integer bank invariantly holds wrapped ints, so
                 # wrap_int(int(x)) is the identity here.
-                return ([f"ints[{d!r}] = ints[{src.name!r}]"], {"ints"})
-        if opcode == "fmov" and is_float_reg(d):
+                lines = [f"ints[{d!r}] = ints[{src.name!r}]"]
+                needs = {"ints"}
+        if base == "fmov" and is_float_reg(d):
             if isinstance(src, Imm):
                 try:
                     value = arith.f32(float(src.value))
-                except (TypeError, ValueError):
+                except _BAD_CONSTANT:
                     return None
                 lit = _emit.literal(value)
                 if lit is None:
                     return None
-                return ([f"floats[{d!r}] = {lit}"], {"floats"})
-            if isinstance(src, Reg) and is_float_reg(src.name):
+                lines, needs = [f"floats[{d!r}] = {lit}"], {"floats"}
+            elif isinstance(src, Reg) and is_float_reg(src.name):
                 # Float registers invariantly hold exact binary32 values,
                 # so f32(float(x)) is the identity here.
-                return ([f"floats[{d!r}] = floats[{src.name!r}]"], {"floats"})
-        return None
+                lines = [f"floats[{d!r}] = floats[{src.name!r}]"]
+                needs = {"floats"}
+        if lines is None:
+            return None
+        if guard is None:
+            return lines, needs
+        # A false condition retires without touching the destination.
+        return ([f"if {guard}:"] + ["    " + line for line in lines],
+                needs | {"flags"})
 
     if cls in (InstrClass.FALU, InstrClass.FMUL):
+        if instr.dst is None or not is_float_reg(instr.dst.name):
+            return None
+        d = instr.dst.name
+        srcs = instr.srcs
+        if opcode in ("fabs", "fneg"):
+            if len(srcs) != 1 or not (isinstance(srcs[0], Reg)
+                                      and is_float_reg(srcs[0].name)):
+                return None
+            # Exact on binary32 values: float32 and binary64 abs/negate
+            # both just clear/flip the sign bit, NaNs included.
+            op = "abs" if opcode == "fabs" else "-"
+            return ([f"floats[{d!r}] = {op}(floats[{srcs[0].name!r}])"],
+                    {"floats"})
+        if len(srcs) != 2 or not (isinstance(srcs[0], Reg)
+                                  and is_float_reg(srcs[0].name)):
+            return None
+        a = f"floats[{srcs[0].name!r}]"
+        b = _float_operand(srcs[1])
+        if b is None:
+            return None
+        if opcode in ("fmax", "fmin"):
+            # arith.float_op's builtin max/min over float32 scalars:
+            # the second operand only if it compares strictly greater
+            # (less), else the first; so ties and NaNs keep ``a``.
+            # Both operands are exact binary32 values, so comparing
+            # them as binary64 decides the same way.
+            rel = ">" if opcode == "fmax" else "<"
+            return ([f"x = {a}", f"y = {b}",
+                     f"floats[{d!r}] = y if y {rel} x else x"],
+                    {"floats"})
         py_sym = {"fadd": "+", "fsub": "-", "fmul": "*"}.get(opcode)
-        if (py_sym is None or len(instr.srcs) != 2 or instr.dst is None
-                or not is_float_reg(instr.dst.name)):
+        if py_sym is None:
             return None
-        a_op, b_op = instr.srcs
-        if not (isinstance(a_op, Reg) and is_float_reg(a_op.name)):
-            return None
-        d, a = instr.dst.name, a_op.name
         # binary64 +/-/* of binary32 operands followed by one rounding
         # to binary32 is correctly rounded (2p+2 <= 53): identical to
         # the reference's float32 arithmetic (see decoded.py).
-        if isinstance(b_op, Reg) and is_float_reg(b_op.name):
-            return ([f"floats[{d!r}] = float(_f32("
-                     f"floats[{a!r}] {py_sym} floats[{b_op.name!r}]))"],
-                    {"floats"})
-        if isinstance(b_op, Imm):
-            try:
-                b_const = float(np.float32(float(b_op.value)))
-            except (TypeError, ValueError):
-                return None
-            lit = _emit.literal(b_const)
-            if lit is None:
-                return None
-            return ([f"floats[{d!r}] = float(_f32("
-                     f"floats[{a!r}] {py_sym} {lit}))"], {"floats"})
-        return None
+        return ([f"floats[{d!r}] = float(_f32({a} {py_sym} {b}))"],
+                {"floats"})
+
+    if not spec.is_vector and cls in (InstrClass.LOAD, InstrClass.STORE):
+        return _memory_lines(instr, ns, state)
 
     return None
 
@@ -190,36 +388,52 @@ def emit_fused_block(spec: BlockSpec, table):
     """(run closure, mem list) for one lifted superblock.
 
     *table* is the owning :class:`~repro.interp.turbo.SuperblockTable`
-    — the emitter pulls quiet handlers and decoded instructions from
-    it.  The generated function executes every instruction in the
-    block (raising from the faulting pc exactly like the
-    per-instruction engines) and returns the terminating branch's
+    — the emitter pulls quiet handlers, decoded instructions and the
+    run's state from it.  The generated function executes every
+    instruction in the block (raising from the faulting pc exactly like
+    the per-instruction engines) and returns the terminating branch's
     taken flag (None for other terminators); ``mem`` holds the block's
     effective addresses in execution order after each run.
+
+    Only the block's own objects and module-level helpers are bound
+    into the closure's namespace, never anything run-sized (memory,
+    its buffer, the state or its symbol table): ``exec`` ties the
+    namespace and the function into a reference cycle, which would
+    keep them alive past the run until the cyclic collector ran.
+    Whatever the body needs of the run's state it reads from the
+    ``state`` argument, or was folded into a literal at fuse time.
+
+    Telemetry: ``codegen.superblock.inline`` counts the instructions
+    emitted as inline lines and ``codegen.superblock.chained.<opcode>``
+    the ones emitted as a quiet-handler call.
     """
     instructions = table.instructions
     metas = table.metas
+    state = table.state
     entry = spec.entry
     pcs = spec.pcs
     term = spec.term
     blen = spec.blen
 
     mem: List[int] = []
-    ns = {"_m": mem.append, "_c": mem.clear, "_f32": np.float32}
+    ns = {"_m": mem.append, "_c": mem.clear, "_f32": np.float32,
+          "_w32": _w32}
     body: List[str] = []
     hoists = set()
     has_mem = False
+    chained: Dict[str, int] = {}
 
     def emit_closure(pc: int, handler, mem_kind: int) -> None:
         nonlocal has_mem
         name = f"q{pc}"
         ns[name] = handler
+        opcode = instructions[pc].opcode
+        chained[opcode] = chained.get(opcode, 0) + 1
+        body.append(f"p = {pc}")
         if mem_kind:
             has_mem = True
-            body.append(f"p = {pc}")
             body.append(f"_m({name}(state))")
         else:
-            body.append(f"p = {pc}")
             body.append(f"{name}(state)")
 
     straight = pcs[:-1] if term else pcs
@@ -233,7 +447,8 @@ def emit_fused_block(spec: BlockSpec, table):
                     or meta.cls is InstrClass.VSTORE:
                 mem_kind = 2
         handler, ok = table.quiet(pc)
-        inline = _inline_lines(pc, instructions[pc], ns) if ok else None
+        inline = (_inline_lines(pc, instructions[pc], ns, state) if ok
+                  else None)
         if inline is not None:
             lines, needs = inline
             hoists |= needs
@@ -266,6 +481,7 @@ def emit_fused_block(spec: BlockSpec, table):
         else:
             name = f"q{tpc}"
             ns[name] = handler
+            chained[instr.opcode] = chained.get(instr.opcode, 0) + 1
             body += [f"p = {tpc}", f"r = {name}(state)", retired,
                      "return r"]
     elif term == 2:
@@ -302,13 +518,15 @@ def emit_fused_block(spec: BlockSpec, table):
         body += [f"state.pc = {spec.exit_pc}", retired, "return None"]
 
     src = ["def _fused(state):"]
-    if has_mem:
+    if has_mem or "buf" in hoists:
         src.append("    _c()")
     src.append(f"    p = {entry}")
     src.append("    try:")
     for bank in ("ints", "floats", "flags"):
         if bank in hoists:
             src.append(f"        {bank} = state.regs.{bank}")
+    if "buf" in hoists:
+        src.append("        buf = state.memory._bytes")
     for line in body:
         src.append("        " + line)
     src += ["    except BaseException:",
@@ -319,6 +537,12 @@ def emit_fused_block(spec: BlockSpec, table):
         "\n".join(src),
         _emit.closure_filename("superblock", spec.label, entry),
         ns, "_fused", kind="superblock")
+    tel = _telemetry.get()
+    inlined = len(pcs) - sum(chained.values())
+    if inlined:
+        tel.count("codegen.superblock.inline", inlined)
+    for opcode, count in chained.items():
+        tel.count("codegen.superblock.chained." + opcode, count)
     return fused, mem
 
 

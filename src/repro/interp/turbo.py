@@ -16,14 +16,16 @@ basic blocks ending at branches, calls, returns, or ``halt`` (in this
 repo, chiefly the bodies of the outlined scalar loops) — and compiles
 each into one *fused* closure:
 
-* **One dispatch per block.**  The generated function chains the
-  block's "quiet" handlers (event-free twins of the fast engine's
-  handlers, defined here) and additionally inlines the dominant
-  instruction shapes — integer ALU/compare/move, binary32
-  add/sub/mul on float registers, and the block-closing branch — as
-  straight Python operating on hoisted register-bank dicts, threading
-  register and flag state locally instead of through per-instruction
-  accessor round-trips.
+* **One dispatch per block.**  The generated function runs the
+  block's instructions as straight Python over the register-bank dicts
+  and the memory buffer, hoisted once per block: integer ALU, compare
+  and (conditional) moves, binary32 add/sub/mul/max/min/abs/neg on
+  float registers, scalar loads and stores (symbol bases resolved to
+  address literals at fuse time, bounds and read-only checks inline),
+  and the block-closing branch.  The "quiet" handlers defined here —
+  event-free twins of the fast engine's handlers — are only the
+  fallback, chained as one call for whatever shape the emitter
+  declines (``codegen.superblock.chained.<opcode>`` counts them).
 * **Zero-allocation retirement.**  No ``RetireEvent`` is built.  Memory
   operations append their effective address to a per-block list (reused
   across executions), branches return their taken flag, and the
@@ -44,7 +46,10 @@ each into one *fused* closure:
 Error fidelity is preserved exactly: a fused closure that faults
 restores ``state.pc`` to the faulting instruction and
 ``instructions_retired`` to the completed prefix before re-raising, so
-diagnostics match the per-instruction engines; decode-time failures are
+diagnostics match the per-instruction engines.  An inline load or store
+whose bounds or read-only test fails calls ``Memory._check_load`` /
+``_check_store`` to raise, so the exception and its text come from
+:class:`~repro.memory.memory.Memory` itself.  Decode-time failures are
 deferred into raising handlers just like :func:`repro.isa.decoded.predecode`.
 """
 
@@ -71,7 +76,6 @@ from repro.isa.decoded import (
     _FLOAT_ALU_FAST,
     _INT_ALU_FAST,
     _no_accel_error,
-    _PY_FLOAT_OPS,
     _resolve_target,
     _scalar_writer,
     _value_getter,
@@ -80,7 +84,8 @@ from repro.isa.decoded import (
     predecode,
 )
 from repro.interp.macro import build_fragment_plan
-from repro.isa.instructions import Imm, Instruction, Reg
+from repro.interp.state import MachineState
+from repro.isa.instructions import Imm, Instruction
 from repro.isa.opcodes import ELEM_SIZES, LOAD_ELEM, OPCODES, STORE_ELEM, InstrClass
 from repro.isa.registers import LINK_REGISTER, is_float_reg, is_int_reg
 from repro.memory.alignment import vector_alignment_ok
@@ -96,7 +101,10 @@ from repro.simd.permutations import PermPattern
 # effects, identical checks in identical order, but no RetireEvent, no
 # state.pc bookkeeping (control flow excepted) and no retired counter —
 # the fused block does those in bulk.  Memory handlers return the
-# effective address; branches return the taken flag.
+# effective address; branches return the taken flag.  They are the
+# fused block's fallback: each keeps one generic form, because every
+# shape worth specializing is emitted inline instead
+# (repro.codegen.superblock._inline_lines).
 # ---------------------------------------------------------------------------
 
 
@@ -195,25 +203,6 @@ def _q_int_alu(pc: int, instr: Instruction):
 
     fast = _INT_ALU_FAST.get(opcode)
     if fast is not None:
-        a_op, b_op = instr.srcs
-        a_name = (a_op.name if isinstance(a_op, Reg)
-                  and is_int_reg(a_op.name) else None)
-        if a_name is not None and is_int_reg(dname):
-            if isinstance(b_op, Reg) and is_int_reg(b_op.name):
-                b_name = b_op.name
-
-                def handler(state):
-                    ints = state.regs.ints
-                    ints[dname] = fast(ints[a_name], ints[b_name])
-                return handler
-            if isinstance(b_op, Imm):
-                b_const = int(b_op.value)
-
-                def handler(state):
-                    ints = state.regs.ints
-                    ints[dname] = fast(ints[a_name], b_const)
-                return handler
-
         def handler(state):
             write(state, fast(int(get_a(state)), int(get_b(state))))
         return handler
@@ -272,27 +261,6 @@ def _q_float_alu(pc: int, instr: Instruction):
     np_op = _FLOAT_ALU_FAST.get(opcode)
     if np_op is not None:
         f32t = np.float32
-        py_op = _PY_FLOAT_OPS.get(opcode)
-        a_src, b_src = instr.srcs
-        a_name = (a_src.name if isinstance(a_src, Reg)
-                  and is_float_reg(a_src.name) else None)
-        if py_op is not None and a_name is not None and is_float_reg(dname):
-            b_name = (b_src.name if isinstance(b_src, Reg)
-                      and is_float_reg(b_src.name) else None)
-            if b_name is not None:
-                def handler(state):
-                    floats = state.regs.floats
-                    floats[dname] = float(
-                        f32t(py_op(floats[a_name], floats[b_name])))
-                return handler
-            if isinstance(b_src, Imm):
-                b_const = float(f32t(float(b_src.value)))
-
-                def handler(state):
-                    floats = state.regs.floats
-                    floats[dname] = float(f32t(py_op(floats[a_name],
-                                                     b_const)))
-                return handler
 
         def handler(state):
             write(state, float(np_op(f32t(get_a(state)), f32t(get_b(state)))))
@@ -308,35 +276,6 @@ def _q_cmp(pc: int, instr: Instruction):
     if len(instr.srcs) != 2:
         raise ExecutionError(f"{instr.opcode} expects two operands")
     a_src, b_src = instr.srcs
-
-    a_name = (a_src.name if isinstance(a_src, Reg)
-              and is_int_reg(a_src.name) else None)
-    if a_name is not None and isinstance(b_src, Imm):
-        b_const = b_src.value
-
-        def handler(state):
-            regs = state.regs
-            a = regs.ints[a_name]
-            flags = regs.flags
-            flags["lt"] = a < b_const
-            flags["eq"] = a == b_const
-            flags["gt"] = a > b_const
-        return handler
-    if a_name is not None and isinstance(b_src, Reg) \
-            and is_int_reg(b_src.name):
-        b_name = b_src.name
-
-        def handler(state):
-            regs = state.regs
-            ints = regs.ints
-            a = ints[a_name]
-            b = ints[b_name]
-            flags = regs.flags
-            flags["lt"] = a < b
-            flags["eq"] = a == b
-            flags["gt"] = a > b
-        return handler
-
     get_a = _value_getter(a_src)
     get_b = _value_getter(b_src)
 
@@ -688,6 +627,7 @@ class SuperblockTable:
     """
 
     def __init__(self, table: DecodedProgram, pipeline,
+                 state: MachineState,
                  marked: Optional[List[bool]] = None,
                  vector_width: Optional[int] = None,
                  pc_offset: int = 0,
@@ -699,6 +639,10 @@ class SuperblockTable:
         self.vector_width = vector_width
         self.pc_offset = pc_offset
         self.in_vector_unit = in_vector_unit
+        #: The run's state, read by the emitter at fuse time only: symbol
+        #: addresses and the memory's size and read-only ranges become
+        #: literals (nothing of it is bound into generated code).
+        self.state = state
         direct, code_base, line_bytes = pipeline.fetch_profile()
         self.fetch_mode = 0 if in_vector_unit else (1 if direct else 2)
         self.code_base = code_base
@@ -799,24 +743,31 @@ class SuperblockTable:
 
 def superblock_table_for(table: DecodedProgram, pipeline,
                          marked: Optional[List[bool]],
-                         vector_width: Optional[int]) -> SuperblockTable:
-    """The main-program :class:`SuperblockTable` over *table*."""
-    return SuperblockTable(table, pipeline, marked, vector_width)
+                         vector_width: Optional[int],
+                         state: MachineState) -> SuperblockTable:
+    """The main-program :class:`SuperblockTable` over *table*, fusing
+    against the run's *state*."""
+    return SuperblockTable(table, pipeline, state, marked, vector_width)
 
 
-def fragment_tables_for(fragment, pipeline, width: int, offset: int):
+def fragment_tables_for(fragment, pipeline, width: int, offset: int,
+                        state: MachineState):
     """(decode table, SuperblockTable, plan) for one microcode fragment.
 
     *plan* maps region-head pcs to whole-loop kernels
     (:func:`repro.interp.macro.build_fragment_plan`), or is ``None``
-    when no region matched.
+    when no region matched.  *state* is the run's state, whose memory
+    and symbols the fragment shares.
     """
     table = predecode(fragment)
-    blocks = SuperblockTable(table, pipeline, None, width, offset, True)
+    blocks = SuperblockTable(table, pipeline, state, None, width, offset,
+                             True)
     plan = build_fragment_plan(fragment, blocks, width) or None
     return table, blocks, plan
 
 
-def fragment_tables_for_entry(entry, pipeline, offset: int):
+def fragment_tables_for_entry(entry, pipeline, offset: int,
+                              state: MachineState):
     """:func:`fragment_tables_for` for one microcode-cache entry."""
-    return fragment_tables_for(entry.fragment, pipeline, entry.width, offset)
+    return fragment_tables_for(entry.fragment, pipeline, entry.width, offset,
+                               state)

@@ -277,7 +277,7 @@ class Machine:
         block_lookup = None
         if table is not None and tracer is None:
             superblocks = superblock_table_for(table, pipeline,
-                                               marked_call, hw_width)
+                                               marked_call, hw_width, state)
             # Telemetry swaps in the counted lookup; the plain hot path
             # is untouched when disabled.
             block_lookup = (superblocks.block_at_counted if tel_on
@@ -567,7 +567,7 @@ class Machine:
             cached = tables.get(key)
             if cached is None:
                 cached = tables[key] = fragment_tables_for_entry(
-                    entry, pipeline, offset)
+                    entry, pipeline, offset, state)
             table, blocks, plan = cached
             fragment = table.program
             if self.tracer is not None:

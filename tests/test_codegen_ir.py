@@ -54,6 +54,7 @@ from repro.memory.memory import Memory
 from repro.observability import telemetry
 from repro.pipeline.core import PipelineModel
 from repro.simd.accelerator import config_for_width
+from repro.system.loader import load_program
 from repro.system.machine import Machine, MachineConfig
 
 WIDTH = 8
@@ -223,16 +224,19 @@ def _fill_arrays(memory, symbols, names, trip):
         memory.store_vector(symbols.address_of(name), "f32", values)
 
 
+def _state_for(fragment, width):
+    """A run state over *fragment*'s own data: what the tables fuse
+    against when only the plan is inspected."""
+    memory, symbols = load_program(fragment)
+    return MachineState(fragment, memory, symbols, vector_width=width)
+
+
 def _drive(source, width, kernels):
     """Execute an assembled fragment the way Machine._run_fragment
     does — plan kernels first (if *kernels*), fused blocks otherwise —
     and return (state, pipeline, plan shape class names that ran)."""
     fragment = assemble(source)
     pipeline = PipelineModel()
-    _table, blocks, plan = fragment_tables_for(fragment, pipeline, width,
-                                               OFFSET)
-    if not kernels:
-        plan = None
     memory = Memory(1 << 16)
     symbols = SymbolTable()
     addr = 0x400
@@ -247,6 +251,10 @@ def _drive(source, width, kernels):
                   if a.elem == "f32"],
                  4 * width)
     state = MachineState(fragment, memory, symbols, vector_width=width)
+    _table, blocks, plan = fragment_tables_for(fragment, pipeline, width,
+                                               OFFSET, state)
+    if not kernels:
+        plan = None
     count = len(fragment.instructions)
     ran = []
     steps = 0
@@ -307,7 +315,8 @@ def test_nested_loop_is_lifted():
 
 def test_nested_loop_plan_shapes():
     program = assemble(nest_source(WIDTH))
-    _, _, plan = fragment_tables_for(program, PipelineModel(), WIDTH, OFFSET)
+    _, _, plan = fragment_tables_for(program, PipelineModel(), WIDTH, OFFSET,
+                                     _state_for(program, WIDTH))
     assert isinstance(plan[1], FragmentNestShape)
     assert isinstance(plan[2], FragmentLoopShape)
 
@@ -341,7 +350,8 @@ def test_fission_chain_is_lifted():
 
 def test_fission_chain_plan_shape():
     program = assemble(chain_source(WIDTH))
-    _, _, plan = fragment_tables_for(program, PipelineModel(), WIDTH, OFFSET)
+    _, _, plan = fragment_tables_for(program, PipelineModel(), WIDTH, OFFSET,
+                                     _state_for(program, WIDTH))
     chain = plan[0]
     assert isinstance(chain, FragmentChainShape)
     assert chain.trips(None) == 1

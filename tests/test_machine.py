@@ -2,6 +2,7 @@
 latency, blacklisting, and pre-translation."""
 
 import gc
+import sys
 import weakref
 
 import pytest
@@ -140,6 +141,40 @@ class TestRunLifetime:
         alive = sorted(name for name, ref in refs.items()
                        if ref() is not None)
         assert alive == []
+
+    @pytest.mark.parametrize("liquid", [False, True],
+                             ids=["scalar", "liquid"])
+    def test_memory_buffer_is_not_pinned(self, liquid, monkeypatch):
+        # The cyclic collector stays off: a generated closure's exec
+        # namespace and the function form a cycle, so a buffer bound
+        # into one would outlive the run until a collection (which the
+        # weakref test above forces, and so cannot see).
+        buffers = []
+        real_load = machine_module.load_program
+
+        def load_program(*args, **kwargs):
+            memory, symbols = real_load(*args, **kwargs)
+            buffers.append(memory._bytes)
+            return memory, symbols
+
+        monkeypatch.setattr(machine_module, "load_program", load_program)
+        kernel = build_kernel("FIR")
+        if liquid:
+            program = build_liquid_program(kernel)
+            config = MachineConfig(accelerator=config_for_width(8))
+        else:
+            program = build_baseline_program(kernel)
+            config = MachineConfig()
+        gc.disable()
+        try:
+            result = Machine(config).run(program)
+            assert bool(result.successful_translations) == liquid
+            del result
+            buffer = buffers.pop()
+            # Only ``buffer`` and getrefcount's own argument.
+            assert sys.getrefcount(buffer) == 2
+        finally:
+            gc.enable()
 
 
 class TestMarkingModes:

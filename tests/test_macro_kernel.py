@@ -36,6 +36,7 @@ from repro.interp.macro import (
     FragmentNestShape,
     build_fragment_plan,
 )
+from repro.interp.state import MachineState
 from repro.interp.turbo import fragment_tables_for
 from repro.isa.assembler import assemble
 from repro.isa.instructions import Imm, Mem, Reg
@@ -43,6 +44,7 @@ from repro.kernels.suite import build_kernel
 from repro.observability import telemetry
 from repro.pipeline.core import PipelineModel
 from repro.simd.accelerator import config_for_width
+from repro.system.loader import load_program
 from repro.system.machine import Machine, MachineConfig
 from repro.system.trace import TraceRecorder
 
@@ -61,9 +63,16 @@ def _translated_entries(kernel_name):
     return entries
 
 
+def _state_for(fragment, width=WIDTH):
+    """A run state over *fragment*'s own data: what the tables fuse
+    against when only the plan is inspected."""
+    memory, symbols = load_program(fragment)
+    return MachineState(fragment, memory, symbols, vector_width=width)
+
+
 def _plan_for(fragment, width=WIDTH):
     _, _, plan = fragment_tables_for(fragment, PipelineModel(), width,
-                                     OFFSET)
+                                     OFFSET, _state_for(fragment, width))
     return plan
 
 
@@ -209,7 +218,8 @@ def test_plan_rejects_sites_that_disagree_with_timing_rows(fir_fragment):
     those match its sites; here the block's ``vld`` row claims a
     scalar width."""
     _table, blocks, plan = fragment_tables_for(
-        fir_fragment, PipelineModel(), WIDTH, OFFSET)
+        fir_fragment, PipelineModel(), WIDTH, OFFSET,
+        _state_for(fir_fragment))
     head = fir_fragment.labels["u16"]
     timing = blocks.block_at(head).timing
     timing.rows = tuple(row[:7] + (4,) if row[6] == 1 else row

@@ -12,10 +12,12 @@ import json
 
 import pytest
 
-from repro.core.scalarize import build_liquid_program
+from repro.core.scalarize import build_baseline_program, build_liquid_program
 from repro.evaluation.runcache import RunCache, run_key
 from repro.isa.assembler import assemble
-from repro.kernels.suite import build_kernel
+from repro.isa.decoded import COND_CODES
+from repro.isa.opcodes import LOAD_ELEM, STORE_ELEM
+from repro.kernels.suite import BENCHMARK_ORDER, build_kernel
 from repro.memory.cache import CacheConfig
 from repro.observability import telemetry
 from repro.observability.telemetry import NullTelemetry, Telemetry
@@ -256,3 +258,45 @@ class TestLoopWindowCounters:
                              pipeline=PipelineConfig(icache=icache))
         assert conflict["counters"][
             "turbo.loop.fallback.icache-conflict"] == 3
+
+
+class TestFusedPathCounters:
+    """``codegen.superblock.inline`` / ``.chained.<opcode>`` say which
+    path each fused instruction took, counted once per fusion."""
+
+    def _counters(self, programs):
+        tel = telemetry.enable()
+        try:
+            for program in programs:
+                Machine(MachineConfig()).run(program)
+            return tel.to_dict()["counters"]
+        finally:
+            telemetry.disable()
+
+    def test_counts_are_per_static_instruction(self):
+        counters = self._counters([assemble("""
+        .data A i32 4 = 0
+        main:
+            mov r1, A
+            ldw r2, [A + #1]
+            stw r2, [r1 + #2]
+            halt
+        """)])
+        # One block: a symbol-source move is the one quiet-handler call.
+        assert counters["codegen.superblock.inline"] == 3
+        assert {name: n for name, n in counters.items()
+                if name.startswith("codegen.superblock.chained.")} == {
+                    "codegen.superblock.chained.mov": 1}
+
+    def test_suite_baselines_chain_no_inline_shape(self):
+        counters = self._counters(
+            build_baseline_program(build_kernel(name))
+            for name in BENCHMARK_ORDER)
+        prefix = "codegen.superblock.chained."
+        chained = {name[len(prefix):] for name in counters
+                   if name.startswith(prefix)}
+        inline_shapes = (set(LOAD_ELEM) | set(STORE_ELEM)
+                         | {"fmax", "fmin", "fabs", "fneg"}
+                         | {"mov" + cond for cond in COND_CODES})
+        assert counters["codegen.superblock.inline"] > 0
+        assert not chained & inline_shapes, sorted(chained & inline_shapes)
