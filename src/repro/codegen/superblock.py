@@ -14,8 +14,8 @@ filenames).
 The emitted code is semantically unchanged from the inline versions:
 
 * the fused block runs the scalar shapes inline over the register
-  banks and memory buffer it hoists, chaining quiet handlers for the
-  rest, and restores ``state.pc`` and the retired count on a fault;
+  banks and memory buffer it hoists, chaining the decoded handlers for
+  the rest, and restores ``state.pc`` and the retired count on a fault;
 * the block-timing closure unrolls
   :meth:`~repro.pipeline.core.PipelineModel.account_block`'s row loop
   with the block's constants baked in, batching same-line instruction
@@ -79,8 +79,8 @@ _I32_MIN = -0x80000000
 _I32_MAX = 0x7FFFFFFF
 
 #: What converting a malformed or out-of-range immediate raises; the
-#: emitter then declines, leaving the error to the quiet handler at run
-#: time.
+#: emitter then declines, leaving the error to the decoded handler at
+#: run time.
 _BAD_CONSTANT = (TypeError, ValueError, OverflowError)
 
 #: Scalar load/store opcode -> the precompiled ``struct`` accessor its
@@ -97,7 +97,7 @@ _ACCESSORS = {
 
 def _address(mem, scale: int, symbols):
     """*mem*'s effective address as an int (every part known now) or a
-    source expression over ``ints``; None for the forms the quiet
+    source expression over ``ints``; None for the forms the decoded
     handler keeps (a non-integer register or an undefined symbol,
     whose lookup must fail at run time, from the faulting pc).
 
@@ -144,7 +144,7 @@ def _memory_lines(instr: Instruction, ns: dict, state):
     so a fault's type and text still come from ``Memory``.  The
     memory's size and read-only ranges are literals: both are fixed
     once the loader has placed the program.  A constant address is
-    checked now — one that faults stays with the quiet handler.
+    checked now — one that faults stays with the decoded handler.
     """
     opcode = instr.opcode
     load = opcode in LOAD_ELEM
@@ -156,7 +156,7 @@ def _memory_lines(instr: Instruction, ns: dict, state):
         reg = instr.srcs[0] if instr.srcs else None
     if not isinstance(reg, Reg) or instr.mem is None:
         return None
-    # A register of the other class takes the quiet handler's generic
+    # A register of the other class takes the decoded handler's generic
     # path (a conversion, or the reference's error).
     if elem == "f32":
         bank = "floats" if is_float_reg(reg.name) else None
@@ -221,6 +221,33 @@ def _float_operand(operand):
     return None
 
 
+def _mask_lines(instr: Instruction, ns: dict):
+    """(lines, banks) for the FFT mask idiom on float data --
+    ``and Fd, Fa, Ri`` or ``orr Fd, Fa, Ri|Fb`` -- or None.
+
+    The decoded handler passes ``float(a)`` and ``mask_bits(b)`` to
+    :func:`~repro.arith.float_bitwise` (:func:`~repro.arith
+    .float_or_floats` for an ``orr`` of two floats).  On register
+    values those are ``a`` itself and ``b & 0xFFFFFFFF``: the float
+    bank holds floats, the integer bank ints.
+    """
+    a_op, b_op = instr.srcs
+    if instr.opcode not in ("and", "orr") or not (
+            isinstance(a_op, Reg) and is_float_reg(a_op.name)
+            and isinstance(b_op, Reg)):
+        return None
+    d, a, b = instr.dst.name, f"floats[{a_op.name!r}]", b_op.name
+    if is_int_reg(b):
+        ns["_fbw"] = arith.float_bitwise
+        op = "fand" if instr.opcode == "and" else "forr"
+        return ([f"floats[{d!r}] = _fbw({op!r}, {a}, "
+                 f"ints[{b!r}] & 0xFFFFFFFF)"], {"ints", "floats"})
+    if instr.opcode == "orr" and is_float_reg(b):
+        ns["_for"] = arith.float_or_floats
+        return [f"floats[{d!r}] = _for({a}, floats[{b!r}])"], {"floats"}
+    return None
+
+
 def _inline_lines(pc: int, instr: Instruction, ns: dict, state):
     """(source lines, hoisted banks) for one instruction, or None.
 
@@ -230,7 +257,7 @@ def _inline_lines(pc: int, instr: Instruction, ns: dict, state):
     place, never rebinding them) and, for memory accesses, ``buf``
     bound to the memory's byte buffer.  Each inline form is only used
     under exactly the conditions for which it computes what the
-    corresponding quiet handler computes, by the same (documented)
+    corresponding decoded handler computes, by the same (documented)
     identities.  *state* is the run's
     :class:`~repro.interp.state.MachineState`, read here and never
     bound into *ns*.
@@ -242,9 +269,12 @@ def _inline_lines(pc: int, instr: Instruction, ns: dict, state):
     opcode = instr.opcode
 
     if cls in (InstrClass.ALU, InstrClass.MUL):
+        if len(instr.srcs) != 2 or instr.dst is None:
+            return None
+        if is_float_reg(instr.dst.name):
+            return _mask_lines(instr, ns)
         fast = _INT_ALU_FAST.get(opcode)
-        if (fast is None or len(instr.srcs) != 2 or instr.dst is None
-                or not is_int_reg(instr.dst.name)):
+        if fast is None or not is_int_reg(instr.dst.name):
             return None
         a_op, b_op = instr.srcs
         if not (isinstance(a_op, Reg) and is_int_reg(a_op.name)):
@@ -388,12 +418,20 @@ def emit_fused_block(spec: BlockSpec, table):
     """(run closure, mem list) for one lifted superblock.
 
     *table* is the owning :class:`~repro.interp.turbo.SuperblockTable`
-    — the emitter pulls quiet handlers, decoded instructions and the
-    run's state from it.  The generated function executes every
-    instruction in the block (raising from the faulting pc exactly like
-    the per-instruction engines) and returns the terminating branch's
-    taken flag (None for other terminators); ``mem`` holds the block's
+    — the emitter pulls decoded instructions and handlers and the run's
+    state from it.  The generated function executes every instruction
+    in the block (raising from the faulting pc exactly like the
+    per-instruction engines) and returns the terminating branch's taken
+    flag (None for other terminators); ``mem`` holds the block's
     effective addresses in execution order after each run.
+
+    A shape the emitter does not inline, or an instruction whose decode
+    raised, is one call to its decoded handler (``table.handlers[pc]``,
+    the closure the per-instruction path runs): the block reads the
+    event's ``mem_addr`` for a memory op and ``taken`` for a branch.
+    Since a decoded handler counts itself retired, the block sets the
+    retired count from a snapshot taken on entry, on exit and on a
+    fault alike.
 
     Only the block's own objects and module-level helpers are bound
     into the closure's namespace, never anything run-sized (memory,
@@ -405,10 +443,11 @@ def emit_fused_block(spec: BlockSpec, table):
 
     Telemetry: ``codegen.superblock.inline`` counts the instructions
     emitted as inline lines and ``codegen.superblock.chained.<opcode>``
-    the ones emitted as a quiet-handler call.
+    the ones emitted as a decoded-handler call.
     """
     instructions = table.instructions
     metas = table.metas
+    failed = table.failed
     state = table.state
     entry = spec.entry
     pcs = spec.pcs
@@ -423,52 +462,48 @@ def emit_fused_block(spec: BlockSpec, table):
     has_mem = False
     chained: Dict[str, int] = {}
 
-    def emit_closure(pc: int, handler, mem_kind: int) -> None:
-        nonlocal has_mem
-        name = f"q{pc}"
-        ns[name] = handler
+    def chain(pc: int, line: str = "{}") -> None:
+        """Set ``p``, then *line* around a call of *pc*'s decoded
+        handler."""
+        name = f"h{pc}"
+        ns[name] = table.handlers[pc]
         opcode = instructions[pc].opcode
         chained[opcode] = chained.get(opcode, 0) + 1
-        body.append(f"p = {pc}")
-        if mem_kind:
-            has_mem = True
-            body.append(f"_m({name}(state))")
-        else:
-            body.append(f"{name}(state)")
+        body.extend([f"p = {pc}", line.format(f"{name}(state)")])
 
     straight = pcs[:-1] if term else pcs
     for pc in straight:
-        meta = metas[pc]
-        mem_kind = 0
-        if meta is not None:
-            if meta.is_load:
-                mem_kind = 1
-            elif meta.cls is InstrClass.STORE \
-                    or meta.cls is InstrClass.VSTORE:
-                mem_kind = 2
-        handler, ok = table.quiet(pc)
-        inline = (_inline_lines(pc, instructions[pc], ns, state) if ok
-                  else None)
+        inline = (None if pc in failed
+                  else _inline_lines(pc, instructions[pc], ns, state))
         if inline is not None:
             lines, needs = inline
             hoists |= needs
             body.append(f"p = {pc}")
             body.extend(lines)
+            continue
+        meta = metas[pc]
+        if meta is not None and (meta.is_load
+                                 or meta.cls is InstrClass.STORE
+                                 or meta.cls is InstrClass.VSTORE):
+            has_mem = True
+            chain(pc, "_m({}.mem_addr)")
         else:
-            emit_closure(pc, handler, mem_kind)
+            chain(pc)
 
-    retired = f"state.instructions_retired += {blen}"
-    if term == 1:
+    retired = f"state.instructions_retired = n0 + {blen}"
+    if term:
         tpc = pcs[-1]
         instr = instructions[tpc]
-        handler, ok = table.quiet(tpc)
+        ok = tpc not in failed
+    if term == 1:
         target, terr = _resolve_target(table.program, instr.target)
+        ok = ok and terr is None
         cond_expr = (_COND_EXPRS.get(instr.opcode[1:])
                      if instr.opcode != "b" else None)
-        if ok and terr is None and instr.opcode == "b":
+        if ok and instr.opcode == "b":
             body += [f"p = {tpc}", f"state.pc = {target}", retired,
                      "return True"]
-        elif ok and terr is None and cond_expr is not None:
+        elif ok and cond_expr is not None:
             hoists.add("flags")
             body += [f"p = {tpc}",
                      f"if {cond_expr}:",
@@ -479,37 +514,23 @@ def emit_fused_block(spec: BlockSpec, table):
                      retired,
                      "return False"]
         else:
-            name = f"q{tpc}"
-            ns[name] = handler
-            chained[instr.opcode] = chained.get(instr.opcode, 0) + 1
-            body += [f"p = {tpc}", f"r = {name}(state)", retired,
-                     "return r"]
+            chain(tpc, "r = {}.taken")
+            body += [retired, "return r"]
     elif term == 2:
-        tpc = pcs[-1]
-        instr = instructions[tpc]
-        handler, ok = table.quiet(tpc)
-        cls = metas[tpc].cls
-        if ok and cls is InstrClass.RET:
-            hoists.add("ints")
-            body += [f"p = {tpc}",
-                     f"state.pc = ints[{LINK_REGISTER!r}]",
-                     retired, "return None"]
-        elif ok and cls is InstrClass.CALL:
+        if metas[tpc].cls is InstrClass.CALL:
             target, terr = _resolve_target(table.program, instr.target)
-            if terr is None:
-                hoists.add("ints")
-                body += [f"p = {tpc}",
-                         f"ints[{LINK_REGISTER!r}] = {tpc + 1}",
-                         f"state.pc = {target}",
-                         retired, "return None"]
-            else:
-                emit_closure(tpc, handler, 0)
-                body += [retired, "return None"]
+            ok = ok and terr is None
+            tail = [f"ints[{LINK_REGISTER!r}] = {tpc + 1}",
+                    f"state.pc = {target}"]
         else:
-            emit_closure(tpc, handler, 0)
-            body += [retired, "return None"]
+            tail = [f"state.pc = ints[{LINK_REGISTER!r}]"]
+        if ok:
+            hoists.add("ints")
+            body += [f"p = {tpc}", *tail]
+        else:
+            chain(tpc)
+        body += [retired, "return None"]
     elif term == 3:
-        tpc = pcs[-1]
         body += [f"p = {tpc}",
                  "state.halted = True",
                  f"state.pc = {tpc + 1}",
@@ -520,6 +541,7 @@ def emit_fused_block(spec: BlockSpec, table):
     src = ["def _fused(state):"]
     if has_mem or "buf" in hoists:
         src.append("    _c()")
+    src.append("    n0 = state.instructions_retired")
     src.append(f"    p = {entry}")
     src.append("    try:")
     for bank in ("ints", "floats", "flags"):
@@ -531,7 +553,7 @@ def emit_fused_block(spec: BlockSpec, table):
         src.append("        " + line)
     src += ["    except BaseException:",
             "        state.pc = p",
-            f"        state.instructions_retired += p - {entry}",
+            f"        state.instructions_retired = n0 + p - {entry}",
             "        raise"]
     fused = _emit.compile_closure(
         "\n".join(src),

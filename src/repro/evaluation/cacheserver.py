@@ -113,8 +113,19 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         return None
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length > 0 else b""
+        """The request body, or ValueError for a missing, non-integer or
+        negative ``Content-Length`` or a body cut short of it (the
+        connection then closes after the reply: where the body ends is
+        unknown)."""
+        try:
+            length = int(self.headers["Content-Length"])
+        except (TypeError, ValueError):
+            length = -1
+        payload = self.rfile.read(length) if length >= 0 else b""
+        if len(payload) != length:
+            self.close_connection = True
+            raise ValueError("bad Content-Length")
+        return payload
 
     # -- verbs -------------------------------------------------------------
 
@@ -157,7 +168,14 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         if key is None:
             self._reply_json(400, {"error": "bad key"})
             return
-        payload = self._read_body()
+        try:
+            payload = self._read_body()
+        except ValueError as exc:
+            self._reply_json(400, {"error": str(exc)})
+            return
+        if not payload:
+            self._reply_json(400, {"error": "empty body"})
+            return
         if self._backend().store(key, payload):
             self._reply_json(201, {"stored": True})
         else:
@@ -180,7 +198,8 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
                 keys = json.loads(self._read_body().decode("utf-8"))["keys"]
                 if not isinstance(keys, list):
                     raise TypeError("keys must be a list")
-            except (UnicodeDecodeError, ValueError, KeyError, TypeError):
+            except (UnicodeDecodeError, ValueError, KeyError, TypeError,
+                    RecursionError):
                 self._reply_json(400, {"error": "bad probe body"})
                 return
             valid = [k for k in keys if isinstance(k, str)

@@ -39,11 +39,12 @@ Protocol (all bodies JSON):
                             stats}`` — also the readiness probe
 ==========================  ============================================
 
-Failure modes: malformed or unknown-benchmark requests get a 400
-without touching the pool; a crashed worker (the pool dies with it)
-gets a clean 500 and the pool is rebuilt for the next request; a client
-that disconnects mid-run abandons only its *reply* — the simulation
-completes, is cached, and answers the next identical request warm.
+Failure modes: malformed or unknown-benchmark requests, and a
+non-integer or negative ``Content-Length``, get a 400 without touching
+the pool; a crashed worker (the pool dies with it) gets a clean 500 and
+the pool is rebuilt for the next request; a client that disconnects
+mid-run abandons only its *reply* — the simulation completes, is
+cached, and answers the next identical request warm.
 ``serve.*`` telemetry (docs/observability.md) attributes every request,
 and ``GET /stats`` serves the same counts unconditionally (telemetry
 off included) for load tests and CI smoke gates.
@@ -316,10 +317,19 @@ class SimServer:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length") or 0)
-                body = await reader.readexactly(length) if length else b""
+                try:
+                    length = int(headers.get("content-length") or 0)
+                except ValueError:
+                    length = -1
                 close = headers.get("connection", "").lower() == "close"
-                status, payload = await self._route(method, path, body)
+                if length < 0:
+                    # Where the body ends is unknown: answer, then close.
+                    close = True
+                    status, payload = self._bad_request("bad Content-Length")
+                else:
+                    body = (await reader.readexactly(length) if length
+                            else b"")
+                    status, payload = await self._route(method, path, body)
                 data = json.dumps(payload,
                                   separators=(",", ":")).encode("utf-8")
                 head_lines = [
@@ -357,6 +367,11 @@ class SimServer:
             return 200, self._stats_payload()
         return 404, {"error": "unknown endpoint"}
 
+    def _bad_request(self, message: str) -> Tuple[int, dict]:
+        self.stats.bad_requests += 1
+        _telemetry.get().count("serve.bad_requests")
+        return 400, {"error": message}
+
     def _stats_payload(self) -> dict:
         return {
             "service": SERVICE_NAME,
@@ -378,10 +393,8 @@ class SimServer:
         try:
             payload = json.loads(body.decode("utf-8"))
             request = parse_run_request(payload)
-        except (UnicodeDecodeError, ValueError) as exc:
-            self.stats.bad_requests += 1
-            tel.count("serve.bad_requests")
-            return 400, {"error": str(exc) or "malformed JSON body"}
+        except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+            return self._bad_request(str(exc) or "malformed JSON body")
 
         key = self.scheduler.key_for(request)
         wire = await self._load_warm(key)

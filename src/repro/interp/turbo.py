@@ -22,14 +22,15 @@ each into one *fused* closure:
   and (conditional) moves, binary32 add/sub/mul/max/min/abs/neg on
   float registers, scalar loads and stores (symbol bases resolved to
   address literals at fuse time, bounds and read-only checks inline),
-  and the block-closing branch.  The "quiet" handlers defined here —
-  event-free twins of the fast engine's handlers — are only the
-  fallback, chained as one call for whatever shape the emitter
-  declines (``codegen.superblock.chained.<opcode>`` counts them).
-* **Zero-allocation retirement.**  No ``RetireEvent`` is built.  Memory
-  operations append their effective address to a per-block list (reused
-  across executions), branches return their taken flag, and the
-  pipeline consumes the pre-extracted per-block
+  float-register mask idioms (``and``/``orr``), and the block-closing
+  branch.  Whatever shape the emitter declines is one call to the
+  instruction's decoded handler, the closure the per-instruction path
+  runs (``codegen.superblock.chained.<opcode>`` counts them).
+* **Event-free inline retirement.**  An inline instruction builds no
+  ``RetireEvent`` (a chained decoded handler builds its one event).
+  Memory operations append their effective address to a per-block list
+  (reused across executions), the closing branch returns its taken
+  flag, and the pipeline consumes the pre-extracted per-block
   :class:`~repro.pipeline.core.BlockTiming` via one
   :meth:`~repro.pipeline.core.PipelineModel.account_block` call.
   Observers that genuinely need event objects — the dynamic translator
@@ -49,530 +50,21 @@ restores ``state.pc`` to the faulting instruction and
 diagnostics match the per-instruction engines.  An inline load or store
 whose bounds or read-only test fails calls ``Memory._check_load`` /
 ``_check_store`` to raise, so the exception and its text come from
-:class:`~repro.memory.memory.Memory` itself.  Decode-time failures are
-deferred into raising handlers just like :func:`repro.isa.decoded.predecode`.
+:class:`~repro.memory.memory.Memory` itself.  An instruction whose
+decode raised is never inlined: its decoded handler raises the
+deferred error when it executes (``DecodedProgram.failed``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro import arith
 from repro.codegen.backend import get_backend
 from repro.codegen.lift import lift_superblock
-from repro.interp.errors import ExecutionError
-from repro.isa.decoded import (
-    COND_CODES,
-    FLOAT_BITWISE_OPS,
-    FLOAT_UNARY_OPS,
-    VEC_BINARY_OPS,
-    VEC_PERM_OPS,
-    VEC_RED_OPS,
-    VEC_UNARY_OPS,
-    DecodedProgram,
-    _addr_getter,
-    _FLOAT_ALU_FAST,
-    _INT_ALU_FAST,
-    _no_accel_error,
-    _resolve_target,
-    _scalar_writer,
-    _value_getter,
-    _vector_getter,
-    mask_bits,
-    predecode,
-)
 from repro.interp.macro import build_fragment_plan
 from repro.interp.state import MachineState
-from repro.isa.instructions import Imm, Instruction
-from repro.isa.opcodes import ELEM_SIZES, LOAD_ELEM, OPCODES, STORE_ELEM, InstrClass
-from repro.isa.registers import LINK_REGISTER, is_float_reg, is_int_reg
-from repro.memory.alignment import vector_alignment_ok
+from repro.isa.decoded import DecodedProgram, _resolve_target, predecode
 from repro.pipeline.core import BlockTiming
-from repro.simd import vector_ops
-from repro.simd.permutations import PermPattern
-
-
-# ---------------------------------------------------------------------------
-# Quiet handlers
-#
-# Event-free twins of the repro.isa.decoded handlers: identical side
-# effects, identical checks in identical order, but no RetireEvent, no
-# state.pc bookkeeping (control flow excepted) and no retired counter —
-# the fused block does those in bulk.  Memory handlers return the
-# effective address; branches return the taken flag.  They are the
-# fused block's fallback: each keeps one generic form, because every
-# shape worth specializing is emitted inline instead
-# (repro.codegen.superblock._inline_lines).
-# ---------------------------------------------------------------------------
-
-
-def _q_raiser(exc: BaseException):
-    def handler(state):
-        raise exc
-    return handler
-
-
-def _q_sys(pc: int, instr: Instruction):
-    if instr.opcode == "halt":
-        next_pc = pc + 1
-
-        def halt(state):
-            state.halted = True
-            state.pc = next_pc
-        return halt
-
-    def nop(state):
-        return None
-    return nop
-
-
-def _q_move(pc: int, instr: Instruction):
-    opcode = instr.opcode
-    base = "fmov" if opcode.startswith("fmov") else "mov"
-    cond = opcode[len(base):]
-    cond_fn = None
-    if cond:
-        cond_fn = COND_CODES.get(cond)
-        if cond_fn is None:
-            raise ExecutionError(
-                f"unknown condition suffix {cond!r} in opcode {opcode!r}"
-            )
-    body_error: Optional[ExecutionError] = None
-    body = None
-    if len(instr.srcs) != 1:
-        body_error = ExecutionError(f"{opcode} expects one source")
-    elif instr.dst is None:
-        body_error = ExecutionError(f"{opcode} needs a destination")
-    else:
-        get_src = _value_getter(instr.srcs[0])
-        dname = instr.dst.name
-        write = _scalar_writer(dname)
-        if is_int_reg(dname):
-            def body(state, _get=get_src, _write=write):
-                _write(state, arith.wrap_int(int(_get(state))))
-        else:
-            def body(state, _get=get_src, _write=write):
-                _write(state, arith.f32(float(_get(state))))
-    if cond_fn is None and body_error is None:
-        return body
-
-    def handler(state):
-        if cond_fn is not None and not cond_fn(state.regs.flags):
-            return None
-        if body_error is not None:
-            raise body_error
-        return body(state)
-    return handler
-
-
-def _q_int_alu(pc: int, instr: Instruction):
-    opcode = instr.opcode
-    if len(instr.srcs) != 2:
-        raise ExecutionError(f"{opcode} expects two sources")
-    get_a = _value_getter(instr.srcs[0])
-    get_b = _value_getter(instr.srcs[1])
-    if instr.dst is None:
-        raise ExecutionError(f"{opcode} needs a destination")
-    dname = instr.dst.name
-    write = _scalar_writer(dname)
-
-    if is_float_reg(dname):
-        if opcode == "and":
-            def handler(state):
-                a = get_a(state)
-                b = get_b(state)
-                write(state, arith.float_bitwise("fand", float(a),
-                                                 mask_bits(b)))
-            return handler
-        if opcode == "orr":
-            def handler(state):
-                a = get_a(state)
-                b = get_b(state)
-                if isinstance(b, float):
-                    value = arith.float_or_floats(float(a), b)
-                else:
-                    value = arith.float_bitwise("forr", float(a),
-                                                mask_bits(b))
-                write(state, value)
-            return handler
-        raise ExecutionError(
-            f"integer op {opcode!r} cannot target float register"
-        )
-
-    fast = _INT_ALU_FAST.get(opcode)
-    if fast is not None:
-        def handler(state):
-            write(state, fast(int(get_a(state)), int(get_b(state))))
-        return handler
-
-    int_op = arith.int_op
-
-    def handler(state):
-        write(state, int_op(opcode, int(get_a(state)), int(get_b(state)),
-                            "i32"))
-    return handler
-
-
-def _q_float_alu(pc: int, instr: Instruction):
-    opcode = instr.opcode
-    if instr.dst is None:
-        raise ExecutionError(f"{opcode} needs a destination")
-    dname = instr.dst.name
-    write = _scalar_writer(dname)
-    float_op = arith.float_op
-    if not is_float_reg(dname):
-        def write(state, value, _n=dname):  # noqa: F811 - intentional
-            state.regs.write(_n, value)
-
-    if opcode in FLOAT_UNARY_OPS:
-        if len(instr.srcs) != 1:
-            raise ExecutionError(f"{opcode} expects one source")
-        get_a = _value_getter(instr.srcs[0])
-
-        def handler(state):
-            write(state, float_op(opcode, float(get_a(state))))
-        return handler
-
-    if opcode in FLOAT_BITWISE_OPS:
-        get_a = _value_getter(instr.srcs[0]) if instr.srcs else None
-        get_b = _value_getter(instr.srcs[1]) if len(instr.srcs) > 1 else None
-        if get_a is None or get_b is None:
-            return _q_raiser(IndexError("tuple index out of range"))
-        is_and = opcode == "fand"
-
-        def handler(state):
-            a = float(get_a(state))
-            b = get_b(state)
-            if isinstance(b, float):
-                value = (arith.float_and_floats(a, b) if is_and
-                         else arith.float_or_floats(a, b))
-            else:
-                value = arith.float_bitwise(opcode, a, int(b))
-            write(state, value)
-        return handler
-
-    if len(instr.srcs) != 2:
-        raise ExecutionError(f"{opcode} expects two sources")
-    get_a = _value_getter(instr.srcs[0])
-    get_b = _value_getter(instr.srcs[1])
-
-    np_op = _FLOAT_ALU_FAST.get(opcode)
-    if np_op is not None:
-        f32t = np.float32
-
-        def handler(state):
-            write(state, float(np_op(f32t(get_a(state)), f32t(get_b(state)))))
-        return handler
-
-    def handler(state):
-        write(state, float_op(opcode, float(get_a(state)),
-                              float(get_b(state))))
-    return handler
-
-
-def _q_cmp(pc: int, instr: Instruction):
-    if len(instr.srcs) != 2:
-        raise ExecutionError(f"{instr.opcode} expects two operands")
-    a_src, b_src = instr.srcs
-    get_a = _value_getter(a_src)
-    get_b = _value_getter(b_src)
-
-    def handler(state):
-        state.regs.set_flags(get_a(state), get_b(state))
-    return handler
-
-
-def _q_load(pc: int, instr: Instruction):
-    elem, signed = LOAD_ELEM[instr.opcode]
-    get_addr = _addr_getter(instr.mem, elem)
-    dname = instr.dst.name
-    bad_float_dst = is_float_reg(dname) and elem != "f32"
-    is_f32 = elem == "f32"
-    if is_f32 and not is_float_reg(dname):
-        def write(state, value, _n=dname):
-            state.regs.write(_n, value)
-    else:
-        write = _scalar_writer(dname)
-
-    def handler(state):
-        addr = get_addr(state)
-        value = state.memory.load(addr, elem, signed=signed)
-        if is_f32:
-            value = arith.f32(value)
-        if bad_float_dst:
-            raise ExecutionError("integer load cannot target a float register")
-        write(state, value)
-        return addr
-    return handler
-
-
-def _q_store(pc: int, instr: Instruction):
-    elem = STORE_ELEM[instr.opcode]
-    get_addr = _addr_getter(instr.mem, elem)
-    get_src = _value_getter(instr.srcs[0])
-
-    def handler(state):
-        addr = get_addr(state)
-        state.memory.store(addr, elem, get_src(state))
-        return addr
-    return handler
-
-
-def _q_branch(pc: int, instr: Instruction, program):
-    opcode = instr.opcode
-    target_index, target_error = _resolve_target(program, instr.target)
-    fall_through = pc + 1
-    if opcode == "b":
-        def handler(state):
-            if target_error is not None:
-                raise target_error
-            state.pc = target_index
-            return True
-        return handler
-
-    cond_fn = COND_CODES.get(opcode[1:])
-    if cond_fn is None:
-        raise ExecutionError(
-            f"unknown branch condition {opcode[1:]!r} in opcode {opcode!r}"
-        )
-
-    def handler(state):
-        taken = cond_fn(state.regs.flags)
-        if taken:
-            if target_error is not None:
-                raise target_error
-            state.pc = target_index
-        else:
-            state.pc = fall_through
-        return taken
-    return handler
-
-
-def _q_call(pc: int, instr: Instruction, program):
-    target_index, target_error = _resolve_target(program, instr.target)
-    return_addr = pc + 1
-
-    def handler(state):
-        # Link register is written before target resolution, like the
-        # reference, so the side effect survives a bad-target failure.
-        state.regs.ints[LINK_REGISTER] = return_addr
-        if target_error is not None:
-            raise target_error
-        state.pc = target_index
-    return handler
-
-
-def _q_ret(pc: int, instr: Instruction):
-    def handler(state):
-        state.pc = int(state.regs.ints[LINK_REGISTER])
-    return handler
-
-
-def _q_vld(pc: int, instr: Instruction):
-    opcode = instr.opcode
-    elem = instr.elem
-    elem_error = None
-    if elem is None:
-        elem_error = ExecutionError("vld requires an element type suffix")
-        get_addr = None
-        elem_size = None
-    else:
-        get_addr = _addr_getter(instr.mem, elem)
-        elem_size = ELEM_SIZES[elem]
-    dname = instr.dst.name
-
-    def handler(state):
-        vregs = state.vregs
-        if vregs is None:
-            raise _no_accel_error(opcode)
-        if elem_error is not None:
-            raise elem_error
-        width = vregs.width
-        addr = get_addr(state)
-        if not vector_alignment_ok(addr, elem_size, width):
-            raise ExecutionError(
-                f"unaligned vector access at {addr:#x} "
-                f"(width {width}, elem {elem})"
-            )
-        lanes = state.memory.load_vector(addr, elem, width)
-        vregs.write(dname, lanes, elem)
-        return addr
-    return handler
-
-
-def _q_vst(pc: int, instr: Instruction):
-    opcode = instr.opcode
-    elem = instr.elem
-    elem_error = None
-    if elem is None:
-        elem_error = ExecutionError("vst requires an element type suffix")
-        get_addr = None
-        elem_size = None
-        get_src = None
-    else:
-        get_addr = _addr_getter(instr.mem, elem)
-        elem_size = ELEM_SIZES[elem]
-        get_src = _vector_getter(instr.srcs[0])
-
-    def handler(state):
-        vregs = state.vregs
-        if vregs is None:
-            raise _no_accel_error(opcode)
-        if elem_error is not None:
-            raise elem_error
-        width = vregs.width
-        addr = get_addr(state)
-        if not vector_alignment_ok(addr, elem_size, width):
-            raise ExecutionError(
-                f"unaligned vector access at {addr:#x} "
-                f"(width {width}, elem {elem})"
-            )
-        state.memory.store_vector(addr, elem, get_src(state, width))
-        return addr
-    return handler
-
-
-def _q_vec_binary(pc: int, instr: Instruction):
-    opcode = instr.opcode
-    elem = instr.elem
-    get_a = _vector_getter(instr.srcs[0])
-    b_operand = instr.srcs[1]
-    if isinstance(b_operand, Imm):
-        b_const = b_operand.value
-        get_b = None
-    else:
-        b_const = None
-        get_b = _vector_getter(b_operand)
-    lower = vector_ops.binary_fast_fn(opcode, elem or "i32")
-    dname = instr.dst.name
-
-    def handler(state):
-        vregs = state.vregs
-        if vregs is None:
-            raise _no_accel_error(opcode)
-        width = vregs.width
-        a = get_a(state, width)
-        b = b_const if get_b is None else get_b(state, width)
-        vregs.write(dname, lower(a, b), elem)
-    return handler
-
-
-def _q_vec_unary(pc: int, instr: Instruction):
-    opcode = instr.opcode
-    elem = instr.elem
-    get_a = _vector_getter(instr.srcs[0])
-    lower = vector_ops.unary_fast_fn(opcode, elem or "i32")
-    dname = instr.dst.name
-
-    def handler(state):
-        vregs = state.vregs
-        if vregs is None:
-            raise _no_accel_error(opcode)
-        width = vregs.width
-        vregs.write(dname, lower(get_a(state, width)), elem)
-    return handler
-
-
-def _q_vec_perm(pc: int, instr: Instruction):
-    opcode = instr.opcode
-    elem = instr.elem
-    get_src = _vector_getter(instr.srcs[0])
-    dname = instr.dst.name
-
-    def build_pattern(width: int) -> PermPattern:
-        period_operand = instr.srcs[1] if len(instr.srcs) > 1 else Imm(width)
-        if not isinstance(period_operand, Imm):
-            raise ExecutionError(f"{opcode} period must be an immediate")
-        period = int(period_operand.value)
-        if opcode == "vbfly":
-            return PermPattern("bfly", period)
-        if opcode == "vrev":
-            return PermPattern("rev", period)
-        if len(instr.srcs) < 3 or not isinstance(instr.srcs[2], Imm):
-            raise ExecutionError("vrot expects #period, #amount")
-        return PermPattern("rot", period, int(instr.srcs[2].value))
-
-    maps: Dict[int, list] = {}
-
-    def handler(state):
-        vregs = state.vregs
-        if vregs is None:
-            raise _no_accel_error(opcode)
-        width = vregs.width
-        src = get_src(state, width)
-        cached = maps.get(width)
-        if cached is None:
-            pattern = build_pattern(width)
-            if width % pattern.period != 0:
-                raise ExecutionError(
-                    f"{pattern.name} does not tile hardware width {width}"
-                )
-            cached = pattern.lane_map(width)
-            maps[width] = cached
-        vregs.write(dname, [src[i] for i in cached], elem)
-    return handler
-
-
-def _q_vec_reduce(pc: int, instr: Instruction):
-    opcode = instr.opcode
-    elem = instr.elem
-    get_acc = _value_getter(instr.srcs[0])
-    get_lanes = _vector_getter(instr.srcs[1])
-    lower = vector_ops.reduce_fast_fn(opcode, elem or "i32")
-    dname = instr.dst.name
-
-    def handler(state):
-        vregs = state.vregs
-        if vregs is None:
-            raise _no_accel_error(opcode)
-        width = vregs.width
-        value = lower(get_acc(state), get_lanes(state, width))
-        state.regs.write(dname, value)
-    return handler
-
-
-def _quiet_one(pc: int, instr: Instruction, program):
-    """Quiet twin of :func:`repro.isa.decoded._decode_one`."""
-    opcode = instr.opcode
-    spec = OPCODES.get(opcode)
-    if spec is None:
-        raise ExecutionError(f"unknown opcode {opcode!r} at pc={pc}")
-    cls = spec.cls
-    if cls is InstrClass.SYS:
-        return _q_sys(pc, instr)
-    if cls is InstrClass.MOVE:
-        return _q_move(pc, instr)
-    if cls in (InstrClass.ALU, InstrClass.MUL):
-        return _q_int_alu(pc, instr)
-    if cls in (InstrClass.FALU, InstrClass.FMUL, InstrClass.FDIV):
-        return _q_float_alu(pc, instr)
-    if cls is InstrClass.CMP:
-        return _q_cmp(pc, instr)
-    if cls is InstrClass.LOAD and not spec.is_vector:
-        return _q_load(pc, instr)
-    if cls is InstrClass.STORE and not spec.is_vector:
-        return _q_store(pc, instr)
-    if cls is InstrClass.BRANCH:
-        return _q_branch(pc, instr, program)
-    if cls is InstrClass.CALL:
-        return _q_call(pc, instr, program)
-    if cls is InstrClass.RET:
-        return _q_ret(pc, instr)
-    if opcode == "vld":
-        return _q_vld(pc, instr)
-    if opcode == "vst":
-        return _q_vst(pc, instr)
-    if opcode in VEC_BINARY_OPS:
-        return _q_vec_binary(pc, instr)
-    if opcode in VEC_UNARY_OPS:
-        return _q_vec_unary(pc, instr)
-    if opcode in VEC_PERM_OPS:
-        return _q_vec_perm(pc, instr)
-    if opcode in VEC_RED_OPS:
-        return _q_vec_reduce(pc, instr)
-    raise ExecutionError(f"unhandled opcode {opcode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +74,7 @@ def _quiet_one(pc: int, instr: Instruction, program):
 # (repro.codegen.lift.lift_superblock) scans a straight-line run into a
 # BlockSpec, and the "superblock" backend (repro.codegen.superblock)
 # emits the fused run closure and the compiled timing specializations.
-# This module keeps the per-program tables and the quiet handlers the
-# emitted code chains.
+# This module keeps the per-program tables.
 # ---------------------------------------------------------------------------
 
 
@@ -635,6 +126,10 @@ class SuperblockTable:
         self.program = table.program
         self.instructions = table.program.instructions
         self.metas = table.metas
+        #: The decoded handlers a fused block chains for the shapes it
+        #: does not inline, and the pcs whose decode raised.
+        self.handlers = table.handlers
+        self.failed = table.failed
         self.marked = marked
         self.vector_width = vector_width
         self.pc_offset = pc_offset
@@ -654,8 +149,6 @@ class SuperblockTable:
         self._dcache_hit = pconfig.dcache.hit_latency
         self._mispredict_penalty = pconfig.mispredict_penalty
         self._call_redirect_penalty = pconfig.call_redirect_penalty
-        n = len(self.instructions)
-        self._quiet_cache: List[Optional[tuple]] = [None] * n
         self._blocks: Dict[int, FusedBlock] = {}
         #: telemetry counters (docs/observability.md): every ``_build``
         #: bumps ``compiles``; ``lookups`` advances only through
@@ -683,23 +176,6 @@ class SuperblockTable:
         return block
 
     # -- internals ----------------------------------------------------------
-
-    def quiet(self, pc: int):
-        """(handler, decoded_ok) for one pc, cached.
-
-        Public because the superblock backend's fused-block emitter
-        (:func:`repro.codegen.superblock.emit_fused_block`) chains these
-        handlers into its generated code.
-        """
-        cached = self._quiet_cache[pc]
-        if cached is None:
-            instr = self.instructions[pc]
-            try:
-                cached = (_quiet_one(pc, instr, self.program), True)
-            except Exception as exc:
-                cached = (_q_raiser(exc), False)
-            self._quiet_cache[pc] = cached
-        return cached
 
     def _build(self, entry: int) -> FusedBlock:
         self.compiles += 1

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -1007,15 +1007,21 @@ def _decode_one(pc: int, instr: Instruction, program) -> Handler:
 
 
 class DecodedProgram:
-    """A program compiled to dense handler and timing-metadata tables."""
+    """A program compiled to dense handler and timing-metadata tables.
 
-    __slots__ = ("program", "handlers", "metas", "__weakref__")
+    ``failed`` holds the pcs whose decode raised: their handler raises
+    the captured error when executed.
+    """
+
+    __slots__ = ("program", "handlers", "metas", "failed", "__weakref__")
 
     def __init__(self, program, handlers: List[Handler],
-                 metas: List[Optional[InstrMeta]]) -> None:
+                 metas: List[Optional[InstrMeta]],
+                 failed: FrozenSet[int]) -> None:
         self.program = program
         self.handlers = handlers
         self.metas = metas
+        self.failed = failed
 
     def __len__(self) -> int:
         return len(self.handlers)
@@ -1030,14 +1036,16 @@ def predecode(program) -> DecodedProgram:
     """
     handlers: List[Handler] = []
     metas: List[Optional[InstrMeta]] = []
+    failed = set()
     for pc, instr in enumerate(program.instructions):
         try:
             handler = _decode_one(pc, instr, program)
         except Exception as exc:
             handler = _raiser(pc, instr, exc)
+            failed.add(pc)
         handlers.append(handler)
         try:
             metas.append(meta_of(instr))
         except KeyError:
             metas.append(None)  # unknown opcode: its handler raises anyway
-    return DecodedProgram(program, handlers, metas)
+    return DecodedProgram(program, handlers, metas, frozenset(failed))

@@ -12,6 +12,7 @@ The fleet contract the cache server must honor:
 """
 
 import json
+import socket
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -45,6 +46,24 @@ def server(tmp_path):
 
 def _http(server) -> HTTPCacheBackend:
     return HTTPCacheBackend(server.url)
+
+
+def _raw(server, method: str, path: str, headers=(), body: bytes = b""):
+    """(status, reply dict) for one request sent with exactly *headers*
+    (no ``Content-Length`` unless given) and *body*, after which the
+    client shuts its side of the connection, as a client that died
+    mid-body would."""
+    host, port = server.httpd.server_address[:2]
+    lines = [f"{method} {path} HTTP/1.1", f"Host: {host}"]
+    lines += [f"{name}: {value}" for name, value in headers]
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall("\r\n".join(lines + ["", ""]).encode() + body)
+        sock.shutdown(socket.SHUT_WR)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, reply = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(reply)
 
 
 class TestRoundtrip:
@@ -266,6 +285,32 @@ class TestProtocolHygiene:
         present = _http(server).contains_many(
             [KEY_A, "../../sneaky", "not-a-key"])
         assert present == {KEY_A}
+
+    @pytest.mark.parametrize("length, body, error", [
+        (None, b"", "bad Content-Length"),
+        ("abc", b"", "bad Content-Length"),
+        ("-5", b"", "bad Content-Length"),
+        ("100", b"x" * 10, "bad Content-Length"),
+        ("0", b"", "empty body"),
+    ], ids=["missing", "non-integer", "negative", "truncated", "zero"])
+    def test_put_without_a_valid_length_is_400(self, server, length, body,
+                                               error):
+        """Nothing is stored: an empty or cut-short entry would win
+        first-writer-wins against the real result until a reader deleted
+        it as corrupt."""
+        headers = [] if length is None else [("Content-Length", length)]
+        status, reply = _raw(server, "PUT", f"/runs/{KEY_A}", headers, body)
+        assert (status, reply) == (400, {"error": error})
+        assert not server.backend.path_for(KEY_A).exists()
+        assert _http(server).store(KEY_A, b"real")
+        assert _http(server).load(KEY_A) == b"real"
+
+    def test_too_deeply_nested_probe_is_400(self, server):
+        body = b"[" * 200_000
+        status, reply = _raw(server, "POST", "/contains",
+                             [("Content-Length", str(len(body)))], body)
+        assert (status, reply) == (400, {"error": "bad probe body"})
+        assert _http(server).describe()["reachable"] is True
 
     def test_stats_identifies_service(self, server):
         info = _http(server).describe()

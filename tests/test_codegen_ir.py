@@ -321,6 +321,23 @@ def test_nested_loop_plan_shapes():
     assert isinstance(plan[2], FragmentLoopShape)
 
 
+def test_fused_blocks_chain_the_decoded_handlers():
+    """What a fused block does not inline (here the vector ops) is a
+    call of the per-instruction path's own handler object, never a
+    second copy of its semantics."""
+    program = assemble(nest_source(WIDTH))
+    table, blocks, _ = fragment_tables_for(program, PipelineModel(), WIDTH,
+                                           OFFSET, _state_for(program, WIDTH))
+    chained = 0
+    for pc in range(len(program.instructions)):
+        namespace = blocks.block_at(pc).run.__globals__
+        for name, value in namespace.items():
+            if name.startswith("h") and name[1:].isdigit():
+                assert value is table.handlers[int(name[1:])]
+                chained += 1
+    assert chained
+
+
 def test_nested_loop_macro_is_bit_identical():
     src = nest_source(WIDTH)
     kernel_state, kernel_pipe, ran = _drive(src, WIDTH, kernels=True)

@@ -2,12 +2,12 @@
 
 The superblock emitter (``repro.codegen.superblock._inline_lines``) runs
 scalar loads and stores, ``fmax``/``fmin``/``fabs``/``fneg``,
-conditional moves and wrapping ``add``/``sub`` as straight Python over
-register banks and the memory buffer hoisted once per block, with
-symbol bases, the memory size and its read-only ranges folded into
-literals at fuse time.  Each inline form claims to compute exactly what
-the quiet handler it replaces -- and so the reference engine --
-computes.
+conditional moves, wrapping ``add``/``sub`` and the float-register mask
+idiom (``and``/``orr``) as straight Python over register banks and the
+memory buffer hoisted once per block, with symbol bases, the memory
+size and its read-only ranges folded into literals at fuse time.  Each
+inline form claims to compute exactly what the decoded handler it
+replaces -- and so the reference engine -- computes.
 
 Hypothesis generates self-loop bodies drawn from every one of those
 shapes (each load/store opcode and signedness, symbol and register
@@ -21,8 +21,10 @@ count) or the same ``MachineError`` text.
 
 The fixed cases fault on a late trip of a self-loop window -- a store
 into ``.rodata``, a store past the end of memory, a negative-address
-load -- and on an undefined symbol, which must stay a quiet-handler
-call.  Each must leave the reference's pc, retired count and message.
+load, a store fault after a chained decoded handler has counted itself
+retired -- and on an undefined symbol, which must stay a
+decoded-handler call.  Each must leave the reference's pc, retired
+count and message.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ SPECIAL_BITS = (
     0x00000001, 0x807FFFFF, 0x00400000,  # subnormals
     0x7F7FFFFF, 0x00800000,              # largest finite, smallest normal
     0x3F800000, 0xC1000000,              # 1.0, -8.0
+    0xFFFFFFFF, 0x7FFFFFFF,              # all-ones and abs masks (NaNs)
 )
 
 #: Float immediates: exact, inexact in binary32, subnormal, signed zero.
@@ -143,8 +146,17 @@ def wrapping_alu(draw) -> str:
     return f"{opcode} {draw(int_regs)}, {draw(int_regs)}, {b}"
 
 
+@st.composite
+def float_masks(draw) -> str:
+    """The FFT mask idiom: ``and Fd, Fa, Ri`` and ``orr Fd, Fa, Ri|Fb``."""
+    opcode = draw(st.sampled_from(("and", "orr")))
+    b = draw(int_regs if opcode == "and"
+             else st.one_of(int_regs, float_regs))
+    return f"{opcode} {draw(float_regs)}, {draw(float_regs)}, {b}"
+
+
 body_instructions = st.one_of(loads(), stores(), cond_moves(), compares(),
-                              float_ops(), wrapping_alu())
+                              float_ops(), wrapping_alu(), float_masks())
 
 
 def _program_source(data, body, trips: int) -> str:
@@ -238,20 +250,27 @@ def _pair_loop(values, body, outputs) -> str:
 
 def test_float_shapes_on_every_special_pair():
     """``fmax``/``fmin`` ties between signed zeros and NaNs in either
-    operand, ``fabs``/``fneg`` of every special, and immediates that
-    tie with or round differently from the register value."""
+    operand, ``fabs``/``fneg`` of every special, immediates that tie
+    with or round differently from the register value, and the mask
+    idiom with every special as the mask (``0``, all-ones, sign-only
+    and abs among them) or as the second float."""
     ops = [("fmax f3, f1, f2", "MX"), ("fmin f3, f1, f2", "MN"),
            ("fmax f3, f1, #-0.0", "MXZ"), ("fmin f3, f1, #0.0", "MNZ"),
            ("fmax f3, f1, #0.1", "MXI"), ("fmin f3, f2, #-8.0", "MNI"),
-           ("fabs f3, f1", "AB"), ("fneg f3, f2", "NG")]
+           ("fabs f3, f1", "AB"), ("fneg f3, f2", "NG"),
+           ("and f3, f1, r3", "AM"), ("orr f3, f1, r3", "OM"),
+           ("orr f3, f1, f2", "OF")]
     body = []
     for instr, out in ops:
         body += [instr, f"stf f3, [{out} + r0]"]
     program = assemble(_pair_loop([_signed(b) for b in SPECIAL_BITS], body,
                                   [(out, "f32") for _, out in ops]))
-    fast = _outcome(program, "fast")
+    with _counting() as counters:
+        fast = _outcome(program, "fast")
     assert fast == _outcome(program, "reference")
     assert isinstance(fast, dict)
+    assert not [name for name in counters
+                if name.startswith("codegen.superblock.chained.")]
 
 
 def test_wrapping_add_sub_on_boundaries():
@@ -279,8 +298,8 @@ def test_wrapping_add_sub_on_boundaries():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_immediates_take_the_generic_path():
     """Immediates whose binary32 (or exact) literal does not exist: the
-    emitter declines these shapes, and the quiet handlers' one generic
-    form must compute what the reference does."""
+    emitter declines these shapes, and the decoded handlers' generic
+    forms must compute what the reference does."""
     body = ["fadd f1, f1, #1e999", "fmul f2, f2, #-1e39",
             "fmax f3, f3, #1e999", "fmin f4, f4, #-1e999",
             "fmov f5, #1e999", "cmp r2, #1e999", "movlt r3, #7",
@@ -344,10 +363,14 @@ FAULTS = {
     "negative-address-load": _walk("ldw r3, [r1 + #0]", "#12", -4),
     # Address 30 - 2 * trip: negative on trip 17.
     "negative-index-load": _walk("ldh r3, [r1 + r0]", "#30", -4),
+    # The symbol-source move stays a decoded-handler call, which counts
+    # itself retired before the store faults on trip 17.
+    "chained-then-fault": _walk("mov r4, A\nstw r2, [A + r1]", "#0", 1,
+                                data=".rodata K i32 8 = 1"),
     "undefined-symbol": _walk("ldw r3, [A + #0]", "#0", 4, trips=40)
     .replace("halt", "ldw r3, [NOPE + r0]\nhalt"),
     # An immediate no inline form can hold: int() of it overflows when
-    # the quiet handler executes it.
+    # the decoded handler executes it.
     "infinite-integer-immediate": _walk("ldw r3, [A + #0]", "#0", 4,
                                         trips=40)
     .replace("halt", "add r3, r3, #1e999\nhalt"),
@@ -368,6 +391,9 @@ def test_late_trip_fault_matches_reference(case, monkeypatch):
         assert fast[0] == "OverflowError"
         assert counters["codegen.superblock.chained.add"] == 1
     else:
+        if case == "chained-then-fault":
+            # Once in the entry block, once in the self-loop block.
+            assert counters["codegen.superblock.chained.mov"] == 2
         assert fast[0] == "MachineError"
         assert fast[3] > 10, "the fault should land on a late trip"
 

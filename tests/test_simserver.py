@@ -70,6 +70,22 @@ def stats(server):
         return json.loads(resp.read())
 
 
+def raw_exchange(server, request: bytes):
+    """(status line, reply dict) for one raw-socket request after which
+    the server closes the connection."""
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=10) as sock:
+        sock.sendall(request)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    return head.split(b"\r\n")[0].decode("latin-1"), json.loads(body)
+
+
 @pytest.fixture()
 def server(tmp_path):
     server = SimServer(jobs=2, cache=RunCache(tmp_path / "served")).start()
@@ -326,6 +342,29 @@ class TestFailureModes:
         served = stats(server)["stats"]
         assert served["executed"] == 1, \
             "the abandoned run must be reused, not re-simulated"
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_400(self, server, length, caplog):
+        """Where the body ends is unknown: a JSON 400, then the server
+        closes the connection (no handler traceback, no silent drop)."""
+        status, reply = raw_exchange(server, (
+            f"POST /v1/runs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Length: {length}\r\n\r\n").encode())
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert reply == {"error": "bad Content-Length"}
+        assert stats(server)["stats"]["bad_requests"] == 1
+        assert "Unhandled exception" not in caplog.text
+
+    def test_too_deeply_nested_json_is_400(self, server, caplog):
+        body = b"[" * 200_000
+        status, reply = raw_exchange(server, (
+            f"POST /v1/runs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+        ).encode() + body)
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert "recursion" in reply["error"]
+        assert stats(server)["stats"]["bad_requests"] == 1
+        assert "Unhandled exception" not in caplog.text
 
     def test_malformed_json_is_400(self, server):
         req = urllib.request.Request(
