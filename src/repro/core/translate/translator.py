@@ -256,6 +256,23 @@ class DynamicTranslator:
         if not self.done and self.aborted is None:
             self._record_abort(AbortReason.EXTERNAL, "external abort signal")
 
+    def ignores(self, pc: int) -> bool:
+        """Would a retirement at *pc* change nothing?
+
+        True once the attempt has aborted or finished, or when *pc* was
+        seen before and has no value collector still short of
+        ``value_history_limit``.  Once true for a pc it stays true, and
+        :meth:`observe` of such an event is an exact no-op — so the
+        machine may run those instructions fused, without events.
+        """
+        if self.aborted is not None or self.done:
+            return True
+        if pc not in self.seen:
+            return False
+        trace = self.collectors.get(pc)
+        return trace is None \
+            or len(trace.values) >= self.config.value_history_limit
+
     def observe(self, event: RetireEvent) -> None:
         """Feed one retired instruction of the outlined function."""
         if self.aborted is not None or self.done:

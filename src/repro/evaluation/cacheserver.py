@@ -98,12 +98,21 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         if self.command != "HEAD":
             self.wfile.write(body)
 
     def _reply_json(self, status: int, payload: dict) -> None:
         self._reply(status, json.dumps(payload).encode("utf-8"))
+
+    def _refuse_unread(self, status: int, payload: dict) -> None:
+        """Reply without reading the request body, then close the
+        connection: left unread on a keep-alive connection, the body
+        would be parsed as the next request."""
+        self.close_connection = True
+        self._reply_json(status, payload)
 
     def _entry_key(self) -> Optional[str]:
         """The validated key of a ``/runs/<key>`` path, else None."""
@@ -166,7 +175,7 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         self._count("PUT")
         key = self._entry_key()
         if key is None:
-            self._reply_json(400, {"error": "bad key"})
+            self._refuse_unread(400, {"error": "bad key"})
             return
         try:
             payload = self._read_body()
@@ -210,7 +219,7 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         if self.path == "/clear":
             self._reply_json(200, {"removed": self._backend().clear()})
             return
-        self._reply_json(404, {"error": "unknown endpoint"})
+        self._refuse_unread(404, {"error": "unknown endpoint"})
 
 
 class CacheServer:

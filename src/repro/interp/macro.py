@@ -33,11 +33,10 @@ path would have issued), which it replays through the D-cache itself.
 Fallback contract: anything outside the recognized shapes produces no
 plan entry, and runtime conditions (misaligned or out-of-range slabs,
 read-only overlap, induction state out of range, fewer than two
-remaining trips, step-limit proximity, an attached tracer or in-flight
-translation, which disable fused fragments wholesale in
-``Machine._run_fragment``) return control to the per-block path, which
-raises the identical errors at the identical instruction.  The
-four-way differential suite pins all of this.
+remaining trips, step-limit proximity, an attached tracer, which
+disables fused fragments wholesale in ``Machine._run_fragment``) return
+control to the per-block path, which raises the identical errors at the
+identical instruction.  The differential suite pins all of this.
 """
 
 from __future__ import annotations
@@ -351,7 +350,7 @@ def _loop_block_timing(node: LoopNode, blocks, width: int):
     mismatch.  ``account_loop`` takes each access's width and kind from
     the block's memory rows, so those must be the sites' vectors, in
     site order."""
-    timing = blocks.block_at(node.head).timing
+    timing = blocks.timing_at(node.head)
     site_rows = [(esz * width, 2 if is_store else 1)
                  for (_sym, esz, is_store) in node.sites]
     mem_rows = [(row[7], row[6]) for row in timing.rows if row[6]]
@@ -388,7 +387,7 @@ def _build_chain_shape(chain: ChainNode, fragment, blocks, np_backend,
             continue
         nloop, site_base = trips[ri]
         loop_ids = tuple(range(site_base, site_base + len(region.sites)))
-        entry_timing = blocks.block_at(pos).timing
+        entry_timing = blocks.timing_at(pos)
         expected = (region.head - pos) + region.blen
         mem_ids = tuple(pending) + loop_ids
         if (entry_timing.fetch_mode != 0 or entry_timing.term != 1
@@ -407,7 +406,7 @@ def _build_chain_shape(chain: ChainNode, fragment, blocks, np_backend,
         last_loop = region
         last_trips = nloop
     if pos < count:
-        tail_timing = blocks.block_at(pos).timing
+        tail_timing = blocks.timing_at(pos)
         if (tail_timing.fetch_mode != 0 or tail_timing.term != 0
                 or tail_timing.count != count - pos
                 or _mem_rows(tail_timing) != len(pending)):
@@ -428,7 +427,7 @@ def _build_nest_shape(node: LoopNode, blocks, np_backend,
     lowered = np_backend.lower_loop(inner, label)
     if lowered is None:
         return _reject("unsupported-lowering")
-    entry_timing = blocks.block_at(node.head).timing
+    entry_timing = blocks.timing_at(node.head)
     expected = 1 + inner.blen  # induction reset + first inner iteration
     if (entry_timing.fetch_mode != 0 or entry_timing.term != 1
             or entry_timing.count != expected
@@ -438,7 +437,7 @@ def _build_nest_shape(node: LoopNode, blocks, np_backend,
     loop_timing = _loop_block_timing(inner, blocks, node.width)
     if loop_timing is None:
         return None
-    tail_timing = blocks.block_at(inner.branch_pc + 1).timing
+    tail_timing = blocks.timing_at(inner.branch_pc + 1)
     if (tail_timing.fetch_mode != 0 or tail_timing.term != 1
             or tail_timing.count != 3 or len(tail_timing.rows) != 3
             or _mem_rows(tail_timing) != 0):
@@ -454,8 +453,11 @@ def build_fragment_plan(fragment, blocks, width: int) -> Dict[int, object]:
     :class:`FragmentNestShape`, plus pc 0 for a whole-fragment
     :class:`FragmentChainShape`.  *blocks* is the fragment's
     :class:`~repro.interp.turbo.SuperblockTable`: every shape reuses
-    the superblocks discovered at its pcs, guaranteeing the macro path
-    and the per-block path account the very same rows.
+    the ``BlockTiming`` of the superblocks discovered at its pcs
+    (``timing_at``), guaranteeing the macro path and the per-block path
+    account the very same rows.  Reading a timing compiles no fused
+    ``run`` closure: a block the kernels cover is never fused unless
+    the per-block path dispatches it.
     """
     tel = _telemetry.get()
     label = getattr(fragment, "name", "fragment")

@@ -33,11 +33,15 @@ each into one *fused* closure:
   flag, and the pipeline consumes the pre-extracted per-block
   :class:`~repro.pipeline.core.BlockTiming` via one
   :meth:`~repro.pipeline.core.PipelineModel.account_block` call.
-  Observers that genuinely need event objects — the dynamic translator
-  while observing an outlined function, or a
-  :class:`~repro.system.trace.TraceRecorder` — force the machine onto
+  Observers that genuinely need event objects force the machine onto
   the per-instruction handler path, whose events are eager and
-  bit-identical by construction (see ``docs/execution-engines.md``).
+  bit-identical by construction (see ``docs/execution-engines.md``): a
+  :class:`~repro.system.trace.TraceRecorder` for the whole run, the
+  dynamic translator only for pcs it does not yet ignore
+  (:meth:`~repro.core.translate.translator.DynamicTranslator.ignores`).
+  The machine checks a block against the translator through the
+  lift-only :meth:`SuperblockTable.spec_at`, so a block it keeps
+  observing is never compiled.
 * **One timing call per window of a hot loop.**  A block whose closing
   branch targets its own entry (``FusedBlock.self_loop``) is re-run by
   the machine trip after trip, and a whole window of trips is charged
@@ -60,6 +64,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.codegen.backend import get_backend
+from repro.codegen.ir import BlockSpec
 from repro.codegen.lift import lift_superblock
 from repro.interp.macro import build_fragment_plan
 from repro.interp.state import MachineState
@@ -93,22 +98,34 @@ class FusedBlock:
     entry: a taken trip lands back on this very block, so the machine
     keeps running trips and charges a whole window of them with one
     :meth:`~repro.pipeline.core.PipelineModel.account_loop`.
+    ``returns`` marks a block that ends in ``ret``: run during an
+    observed call, it finishes the translation.
     """
 
-    __slots__ = ("run", "mem", "timing", "count", "self_loop")
+    __slots__ = ("run", "mem", "timing", "count", "self_loop", "returns")
 
     def __init__(self, run, mem: List[int], timing: BlockTiming,
-                 self_loop: bool = False) -> None:
+                 self_loop: bool = False, returns: bool = False) -> None:
         self.run = run
         self.mem = mem
         self.timing = timing
         self.count = timing.count
         self.self_loop = self_loop
+        self.returns = returns
 
 
 class SuperblockTable:
     """Lazily fuses a :class:`~repro.isa.decoded.DecodedProgram` into
     superblocks, keyed by entry pc.
+
+    Three per-entry products are built on demand, each at most once:
+    the lifted :class:`~repro.codegen.ir.BlockSpec` (:meth:`spec_at`,
+    no code generated), its :class:`~repro.pipeline.core.BlockTiming`
+    (:meth:`timing_at`, which compiles only the timing closure), and
+    the :class:`FusedBlock` with its fused ``run`` closure
+    (:meth:`block_at`), which reuses both.  A caller that needs only a
+    block's extent or timing — the translator gate in the machine's
+    main loop, the fragment kernel plan — never pays for ``run``.
 
     ``marked`` (per-pc bools) stops blocks *before* marked calls so the
     machine's microcode-injection path keeps control of them; fragments
@@ -149,16 +166,33 @@ class SuperblockTable:
         self._dcache_hit = pconfig.dcache.hit_latency
         self._mispredict_penalty = pconfig.mispredict_penalty
         self._call_redirect_penalty = pconfig.call_redirect_penalty
+        self._specs: Dict[int, BlockSpec] = {}
+        self._timings: Dict[int, BlockTiming] = {}
         self._blocks: Dict[int, FusedBlock] = {}
         #: telemetry counters (docs/observability.md): every ``_build``
-        #: bumps ``compiles``; ``lookups`` advances only through
-        #: :meth:`block_at_counted`, which callers bind in place of
-        #: :meth:`block_at` when telemetry is enabled — the plain hot
-        #: path stays untouched when it is not.  Tables are per-run, so
-        #: the totals are that run's ``turbo.superblock.*`` /
+        #: (one fused ``run`` closure) bumps ``compiles``; ``lookups``
+        #: advances only through :meth:`block_at_counted`, which callers
+        #: bind in place of :meth:`block_at` when telemetry is enabled —
+        #: the plain hot path stays untouched when it is not.  Tables are
+        #: per-run, so the totals are that run's ``turbo.superblock.*`` /
         #: ``turbo.fragment.*`` counts.
         self.lookups = 0
         self.compiles = 0
+
+    def spec_at(self, pc: int) -> BlockSpec:
+        """The lifted block at entry *pc* (lift only, no codegen)."""
+        spec = self._specs.get(pc)
+        if spec is None:
+            spec = self._specs[pc] = lift_superblock(self, pc)
+        return spec
+
+    def timing_at(self, pc: int) -> BlockTiming:
+        """The block's :class:`~repro.pipeline.core.BlockTiming`, built
+        without emitting its fused ``run`` closure."""
+        timing = self._timings.get(pc)
+        if timing is None:
+            timing = self._timings[pc] = self._build_timing(pc)
+        return timing
 
     def block_at(self, pc: int) -> FusedBlock:
         block = self._blocks.get(pc)
@@ -177,33 +211,41 @@ class SuperblockTable:
 
     # -- internals ----------------------------------------------------------
 
-    def _build(self, entry: int) -> FusedBlock:
-        self.compiles += 1
-        backend = get_backend("superblock")
-        spec = lift_superblock(self, entry)
-        self_loop = False
-        if spec.term == 1:
-            target, _err = _resolve_target(
-                self.program, self.instructions[spec.pcs[-1]].target)
-            self_loop = target == entry
+    def _self_loop(self, spec: BlockSpec) -> bool:
+        """Does the block's closing branch target its own entry?"""
+        if spec.term != 1:
+            return False
+        target, _err = _resolve_target(
+            self.program, self.instructions[spec.pcs[-1]].target)
+        return target == spec.entry
+
+    def _build_timing(self, entry: int) -> BlockTiming:
+        spec = self.spec_at(entry)
         compiled = None
-        if not (self_loop and not self.in_vector_unit):
+        if self.in_vector_unit or not self._self_loop(spec):
             # The machine charges a main-program self-loop a window of
             # trips at a time (account_loop); its few single-trip
             # charges take account_block's generic row loop, so only
             # other blocks are worth a compiled timing closure.
-            compiled = backend.lower_block_timing(
+            compiled = get_backend("superblock").lower_block_timing(
                 spec,
                 icache_hit=self._icache_hit,
                 dcache_hit=self._dcache_hit,
                 mispredict_penalty=self._mispredict_penalty,
                 call_redirect_penalty=self._call_redirect_penalty)
-        timing = BlockTiming(
+        return BlockTiming(
             spec.rows, spec.blen, spec.simd, self.fetch_mode,
             spec.timing_term, spec.branch_pc, spec.branch_target,
             compiled, spec.label)
-        run, mem = backend.lower_block(spec, self)
-        return FusedBlock(run, mem, timing, self_loop)
+
+    def _build(self, entry: int) -> FusedBlock:
+        self.compiles += 1
+        spec = self.spec_at(entry)
+        timing = self.timing_at(entry)
+        run, mem = get_backend("superblock").lower_block(spec, self)
+        returns = (spec.term == 2
+                   and self.instructions[spec.pcs[-1]].opcode == "ret")
+        return FusedBlock(run, mem, timing, self._self_loop(spec), returns)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ Execution of one Liquid binary proceeds exactly as the paper describes:
 
 1. The first time a marked (``blo``) call retires, the translator starts
    observing the outlined function's retire stream while the function
-   runs in scalar form.
+   runs in scalar form.  Blocks whose retirements the translator would
+   ignore run fused, without events.
 2. At the function's ``ret`` the translation finalizes; after a
    configurable latency (cycles per observed instruction) the microcode
    becomes available in the cache.  Aborted translations blacklist the
@@ -41,6 +42,7 @@ from repro.interp.turbo import (
     superblock_table_for,
 )
 from repro.isa.decoded import predecode
+from repro.isa.opcodes import InstrClass
 from repro.memory.memory import MemoryError_
 from repro.interp.state import MachineState
 from repro.observability import telemetry as _telemetry
@@ -161,6 +163,10 @@ class MachineConfig:
 _FRAGMENT_PC_BASE = 1 << 20
 _FRAGMENT_PC_STRIDE = 1 << 12
 
+#: Instruction classes that end a fused block (lift_superblock); the
+#: pc after one retires is a block entry.
+_TRANSFERS = frozenset((InstrClass.BRANCH, InstrClass.CALL, InstrClass.RET))
+
 #: Most trips of a scalar self-loop one ``account_loop`` window charges.
 #: ``account_loop`` is exact for any trip count, so the cap only bounds
 #: the window's address stream (and with it peak memory).
@@ -270,11 +276,18 @@ class Machine:
         # with one dispatch and one account_block() call, or — for a
         # block that loops on itself — one account_loop() call per
         # window of trips.  A tracer needs every RetireEvent, so tracing
-        # disables fusion wholesale; an active translation disables it
-        # temporarily (checked per iteration below) — both then take the
-        # per-instruction handler path, whose events are eager.
+        # disables fusion wholesale.  While a translation is in flight,
+        # a block runs fused only from a block entry (right after a
+        # control transfer retired, or as the translation begins) and
+        # only when the translator ignores every pc in it
+        # (DynamicTranslator.ignores): those retirements would change
+        # nothing it computes.  Everything else it observes takes the
+        # per-instruction handler path, whose events are eager — all of
+        # it when interrupt_interval is set, since the external-abort
+        # instant is read after every instruction.
         superblocks = None
         block_lookup = None
+        spec_at = None
         if table is not None and tracer is None:
             superblocks = superblock_table_for(table, pipeline,
                                                marked_call, hw_width, state)
@@ -282,44 +295,51 @@ class Machine:
             # is untouched when disabled.
             block_lookup = (superblocks.block_at_counted if tel_on
                             else superblocks.block_at)
+            spec_at = superblocks.spec_at
+        fuse_observed = config.interrupt_interval is None
+        at_entry = False
         account_block = pipeline.account_block
         account_loop = pipeline.account_loop
         while not state.halted:
-            if superblocks is not None and translating is None:
-                pc = state.pc
-                if 0 <= pc < n_instr and not marked_call[pc]:
-                    block = block_lookup(pc)
-                    count = block.count
-                    # Near max_steps, fall through to the per-instruction
-                    # path so the step-limit error fires at the exact
-                    # instruction it would under the reference engine.
-                    if steps + count <= max_steps:
-                        steps += count
-                        window = None
-                        try:
-                            taken = block.run(state)
-                            if taken and block.self_loop:
-                                # The taken branch re-entered this block:
-                                # run trips until it falls through, the
-                                # window cap, or the last trip max_steps
-                                # allows; then charge the window at once.
-                                run = block.run
-                                mem = block.mem
-                                window = mem[:]
-                                trips = 1
-                                limit = min(LOOP_WINDOW_TRIPS,
-                                            1 + (max_steps - steps) // count)
-                                while taken and trips < limit:
-                                    taken = run(state)
-                                    window += mem
-                                    trips += 1
-                        except (ExecutionError, MemoryError_) as exc:
-                            raise MachineError(
-                                f"{program.name} @pc={state.pc}: {exc}"
-                            ) from exc
-                        if window is None:
-                            account_block(block.timing, block.mem, taken)
-                            continue
+            pc = state.pc
+            if superblocks is not None and 0 <= pc < n_instr \
+                    and not marked_call[pc] \
+                    and (translating is None
+                         or (at_entry and fuse_observed
+                             and all(map(translating.ignores,
+                                         spec_at(pc).pcs)))):
+                block = block_lookup(pc)
+                count = block.count
+                # Near max_steps, fall through to the per-instruction
+                # path so the step-limit error fires at the exact
+                # instruction it would under the reference engine.
+                if steps + count <= max_steps:
+                    steps += count
+                    window = None
+                    try:
+                        taken = block.run(state)
+                        if taken and block.self_loop:
+                            # The taken branch re-entered this block:
+                            # run trips until it falls through, the
+                            # window cap, or the last trip max_steps
+                            # allows; then charge the window at once.
+                            run = block.run
+                            mem = block.mem
+                            window = mem[:]
+                            trips = 1
+                            limit = min(LOOP_WINDOW_TRIPS,
+                                        1 + (max_steps - steps) // count)
+                            while taken and trips < limit:
+                                taken = run(state)
+                                window += mem
+                                trips += 1
+                    except (ExecutionError, MemoryError_) as exc:
+                        raise MachineError(
+                            f"{program.name} @pc={state.pc}: {exc}"
+                        ) from exc
+                    if window is None:
+                        account_block(block.timing, block.mem, taken)
+                    else:
                         steps += (trips - 1) * count
                         fallback = account_loop(block.timing, trips,
                                                 window, taken)
@@ -328,18 +348,28 @@ class Machine:
                             tel.observe("turbo.loop.trips", trips)
                             if fallback is not None:
                                 tel.count("turbo.loop.fallback." + fallback)
-                        continue
+                    if translating is not None:
+                        if tel_on:
+                            tel.count("translate.fused_blocks")
+                        if block.returns:
+                            if tel_on:
+                                tel.count("translate.fused_finishes")
+                            self._finish_translation(
+                                translating, program, state, pipeline,
+                                ucache, functions, translations, blacklist)
+                            translating = None
+                    continue
             steps += 1
             if steps > max_steps:
                 raise MachineError(
                     f"{program.name}: exceeded {config.max_steps} steps"
                 )
-            pc = state.pc
             if not 0 <= pc < n_instr:
                 raise MachineError(f"{program.name}: pc {pc} out of range")
             instr = instructions[pc]
 
             if marked_call[pc]:
+                at_entry = True
                 target = instr.target
                 stats = functions.setdefault(target, FunctionStats(target))
                 stats.calls += 1
@@ -387,6 +417,9 @@ class Machine:
             if tracer is not None:
                 tracer.record(event, source="scalar")
             if translating is not None:
+                # Retiring a control transfer ends a fused block: the
+                # next pc is a block entry.
+                at_entry = meta is not None and meta.cls in _TRANSFERS
                 if config.interrupt_interval is not None \
                         and pipeline.now >= next_interrupt:
                     translating.abort_external()
@@ -397,35 +430,9 @@ class Machine:
                 else:
                     translating.observe(event)
                 if translating.done or event.instr.opcode == "ret":
-                    if config.translation_mode == "software":
-                        # The JIT runs on the core itself: charge its work
-                        # as a pipeline stall, after which the microcode is
-                        # immediately available.
-                        work = (config.software_cycles_per_instruction
-                                * (len(translating.seen) + 1))
-                        pipeline.stall(work)
-                    result = translating.finish(ret_cycle=pipeline.now)
-                    if result.ok and (config.translation_mode == "software"
-                                      or config.observation_point == "decode"):
-                        result.entry.ready_cycle = pipeline.now
-                    translations.append(result)
-                    target = result.function
-                    if target in functions:
-                        functions[target].translation = result
-                    if result.ok and config.verify_translations \
-                            and not self._verify_translation(
-                                result, program, state):
-                        result.ok = False
-                        result.reason = AbortReason.INCONSISTENT
-                        result.detail = "verification replay mismatch"
-                        result.entry = None
-                        tel.count("translate.verify-mismatch")
-                    if result.ok and ucache is not None:
-                        ucache.insert(result.entry)
-                    elif result.reason is not AbortReason.EXTERNAL:
-                        # Interrupt-induced aborts are transient; real rule
-                        # violations are permanent.
-                        blacklist.add(target)
+                    self._finish_translation(
+                        translating, program, state, pipeline, ucache,
+                        functions, translations, blacklist)
                     translating = None
 
         run_telemetry = None
@@ -448,6 +455,46 @@ class Machine:
             translations=translations,
             telemetry=run_telemetry,
         )
+
+    def _finish_translation(self, translating: DynamicTranslator,
+                            program: Program, state: MachineState,
+                            pipeline: PipelineModel,
+                            ucache: Optional[MicrocodeCache],
+                            functions: Dict[str, FunctionStats],
+                            translations: List[TranslationResult],
+                            blacklist: set) -> None:
+        """Finalize the in-flight translation once the observed call's
+        ``ret`` retired (per instruction or as the end of a fused block):
+        cache the microcode, or blacklist the function."""
+        config = self.config
+        if config.translation_mode == "software":
+            # The JIT runs on the core itself: charge its work as a
+            # pipeline stall, after which the microcode is immediately
+            # available.
+            work = (config.software_cycles_per_instruction
+                    * (len(translating.seen) + 1))
+            pipeline.stall(work)
+        result = translating.finish(ret_cycle=pipeline.now)
+        if result.ok and (config.translation_mode == "software"
+                          or config.observation_point == "decode"):
+            result.entry.ready_cycle = pipeline.now
+        translations.append(result)
+        target = result.function
+        if target in functions:
+            functions[target].translation = result
+        if result.ok and config.verify_translations \
+                and not self._verify_translation(result, program, state):
+            result.ok = False
+            result.reason = AbortReason.INCONSISTENT
+            result.detail = "verification replay mismatch"
+            result.entry = None
+            _telemetry.get().count("translate.verify-mismatch")
+        if result.ok and ucache is not None:
+            ucache.insert(result.entry)
+        elif result.reason is not AbortReason.EXTERNAL:
+            # Interrupt-induced aborts are transient; real rule
+            # violations are permanent.
+            blacklist.add(target)
 
     def _flush_telemetry(self, tel, run_mark, run_start: float,
                          pipeline: PipelineModel, superblocks,

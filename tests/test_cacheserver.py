@@ -305,6 +305,29 @@ class TestProtocolHygiene:
         assert _http(server).store(KEY_A, b"real")
         assert _http(server).load(KEY_A) == b"real"
 
+    @pytest.mark.parametrize("method, path", [
+        ("PUT", "/runs/not-a-key"),
+        ("POST", "/no-such-endpoint"),
+    ], ids=["put-bad-key", "post-unknown-endpoint"])
+    def test_refused_body_is_not_read_as_a_request(self, server, method,
+                                                   path):
+        """A request refused before its body is read gets one reply and
+        the connection closes: on a keep-alive connection the unread
+        body would otherwise be parsed as the next request."""
+        host, port = server.httpd.server_address[:2]
+        body = b"GET /stats HTTP/1.1\r\n\r\n"
+        head = (f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n")
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(head.encode() + body)
+            data = b""
+            while chunk := sock.recv(65536):  # EOF, or socket.timeout
+                data += chunk
+        assert data.count(b"HTTP/1.1 ") == 1
+        status_line, _, rest = data.partition(b"\r\n")
+        assert int(status_line.split()[1]) in (400, 404)
+        assert b"Connection: close" in rest.partition(b"\r\n\r\n")[0]
+
     def test_too_deeply_nested_probe_is_400(self, server):
         body = b"[" * 200_000
         status, reply = _raw(server, "POST", "/contains",

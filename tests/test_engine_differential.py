@@ -138,10 +138,14 @@ def test_scalar_machine_engines_identical():
     dict(verify_translations=True),
     dict(pretranslate=True),
     dict(interrupt_interval=500),
+    dict(max_ucode_instructions=2),
+    dict(attempt_plain_bl=True),
 ])
 def test_turbo_identical_across_translator_configs(variant):
     """Translator-heavy configs: fused (untraced) and eager (traced)
-    fast runs must agree."""
+    fast runs must agree.  Untraced, blocks the translator ignores run
+    fused during the observed call; a 2-entry microcode buffer makes
+    aborted attempts end at a fused block's ``ret``."""
     program = build_liquid_program(build_kernel("FFT"))
     config = MachineConfig(accelerator=config_for_width(4), **variant)
     traced = Machine(config, tracer=TraceRecorder()).run(program)

@@ -296,3 +296,45 @@ class TestFusedPathCounters:
                          if name.startswith("codegen.superblock.chained."))
         assert counters["codegen.superblock.inline"] > 0
         assert chained == []
+
+
+class TestObservedCallCounters:
+    """``translate.fused_blocks`` counts block dispatches while a
+    translation is in flight, ``translate.fused_finishes`` the attempts
+    a fused block's ``ret`` finished; fragment blocks the kernel plan
+    covers compile no fused closure."""
+
+    def _counters(self, **config):
+        program = build_liquid_program(build_kernel("FFT"))
+        telemetry.enable()
+        try:
+            result = Machine(MachineConfig(**config)).run(program)
+        finally:
+            telemetry.disable()
+        return result.telemetry["counters"]
+
+    def test_fused_blocks_during_observation(self):
+        counters = self._counters(accelerator=config_for_width(8))
+        assert counters["translate.fused_blocks"] > 0
+        # A successful attempt observes its own ret per instruction.
+        assert "translate.fused_finishes" not in counters
+
+    def test_aborted_attempts_end_in_fused_ret_blocks(self):
+        counters = self._counters(accelerator=config_for_width(8),
+                                  max_ucode_instructions=2)
+        aborts = counters["translate.abort.ucode-buffer-overflow"]
+        assert 0 < counters["translate.fused_finishes"] <= aborts
+        assert counters["translate.fused_blocks"] >= \
+            counters["translate.fused_finishes"]
+
+    def test_interrupts_keep_observation_per_instruction(self):
+        counters = self._counters(accelerator=config_for_width(8),
+                                  interrupt_interval=500)
+        assert counters["translate.attempts"] > 0
+        assert "translate.fused_blocks" not in counters
+
+    def test_planned_fragment_blocks_compile_no_closure(self):
+        counters = self._counters(accelerator=config_for_width(8))
+        assert counters["macro.kernel.invocations"] > 0
+        assert counters.get("turbo.fragment.compiles", 0) == 0
+        assert counters.get("turbo.fragment.lookups", 0) == 0

@@ -1,19 +1,28 @@
 """Translator regression on the fused path.
 
 Untraced, the fast engine materializes no :class:`RetireEvent` objects
-inside fused superblocks — but the dynamic translator is an *observer*,
-so while a translation is in flight the machine must drop back to the
-per-instruction path and hand the translator exactly the eager event
-stream a traced run (per-instruction everywhere) produces.  These tests
-pin that contract: an outlined function whose translation starts and
-completes mid-run observes an identical retire stream, and produces an
-identical :class:`TranslationResult` (byte-identical microcode for
-successes, identical :class:`AbortReason` and blacklist behaviour for
-failures), whether the rest of the run is traced (eager) or not (fused).
+inside fused superblocks — but the dynamic translator is an *observer*.
+While a translation is in flight, the machine fuses a block only from a
+block entry and only when the translator ignores every pc in it
+(:meth:`DynamicTranslator.ignores`): the attempt has aborted or
+finished, or the pc was seen and has no value collector still filling.
+Everything else runs on the per-instruction path and is observed.
+
+So the untraced translator sees the eager (traced) stream minus ignored
+events.  These tests pin that contract on outlined functions whose
+translation starts and completes mid-run: the fused stream is an
+in-order subsequence of the eager one; every event it skipped was
+ignored when it retired, and replaying the skipped events into a deep
+copy of the translator changes none of its state; ``ignores`` never
+turns false again once true; and the :class:`TranslationResult` is
+identical (byte-identical microcode for successes, identical
+:class:`AbortReason` and blacklist behaviour for failures).  With
+``interrupt_interval`` set, the translator still sees every event.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
@@ -32,28 +41,92 @@ def fft_program():
     return build_liquid_program(build_kernel("FFT"))
 
 
-def _run_recording(monkeypatch, program, traced, **config_kwargs):
+def _state(translator):
+    """Everything :meth:`DynamicTranslator.observe` may change."""
+    return (translator.seen, translator.collectors, vars(translator.regs),
+            vars(translator.buffer), translator.scopes,
+            translator.pending_perms, translator.pending_consts,
+            translator._sat, translator._minmax, translator._last_dp,
+            translator.aborted, translator.abort_detail, translator.done)
+
+
+def _run_recording(monkeypatch, program, traced, eager=None,
+                   **config_kwargs):
     """Run *program*; also capture what the translator observed.
 
     Returns ``(result, streams)`` where ``streams`` is a list of
     ``(function, [observed RetireEvent, ...])`` in begin() order.
+
+    With *eager* (the streams of a traced run of the same program) the
+    run is checked as it goes.  Each observed event must come next, in
+    order, in the eager stream.  The eager events skipped on the way
+    (and those left at ``finish``) must each be ignored by the
+    translator when they retire, and replaying them into a deep copy of
+    it must leave its state unchanged.
     """
     streams = []
+    pending = {}  # translator -> iterator over its eager stream
 
     class Recording(DynamicTranslator):
         def begin(self, target):
             self._observed = []
+            if eager is not None:
+                pending[self] = iter(eager[len(streams)][1])
             streams.append((target, self._observed))
             return super().begin(target)
 
         def observe(self, event):
+            if eager is not None:
+                self._replay_skipped(event)
             self._observed.append(event)
             return super().observe(event)
+
+        def finish(self, ret_cycle=0):
+            if eager is not None:
+                self._replay_skipped(None)
+            return super().finish(ret_cycle)
+
+        def _replay_skipped(self, event):
+            skipped = []
+            for eager_event in pending[self]:
+                if eager_event == event:
+                    break
+                skipped.append(eager_event)
+            else:
+                assert event is None, \
+                    "fused stream is not an in-order subsequence of the " \
+                    "eager stream"
+            if not skipped:
+                return
+            probe = copy.deepcopy(
+                self, {id(self.resolve_label): self.resolve_label})
+            for skipped_event in skipped:
+                assert probe.ignores(skipped_event.pc), \
+                    "skipped an event the translator needed: " \
+                    f"{skipped_event}"
+                DynamicTranslator.observe(probe, skipped_event)
+            assert _state(probe) == _state(self)
 
     monkeypatch.setattr("repro.system.machine.DynamicTranslator", Recording)
     tracer = TraceRecorder() if traced else None
     result = Machine(MachineConfig(**config_kwargs), tracer=tracer).run(program)
     return result, streams
+
+
+def _run_pair(monkeypatch, program, **config_kwargs):
+    """Eager (traced) then fused (untraced, checked against the eager
+    streams) runs: ``(eager_result, eager_streams, fused_result,
+    fused_streams)``."""
+    eager_result, eager_streams = _run_recording(
+        monkeypatch, program, True, **config_kwargs)
+    fused_result, fused_streams = _run_recording(
+        monkeypatch, program, False, eager=eager_streams, **config_kwargs)
+    assert [fn for fn, _ in eager_streams] == [fn for fn, _ in fused_streams]
+    return eager_result, eager_streams, fused_result, fused_streams
+
+
+def _observed(streams) -> int:
+    return sum(len(events) for _, events in streams)
 
 
 def _assert_same_translations(eager_result, fused_result):
@@ -71,21 +144,13 @@ def _assert_same_translations(eager_result, fused_result):
 
 
 def test_observed_stream_identical(monkeypatch, fft_program):
-    """Mid-run translation sees the same events traced or fused."""
-    eager_result, eager_streams = _run_recording(
-        monkeypatch, fft_program, True, accelerator=config_for_width(8))
-    fused_result, fused_streams = _run_recording(
-        monkeypatch, fft_program, False, accelerator=config_for_width(8))
-
-    assert [fn for fn, _ in eager_streams] == [fn for fn, _ in fused_streams]
-    for (fn, eager_events), (_, fused_events) in zip(eager_streams,
-                                                    fused_streams):
-        assert len(eager_events) == len(fused_events), \
-            f"observation count diverges for {fn}"
-        for i, (f_ev, t_ev) in enumerate(zip(eager_events, fused_events)):
-            assert f_ev == t_ev, \
-                f"{fn}: observed event {i} diverges: {f_ev} != {t_ev}"
+    """Mid-run translation: the fused run observes the eager stream
+    minus events the translator ignores, and translates identically."""
+    eager_result, eager_streams, fused_result, fused_streams = _run_pair(
+        monkeypatch, fft_program, accelerator=config_for_width(8))
     assert eager_streams, "FFT must trigger at least one translation"
+    assert _observed(fused_streams) < _observed(eager_streams), \
+        "the fused run must skip ignored events"
 
     _assert_same_translations(eager_result, fused_result)
     assert eager_result.to_dict() == fused_result.to_dict()
@@ -97,19 +162,14 @@ def test_abort_path_identical(monkeypatch, fft_program):
     """No permutation repertoire: both paths abort identically and the
     blacklisted function keeps running in scalar form forever."""
     accel = dataclasses.replace(config_for_width(8), permutations=())
-    eager_result, eager_streams = _run_recording(
-        monkeypatch, fft_program, True, accelerator=accel)
-    fused_result, fused_streams = _run_recording(
-        monkeypatch, fft_program, False, accelerator=accel)
+    eager_result, eager_streams, fused_result, fused_streams = _run_pair(
+        monkeypatch, fft_program, accelerator=accel)
 
     aborted = [t for t in eager_result.translations
                if t.reason is AbortReason.UNSUPPORTED_PATTERN]
     assert aborted, "removing permutations must abort the FFT stage"
     _assert_same_translations(eager_result, fused_result)
-    assert [fn for fn, _ in eager_streams] == [fn for fn, _ in fused_streams]
-    for (_, eager_events), (_, fused_events) in zip(eager_streams,
-                                                   fused_streams):
-        assert eager_events == fused_events
+    assert _observed(fused_streams) < _observed(eager_streams)
 
     # Blacklist behaviour: the aborted function never runs as SIMD, and
     # it is only attempted once (one observation stream per function).
@@ -125,17 +185,65 @@ def test_abort_path_identical(monkeypatch, fft_program):
     assert eager_result.to_dict() == fused_result.to_dict()
 
 
+@pytest.mark.parametrize("permutations", [None, ()],
+                         ids=["standard", "no-permutations"])
+def test_ignores_never_turns_false(monkeypatch, fft_program, permutations):
+    """Across the whole eager FFT stream, a pc the translator ignores
+    stays ignored — what makes fusing past it safe."""
+    accel = config_for_width(8)
+    if permutations is not None:
+        accel = dataclasses.replace(accel, permutations=permutations)
+    pcs = range(len(fft_program.instructions))
+    checked = []
+
+    class Checking(DynamicTranslator):
+        def begin(self, target):
+            self._ignored = set()
+            return super().begin(target)
+
+        def observe(self, event):
+            super().observe(event)
+            ignored = {pc for pc in pcs if self.ignores(pc)}
+            assert ignored >= self._ignored, \
+                f"ignores() turned false for {self._ignored - ignored}"
+            self._ignored = ignored
+            checked.append(len(ignored))
+
+    monkeypatch.setattr("repro.system.machine.DynamicTranslator", Checking)
+    Machine(MachineConfig(accelerator=accel),
+            tracer=TraceRecorder()).run(fft_program)
+    assert checked and checked[-1] == len(pcs)
+
+
 def test_buffer_overflow_abort_identical(monkeypatch, fft_program):
-    """A 2-entry microcode buffer overflows identically when fused."""
-    eager_result, _ = _run_recording(
-        monkeypatch, fft_program, True,
-        accelerator=config_for_width(8), max_ucode_instructions=2)
-    fused_result, _ = _run_recording(
-        monkeypatch, fft_program, False,
+    """A 2-entry microcode buffer overflows identically when fused; an
+    aborted attempt ends at the first ``ret`` even when that ``ret``
+    closes a fused block."""
+    eager_result, _, fused_result, fused_streams = _run_pair(
+        monkeypatch, fft_program,
         accelerator=config_for_width(8), max_ucode_instructions=2)
     assert eager_result.translations
     assert all(not t.ok for t in eager_result.translations)
     assert {t.reason for t in eager_result.translations} == \
         {AbortReason.BUFFER_OVERFLOW}
+    _assert_same_translations(eager_result, fused_result)
+    assert eager_result.to_dict() == fused_result.to_dict()
+    # The per-instruction path finishes right after observing the ret;
+    # a fused ret block finishes without it.
+    fused_finishes = [fn for fn, events in fused_streams
+                      if events[-1].instr.opcode != "ret"]
+    assert fused_finishes, "no translation was finished by a fused block"
+
+
+def test_interrupt_interval_observes_every_event(monkeypatch, fft_program):
+    """With external aborts, whose instant is read after every
+    instruction, the untraced translator gets the full eager stream."""
+    config = dict(accelerator=config_for_width(8), interrupt_interval=500)
+    eager_result, eager_streams = _run_recording(
+        monkeypatch, fft_program, True, **config)
+    fused_result, fused_streams = _run_recording(
+        monkeypatch, fft_program, False, **config)
+    assert eager_streams
+    assert fused_streams == eager_streams
     _assert_same_translations(eager_result, fused_result)
     assert eager_result.to_dict() == fused_result.to_dict()
