@@ -9,15 +9,22 @@ the service contract end to end:
    single machine-run,
 3. **warm** — re-firing every request answers from the cache with zero
    further simulation,
-4. **fidelity** — every served ``result`` payload is byte-identical to
+4. **soak** — a 200-wide identical storm on another unseen key costs
+   exactly one machine-run, then 2,000 warm requests over 64 keep-alive
+   connections cost none; every reply is a 200,
+5. **cache endpoints** — every key simulated above is listed by
+   ``POST /contains``, and ``GET /runs/<key>`` returns the farm's cache
+   file byte for byte,
+6. **fidelity** — every served ``result`` payload is byte-identical to
    a direct in-process ``RunScheduler`` run of the same request,
-5. **hygiene** — zero 5xx errors; malformed jobs get a 400 without
+7. **hygiene** — zero 5xx errors; malformed jobs get a 400 without
    touching the pool.
 
 Run from the repo root with ``PYTHONPATH=src``; exits non-zero with a
 readable message on the first violated invariant.
 """
 
+import http.client
 import json
 import os
 import socket
@@ -38,6 +45,10 @@ COLD_SET = [
 ]
 STORM_REQUEST = {"benchmark": "FIR", "width": 16}
 STORM_SIZE = 8
+SOAK_STORM_REQUEST = {"benchmark": "FFT", "width": 8, "repeat_factor": 2}
+SOAK_STORM_SIZE = 200
+SOAK_WARM_REQUESTS = 2000
+SOAK_CONNECTIONS = 64
 
 
 def fail(message: str) -> None:
@@ -62,6 +73,29 @@ def post_run(url: str, payload: dict) -> dict:
         headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(req, timeout=120) as resp:
         return json.loads(resp.read())
+
+
+def keepalive_posts(port: int, payloads: list, connections: int) -> list:
+    """``(status, reply)`` for every payload, POSTed to ``/v1/runs`` over
+    *connections* keep-alive connections at once (a thread each)."""
+    def worker(chunk: list) -> list:
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+        try:
+            replies = []
+            for payload in chunk:
+                conn.request("POST", "/v1/runs", body=json.dumps(payload),
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                replies.append((response.status,
+                                json.loads(response.read())))
+            return replies
+        finally:
+            conn.close()
+
+    chunks = [payloads[i::connections] for i in range(connections)]
+    with ThreadPoolExecutor(max_workers=connections) as pool:
+        return [reply for chunk in pool.map(worker, chunks)
+                for reply in chunk]
 
 
 def wait_ready(url: str, deadline: float = 30.0) -> None:
@@ -105,11 +139,13 @@ def main() -> None:
         wait_ready(url)
 
         # Phase 1: distinct cold requests simulate exactly once each.
+        simulated_keys = []
         for payload in COLD_SET:
             reply = post_run(url, payload)
             if reply["source"] != "cold":
                 fail(f"first request for {payload} answered "
                      f"{reply['source']!r}, expected cold")
+            simulated_keys.append(reply["key"])
         stats = get_stats(url)["stats"]
         if stats["executed"] != len(COLD_SET):
             fail(f"cold set of {len(COLD_SET)} executed "
@@ -131,6 +167,7 @@ def main() -> None:
         if len({json.dumps(r["result"], sort_keys=True)
                 for r in replies}) != 1:
             fail("storm waiters received differing payloads")
+        simulated_keys.append(replies[0]["key"])
 
         # Phase 3: warm re-fires simulate nothing further.
         executed_before = stats["executed"]
@@ -146,7 +183,56 @@ def main() -> None:
         if stats["executed"] != executed_before:
             fail("warm re-fires raised the machine-run count")
 
-        # Phase 4: served payloads are byte-identical to direct runs.
+        # Phase 4: soak.  A 200-wide storm on an unseen key, then a warm
+        # volume over 64 keep-alive connections.
+        soak_start = time.perf_counter()
+        replies = keepalive_posts(port, [SOAK_STORM_REQUEST] * SOAK_STORM_SIZE,
+                                  SOAK_STORM_SIZE)
+        bad = sorted({status for status, _ in replies if status != 200})
+        if bad:
+            fail(f"soak storm got non-200 replies: {bad}")
+        after = get_stats(url)["stats"]
+        if after["executed"] - stats["executed"] != 1:
+            fail(f"{SOAK_STORM_SIZE} identical concurrent requests cost "
+                 f"{after['executed'] - stats['executed']} machine-runs, "
+                 f"expected 1")
+        if sum(1 for _, r in replies if r["source"] == "cold") != 1:
+            fail("soak storm must contain exactly one cold response")
+        simulated_keys.append(replies[0][1]["key"])
+        warm_set = COLD_SET + [STORM_REQUEST, SOAK_STORM_REQUEST]
+        replies = keepalive_posts(
+            port, [warm_set[i % len(warm_set)]
+                   for i in range(SOAK_WARM_REQUESTS)], SOAK_CONNECTIONS)
+        bad = sorted({status for status, _ in replies if status != 200})
+        if bad:
+            fail(f"soak warm phase got non-200 replies: {bad}")
+        if any(r["source"] != "hit" for _, r in replies):
+            fail("soak warm phase answered a request other than as a hit")
+        stats = get_stats(url)["stats"]
+        if stats["executed"] != after["executed"]:
+            fail(f"{SOAK_WARM_REQUESTS} warm requests cost "
+                 f"{stats['executed'] - after['executed']} machine-runs")
+        soak_seconds = time.perf_counter() - soak_start
+
+        # Phase 5: the cache endpoints serve what the runs stored.
+        req = urllib.request.Request(
+            f"{url}/contains",
+            data=json.dumps({"keys": simulated_keys}).encode("utf-8"),
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(req, timeout=10) as resp:
+            present = json.loads(resp.read())["present"]
+        if present != sorted(simulated_keys):
+            fail(f"/contains listed {len(present)} of the "
+                 f"{len(simulated_keys)} simulated keys")
+        for key in simulated_keys:
+            with urllib.request.urlopen(f"{url}/runs/{key}",
+                                        timeout=10) as resp:
+                served = resp.read()
+            stored = Path(scratch) / key[:2] / f"{key}.json"
+            if served != stored.read_bytes():
+                fail(f"GET /runs/{key} differs from the farm's cache file")
+
+        # Phase 6: served payloads are byte-identical to direct runs.
         for name, wire in direct_results().items():
             served = json.dumps(warm_replies[name], sort_keys=True)
             direct = json.dumps(wire, sort_keys=True)
@@ -154,7 +240,7 @@ def main() -> None:
                 fail(f"served result for {name} differs from a "
                      f"direct scheduler run")
 
-        # Phase 5: hygiene.
+        # Phase 7: hygiene.
         try:
             post_run(url, {"benchmark": "definitely-not-real"})
         except urllib.error.HTTPError as exc:
@@ -169,7 +255,8 @@ def main() -> None:
         print(f"serve-smoke: OK — {stats['executed']} machine-runs for "
               f"{stats['requests']} requests "
               f"({stats['hits']} hits, {stats['coalesced']} coalesced, "
-              f"{stats['bad_requests']} rejected)")
+              f"{stats['bad_requests']} rejected); soak "
+              f"{soak_seconds:.1f}s")
     finally:
         process.terminate()
         try:

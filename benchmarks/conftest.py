@@ -11,9 +11,9 @@ simulations entirely; set ``REPRO_CACHE_DIR`` to relocate the cache or
 
 The ``*_bench_records`` fixtures collect timing records (filled in by
 ``test_engine_speedup.py``, ``test_parallel_speedup.py``, the
-fragment-store ablation in ``test_ucode_cache_ablation.py``,
-``test_shard_speedup.py`` and ``test_serve_speedup.py``) and write them
-through one shared :func:`write_bench_json` at session teardown, so
+fragment-store ablation in ``test_ucode_cache_ablation.py`` and
+``test_shard_speedup.py``) and write them through one shared
+:func:`write_bench_json` at session teardown, so
 successive runs leave machine-readable ``BENCH_*.json`` records with a
 common schema::
 
@@ -41,7 +41,6 @@ ENGINE_BENCH_PATH = _BENCH_DIR / "BENCH_engine.json"
 PARALLEL_BENCH_PATH = _BENCH_DIR / "BENCH_parallel.json"
 FRAGSTORE_BENCH_PATH = _BENCH_DIR / "BENCH_fragstore.json"
 SHARD_BENCH_PATH = _BENCH_DIR / "BENCH_shard.json"
-SERVE_BENCH_PATH = _BENCH_DIR / "BENCH_serve.json"
 
 
 def _bench_jobs():
@@ -109,9 +108,3 @@ def fragstore_bench_records():
 def shard_bench_records():
     """Sharded/incremental sweep records, dumped as BENCH_shard.json."""
     yield from _records_fixture(SHARD_BENCH_PATH)
-
-
-@pytest.fixture(scope="session")
-def serve_bench_records():
-    """Sim-server loadtest records, dumped as BENCH_serve.json."""
-    yield from _records_fixture(SERVE_BENCH_PATH)

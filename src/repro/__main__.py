@@ -11,8 +11,9 @@ Subcommands:
 * ``cache``     — inspect (``cache info``), empty (``cache clear``), or
   share over HTTP (``cache serve``) the persistent run cache *and*
   fragment store (docs/evaluation-runner.md, docs/retranslation.md).
-  ``info``/``clear`` take ``--cache-url`` to address a running
-  ``cache serve`` daemon instead of a local directory.
+  ``info``/``clear`` take ``--cache-url`` to address a running server
+  instead of a local directory; ``cache serve`` is ``serve`` over one
+  cache directory on port 8742.
 * ``sweep``     — run (one shard of) the paper-figure sweep through the
   run cache and write a JSON manifest; ``--shard K/N`` executes a
   disjoint hash-slice against a shared backend, ``--incremental``
@@ -22,12 +23,9 @@ Subcommands:
   clients POST (benchmark, program_kind, width, engine) jobs to
   ``/v1/runs``; warm requests answer from the run cache in O(1),
   identical in-flight requests coalesce onto one machine-run, and
-  distinct cold runs fan out over a bounded worker pool
+  distinct cold runs fan out over a bounded worker pool.  The same
+  server answers the run-cache protocol ``--cache-url`` clients speak
   (docs/serving.md).
-* ``loadtest``  — hammer a ``repro serve`` farm (or a private one) with
-  a mixed warm/cold/duplicate-storm workload and write the p50/p99
-  latency + throughput + dedup-ratio payload ``repro bench compare``
-  gates (docs/serving.md).
 * ``retranslate`` — re-lower one benchmark's translated fragments to
   another SIMD width and print the cross-width differential verdict
   (docs/retranslation.md).
@@ -93,17 +91,11 @@ def _cmd_cache(args) -> int:
     from repro.evaluation.runcache import RunCache
 
     if args.action == "serve":
-        from repro.evaluation.cacheserver import CacheServer
+        # The local directory, even when $REPRO_CACHE_URL is set: a
+        # server whose backend is its own URL would call itself.
         from repro.evaluation.runcache import default_cache_dir
-        root = args.cache_dir or default_cache_dir()
-        server = CacheServer(root, host=args.host, port=args.port)
-        print(f"serving run cache at {server.url} from {root} "
-              f"(Ctrl-C to stop)")
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            server.shutdown()
-        return 0
+        return _serve(RunCache(args.cache_dir or default_cache_dir()),
+                      args.host, args.port, jobs=None)
 
     cache = RunCache.default(args.cache_dir, cache_url=args.cache_url)
     backend = cache.describe()
@@ -230,20 +222,26 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_serve(args) -> int:
     from repro.evaluation.runcache import RunCache
-    from repro.evaluation.simserver import SimServer
 
     cache = (None if args.no_cache
              else RunCache.default(args.cache_dir, cache_url=args.cache_url))
-    server = SimServer(host=args.host, port=args.port, jobs=args.jobs,
-                       cache=cache)
+    return _serve(cache, args.host, args.port, args.jobs)
+
+
+def _serve(cache, host: str, port: int, jobs) -> int:
+    """Run the farm until Ctrl-C or SIGTERM (``serve``, ``cache serve``)."""
+    import signal
+    import time
+
+    from repro.evaluation.simserver import SimServer
+
+    server = SimServer(host=host, port=port, jobs=jobs, cache=cache)
     server.start()
     backend = "no cache (every request simulates)" if cache is None \
         else cache.describe()["location"]
     print(f"serving simulations at {server.url} "
           f"({server.jobs} worker{'s' if server.jobs != 1 else ''}, "
           f"cache: {backend}; Ctrl-C to stop)")
-    import signal
-    import time
     # SIGTERM takes the Ctrl-C path: shutdown() stops the pool workers,
     # which would otherwise outlive us holding the listening socket.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
@@ -253,62 +251,6 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:
         server.shutdown()
     return 0
-
-
-def _cmd_loadtest(args) -> int:
-    import json
-
-    from repro.evaluation.loadtest import (
-        LoadtestError,
-        LoadtestPlan,
-        loadtest_ok,
-        render_summary,
-        run_loadtest,
-    )
-
-    try:
-        plan = LoadtestPlan(requests=args.requests,
-                            concurrency=args.concurrency,
-                            storm=args.storm)
-    except ValueError as exc:
-        print(f"loadtest: {exc}", file=sys.stderr)
-        return 2
-
-    server = None
-    url = args.url
-    if url is None:
-        # Self-contained mode: boot a private farm over a throwaway
-        # cache so the loadtest measures the service, not stale state.
-        import tempfile
-
-        from repro.evaluation.runcache import RunCache
-        from repro.evaluation.simserver import SimServer
-        scratch = tempfile.mkdtemp(prefix="repro-loadtest-")
-        server = SimServer(jobs=args.jobs,
-                           cache=RunCache(scratch)).start()
-        url = server.url
-    try:
-        payload = run_loadtest(url, plan)
-    except LoadtestError as exc:
-        print(f"loadtest: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if server is not None:
-            server.shutdown()
-
-    if args.out:
-        from pathlib import Path
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(render_summary(payload))
-        if args.out:
-            print(f"wrote payload to {args.out} "
-                  f"(gate with `repro bench compare OLD {args.out}`)")
-    return 0 if loadtest_ok(payload) else 1
 
 
 def _cmd_retranslate(args) -> int:
@@ -495,16 +437,17 @@ def main(argv=None) -> int:
     cache_p.add_argument("action", choices=("info", "clear", "serve"),
                          help="'info' prints backend, entry count, and "
                               "size; 'clear' deletes every cached run; "
-                              "'serve' shares the cache directory over "
-                              "HTTP for --cache-url clients")
+                              "'serve' runs `repro serve` over the cache "
+                              "directory, sharing it with --cache-url "
+                              "clients")
     cache_p.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="cache directory (default: $REPRO_CACHE_DIR "
                               "or ~/.cache/repro-liquid-simd)")
     cache_p.add_argument("--cache-url", default=None, metavar="URL",
-                         help="address a running `repro cache serve` "
-                              "daemon instead of a local directory "
-                              "(default: $REPRO_CACHE_URL; info/clear "
-                              "only)")
+                         help="address a running `repro serve` or "
+                              "`repro cache serve` server instead of a "
+                              "local directory (default: "
+                              "$REPRO_CACHE_URL; info/clear only)")
     cache_p.add_argument("--host", default="127.0.0.1",
                          help="serve: bind address (default: 127.0.0.1)")
     cache_p.add_argument("--port", type=int, default=8742,
@@ -538,7 +481,7 @@ def main(argv=None) -> int:
                               "$REPRO_CACHE_DIR or ~/.cache/"
                               "repro-liquid-simd)")
     sweep_p.add_argument("--cache-url", default=None, metavar="URL",
-                         help="shared run-cache daemon to run against "
+                         help="shared run-cache server to run against "
                               "(default: $REPRO_CACHE_URL)")
     sweep_p.add_argument("--no-cache", action="store_true",
                          help="bypass the run cache (incompatible with "
@@ -571,38 +514,12 @@ def main(argv=None) -> int:
                               "$REPRO_CACHE_DIR or ~/.cache/"
                               "repro-liquid-simd)")
     serve_p.add_argument("--cache-url", default=None, metavar="URL",
-                         help="answer warm hits from a `repro cache "
-                              "serve` daemon instead of a local "
-                              "directory (default: $REPRO_CACHE_URL)")
+                         help="answer warm hits from another server's "
+                              "run cache instead of a local directory "
+                              "(default: $REPRO_CACHE_URL)")
     serve_p.add_argument("--no-cache", action="store_true",
                          help="serve without a persistent cache "
                               "(every distinct request simulates)")
-
-    load_p = sub.add_parser(
-        "loadtest",
-        help="hammer a `repro serve` farm with a mixed warm/cold/"
-             "duplicate-storm workload and write the latency + "
-             "dedup-ratio payload `repro bench compare` gates")
-    load_p.add_argument("--url", default=None, metavar="URL",
-                        help="target farm (default: boot a private one "
-                             "over a throwaway cache)")
-    load_p.add_argument("--requests", type=int, default=400, metavar="N",
-                        help="warm mixed-phase request volume "
-                             "(default: 400)")
-    load_p.add_argument("--concurrency", type=int, default=32, metavar="C",
-                        help="concurrent keep-alive connections "
-                             "(default: 32)")
-    load_p.add_argument("--storm", type=int, default=48, metavar="D",
-                        help="identical-request storm size exercising "
-                             "single-flight dedup (default: 48)")
-    load_p.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for the private farm "
-                             "(ignored with --url; default: cpu count)")
-    load_p.add_argument("--out", default=None, metavar="FILE",
-                        help="write the BENCH-schema payload to FILE")
-    load_p.add_argument("--json", action="store_true",
-                        help="print the payload as JSON instead of a "
-                             "summary")
 
     retr_p = sub.add_parser(
         "retranslate",
@@ -674,8 +591,6 @@ def main(argv=None) -> int:
         return _cmd_sweep(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "loadtest":
-        return _cmd_loadtest(args)
     if args.command == "retranslate":
         return _cmd_retranslate(args)
     if args.command == "telemetry":

@@ -34,8 +34,8 @@ and corruption fall-back, and delegates raw byte storage to a
   JSON files under ``~/.cache/repro-liquid-simd/`` (overridable with
   ``--cache-dir`` or ``REPRO_CACHE_DIR``);
 * :class:`~repro.evaluation.cacheserver.HTTPCacheBackend` talks to a
-  ``repro cache serve`` daemon (``--cache-url`` / ``REPRO_CACHE_URL``)
-  so many worker processes or hosts share one result store.
+  ``repro serve`` farm (``--cache-url`` / ``REPRO_CACHE_URL``) so many
+  worker processes or hosts share one result store.
 
 Both backends answer each other's entries byte-identically: the server
 stores the exact payload bytes the local backend writes, under the same
@@ -66,8 +66,8 @@ CACHE_FORMAT_VERSION = 2
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Environment variable selecting a shared ``repro cache serve`` daemon
-#: (e.g. ``http://127.0.0.1:8023``); takes precedence over the local
+#: Environment variable selecting a shared ``repro serve`` farm's cache
+#: (e.g. ``http://127.0.0.1:8742``); takes precedence over the local
 #: directory when set.
 CACHE_URL_ENV = "REPRO_CACHE_URL"
 
@@ -342,7 +342,7 @@ class RunCache:
     Owns key semantics, (de)serialization, corruption fall-back, and
     telemetry; raw byte storage is delegated to a :class:`CacheBackend`
     (a local sharded directory by default, or an HTTP client against a
-    ``repro cache serve`` daemon).
+    ``repro serve`` farm).
     """
 
     def __init__(self, root: Union[str, Path, None] = None,
@@ -380,7 +380,8 @@ class RunCache:
         """The cached result for *key*, or None (miss / corrupt entry).
 
         A corrupted entry — truncated write from a killed process,
-        hand-edited JSON, wrong format version — is deleted best-effort
+        hand-edited JSON, wrong format version, or an entry stored under
+        another key (a bad ``PUT /runs/<key>``) — is deleted best-effort
         and reported as a miss so the scheduler re-simulates.
         """
         raw = self.backend.load(key)
@@ -392,8 +393,11 @@ class RunCache:
             payload = json.loads(raw.decode("utf-8"))
             if payload.get("format_version") != CACHE_FORMAT_VERSION:
                 raise ValueError("format version mismatch")
+            if payload.get("key") != key:
+                raise ValueError("entry stored under another key")
             result = RunResult.from_dict(payload["result"])
-        except (UnicodeDecodeError, ValueError, KeyError, TypeError):
+        except (UnicodeDecodeError, ValueError, KeyError, TypeError,
+                AttributeError):
             self.stats.errors += 1
             self.stats.misses += 1
             tel = _telemetry.get()

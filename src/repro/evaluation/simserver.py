@@ -1,4 +1,4 @@
-"""Simulation-as-a-service: the ``repro serve`` async run farm.
+"""Simulation-as-a-service: ``repro serve``, the run farm and run cache.
 
 ``repro serve`` exposes the whole evaluation stack — request
 construction, content-addressed run caching, and machine simulation —
@@ -7,9 +7,13 @@ sessions, sweep fleets) share a single simulation farm instead of each
 simulating locally.  Clients POST ``(benchmark, program_kind, width,
 engine, repeat_factor)`` jobs to ``/v1/runs`` and get back the exact
 :meth:`~repro.system.metrics.RunResult.to_dict` wire format the run
-cache and process pool already speak.
+cache and process pool already speak.  The same server answers the
+run-cache protocol that :class:`~repro.evaluation.cacheserver
+.HTTPCacheBackend` speaks, so ``--cache-url`` sweeps share the farm's
+result store (``repro cache serve`` is this server over a cache
+directory).
 
-The handler answers each request from the cheapest possible source:
+The run handler answers each request from the cheapest possible source:
 
 1. **memo / cache hit** — the key (the same engine-invariant
    :func:`~repro.evaluation.runcache.run_key_for_bytes` address every
@@ -19,13 +23,15 @@ The handler answers each request from the cheapest possible source:
    (single-flight, keyed by run key).  A thousand simultaneous
    identical cold requests cost exactly one machine-run.
 3. **cold** — the request is fanned out to a bounded, persistent
-   ``ProcessPoolExecutor`` (``--jobs``) through the same
-   ``_pool_worker`` transport the :class:`~repro.evaluation.runner
-   .RunScheduler` uses, and the result is stored back into the cache
-   (first-writer-wins) so every later consumer — this server, a
-   ``repro sweep`` shard, a plain ``evaluate`` — answers warm.
+   ``ProcessPoolExecutor`` (``--jobs``, created on the first cold run)
+   through the same ``_pool_worker`` transport the
+   :class:`~repro.evaluation.runner.RunScheduler` uses, and the result
+   is stored back into the cache (first-writer-wins) so every later
+   consumer — this server, a ``repro sweep`` shard, a plain
+   ``evaluate`` — answers warm.
 
-Protocol (all bodies JSON):
+Protocol (all bodies JSON except entry bytes; keys are 64-hex-digit
+SHA-256 content addresses):
 
 ==========================  ============================================
 ``POST /v1/runs``           ``{"benchmark", "program_kind", "width",
@@ -35,33 +41,51 @@ Protocol (all bodies JSON):
                             | ``cold`` and ``result`` is the telemetry-
                             stripped ``RunResult.to_dict()`` payload —
                             byte-identical to a direct scheduler run
-``GET /stats``              ``{service, format_version, jobs, backend,
-                            stats}`` — also the readiness probe
+``GET /stats``              ``{service, format_version, jobs, inflight,
+                            backend, entries, size_bytes, stats}`` —
+                            the readiness probe of both kinds of client
+``GET /runs/<key>``         entry bytes, or 404
+``HEAD /runs/<key>``        presence probe for one key
+``PUT /runs/<key>``         store (201), or 409 when an entry already
+                            exists — **first writer wins**; results are
+                            deterministic, so the loser's bytes were
+                            identical and losing is not an error
+``DELETE /runs/<key>``      best-effort removal (204)
+``POST /contains``          ``{"keys": [...]}`` -> ``{"present": [...]}``
+                            — a whole sweep probed in one round-trip
+``POST /clear``             delete every entry -> ``{"removed": n}``
 ==========================  ============================================
 
-Failure modes: malformed or unknown-benchmark requests, and a
-non-integer or negative ``Content-Length``, get a 400 without touching
-the pool; a crashed worker (the pool dies with it) gets a clean 500 and
-the pool is rebuilt for the next request; a client that disconnects
-mid-run abandons only its *reply* — the simulation completes, is
-cached, and answers the next identical request warm.
-``serve.*`` telemetry (docs/observability.md) attributes every request,
-and ``GET /stats`` serves the same counts unconditionally (telemetry
-off included) for load tests and CI smoke gates.
+The cache endpoints exist only when the server has a cache; they run
+against its backend on the default thread executor.
+
+Failure modes: malformed or unknown-benchmark jobs get a 400 without
+touching the pool; a ``POST``/``PUT`` whose ``Content-Length`` is
+missing, any request whose ``Content-Length`` is non-integer or
+negative, and a body cut short of its length get 400
+``{"error": "bad Content-Length"}``; every 4xx reply closes the
+connection.  A crashed worker (the pool dies with it) gets a clean 500
+and the pool is rebuilt for the next request; a client that
+disconnects mid-run abandons only its *reply* — the simulation
+completes, is cached, and answers the next identical request warm.
+Shutdown aborts every open connection instead of waiting on its peer.
+``serve.*`` telemetry (docs/observability.md) attributes every run
+request, and ``GET /stats`` serves the same counts unconditionally
+(telemetry off included) for CI smoke gates.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 import os
+import re
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro.evaluation.runcache import CACHE_FORMAT_VERSION, RunCache
 from repro.evaluation.runner import (
@@ -77,9 +101,14 @@ from repro.simd.accelerator import config_for_width
 from repro.system.machine import MachineConfig
 from repro.system.metrics import RunResult
 
-#: Value of the ``service`` field in responses; clients check it so a
-#: ``--url`` pointed at some unrelated HTTP server reads as unreachable.
+#: Value of the ``service`` field in responses; clients (the
+#: ``--cache-url`` backend included) check it so a URL pointed at some
+#: unrelated HTTP server reads as unreachable.
 SERVICE_NAME = "repro-sim-server"
+
+#: Entry keys are SHA-256 hex digests; anything else is rejected with
+#: 400 before touching the cache backend (no path traversal).
+KEY_RE = re.compile(r"^[0-9a-f]{64}$")
 
 #: Widths a request may ask for.  Anything in this range simulates
 #: correctly (non-power-of-two widths simply abort translation and run
@@ -153,7 +182,7 @@ class ServeStats:
     """Where every ``/v1/runs`` request was answered from.
 
     Served unconditionally through ``GET /stats`` (telemetry may be
-    off), so load tests and CI gates can assert "cold ran exactly once,
+    off), so tests and the CI smoke can assert "cold ran exactly once,
     warm simulated nothing" without instrumenting the server.
     """
 
@@ -163,7 +192,7 @@ class ServeStats:
     cold: int = 0          # started a new simulation
     executed: int = 0      # machine-runs completed by the pool
     errors: int = 0        # 5xx responses (worker crash, pool failure)
-    bad_requests: int = 0  # 4xx responses (malformed job)
+    bad_requests: int = 0  # 400s for a malformed job or bad framing
     max_queue_depth: int = 0
 
     def to_dict(self) -> dict:
@@ -194,9 +223,10 @@ class SimServer:
     One event loop accepts and parses requests; cache reads/writes run
     on the default thread executor (so a slow disk or a remote
     ``--cache-url`` backend never stalls accept), and simulations run
-    on a bounded persistent :class:`ProcessPoolExecutor`.  ``port=0``
-    binds an ephemeral port — read the real one back from :attr:`url`
-    after :meth:`start`.
+    on a bounded persistent :class:`ProcessPoolExecutor`, created on
+    the first cold run (a farm that only serves the cache forks no
+    workers).  ``port=0`` binds an ephemeral port — read the real one
+    back from :attr:`url` after :meth:`start`.
 
     *worker* is a test seam: the pool entry point, defaulting to the
     scheduler's ``_pool_worker`` (crash tests inject one that dies).
@@ -235,12 +265,8 @@ class SimServer:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def serve_forever(self) -> None:
-        """Run the event loop in this thread (the CLI path)."""
-        asyncio.run(self._main())
-
     def start(self) -> "SimServer":
-        """Serve on a daemon thread (the in-process/test harness path)."""
+        """Serve on a daemon thread; the CLI and tests both use this."""
         self._thread = threading.Thread(target=self._thread_main,
                                         daemon=True)
         self._thread.start()
@@ -275,9 +301,12 @@ class SimServer:
         self.port = server.sockets[0].getsockname()[1]
         self._ready.set()
         try:
-            async with server:
-                await self._stopping.wait()
+            await self._stopping.wait()
         finally:
+            # Stop listening, but do not wait_closed(): since 3.12 it
+            # waits for every open connection.  asyncio.run() cancels
+            # the connection handlers once this returns.
+            server.close()
             pool, self._pool = self._pool, None
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
@@ -301,15 +330,27 @@ class SimServer:
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         try:
-            while True:
+            await self._converse(reader, writer)
+            writer.close()
+            await writer.wait_closed()
+        except (OSError, asyncio.CancelledError):
+            # The client went away, or shutdown cancelled this handler:
+            # abort rather than wait on a peer that may never read (one
+            # that stopped reading parks the handler in drain()).  Any
+            # run it started keeps going — other coalesced waiters (and
+            # the cache) still want it.  The task must not end
+            # cancelled: the stream protocol's done-callback would log
+            # the CancelledError as an unhandled exception.
+            writer.transport.abort()
+
+    async def _converse(self, reader: asyncio.StreamReader,
+                        writer: asyncio.StreamWriter) -> None:
+        """Answer requests on one connection until either side closes."""
+        while True:
+            try:
                 request_line = await reader.readline()
-                if not request_line:
-                    break
-                try:
-                    method, path, _version = \
-                        request_line.decode("latin-1").split(None, 2)
-                except ValueError:
-                    break
+                method, path, _version = \
+                    request_line.decode("latin-1").split(None, 2)
                 headers = {}
                 while True:
                     line = await reader.readline()
@@ -317,54 +358,61 @@ class SimServer:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                try:
-                    length = int(headers.get("content-length") or 0)
-                except ValueError:
-                    length = -1
-                close = headers.get("connection", "").lower() == "close"
-                if length < 0:
-                    # Where the body ends is unknown: answer, then close.
-                    close = True
-                    status, payload = self._bad_request("bad Content-Length")
-                else:
-                    body = (await reader.readexactly(length) if length
-                            else b"")
-                    status, payload = await self._route(method, path, body)
-                data = json.dumps(payload,
-                                  separators=(",", ":")).encode("utf-8")
-                head_lines = [
-                    f"HTTP/1.1 {status} {_REASONS.get(status, 'Status')}",
-                    "Content-Type: application/json",
-                    f"Content-Length: {len(data)}",
-                ]
-                if close:
-                    head_lines.append("Connection: close")
-                head = "\r\n".join(head_lines) + "\r\n\r\n"
-                writer.write(head.encode("latin-1") + data)
-                await writer.drain()
-                if close:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            # The client went away.  Any run it started keeps going —
-            # other coalesced waiters (and the cache) still want it.
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown cancelled this connection's handler while
-            # it waited for a next request; end the task quietly (the
-            # loop is exiting) instead of tripping the stream
-            # protocol's exception callback.
-            pass
-        finally:
-            with contextlib.suppress(OSError):
-                writer.close()
-                await writer.wait_closed()
+            except ValueError:  # EOF, garbage, or an overlong line
+                return
+            body = await self._read_body(reader, method, headers)
+            if body is None:
+                status, payload = self._bad_request("bad Content-Length")
+            else:
+                status, payload = await self._route(method, path, body)
+            # A 4xx closes the connection: where a refused or malformed
+            # request's body ends is not to be trusted.
+            close = (400 <= status < 500
+                     or headers.get("connection", "").lower() == "close")
+            if isinstance(payload, dict):
+                payload = json.dumps(payload,
+                                     separators=(",", ":")).encode("utf-8")
+            head_lines = [
+                f"HTTP/1.1 {status} {_REASONS.get(status, 'Status')}",
+                "Content-Type: application/json",
+                f"Content-Length: {len(payload)}",
+            ]
+            if close:
+                head_lines.append("Connection: close")
+            head = "\r\n".join(head_lines) + "\r\n\r\n"
+            writer.write(head.encode("latin-1")
+                         + (payload if method != "HEAD" else b""))
+            await writer.drain()
+            if close:
+                return
+
+    @staticmethod
+    async def _read_body(reader: asyncio.StreamReader, method: str,
+                         headers: Dict[str, str]) -> Optional[bytes]:
+        """The request body, or None when its framing is bad: a
+        ``POST``/``PUT`` without ``Content-Length``, a non-integer or
+        negative one, or a body cut short of it."""
+        length = headers.get("content-length")
+        if length is None and method not in ("POST", "PUT"):
+            return b""
+        try:
+            length = int(length)
+            if length < 0:
+                return None
+            return await reader.readexactly(length)
+        except (TypeError, ValueError, asyncio.IncompleteReadError):
+            return None
 
     async def _route(self, method: str, path: str,
-                     body: bytes) -> Tuple[int, dict]:
+                     body: bytes) -> Tuple[int, Union[dict, bytes]]:
         if method == "POST" and path == "/v1/runs":
             return await self._handle_run(body)
         if method == "GET" and path == "/stats":
-            return 200, self._stats_payload()
+            return 200, await self._stats_payload()
+        if self.cache is not None:
+            loop = asyncio.get_running_loop()
+            return await loop.run_in_executor(None, self._cache_request,
+                                              method, path, body)
         return 404, {"error": "unknown endpoint"}
 
     def _bad_request(self, message: str) -> Tuple[int, dict]:
@@ -372,16 +420,67 @@ class SimServer:
         _telemetry.get().count("serve.bad_requests")
         return 400, {"error": message}
 
-    def _stats_payload(self) -> dict:
+    async def _stats_payload(self) -> dict:
+        cache = self.cache
+        backend, entries, size_bytes = None, 0, 0
+        if cache is not None:
+            loop = asyncio.get_running_loop()
+            backend, entries, size_bytes = await loop.run_in_executor(
+                None, lambda: (cache.describe(), cache.entry_count(),
+                               cache.size_bytes()))
         return {
             "service": SERVICE_NAME,
             "format_version": CACHE_FORMAT_VERSION,
             "jobs": self.jobs,
             "inflight": len(self._inflight),
-            "backend": (self.cache.describe()
-                        if self.cache is not None else None),
+            "backend": backend,
+            "entries": entries,
+            "size_bytes": size_bytes,
             "stats": self.stats.to_dict(),
         }
+
+    # -- the cache endpoints -----------------------------------------------
+
+    def _cache_request(self, method: str, path: str,
+                       body: bytes) -> Tuple[int, Union[dict, bytes]]:
+        """Any other request, answered from the cache protocol against
+        the cache's backend; runs on the default thread executor
+        (backends block on I/O)."""
+        backend = self.cache.backend
+        if method == "POST" and path == "/contains":
+            try:
+                keys = json.loads(body.decode("utf-8"))["keys"]
+                if not isinstance(keys, list):
+                    raise TypeError("keys must be a list")
+            except (UnicodeDecodeError, ValueError, KeyError, TypeError,
+                    RecursionError):
+                return 400, {"error": "bad probe body"}
+            valid = [k for k in keys
+                     if isinstance(k, str) and KEY_RE.fullmatch(k)]
+            return 200, {"present": sorted(backend.contains_many(valid))}
+        if method == "POST" and path == "/clear":
+            return 200, {"removed": backend.clear()}
+        if not path.startswith("/runs/") \
+                or method not in ("GET", "HEAD", "PUT", "DELETE"):
+            return 404, {"error": "unknown endpoint"}
+        key = path[len("/runs/"):]
+        if not KEY_RE.fullmatch(key):
+            return 400, {"error": "bad key"}
+        if method == "GET":
+            entry = backend.load(key)
+            return (200, entry) if entry is not None \
+                else (404, {"error": "not found"})
+        if method == "HEAD":
+            return (200 if backend.contains_many([key]) else 404), b""
+        if method == "DELETE":
+            backend.delete(key)
+            return 204, b""
+        if not body:
+            return 400, {"error": "empty body"}
+        if backend.store(key, body):
+            return 201, {"stored": True}
+        # First writer won; deterministic results make this benign.
+        return 409, {"stored": False}
 
     # -- the run endpoint --------------------------------------------------
 
@@ -499,5 +598,6 @@ class SimServer:
             self._inflight.pop(key, None)
 
 
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+_REASONS = {200: "OK", 201: "Created", 204: "No Content",
+            400: "Bad Request", 404: "Not Found", 409: "Conflict",
             500: "Internal Server Error"}

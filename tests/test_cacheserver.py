@@ -1,9 +1,10 @@
-"""Shared run-cache daemon + HTTP backend tests (docs/evaluation-runner.md).
+"""Shared run cache over HTTP: the cache endpoints of ``repro serve``
+and the ``--cache-url`` backend (docs/evaluation-runner.md).
 
-The fleet contract the cache server must honor:
+The fleet contract the server's cache endpoints must honor:
 
 * local and HTTP backends answer each other's entries byte-identically
-  (the daemon serves the very files ``--cache-dir`` writes),
+  (the server serves the very files ``--cache-dir`` writes),
 * stores are first-writer-wins — concurrent writers of one key, in one
   process or racing across processes, leave exactly one valid entry,
 * a whole sweep's presence probe costs one HTTP round-trip,
@@ -17,11 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.evaluation.cacheserver import (
-    CacheServer,
-    HTTPCacheBackend,
-    SERVICE_NAME,
-)
+from repro.evaluation.cacheserver import HTTPCacheBackend, SERVICE_NAME
 from repro.evaluation.runcache import (
     CACHE_FORMAT_VERSION,
     LocalDirectoryBackend,
@@ -30,6 +27,7 @@ from repro.evaluation.runcache import (
     run_key,
 )
 from repro.evaluation.runner import build_request_program, execute_request
+from repro.evaluation.simserver import SimServer
 from repro.observability import telemetry
 from tests.test_runner import liquid_request
 
@@ -39,7 +37,7 @@ KEY_B = "bb" + "1" * 62
 
 @pytest.fixture()
 def server(tmp_path):
-    server = CacheServer(tmp_path / "served", port=0).start()
+    server = SimServer(jobs=1, cache=RunCache(tmp_path / "served")).start()
     yield server
     server.shutdown()
 
@@ -48,12 +46,24 @@ def _http(server) -> HTTPCacheBackend:
     return HTTPCacheBackend(server.url)
 
 
+def _counted(call):
+    """(``call()``, the HTTP round-trips the ``--cache-url`` client made
+    during it — its ``runcache.http.requests`` count)."""
+    tel = telemetry.enable()
+    try:
+        result = call()
+        return result, dict(tel.to_dict()["counters"]).get(
+            "runcache.http.requests", 0)
+    finally:
+        telemetry.disable()
+
+
 def _raw(server, method: str, path: str, headers=(), body: bytes = b""):
     """(status, reply dict) for one request sent with exactly *headers*
     (no ``Content-Length`` unless given) and *body*, after which the
     client shuts its side of the connection, as a client that died
     mid-body would."""
-    host, port = server.httpd.server_address[:2]
+    host, port = server.host, server.port
     lines = [f"{method} {path} HTTP/1.1", f"Host: {host}"]
     lines += [f"{name}: {value}" for name, value in headers]
     with socket.create_connection((host, port), timeout=10) as sock:
@@ -74,12 +84,12 @@ class TestRoundtrip:
         assert backend.load(KEY_A) == b"payload-bytes"
 
     def test_local_write_visible_over_http(self, server):
-        server.backend.store(KEY_A, b"written-locally")
+        server.cache.backend.store(KEY_A, b"written-locally")
         assert _http(server).load(KEY_A) == b"written-locally"
 
     def test_http_write_visible_locally(self, server):
         _http(server).store(KEY_A, b"written-remotely")
-        assert server.backend.load(KEY_A) == b"written-remotely"
+        assert server.cache.backend.load(KEY_A) == b"written-remotely"
 
     def test_backends_interoperate_on_real_entries(self, server):
         """A cached run stored via one backend is byte-identical and
@@ -91,10 +101,10 @@ class TestRoundtrip:
         via_http = RunCache(backend=_http(server))
         via_http.store(key, result)
 
-        local = RunCache(backend=server.backend)
+        local = RunCache(backend=server.cache.backend)
         hit = local.load(key)
         assert hit is not None and hit.cycles == result.cycles
-        assert server.backend.load(key) == entry_payload(key, result)
+        assert server.cache.backend.load(key) == entry_payload(key, result)
 
     def test_delete_removes_entry(self, server):
         backend = _http(server)
@@ -170,15 +180,15 @@ class TestBatchProbe:
     def test_contains_many_is_one_round_trip(self, server):
         backend = _http(server)
         backend.store(KEY_A, b"x")
-        posts_before = server.request_counts.get("POST", 0)
-        present = backend.contains_many([KEY_A, KEY_B])
+        present, requests = _counted(
+            lambda: backend.contains_many([KEY_A, KEY_B]))
         assert present == {KEY_A}
-        assert server.request_counts.get("POST", 0) == posts_before + 1
+        assert requests == 1
 
     def test_empty_probe_skips_network(self, server):
-        posts_before = server.request_counts.get("POST", 0)
-        assert _http(server).contains_many([]) == set()
-        assert server.request_counts.get("POST", 0) == posts_before
+        present, requests = _counted(lambda: _http(server).contains_many([]))
+        assert present == set()
+        assert requests == 0
 
 
 class TestFailOpen:
@@ -277,11 +287,11 @@ class TestProtocolHygiene:
         for bad in ("short", "../../etc/passwd", "Z" * 64, KEY_A[:-1] + "G"):
             assert backend.load(bad) is None
             assert backend.store(bad, b"x") is False
-        assert server.backend.entry_paths() is not None
-        assert sum(1 for _ in server.backend.entry_paths()) == 0
+        assert server.cache.backend.entry_paths() is not None
+        assert sum(1 for _ in server.cache.backend.entry_paths()) == 0
 
     def test_probe_filters_bad_keys(self, server):
-        server.backend.store(KEY_A, b"x")
+        server.cache.backend.store(KEY_A, b"x")
         present = _http(server).contains_many(
             [KEY_A, "../../sneaky", "not-a-key"])
         assert present == {KEY_A}
@@ -301,7 +311,7 @@ class TestProtocolHygiene:
         headers = [] if length is None else [("Content-Length", length)]
         status, reply = _raw(server, "PUT", f"/runs/{KEY_A}", headers, body)
         assert (status, reply) == (400, {"error": error})
-        assert not server.backend.path_for(KEY_A).exists()
+        assert not server.cache.backend.path_for(KEY_A).exists()
         assert _http(server).store(KEY_A, b"real")
         assert _http(server).load(KEY_A) == b"real"
 
@@ -311,10 +321,10 @@ class TestProtocolHygiene:
     ], ids=["put-bad-key", "post-unknown-endpoint"])
     def test_refused_body_is_not_read_as_a_request(self, server, method,
                                                    path):
-        """A request refused before its body is read gets one reply and
-        the connection closes: on a keep-alive connection the unread
-        body would otherwise be parsed as the next request."""
-        host, port = server.httpd.server_address[:2]
+        """A refused request gets one reply and the connection closes:
+        the body of a refused request must never be parsed as the next
+        request on a keep-alive connection."""
+        host, port = server.host, server.port
         body = b"GET /stats HTTP/1.1\r\n\r\n"
         head = (f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
                 f"Content-Length: {len(body)}\r\n\r\n")

@@ -149,8 +149,10 @@ class TestCacheSubcommand:
         assert "fragment store" in out
 
     def test_info_reports_reachable_daemon(self, tmp_path):
-        from repro.evaluation.cacheserver import CacheServer
-        server = CacheServer(tmp_path / "served", port=0).start()
+        from repro.evaluation.runcache import RunCache
+        from repro.evaluation.simserver import SimServer
+        server = SimServer(jobs=1, cache=RunCache(tmp_path / "served"))
+        server.start()
         try:
             code, out = _capture(
                 repro_main, ["cache", "info", "--cache-url", server.url])
@@ -161,6 +163,29 @@ class TestCacheSubcommand:
         assert "status    reachable" in out
         # No local directory behind a URL, so no fragment-store section.
         assert "fragment store" not in out
+
+    def test_info_counts_the_entries_a_serve_farm_simulated(self, tmp_path):
+        import json
+        import urllib.request
+
+        from repro.evaluation.runcache import RunCache
+        from repro.evaluation.simserver import SimServer
+        server = SimServer(jobs=1, cache=RunCache(tmp_path / "served"))
+        server.start()
+        try:
+            for width in (4, 8):
+                body = json.dumps({"benchmark": "FIR", "width": width})
+                with urllib.request.urlopen(server.url + "/v1/runs",
+                                            data=body.encode(),
+                                            timeout=60) as resp:
+                    assert json.loads(resp.read())["source"] == "cold"
+            code, out = _capture(
+                repro_main, ["cache", "info", "--cache-url", server.url])
+        finally:
+            server.shutdown()
+        assert code == 0
+        assert "status    reachable" in out
+        assert "entries   2" in out
 
     def test_info_unreachable_daemon_exits_nonzero(self):
         code, out = _capture(

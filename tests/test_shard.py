@@ -16,7 +16,7 @@ import copy
 
 import pytest
 
-from repro.evaluation.cacheserver import CacheServer, HTTPCacheBackend
+from repro.evaluation.cacheserver import HTTPCacheBackend
 from repro.evaluation.runcache import RunCache
 from repro.evaluation.runner import RunScheduler
 from repro.evaluation.shard import (
@@ -29,6 +29,8 @@ from repro.evaluation.shard import (
     sweep_keys,
     sweep_requests,
 )
+from repro.evaluation.simserver import SimServer
+from repro.observability import telemetry
 from repro.system.machine import Machine
 
 BENCHMARKS = ["FIR"]
@@ -209,9 +211,10 @@ class TestMergeVerification:
 
 class TestSweepOverHTTP:
     def test_sharded_sweep_through_cache_daemon(self, tmp_path):
-        """Two shards against one ``repro cache serve`` daemon behave
+        """Two shards against one ``repro cache serve`` server behave
         exactly like two shards against one shared directory."""
-        server = CacheServer(tmp_path / "served", port=0).start()
+        server = SimServer(jobs=1, cache=RunCache(tmp_path / "served"))
+        server.start()
         try:
             shards = []
             for i in (1, 2):
@@ -230,18 +233,26 @@ class TestSweepOverHTTP:
         assert merged["backend"]["backend"] == "http"
 
     def test_incremental_over_http_is_one_probe(self, tmp_path):
-        server = CacheServer(tmp_path / "served", port=0).start()
+        server = SimServer(jobs=1, cache=RunCache(tmp_path / "served"))
+        server.start()
         try:
             def scheduler():
                 return RunScheduler(
                     jobs=1,
                     cache=RunCache(backend=HTTPCacheBackend(server.url)))
             run_sweep(BENCHMARKS, WIDTHS, scheduler=scheduler())
-            posts_before = server.request_counts.get("POST", 0)
-            warm = run_sweep(BENCHMARKS, WIDTHS, scheduler=scheduler(),
-                             incremental=True)
+            tel = telemetry.enable()
+            try:
+                warm = run_sweep(BENCHMARKS, WIDTHS, scheduler=scheduler(),
+                                 incremental=True)
+                requests = dict(tel.to_dict()["counters"]).get(
+                    "runcache.http.requests", 0)
+            finally:
+                telemetry.disable()
         finally:
             server.shutdown()
         assert warm["stats"]["machine_runs"] == 0
         assert warm["stats"]["probe_calls"] == 1
-        assert server.request_counts.get("POST", 0) == posts_before + 1
+        # One /contains round-trip for the whole sweep, then one GET per
+        # warm entry and one /stats for the manifest's backend.
+        assert requests == 1 + warm["coverage"]["total_requests"] + 1

@@ -12,13 +12,21 @@ The contract ``repro serve`` must honor:
   farm never wedges,
 * a client that disconnects mid-run abandons only its reply; the run
   completes, lands in the cache, and answers the next request warm,
-* malformed jobs get a 400 without touching the pool.
+* malformed jobs get a 400 without touching the pool,
+* the run-cache endpoints share the server's cache with ``/v1/runs``,
+  and an entry stored under the wrong key never answers a run,
+* shutdown is prompt and quiet, whatever its clients are doing.
 """
 
+import contextlib
 import functools
+import gc
+import http.client
 import json
+import logging
 import os
 import re
+import select
 import signal
 import socket
 import subprocess
@@ -28,12 +36,14 @@ import time
 import types
 import urllib.error
 import urllib.request
+import warnings
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.evaluation.runcache import RunCache
+from repro.evaluation.cacheserver import HTTPCacheBackend
+from repro.evaluation.runcache import RunCache, entry_payload, run_key
 from repro.evaluation.runner import (
     RunRequest,
     _pool_worker,
@@ -355,6 +365,28 @@ class TestFailureModes:
         assert stats(server)["stats"]["bad_requests"] == 1
         assert "Unhandled exception" not in caplog.text
 
+    @pytest.mark.parametrize("head, body", [
+        ("", b"{}"),
+        ("Content-Length: 100\r\n", b'{"benchmark": "FIR"}'),
+    ], ids=["missing", "cut-short"])
+    def test_unframed_body_is_400(self, server, head, body, caplog):
+        """A POST without a Content-Length, or whose body ends short of
+        it (the client shuts its side), still gets its JSON 400."""
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            sock.sendall((f"POST /v1/runs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                          f"{head}\r\n").encode() + body)
+            sock.shutdown(socket.SHUT_WR)
+            data = b""
+            while chunk := sock.recv(65536):
+                data += chunk
+        status_line, _, rest = data.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        assert json.loads(rest.partition(b"\r\n\r\n")[2]) == \
+            {"error": "bad Content-Length"}
+        assert stats(server)["stats"]["bad_requests"] == 1
+        assert "Unhandled exception" not in caplog.text
+
     def test_too_deeply_nested_json_is_400(self, server, caplog):
         body = b"[" * 200_000
         status, reply = raw_exchange(server, (
@@ -381,23 +413,37 @@ class TestFailureModes:
         assert excinfo.value.code == 404
 
 
-def test_sigterm_shuts_down_server_and_pool(tmp_path):
-    """``repro serve`` treats SIGTERM like Ctrl-C: it exits promptly, no
-    forked pool worker survives holding the listening socket, and the
-    next client is refused instead of hanging."""
+@contextlib.contextmanager
+def cli_server(*args):
+    """``python -m repro *args`` in its own session; yields (process,
+    server namespace with ``url`` and ``port``) once it prints its URL."""
     src = Path(repro.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--jobs", "1", "--cache-dir", str(tmp_path / "cache")],
+        [sys.executable, "-m", "repro", *args],
         stdout=subprocess.PIPE, text=True, env=env,
         start_new_session=True)
     try:
         banner = proc.stdout.readline()
         url = re.search(r"http://[\d.]+:(\d+)", banner)
         assert url, f"no serving banner: {banner!r}"
-        port = int(url.group(1))
-        server = types.SimpleNamespace(url=url.group(0))
+        yield proc, types.SimpleNamespace(url=url.group(0),
+                                          port=int(url.group(1)))
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.stdout.close()
+        proc.wait(timeout=10)
+
+
+def test_sigterm_shuts_down_server_and_pool(tmp_path):
+    """``repro serve`` treats SIGTERM like Ctrl-C: it exits promptly, no
+    forked pool worker survives holding the listening socket, and the
+    next client is refused instead of hanging."""
+    with cli_server("serve", "--port", "0", "--jobs", "1",
+                    "--cache-dir", str(tmp_path / "cache")) as (proc, server):
         status, reply = post(server, FIR_W4)
         assert status == 200 and reply["source"] == "cold"
 
@@ -412,14 +458,27 @@ def test_sigterm_shuts_down_server_and_pool(tmp_path):
             assert time.time() < deadline, "a pool worker outlived serve"
             time.sleep(0.05)
         with pytest.raises(ConnectionRefusedError):
-            socket.create_connection(("127.0.0.1", port), timeout=5)
-    finally:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.stdout.close()
-        proc.wait(timeout=10)
+            socket.create_connection(("127.0.0.1", server.port), timeout=5)
+
+
+def test_cache_serve_boots_the_same_server(tmp_path):
+    """``repro cache serve`` is ``repro serve`` over a cache directory:
+    the same ``/stats``, runs simulated into that directory, and the
+    same SIGTERM exit."""
+    cache_dir = tmp_path / "cache"
+    with cli_server("cache", "serve", "--port", "0",
+                    "--cache-dir", str(cache_dir)) as (proc, server):
+        payload = stats(server)
+        assert payload["service"] == SERVICE_NAME
+        assert payload["backend"]["location"] == str(cache_dir)
+        assert payload["entries"] == 0
+        status, reply = post(server, FIR_W4)
+        assert status == 200 and reply["source"] == "cold"
+        assert stats(server)["entries"] == 1
+        assert RunCache(cache_dir).load(reply["key"]) is not None
+
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
 
 
 def _fail_while_flagged(flag_path, request, encoded):
@@ -452,6 +511,180 @@ class TestStatsEndpoint:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
             SimServer(jobs=0)
+
+
+def warm_rounds(server, connections: int, rounds: int):
+    """Send *rounds* FIR_W4 requests over each of *connections*
+    keep-alive connections (every connection in flight at once each
+    round); returns (the still-open connections, [(status, source)])."""
+    conns = [http.client.HTTPConnection("127.0.0.1", server.port,
+                                        timeout=60)
+             for _ in range(connections)]
+    body = json.dumps(FIR_W4).encode("utf-8")
+    replies = []
+    for _ in range(rounds):
+        for conn in conns:
+            conn.request("POST", "/v1/runs", body=body,
+                         headers={"Content-Type": "application/json"})
+        for conn in conns:
+            response = conn.getresponse()
+            replies.append((response.status,
+                            json.loads(response.read())["source"]))
+    return conns, replies
+
+
+class TestKeepAlive:
+    def test_warm_requests_over_keep_alive_connections(self, server):
+        post(server, FIR_W4)  # the cold fill
+        executed = stats(server)["stats"]["executed"]
+        conns, replies = warm_rounds(server, connections=16, rounds=8)
+        try:
+            assert replies == [(200, "hit")] * 128
+            # Still open: no reply asked for the connection to close.
+            assert all(conn.sock is not None for conn in conns)
+        finally:
+            for conn in conns:
+                conn.close()
+        assert stats(server)["stats"]["executed"] == executed
+
+
+def assert_clean_shutdown(server, caplog) -> None:
+    """Shut *server* down: within 5 s, its loop thread finished, every
+    connection closed by the server, and no asyncio error logged on the
+    way."""
+    thread = server._thread
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        start = time.monotonic()
+        server.shutdown()
+        assert time.monotonic() - start < 5.0
+        gc.collect()
+    assert not thread.is_alive()
+    assert [str(w.message) for w in caught
+            if "unclosed transport" in str(w.message)] == []
+    errors = [record.getMessage() for record in caplog.records
+              if record.name == "asyncio" and record.levelno >= logging.ERROR]
+    assert errors == []
+
+
+class TestShutdown:
+    def test_shutdown_after_a_soak_logs_no_traceback(self, server, caplog):
+        """64 keep-alive connections close just before shutdown, so their
+        handlers are still closing when the loop cancels them: none may
+        end cancelled (the stream callback would log a traceback)."""
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        post(server, FIR_W4)
+        conns, replies = warm_rounds(server, connections=64, rounds=4)
+        assert replies == [(200, "hit")] * 256
+        for conn in conns:
+            conn.close()
+        assert_clean_shutdown(server, caplog)
+
+    def test_client_that_stops_reading_does_not_wedge_shutdown(
+            self, server, caplog):
+        """A client pipelines requests and reads no reply until its own
+        send blocks — the server has stopped reading, its handler parked
+        in drain() — and shutdown must still be prompt."""
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        post(server, FIR_W4)
+        body = json.dumps(FIR_W4).encode("utf-8")
+        request = (f"POST /v1/runs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                   f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+        sock = socket.create_connection(("127.0.0.1", server.port))
+        try:
+            sock.setblocking(False)
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                try:
+                    sock.send(request * 64)
+                except BlockingIOError:
+                    _, writable, _ = select.select([], [sock], [], 0.5)
+                    if not writable:
+                        break
+            else:
+                pytest.fail("the server never stopped reading")
+            assert_clean_shutdown(server, caplog)
+        finally:
+            sock.close()
+
+    def test_shutdown_during_a_cold_run_logs_no_traceback(self, tmp_path,
+                                                          caplog):
+        """A handler still awaiting its simulation when the loop cancels
+        it ends quietly too, and drops its connection."""
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        server = SimServer(
+            jobs=1, cache=RunCache(tmp_path / "cache"),
+            worker=functools.partial(_counting_worker,
+                                     str(tmp_path / "runs.log")))
+        server.start()
+        body = json.dumps(FIR_W4).encode("utf-8")
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.sendall((f"POST /v1/runs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                          f"Content-Length: {len(body)}\r\n\r\n").encode()
+                         + body)
+            deadline = time.monotonic() + 30
+            while stats(server)["inflight"] == 0:
+                assert time.monotonic() < deadline, "the run never started"
+                time.sleep(0.01)
+            assert_clean_shutdown(server, caplog)
+            sock.settimeout(5)
+            assert sock.recv(1) == b""
+
+
+class TestCacheEndpoints:
+    """The run-cache protocol served beside ``/v1/runs`` shares one
+    cache with it (the wire-level suite is tests/test_cacheserver.py)."""
+
+    def test_cold_run_is_listed_and_served_as_its_cache_file(self, server):
+        _, reply = post(server, FIR_W4)
+        key = reply["key"]
+        backend = HTTPCacheBackend(server.url)
+        assert backend.contains_many([key]) == {key}
+        assert backend.load(key) == server.cache.path_for(key).read_bytes()
+
+    def test_put_entry_answers_the_next_run_warm(self, server):
+        request = parse_run_request(FIR_W4)
+        key = run_key(build_request_program(request), request.config)
+        entry = entry_payload(key, execute_request(request))
+        assert HTTPCacheBackend(server.url).store(key, entry)
+        status, reply = post(server, FIR_W4)
+        assert status == 200 and reply["source"] == "hit"
+        assert reply["key"] == key
+        assert stats(server)["stats"]["executed"] == 0
+
+    def test_entry_put_under_another_key_never_answers(self, server):
+        """FIR's entry stored under LU's key is dropped as corrupt: LU
+        simulates cold, byte-identical to a direct run, and is then
+        cached under its own key."""
+        _, fir = post(server, FIR_W4)
+        lu_w4 = {"benchmark": "LU", "width": 4}
+        request = parse_run_request(lu_w4)
+        lu_key = run_key(build_request_program(request), request.config)
+        backend = HTTPCacheBackend(server.url)
+        assert backend.store(lu_key, backend.load(fir["key"]))
+
+        status, reply = post(server, lu_w4)
+        assert status == 200 and reply["source"] == "cold"
+        direct = execute_request(request).to_dict()
+        direct.pop("telemetry", None)
+        assert (json.dumps(reply["result"], sort_keys=True)
+                == json.dumps(direct, sort_keys=True))
+        assert server.cache.stats.errors == 1
+        _, again = post(server, lu_w4)
+        assert again["source"] == "hit"
+        assert again["result"] == reply["result"]
+
+    def test_no_cache_serves_no_cache_endpoints(self):
+        server = SimServer(jobs=1, cache=None).start()
+        try:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(f"{server.url}/runs/{'a' * 64}",
+                                       timeout=10)
+            excinfo.value.close()
+            assert excinfo.value.code == 404
+            assert stats(server)["entries"] == 0
+        finally:
+            server.shutdown()
 
 
 class TestDeterminism:
