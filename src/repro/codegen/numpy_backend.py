@@ -4,15 +4,17 @@ Lowers :class:`~repro.codegen.ir.LoopNode` bodies — and whole
 :class:`~repro.codegen.ir.ChainNode` fragments — into ``exec()``-
 compiled kernels over 2-D ``(trips, width)`` numpy arrays, replacing
 the hand-rolled compiler that used to live inline in
-``repro/interp/macro.py``.  Each per-instruction builder mirrors the
-corresponding ``*_fast_fn`` of :mod:`repro.simd.vector_ops` on 2-D
-arrays: integer lanes computed in int64 and truncated with ``astype``
-(== ``wrap_int``), saturation clipped against ``INT_BOUNDS``, float
-lanes in float32 with one rounding per op, float min/max via
-``np.where`` (Python tie/NaN order), float bitwise through
-``view(uint32)``.  Anything the whole-array form cannot reproduce
-bit-identically makes the lowering return None and the caller counts a
-``macro.plan.rejected.unsupported-lowering`` (per-block fallback).
+``repro/interp/macro.py``.  Each per-instruction builder reproduces
+the reference lane semantics of :mod:`repro.simd.vector_ops` on 2-D
+arrays, with that module's numpy tables: integer lanes computed in
+int64 and truncated with ``astype`` (== ``wrap_int``), saturation
+clipped against ``INT_BOUNDS``, float lanes in float32 with one
+rounding per op, float min/max via ``np.where`` (Python tie/NaN
+order), float bitwise through ``view(uint32)``.  Anything the
+whole-array form cannot reproduce bit-identically makes the lowering
+return None and the caller counts a
+``macro.plan.rejected.unsupported-lowering`` (per-block fallback, where
+fused blocks step the reference executor).
 
 Loop kernels have the signature ``(memory, vregs, regs, bases, n)``;
 chain kernels bake every region's static trip count and run the whole
@@ -120,6 +122,18 @@ def _bake_mask_imm(operand, width: int):
     return masks.reshape(1, width)
 
 
+def _quiet_nans(bits: np.ndarray) -> np.ndarray:
+    """Set the quiet bit of every signaling-NaN pattern in *bits*.
+
+    A float bitwise op can combine two finite lanes into a NaN pattern
+    (``vorr`` of exponents that OR to all ones).  The reference hands
+    each result lane to Python as a float, and widening a signaling NaN
+    to binary64 quiets it, so the lane it stores has bit 22 set.
+    """
+    return np.where((bits & 0x7FFFFFFF) > 0x7F800000, bits | 0x00400000,
+                    bits)
+
+
 def _make_binary(opcode: str, elem: Optional[str], b_operand, width: int):
     """Whole-array closure for one binary vector op; None when the
     lowering cannot be bit-identical.  ``b_operand`` is None for a
@@ -134,7 +148,7 @@ def _make_binary(opcode: str, elem: Optional[str], b_operand, width: int):
                     bits = a.view(np.uint32)
                     masks = b.view(np.uint32)
                     out = (bits & masks) if _and else (bits | masks)
-                    return out.view(np.float32)
+                    return _quiet_nans(out).view(np.float32)
                 return fn
             masks = _bake_mask_imm(b_operand, width)
             if masks is None:
@@ -143,7 +157,7 @@ def _make_binary(opcode: str, elem: Optional[str], b_operand, width: int):
             def fn(a, _m=masks, _and=want_and):
                 bits = a.view(np.uint32)
                 out = (bits & _m) if _and else (bits | _m)
-                return out.view(np.float32)
+                return _quiet_nans(out).view(np.float32)
             return fn
         if opcode == "vabd":
             if b_operand is None:

@@ -14,8 +14,9 @@ filenames).
 The emitted code is semantically unchanged from the inline versions:
 
 * the fused block runs the scalar shapes inline over the register
-  banks and memory buffer it hoists, chaining the decoded handlers for
-  the rest, and restores ``state.pc`` and the retired count on a fault;
+  banks and memory buffer it hoists, stepping the reference executor
+  for the rest, and restores ``state.pc`` and the retired count on a
+  fault;
 * the block-timing closure unrolls
   :meth:`~repro.pipeline.core.PipelineModel.account_block`'s row loop
   with the block's constants baked in, batching same-line instruction
@@ -41,6 +42,7 @@ import numpy as np
 from repro import arith
 from repro.codegen import emit as _emit
 from repro.codegen.ir import BlockSpec
+from repro.interp.executor import Executor
 from repro.isa.decoded import (
     _INT_ALU_FAST,
     _resolve_target,
@@ -60,7 +62,7 @@ from repro.observability import telemetry as _telemetry
 from repro.pipeline.core import _FLAGS, _INSTR_BYTES
 
 #: Condition suffix -> Python expression over the hoisted ``flags`` dict,
-#: mirroring :data:`repro.isa.decoded.COND_CODES` predicate for predicate.
+#: mirroring the reference executor's condition predicates one for one.
 _COND_EXPRS = {
     "eq": 'flags["eq"]',
     "ne": 'not flags["eq"]',
@@ -79,8 +81,8 @@ _I32_MIN = -0x80000000
 _I32_MAX = 0x7FFFFFFF
 
 #: What converting a malformed or out-of-range immediate raises; the
-#: emitter then declines, leaving the error to the decoded handler at
-#: run time.
+#: emitter then declines, leaving the error to the reference executor
+#: at run time.
 _BAD_CONSTANT = (TypeError, ValueError, OverflowError)
 
 #: Scalar load/store opcode -> the precompiled ``struct`` accessor its
@@ -97,8 +99,8 @@ _ACCESSORS = {
 
 def _address(mem, scale: int, symbols):
     """*mem*'s effective address as an int (every part known now) or a
-    source expression over ``ints``; None for the forms the decoded
-    handler keeps (a non-integer register or an undefined symbol,
+    source expression over ``ints``; None for the forms the executor
+    keeps (a non-integer register or an undefined symbol,
     whose lookup must fail at run time, from the faulting pc).
 
     A symbol base is read from the run's table at fuse time: a table
@@ -144,7 +146,7 @@ def _memory_lines(instr: Instruction, ns: dict, state):
     so a fault's type and text still come from ``Memory``.  The
     memory's size and read-only ranges are literals: both are fixed
     once the loader has placed the program.  A constant address is
-    checked now — one that faults stays with the decoded handler.
+    checked now — one that faults stays with the executor.
     """
     opcode = instr.opcode
     load = opcode in LOAD_ELEM
@@ -156,8 +158,8 @@ def _memory_lines(instr: Instruction, ns: dict, state):
         reg = instr.srcs[0] if instr.srcs else None
     if not isinstance(reg, Reg) or instr.mem is None:
         return None
-    # A register of the other class takes the decoded handler's generic
-    # path (a conversion, or the reference's error).
+    # A register of the other class takes the executor's generic path
+    # (a conversion, or the reference's error).
     if elem == "f32":
         bank = "floats" if is_float_reg(reg.name) else None
     else:
@@ -225,7 +227,7 @@ def _mask_lines(instr: Instruction, ns: dict):
     """(lines, banks) for the FFT mask idiom on float data --
     ``and Fd, Fa, Ri`` or ``orr Fd, Fa, Ri|Fb`` -- or None.
 
-    The decoded handler passes ``float(a)`` and ``mask_bits(b)`` to
+    The reference executor passes ``float(a)`` and ``_mask_bits(b)`` to
     :func:`~repro.arith.float_bitwise` (:func:`~repro.arith
     .float_or_floats` for an ``orr`` of two floats).  On register
     values those are ``a`` itself and ``b & 0xFFFFFFFF``: the float
@@ -257,10 +259,9 @@ def _inline_lines(pc: int, instr: Instruction, ns: dict, state):
     place, never rebinding them) and, for memory accesses, ``buf``
     bound to the memory's byte buffer.  Each inline form is only used
     under exactly the conditions for which it computes what the
-    corresponding decoded handler computes, by the same (documented)
-    identities.  *state* is the run's
-    :class:`~repro.interp.state.MachineState`, read here and never
-    bound into *ns*.
+    reference executor computes, by the same (documented) identities.
+    *state* is the run's :class:`~repro.interp.state.MachineState`,
+    read here and never bound into *ns*.
     """
     spec = OPCODES.get(instr.opcode)
     if spec is None:
@@ -404,7 +405,8 @@ def _inline_lines(pc: int, instr: Instruction, ns: dict, state):
             return None
         # binary64 +/-/* of binary32 operands followed by one rounding
         # to binary32 is correctly rounded (2p+2 <= 53): identical to
-        # the reference's float32 arithmetic (see decoded.py).
+        # the reference's float32 arithmetic (float registers always hold
+        # exact binary32 values: every write path rounds).
         return ([f"floats[{d!r}] = float(_f32({a} {py_sym} {b}))"],
                 {"floats"})
 
@@ -418,36 +420,36 @@ def emit_fused_block(spec: BlockSpec, table):
     """(run closure, mem list) for one lifted superblock.
 
     *table* is the owning :class:`~repro.interp.turbo.SuperblockTable`
-    — the emitter pulls decoded instructions and handlers and the run's
-    state from it.  The generated function executes every instruction
-    in the block (raising from the faulting pc exactly like the
-    per-instruction engines) and returns the terminating branch's taken
-    flag (None for other terminators); ``mem`` holds the block's
+    — the emitter pulls the instructions, their timing metadata and the
+    run's state from it.  The generated function executes every
+    instruction in the block (raising from the faulting pc exactly like
+    the per-instruction engines) and returns the terminating branch's
+    taken flag (None for other terminators); ``mem`` holds the block's
     effective addresses in execution order after each run.
 
-    A shape the emitter does not inline, or an instruction whose decode
-    raised, is one call to its decoded handler (``table.handlers[pc]``,
-    the closure the per-instruction path runs): the block reads the
-    event's ``mem_addr`` for a memory op and ``taken`` for a branch.
-    Since a decoded handler counts itself retired, the block sets the
-    retired count from a snapshot taken on entry, on exit and on a
-    fault alike.
+    A shape the emitter does not inline is one step of the reference
+    :class:`~repro.interp.executor.Executor` on the block's own
+    :class:`~repro.isa.instructions.Instruction`: the block sets
+    ``state.pc`` (the executor reads it), then reads the event's
+    ``mem_addr`` for a memory op and ``taken`` for a branch.  Since the
+    executor counts itself retired, the block sets the retired count
+    from a snapshot taken on entry, on exit and on a fault alike.
 
-    Only the block's own objects and module-level helpers are bound
-    into the closure's namespace, never anything run-sized (memory,
-    its buffer, the state or its symbol table): ``exec`` ties the
-    namespace and the function into a reference cycle, which would
-    keep them alive past the run until the cyclic collector ran.
-    Whatever the body needs of the run's state it reads from the
-    ``state`` argument, or was folded into a literal at fuse time.
+    Only the block's own objects and module-level helpers (the
+    ``Executor`` class among them) are bound into the closure's
+    namespace, never anything run-sized (memory, its buffer, the state
+    or its symbol table): ``exec`` ties the namespace and the function
+    into a reference cycle, which would keep them alive past the run
+    until the cyclic collector ran.  Whatever the body needs of the
+    run's state it reads from the ``state`` argument, or was folded
+    into a literal at fuse time.
 
     Telemetry: ``codegen.superblock.inline`` counts the instructions
     emitted as inline lines and ``codegen.superblock.chained.<opcode>``
-    the ones emitted as a decoded-handler call.
+    the ones emitted as an executor step.
     """
     instructions = table.instructions
     metas = table.metas
-    failed = table.failed
     state = table.state
     entry = spec.entry
     pcs = spec.pcs
@@ -463,18 +465,19 @@ def emit_fused_block(spec: BlockSpec, table):
     chained: Dict[str, int] = {}
 
     def chain(pc: int, line: str = "{}") -> None:
-        """Set ``p``, then *line* around a call of *pc*'s decoded
-        handler."""
-        name = f"h{pc}"
-        ns[name] = table.handlers[pc]
+        """Set ``p`` and ``state.pc``, then *line* around the reference
+        executor's step of *pc*'s instruction."""
+        name = f"i{pc}"
+        ns["_X"] = Executor
+        ns[name] = instructions[pc]
         opcode = instructions[pc].opcode
         chained[opcode] = chained.get(opcode, 0) + 1
-        body.extend([f"p = {pc}", line.format(f"{name}(state)")])
+        body.extend([f"state.pc = p = {pc}",
+                     line.format(f"_X(state).execute({name})")])
 
     straight = pcs[:-1] if term else pcs
     for pc in straight:
-        inline = (None if pc in failed
-                  else _inline_lines(pc, instructions[pc], ns, state))
+        inline = _inline_lines(pc, instructions[pc], ns, state)
         if inline is not None:
             lines, needs = inline
             hoists |= needs
@@ -494,16 +497,14 @@ def emit_fused_block(spec: BlockSpec, table):
     if term:
         tpc = pcs[-1]
         instr = instructions[tpc]
-        ok = tpc not in failed
     if term == 1:
         target, terr = _resolve_target(table.program, instr.target)
-        ok = ok and terr is None
         cond_expr = (_COND_EXPRS.get(instr.opcode[1:])
                      if instr.opcode != "b" else None)
-        if ok and instr.opcode == "b":
+        if terr is None and instr.opcode == "b":
             body += [f"p = {tpc}", f"state.pc = {target}", retired,
                      "return True"]
-        elif ok and cond_expr is not None:
+        elif terr is None and cond_expr is not None:
             hoists.add("flags")
             body += [f"p = {tpc}",
                      f"if {cond_expr}:",
@@ -517,14 +518,14 @@ def emit_fused_block(spec: BlockSpec, table):
             chain(tpc, "r = {}.taken")
             body += [retired, "return r"]
     elif term == 2:
+        terr = None
         if metas[tpc].cls is InstrClass.CALL:
             target, terr = _resolve_target(table.program, instr.target)
-            ok = ok and terr is None
             tail = [f"ints[{LINK_REGISTER!r}] = {tpc + 1}",
                     f"state.pc = {target}"]
         else:
             tail = [f"state.pc = ints[{LINK_REGISTER!r}]"]
-        if ok:
+        if terr is None:
             hoists.add("ints")
             body += [f"p = {tpc}", *tail]
         else:

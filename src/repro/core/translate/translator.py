@@ -256,6 +256,18 @@ class DynamicTranslator:
         if not self.done and self.aborted is None:
             self._record_abort(AbortReason.EXTERNAL, "external abort signal")
 
+    def abort_nested_call(self, pc: int) -> None:
+        """A marked call retired at *pc* inside the observed region.
+
+        The machine handles marked calls itself, so their retirements
+        never reach :meth:`observe`; this applies the ``NESTED_CALL``
+        rule :meth:`observe` applies to any other call.
+        """
+        if not self.done and self.aborted is None:
+            self.seen.add(pc)
+            self._record_abort(AbortReason.NESTED_CALL,
+                               "call inside outlined region")
+
     def ignores(self, pc: int) -> bool:
         """Would a retirement at *pc* change nothing?
 

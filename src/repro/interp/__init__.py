@@ -5,8 +5,6 @@ from repro.interp.executor import (
     ENGINES,
     ExecutionError,
     Executor,
-    FastExecutor,
-    make_executor,
 )
 from repro.interp.state import MachineState, SymbolTable
 
@@ -15,8 +13,6 @@ __all__ = [
     "ENGINES",
     "ExecutionError",
     "Executor",
-    "FastExecutor",
-    "make_executor",
     "MachineState",
     "SymbolTable",
 ]

@@ -4,7 +4,10 @@ The executor advances :class:`~repro.interp.state.MachineState` one
 instruction at a time and emits a
 :class:`~repro.interp.events.RetireEvent` per instruction.  It contains
 no timing — the pipeline model and the dynamic translator both consume
-the retire-event stream.
+the retire-event stream.  It is the simulator's only per-instruction
+interpreter: both engines' per-instruction steps, the shapes a fused
+block does not inline, and translation-verification replays all run
+through it.
 
 Call semantics follow ARM: ``bl``/``blo`` write the return address into
 the link register and ``ret`` jumps back through it.  There is no
@@ -18,7 +21,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple, Union
 
 from repro import arith
-from repro.interp.errors import ExecutionError
 from repro.interp.events import RetireEvent
 from repro.interp.state import MachineState
 from repro.isa.instructions import Imm, Instruction, Mem, Reg, Sym, VImm
@@ -28,10 +30,13 @@ from repro.memory.alignment import vector_alignment_ok
 from repro.simd.permutations import PermPattern
 from repro.simd.vector_ops import vector_binary, vector_reduce, vector_unary
 
-__all__ = ["ExecutionError", "Executor", "FastExecutor", "make_executor",
-           "ENGINES"]
+__all__ = ["ExecutionError", "Executor", "ENGINES"]
 
 Number = Union[int, float]
+
+
+class ExecutionError(Exception):
+    """Semantic error during execution (bad operands, misalignment, ...)."""
 
 
 _COND = {
@@ -56,16 +61,13 @@ _VEC_RED = {"vredsum", "vredmin", "vredmax"}
 class Executor:
     """Executes instructions against a :class:`MachineState`.
 
-    This is the *reference* engine: it re-derives opcode metadata and
-    operand kinds on every step, which keeps the semantics maximally
-    explicit.  The pre-decoded fast engine (:class:`FastExecutor`) is
-    validated bit-for-bit against it — see ``docs/execution-engines.md``.
+    The one implementation of per-instruction semantics: it re-derives
+    opcode metadata and operand kinds on every step, which keeps the
+    semantics maximally explicit.  Both engines run every retirement an
+    observer needs an event for through it; the ``fast`` engine's fused
+    blocks and fragment kernels are validated bit-for-bit against it —
+    see ``docs/execution-engines.md``.
     """
-
-    #: Reference engine has no pre-decoded timing metadata or handler
-    #: tables; hot loops test these for None to pick the dispatch path.
-    metas = None
-    handlers = None
 
     def __init__(self, state: MachineState) -> None:
         self.state = state
@@ -388,61 +390,10 @@ def _mask_bits(value: Number) -> int:
     return int(value) & 0xFFFFFFFF
 
 
-class FastExecutor:
-    """Table-driven engine: one pre-decoded handler call per step.
-
-    The program is compiled once by :func:`repro.isa.decoded.predecode`
-    into a dense handler table; each :meth:`execute` is then a single
-    indexed call with operands, condition codes, and opcode dispatch all
-    pre-bound.  Semantics are bit-identical to :class:`Executor` (the
-    differential conformance suite enforces this); only the speed
-    differs.
-
-    Attributes:
-        table: the :class:`~repro.isa.decoded.DecodedProgram` in use.
-        metas: per-pc :class:`~repro.isa.decoded.InstrMeta` timing
-            metadata, indexable by the pipeline model.
-        handlers: per-pc executable closures; hot loops may index these
-            directly (``handlers[pc](state)``) to skip the ``execute``
-            call layer.
-    """
-
-    def __init__(self, state: MachineState, table=None) -> None:
-        from repro.isa.decoded import predecode  # deferred: import cycle
-        self.state = state
-        if table is None:
-            table = predecode(state.program)
-        elif table.program is not state.program:
-            raise ValueError("decoded table belongs to a different program")
-        self.table = table
-        self.metas = table.metas
-        self.handlers = table.handlers
-
-    def execute(self, instr: Instruction) -> RetireEvent:
-        """Execute the instruction at the current PC (must equal *instr*)."""
-        return self.handlers[self.state.pc](self.state)
-
-
-#: Selectable execution engines: "fast" (pre-decoded handlers plus
-#: superblock fusion and fragment kernels in the machine loop — the
-#: production default) and "reference" (the canonical per-step
-#: interpreter and the oracle the differential suite checks against).
+#: Selectable execution engines (``MachineConfig.engine``): "fast"
+#: (superblock fusion and fragment kernels in the machine loop, with
+#: this executor wherever an observer needs events — the production
+#: default) and "reference" (this executor for every step, the oracle
+#: the differential suite checks against).
 ENGINES = ("fast", "reference")
 
-
-def make_executor(state: MachineState, engine: str = "fast", table=None):
-    """Build the selected execution engine's per-instruction executor.
-
-    ``table`` optionally supplies an already-predecoded program (fast
-    engine only), so callers running many short fragments can amortize
-    the decode pass.  Unknown engines are rejected with a message
-    listing :data:`ENGINES` dynamically, mirroring the CLI's
-    ``--engine`` validation.
-    """
-    if engine == "fast":
-        return FastExecutor(state, table)
-    if engine == "reference":
-        return Executor(state)
-    raise ValueError(
-        f"unknown engine {engine!r}; expected one of {ENGINES}"
-    )

@@ -1,17 +1,18 @@
 """Superblock-fused execution for the ``fast`` engine.
 
-The fast engine (:mod:`repro.isa.decoded`) already pre-decodes every
-instruction into a handler closure, but still pays three per-instruction
-costs on every retirement: a frozen-dataclass
-:class:`~repro.interp.events.RetireEvent` allocation, a Python-level
-:meth:`~repro.pipeline.core.PipelineModel.account` call, and the
-machine's dispatch loop itself.  This module removes all three at
-*superblock* granularity, the classic region-specialization move of
-interpreter JITs (and of Revec-style region vectorizers): specialize a
-straight-line run once, execute it many times.
+The per-instruction path runs every retirement through the reference
+:class:`~repro.interp.executor.Executor`, and pays three costs each
+time: the executor's opcode dispatch and operand walk, a
+frozen-dataclass :class:`~repro.interp.events.RetireEvent` allocation,
+and a Python-level :meth:`~repro.pipeline.core.PipelineModel.account`
+call.  This module removes them at *superblock* granularity, the
+classic region-specialization move of interpreter JITs (and of
+Revec-style region vectorizers): specialize a straight-line run once,
+execute it many times.
 
-On top of a :class:`~repro.isa.decoded.DecodedProgram`, a
-:class:`SuperblockTable` lazily discovers straight-line handler runs —
+On top of a :class:`~repro.isa.decoded.DecodedProgram` (the per-pc
+timing metadata), a :class:`SuperblockTable` lazily discovers
+straight-line runs —
 basic blocks ending at branches, calls, returns, or ``halt`` (in this
 repo, chiefly the bodies of the outlined scalar loops) — and compiles
 each into one *fused* closure:
@@ -23,19 +24,20 @@ each into one *fused* closure:
   float registers, scalar loads and stores (symbol bases resolved to
   address literals at fuse time, bounds and read-only checks inline),
   float-register mask idioms (``and``/``orr``), and the block-closing
-  branch.  Whatever shape the emitter declines is one call to the
-  instruction's decoded handler, the closure the per-instruction path
-  runs (``codegen.superblock.chained.<opcode>`` counts them).
+  branch.  Whatever shape the emitter declines is one call of the
+  reference :class:`~repro.interp.executor.Executor` on that
+  instruction, the interpreter the per-instruction path runs
+  (``codegen.superblock.chained.<opcode>`` counts them).
 * **Event-free inline retirement.**  An inline instruction builds no
-  ``RetireEvent`` (a chained decoded handler builds its one event).
+  ``RetireEvent`` (a chained executor call builds its one event).
   Memory operations append their effective address to a per-block list
   (reused across executions), the closing branch returns its taken
   flag, and the pipeline consumes the pre-extracted per-block
   :class:`~repro.pipeline.core.BlockTiming` via one
   :meth:`~repro.pipeline.core.PipelineModel.account_block` call.
   Observers that genuinely need event objects force the machine onto
-  the per-instruction handler path, whose events are eager and
-  bit-identical by construction (see ``docs/execution-engines.md``): a
+  the per-instruction path, whose events are the reference executor's
+  own (see ``docs/execution-engines.md``): a
   :class:`~repro.system.trace.TraceRecorder` for the whole run, the
   dynamic translator only for pcs it does not yet ignore
   (:meth:`~repro.core.translate.translator.DynamicTranslator.ignores`).
@@ -54,9 +56,8 @@ restores ``state.pc`` to the faulting instruction and
 diagnostics match the per-instruction engines.  An inline load or store
 whose bounds or read-only test fails calls ``Memory._check_load`` /
 ``_check_store`` to raise, so the exception and its text come from
-:class:`~repro.memory.memory.Memory` itself.  An instruction whose
-decode raised is never inlined: its decoded handler raises the
-deferred error when it executes (``DecodedProgram.failed``).
+:class:`~repro.memory.memory.Memory` itself.  A malformed instruction
+is never inlined: the executor raises its error when it executes.
 """
 
 from __future__ import annotations
@@ -115,8 +116,9 @@ class FusedBlock:
 
 
 class SuperblockTable:
-    """Lazily fuses a :class:`~repro.isa.decoded.DecodedProgram` into
-    superblocks, keyed by entry pc.
+    """Lazily fuses a program (its
+    :class:`~repro.isa.decoded.DecodedProgram`) into superblocks, keyed
+    by entry pc.
 
     Three per-entry products are built on demand, each at most once:
     the lifted :class:`~repro.codegen.ir.BlockSpec` (:meth:`spec_at`,
@@ -143,10 +145,6 @@ class SuperblockTable:
         self.program = table.program
         self.instructions = table.program.instructions
         self.metas = table.metas
-        #: The decoded handlers a fused block chains for the shapes it
-        #: does not inline, and the pcs whose decode raised.
-        self.handlers = table.handlers
-        self.failed = table.failed
         self.marked = marked
         self.vector_width = vector_width
         self.pc_offset = pc_offset

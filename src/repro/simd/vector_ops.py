@@ -8,7 +8,7 @@ lane values by construction.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -144,11 +144,12 @@ def vector_reduce(opcode: str, acc: Number, lanes: Sequence[Number],
 
 
 # ---------------------------------------------------------------------------
-# numpy-backed fast lowerings
+# numpy tables for the whole-array fragment kernels
 #
-# The pre-decoded engine (repro.isa.decoded) binds one of these closures
-# per vector instruction at decode time.  Every lowering is constructed
-# to be *bit-identical* to the reference functions above:
+# The numpy backend (repro.codegen.numpy_backend) lowers a translated
+# fragment's loop bodies to kernels over ``(trips, width)`` arrays with
+# these tables.  Each lowering is constructed to be *bit-identical* to
+# the reference functions above:
 #
 # * integer lanes are computed in int64 and truncated with
 #   ``astype(<elem dtype>)``, which is exactly ``wrap_int``'s
@@ -160,13 +161,13 @@ def vector_reduce(opcode: str, acc: Number, lanes: Sequence[Number],
 #   comparisons that reproduce Python ``min``/``max`` tie/NaN ordering;
 # * float bitwise ops reinterpret through ``view(uint32)`` exactly like
 #   ``arith.float_bits``/``bits_float``;
-# * anything numpy cannot reproduce exactly (f32 reductions, whose
-#   sequential rounding numpy's pairwise summation would change;
-#   unknown opcode/elem combinations, which must raise the reference
-#   error) falls back to the reference implementation.
+# * anything numpy cannot reproduce exactly makes the lowering decline,
+#   and the fragment runs through fused blocks and the reference
+#   executor instead.
 #
 # The differential suite (tests/test_engine_differential.py) and the
-# property tests (tests/test_engine_properties.py) enforce the contract.
+# kernel-vs-block sweeps at the integer rails
+# (tests/test_engine_properties.py) enforce the contract.
 # ---------------------------------------------------------------------------
 
 _NP_INT_DTYPE = {"i8": np.int8, "i16": np.int16, "i32": np.int32}
@@ -201,121 +202,6 @@ def _mask_lanes(b_lanes: Sequence) -> "np.ndarray":
          & 0xFFFFFFFF for y in b_lanes],
         dtype=np.uint32,
     )
-
-
-def binary_fast_fn(opcode: str, elem: str) -> Callable:
-    """A pre-bound fast implementation of ``vector_binary(opcode, .., elem)``.
-
-    The returned closure takes ``(a, b)`` — lanes plus lanes-or-scalar —
-    and produces the same lane list as the reference.  Combinations the
-    numpy lowering cannot reproduce bit-identically return a closure over
-    the reference implementation instead, so callers never need to care.
-    """
-    reference = lambda a, b: vector_binary(opcode, a, b, elem)  # noqa: E731
-    if elem == "f32":
-        if opcode in _FLOAT_BITWISE:
-            want_and = opcode in ("vand", "vmask")
-
-            def fast(a, b, _and=want_and):
-                bits = np.asarray(a, dtype=np.float32).view(np.uint32)
-                masks = _mask_lanes(_broadcast(b, len(a)))
-                out = (bits & masks) if _and else (bits | masks)
-                return out.view(np.float32).tolist()
-            return fast
-        if opcode == "vabd":
-            def fast(a, b):
-                aa = np.asarray(a, dtype=np.float32)
-                bb = np.asarray(_broadcast(b, len(a)), dtype=np.float32)
-                return np.abs(aa - bb).tolist()
-            return fast
-        if opcode in ("vmin", "vmax"):
-            want_min = opcode == "vmin"
-
-            def fast(a, b, _min=want_min):
-                aa = np.asarray(a, dtype=np.float32)
-                bb = np.asarray(_broadcast(b, len(a)), dtype=np.float32)
-                out = np.where(bb < aa, bb, aa) if _min else \
-                    np.where(bb > aa, bb, aa)
-                return out.tolist()
-            return fast
-        np_op = _NP_FLOAT_BINARY.get(opcode)
-        if np_op is None:
-            return reference
-
-        def fast(a, b, _op=np_op):
-            aa = np.asarray(a, dtype=np.float32)
-            bb = np.asarray(_broadcast(b, len(a)), dtype=np.float32)
-            return _op(aa, bb).tolist()
-        return fast
-
-    dtype = _NP_INT_DTYPE.get(elem)
-    if dtype is None:
-        return reference
-    if opcode in ("vqadd", "vqsub"):
-        lo, hi = arith.INT_BOUNDS[elem]
-        want_add = opcode == "vqadd"
-
-        def fast(a, b, _lo=lo, _hi=hi, _add=want_add):
-            aa = np.asarray(a, dtype=np.int64)
-            bb = np.asarray(_broadcast(b, len(a)), dtype=np.int64)
-            raw = aa + bb if _add else aa - bb
-            return np.clip(raw, _lo, _hi).astype(dtype).tolist()
-        return fast
-    np_op = _NP_INT_BINARY.get(opcode)
-    if np_op is None:
-        return reference
-
-    def fast(a, b, _op=np_op, _dtype=dtype):
-        aa = np.asarray(a, dtype=np.int64)
-        bb = np.asarray(_broadcast(b, len(a)), dtype=np.int64)
-        return _op(aa, bb).astype(_dtype).tolist()
-    return fast
-
-
-def unary_fast_fn(opcode: str, elem: str) -> Callable:
-    """A pre-bound fast implementation of ``vector_unary(opcode, .., elem)``."""
-    reference = lambda a: vector_unary(opcode, a, elem)  # noqa: E731
-    if elem == "f32":
-        np_op = {"vabs": np.abs, "vneg": np.negative}.get(opcode)
-        if np_op is None:
-            return reference
-
-        def fast(a, _op=np_op):
-            return _op(np.asarray(a, dtype=np.float32)).tolist()
-        return fast
-    dtype = _NP_INT_DTYPE.get(elem)
-    np_op = {"vabs": np.abs, "vneg": np.negative}.get(opcode)
-    if dtype is None or np_op is None:
-        return reference
-
-    def fast(a, _op=np_op, _dtype=dtype):
-        return _op(np.asarray(a, dtype=np.int64)).astype(_dtype).tolist()
-    return fast
-
-
-def reduce_fast_fn(opcode: str, elem: str) -> Callable:
-    """A pre-bound fast implementation of ``vector_reduce(opcode, .., elem)``.
-
-    f32 reductions delegate to the reference fold: the scalar loop rounds
-    after every element, and numpy's pairwise summation would associate
-    differently.  The integer sum is computed wide and wrapped once,
-    which is congruent (mod 2**32) to the reference's per-step wrap.
-    """
-    reference = lambda acc, lanes: vector_reduce(opcode, acc, lanes, elem)  # noqa: E731
-    if elem == "f32" or opcode not in ("vredsum", "vredmin", "vredmax"):
-        return reference
-    if opcode == "vredsum":
-        def fast(acc, lanes):
-            return arith.wrap_int(int(acc) + sum(int(v) for v in lanes))
-        return fast
-    pick = min if opcode == "vredmin" else max
-
-    def fast(acc, lanes, _pick=pick):
-        result = int(acc)
-        for lane in lanes:
-            result = arith.wrap_int(_pick(result, int(lane)))
-        return result
-    return fast
 
 
 #: Map from a scalar data-processing opcode (as it appears in the scalar

@@ -36,7 +36,7 @@ from repro.core.translate.translator import (
 )
 from repro.core.translate.ucode_cache import MicrocodeCache, MicrocodeEntry
 from repro.interp.events import RetireEvent
-from repro.interp.executor import ENGINES, ExecutionError, make_executor
+from repro.interp.executor import ENGINES, ExecutionError, Executor
 from repro.interp.turbo import (
     fragment_tables_for_entry,
     superblock_table_for,
@@ -110,12 +110,11 @@ class MachineConfig:
     #: false-positive scenario).
     verify_translations: bool = False
     #: Execution engine: "fast" (the production default: superblock
-    #: fusion with batched timing, whole-loop numpy kernels for
-    #: translated SIMD fragments, and pre-decoded per-instruction
-    #: handlers wherever an observer needs events) or "reference" (the
-    #: canonical per-step interpreter, kept as the oracle).  Both are
-    #: bit-identical; see docs/execution-engines.md and
-    #: tests/test_engine_differential.py.
+    #: fusion with batched timing and whole-loop numpy kernels for
+    #: translated SIMD fragments, with the reference executor wherever
+    #: an observer needs events) or "reference" (the reference executor
+    #: for every step, kept as the oracle).  Both are bit-identical; see
+    #: docs/execution-engines.md and tests/test_engine_differential.py.
     engine: str = "fast"
     mvl: int = 16
     max_steps: int = 80_000_000
@@ -224,9 +223,10 @@ class Machine:
                     if config.accelerator is not None else None)
         state = MachineState(program, memory, symbols, vector_width=hw_width)
         table = predecode(program) if config.engine == "fast" else None
-        executor = make_executor(state, config.engine, table)
-        metas = executor.metas        # fast engine only; None for reference
-        handlers = executor.handlers  # fast engine only; None for reference
+        #: per-pc timing metadata (fast engine only): account() derives
+        #: it per retirement when it is None.
+        metas = table.metas if table is not None else None
+        execute = Executor(state).execute
         pipeline = PipelineModel(config.pipeline)
         use_translation = (config.accelerator is not None
                            and config.translation_enabled)
@@ -282,9 +282,10 @@ class Machine:
         # only when the translator ignores every pc in it
         # (DynamicTranslator.ignores): those retirements would change
         # nothing it computes.  Everything else it observes takes the
-        # per-instruction handler path, whose events are eager — all of
-        # it when interrupt_interval is set, since the external-abort
-        # instant is read after every instruction.
+        # per-instruction path through the reference executor, whose
+        # events are eager — all of it when interrupt_interval is set,
+        # since the external-abort instant is read after every
+        # instruction.
         superblocks = None
         block_lookup = None
         spec_at = None
@@ -370,6 +371,10 @@ class Machine:
 
             if marked_call[pc]:
                 at_entry = True
+                if translating is not None:
+                    # A call inside the observed call: the callee's ret
+                    # must not finish the caller's translation.
+                    translating.abort_nested_call(pc)
                 target = instr.target
                 stats = functions.setdefault(target, FunctionStats(target))
                 stats.calls += 1
@@ -379,7 +384,7 @@ class Machine:
                     if entry is not None:
                         # Front-end injection: charge the call, run microcode,
                         # resume after the call.
-                        event = executor.execute(instr)  # sets lr, jumps
+                        event = execute(instr)  # sets lr, jumps
                         pipeline.account(
                             event, metas[pc] if metas is not None else None)
                         if self.tracer is not None:
@@ -397,7 +402,7 @@ class Machine:
                         )
                         translating.begin(target)
                 stats.scalar_runs += 1
-                event = executor.execute(instr)
+                event = execute(instr)
                 pipeline.account(
                     event, metas[pc] if metas is not None else None)
                 if self.tracer is not None:
@@ -405,14 +410,10 @@ class Machine:
                 continue
 
             try:
-                if handlers is not None:
-                    event = handlers[pc](state)
-                    meta = metas[pc]
-                else:
-                    event = executor.execute(instr)
-                    meta = None
+                event = execute(instr)
             except (ExecutionError, MemoryError_) as exc:
                 raise MachineError(f"{program.name} @pc={pc}: {exc}") from exc
+            meta = metas[pc] if metas is not None else None
             account(event, meta)
             if tracer is not None:
                 tracer.record(event, source="scalar")
@@ -561,7 +562,7 @@ class Machine:
                                           state.symbols,
                                           vector_width=entry.width)
                 frag_state.regs = clone.regs
-                executor = make_executor(frag_state, self.config.engine)
+                executor = Executor(frag_state)
                 count = len(entry.fragment.instructions)
                 guard = 0
                 while frag_state.pc < count:
@@ -573,7 +574,7 @@ class Machine:
             else:
                 clone.pc = program.label_index(target)
                 clone.regs.write("r14", len(program.instructions))
-                executor = make_executor(clone, self.config.engine)
+                executor = Executor(clone)
                 guard = 0
                 while True:
                     guard += 1
@@ -622,11 +623,8 @@ class Machine:
         frag_state = MachineState(fragment, state.memory, state.symbols,
                                   vector_width=entry.width)
         frag_state.regs = state.regs  # architectural scalar state is shared
-        # The per-event executor is built lazily: fragments that run
-        # entirely through kernels and fused blocks never reach the
-        # per-event path, so its construction is skipped on the hot path.
-        frag_executor = None
-        metas = handlers = None
+        execute = Executor(frag_state).execute
+        metas = table.metas if table is not None else None
         count = len(fragment.instructions)
         guard = 0
         max_steps = self.config.max_steps
@@ -686,23 +684,13 @@ class Machine:
                     f"microcode for {entry.function} did not terminate"
                 )
             frag_pc = frag_state.pc
-            instr = fragment.instructions[frag_pc]
-            if frag_executor is None:
-                frag_executor = make_executor(frag_state,
-                                              self.config.engine, table)
-                metas = frag_executor.metas
-                handlers = frag_executor.handlers
             try:
-                if handlers is not None:
-                    event = handlers[frag_pc](frag_state)
-                    meta = metas[frag_pc]
-                else:
-                    event = frag_executor.execute(instr)
-                    meta = None
+                event = execute(fragment.instructions[frag_pc])
             except (ExecutionError, MemoryError_) as exc:
                 raise MachineError(
                     f"microcode for {entry.function}: {exc}"
                 ) from exc
+            meta = metas[frag_pc] if metas is not None else None
             # Direct construction (not dataclasses.replace): this runs once
             # per injected microcode instruction and replace() is ~3x the
             # cost of the frozen-dataclass constructor.

@@ -45,6 +45,7 @@ from repro.interp.macro import (
     FragmentLoopShape,
     FragmentNestShape,
 )
+from repro.interp.executor import Executor
 from repro.interp.state import MachineState, SymbolInfo, SymbolTable
 from repro.interp.turbo import fragment_tables_for
 from repro.isa.assembler import assemble
@@ -321,20 +322,29 @@ def test_nested_loop_plan_shapes():
     assert isinstance(plan[2], FragmentLoopShape)
 
 
-def test_fused_blocks_chain_the_decoded_handlers():
-    """What a fused block does not inline (here the vector ops) is a
-    call of the per-instruction path's own handler object, never a
-    second copy of its semantics."""
+def test_fused_blocks_chain_the_reference_executor():
+    """What a fused block does not inline (here the vector ops) is one
+    step of the reference executor on the block's own instruction,
+    never a second copy of its semantics; and the block binds nothing
+    run-sized."""
     program = assemble(nest_source(WIDTH))
-    table, blocks, _ = fragment_tables_for(program, PipelineModel(), WIDTH,
-                                           OFFSET, _state_for(program, WIDTH))
+    state = _state_for(program, WIDTH)
+    _, blocks, _ = fragment_tables_for(program, PipelineModel(), WIDTH,
+                                       OFFSET, state)
+    run_sized = (state, state.memory, state.memory._bytes, state.symbols,
+                 state.regs, state.vregs)
     chained = 0
     for pc in range(len(program.instructions)):
         namespace = blocks.block_at(pc).run.__globals__
         for name, value in namespace.items():
-            if name.startswith("h") and name[1:].isdigit():
-                assert value is table.handlers[int(name[1:])]
-                chained += 1
+            assert not any(value is obj for obj in run_sized), name
+        steps = [name for name in namespace
+                 if name.startswith("i") and name[1:].isdigit()]
+        for name in steps:
+            assert namespace[name] is program.instructions[int(name[1:])]
+        if steps:
+            assert namespace["_X"] is Executor
+        chained += len(steps)
     assert chained
 
 

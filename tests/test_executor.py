@@ -1,9 +1,10 @@
 """Unit tests for the functional executor (scalar and vector semantics)."""
 
+import re
+
 import pytest
 
-from repro.interp.executor import (ExecutionError, Executor, FastExecutor,
-                                   make_executor)
+from repro.interp.executor import ENGINES, ExecutionError, Executor
 from repro.interp.state import MachineState, SymbolInfo, SymbolTable
 from repro.isa.assembler import assemble
 from repro.isa.decoded import predecode
@@ -11,6 +12,7 @@ from repro.isa.instructions import Imm, Instruction, Reg
 from repro.isa.opcodes import OPCODES
 from repro.isa.program import Program
 from repro.memory.memory import Memory
+from repro.system.machine import Machine, MachineConfig, MachineError
 
 
 def make_state(source: str, width=None, data_base: int = 0x400):
@@ -306,103 +308,107 @@ class TestVectorExecution:
 #
 # The assembler rejects unknown opcodes outright, so these tests build
 # Instruction/Program objects by hand to reach the interpreter's own
-# guards.  Both engines must raise ExecutionError with the same message;
-# the fast engine defers decode-time failures into handlers that raise
-# at execution time (see repro.isa.decoded.predecode), so an unreachable
-# bad instruction never aborts a run.
+# guards.  Both engines must fail with the same error, message and pc:
+# the fast engine's fused block steps the executor on a shape it does
+# not inline, and nothing fires before the bad instruction executes
+# (repro.isa.decoded.predecode never raises), so an unreachable bad
+# instruction never aborts a run.
 # ---------------------------------------------------------------------------
 
 
-def make_raw_state(instructions, width=None):
-    """Build a state over hand-constructed instructions (no assembler)."""
+def make_raw_program(instructions):
+    """A program over hand-constructed instructions (no assembler)."""
     program = Program(name="raw")
     program.labels["main"] = 0
     for ins in instructions:
         program.emit(ins)
-    return MachineState(program, Memory(1 << 16), SymbolTable(),
-                        vector_width=width)
+    return program
+
+
+def run_error(instructions, engine):
+    """The error a :class:`Machine` run of *instructions* raises."""
+    with pytest.raises(MachineError) as excinfo:
+        Machine(MachineConfig(engine=engine)).run(
+            make_raw_program(instructions))
+    return excinfo.value
+
+
+def assert_same_error_on_both_engines(instructions, match):
+    """Both engines fail the same way: a :class:`MachineError` wrapping
+    the executor's :class:`ExecutionError`, with the same text (which
+    names the faulting pc).  On the fast engine the faulting shape sits
+    in a fused block, which steps the executor on it."""
+    errors = [run_error(instructions, engine)
+              for engine in ("reference", "fast")]
+    for error in errors:
+        assert isinstance(error.__cause__, ExecutionError)
+        assert re.search(match, str(error)), str(error)
+    reference, fast = errors
+    assert str(fast) == str(reference)
+
+
+#: A valid instruction first, so the fault's pc is not the entry's.
+_PROLOGUE = Instruction("mov", dst=Reg("r1"), srcs=(Imm(1),))
 
 
 class TestDispatchErrors:
     def test_unknown_opcode_reference(self):
-        state = make_raw_state([
+        error = run_error([
+            _PROLOGUE,
             Instruction("frobnicate", dst=Reg("r0"), srcs=(Imm(1),)),
-        ])
-        ex = Executor(state)
-        with pytest.raises(ExecutionError,
-                           match=r"unknown opcode 'frobnicate' at pc=0"):
-            ex.execute(state.program.instructions[0])
+        ], "reference")
+        assert isinstance(error.__cause__, ExecutionError)
+        assert str(error) == \
+            "raw @pc=1: unknown opcode 'frobnicate' at pc=1"
 
     def test_unknown_opcode_fast(self):
-        state = make_raw_state([
+        assert_same_error_on_both_engines([
+            _PROLOGUE,
             Instruction("frobnicate", dst=Reg("r0"), srcs=(Imm(1),)),
-        ])
-        ex = make_executor(state, "fast")
-        with pytest.raises(ExecutionError,
-                           match=r"unknown opcode 'frobnicate' at pc=0"):
-            ex.execute(state.program.instructions[0])
+        ], r"^raw @pc=1: unknown opcode 'frobnicate' at pc=1$")
 
     def test_unknown_condition_suffix_both_engines(self, monkeypatch):
         # Register the opcode so dispatch reaches the condition decoder;
         # the suffix guard must still reject what _COND doesn't know.
         monkeypatch.setitem(OPCODES, "movxx", OPCODES["moveq"])
-        match = r"unknown condition suffix 'xx' in opcode 'movxx'"
-        for engine in ("reference", "fast"):
-            state = make_raw_state([
-                Instruction("movxx", dst=Reg("r0"), srcs=(Imm(1),)),
-            ])
-            ex = make_executor(state, engine)
-            with pytest.raises(ExecutionError, match=match):
-                ex.execute(state.program.instructions[0])
+        assert_same_error_on_both_engines([
+            _PROLOGUE,
+            Instruction("movxx", dst=Reg("r0"), srcs=(Imm(1),)),
+        ], r"^raw @pc=1: unknown condition suffix 'xx' in opcode 'movxx'$")
 
     def test_unknown_branch_condition_both_engines(self, monkeypatch):
         monkeypatch.setitem(OPCODES, "bxx", OPCODES["beq"])
-        match = r"unknown branch condition 'xx' in opcode 'bxx'"
-        for engine in ("reference", "fast"):
-            state = make_raw_state([
-                Instruction("bxx", target="main"),
-            ])
-            ex = make_executor(state, engine)
-            with pytest.raises(ExecutionError, match=match):
-                ex.execute(state.program.instructions[0])
+        assert_same_error_on_both_engines([
+            _PROLOGUE,
+            Instruction("bxx", target="main"),
+        ], r"^raw @pc=1: unknown branch condition 'xx' in opcode 'bxx'$")
 
     def test_predecode_defers_errors_to_execution(self):
-        # A program with an unreachable bad instruction must predecode
-        # cleanly and run to completion on the fast engine.
-        state = make_raw_state([
+        program = make_raw_program([
             Instruction("halt"),
-            Instruction("frobnicate"),  # never reached
+            Instruction("frobnicate"),                 # unknown opcode
+            Instruction("add", dst=Reg("r0")),         # malformed
+            Instruction("bxx", target="nowhere"),      # bad condition
         ])
-        table = predecode(state.program)  # must not raise
-        ex = FastExecutor(state, table)
-        ex.execute(state.program.instructions[0])
-        assert state.halted
-        # Forcing execution of the bad pc raises the captured error.
-        state.pc = 1
-        with pytest.raises(ExecutionError,
-                           match=r"unknown opcode 'frobnicate' at pc=1"):
-            ex.execute(state.program.instructions[1])
+        # Decoding never raises: an unknown opcode just has no timing.
+        table = predecode(program)
+        assert table.metas[1] is None
+        assert table.metas[0] is not None
+        # The bad instructions are unreachable, so neither engine fires.
+        for engine in ENGINES:
+            result = Machine(MachineConfig(engine=engine)).run(program)
+            assert result.instructions == 1
 
-    def test_make_executor_rejects_unknown_engine(self):
-        state = make_raw_state([Instruction("halt")])
-        with pytest.raises(ValueError, match="unknown engine"):
-            make_executor(state, "warp")
+    def test_machine_config_rejects_unknown_engine(self):
+        with pytest.raises(ValueError, match="engine must be one of"):
+            MachineConfig(engine="warp")
 
     def test_unknown_engine_message_lists_engines(self):
         # The error must enumerate ENGINES dynamically, mirroring the
         # CLI's --engine choices.
-        from repro.interp.executor import ENGINES
-        state = make_raw_state([Instruction("halt")])
         with pytest.raises(ValueError) as excinfo:
-            make_executor(state, "warp")
+            MachineConfig(engine="warp")
         message = str(excinfo.value)
         assert str(ENGINES) in message
         for engine in ENGINES:
             assert engine in message
-
-    def test_fast_executor_rejects_foreign_table(self):
-        state_a = make_raw_state([Instruction("halt")])
-        state_b = make_raw_state([Instruction("halt")])
-        table = predecode(state_a.program)
-        with pytest.raises(ValueError, match="different program"):
-            FastExecutor(state_b, table)

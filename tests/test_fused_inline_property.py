@@ -6,8 +6,8 @@ conditional moves, wrapping ``add``/``sub`` and the float-register mask
 idiom (``and``/``orr``) as straight Python over register banks and the
 memory buffer hoisted once per block, with symbol bases, the memory
 size and its read-only ranges folded into literals at fuse time.  Each
-inline form claims to compute exactly what the decoded handler it
-replaces -- and so the reference engine -- computes.
+inline form claims to compute exactly what the reference executor
+step it replaces computes; every other shape is such a step.
 
 Hypothesis generates self-loop bodies drawn from every one of those
 shapes (each load/store opcode and signedness, symbol and register
@@ -21,10 +21,10 @@ count) or the same ``MachineError`` text.
 
 The fixed cases fault on a late trip of a self-loop window -- a store
 into ``.rodata``, a store past the end of memory, a negative-address
-load, a store fault after a chained decoded handler has counted itself
-retired -- and on an undefined symbol, which must stay a
-decoded-handler call.  Each must leave the reference's pc, retired
-count and message.
+load, a store fault after a chained executor step has counted itself
+retired -- and on an undefined symbol, which must stay an executor
+step.  Each must leave the reference's pc, retired count and
+message.
 """
 
 from __future__ import annotations
@@ -298,8 +298,8 @@ def test_wrapping_add_sub_on_boundaries():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_immediates_take_the_generic_path():
     """Immediates whose binary32 (or exact) literal does not exist: the
-    emitter declines these shapes, and the decoded handlers' generic
-    forms must compute what the reference does."""
+    emitter declines these shapes, and the fused blocks must step the
+    reference executor on them."""
     body = ["fadd f1, f1, #1e999", "fmul f2, f2, #-1e39",
             "fmax f3, f3, #1e999", "fmin f4, f4, #-1e999",
             "fmov f5, #1e999", "cmp r2, #1e999", "movlt r3, #7",
@@ -363,14 +363,14 @@ FAULTS = {
     "negative-address-load": _walk("ldw r3, [r1 + #0]", "#12", -4),
     # Address 30 - 2 * trip: negative on trip 17.
     "negative-index-load": _walk("ldh r3, [r1 + r0]", "#30", -4),
-    # The symbol-source move stays a decoded-handler call, which counts
+    # The symbol-source move stays an executor step, which counts
     # itself retired before the store faults on trip 17.
     "chained-then-fault": _walk("mov r4, A\nstw r2, [A + r1]", "#0", 1,
                                 data=".rodata K i32 8 = 1"),
     "undefined-symbol": _walk("ldw r3, [A + #0]", "#0", 4, trips=40)
     .replace("halt", "ldw r3, [NOPE + r0]\nhalt"),
     # An immediate no inline form can hold: int() of it overflows when
-    # the decoded handler executes it.
+    # the executor executes it.
     "infinite-integer-immediate": _walk("ldw r3, [A + #0]", "#0", 4,
                                         trips=40)
     .replace("halt", "add r3, r3, #1e999\nhalt"),

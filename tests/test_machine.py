@@ -211,6 +211,66 @@ class TestUcodeCacheIntegration:
         assert result.functions["hot_fn"].simd_runs > 0
 
 
+#: ``outer`` runs a translatable loop, then a marked call of ``inner``
+#: (saving and restoring the link register around it) and an increment
+#: of C[1]; ``inner`` increments C[0].  ``main`` calls ``outer`` 3 times.
+NESTED_MARKED_CALL = """
+.data A f32 16 = 1.0
+.data B f32 16 = 0.0
+.data C i32 2 = 0
+main:
+    mov r5, #0
+top:
+    blo outer
+    add r5, r5, #1
+    cmp r5, #3
+    blt top
+    halt
+outer:
+    mov r1, #0
+loop:
+    ldf f1, [A + r1]
+    fadd f2, f1, f1
+    stf f2, [B + r1]
+    add r1, r1, #1
+    cmp r1, #16
+    blt loop
+    mov r9, r14
+    blo inner
+    mov r14, r9
+    ldw r2, [C + #1]
+    add r2, r2, #1
+    stw r2, [C + #1]
+    ret
+inner:
+    ldw r3, [C + #0]
+    add r3, r3, #1
+    stw r3, [C + #0]
+    ret
+"""
+
+
+class TestNestedMarkedCall:
+    """A marked call that retires inside an observed call aborts the
+    caller's translation (``nested-call``), exactly as a plain call
+    does: the callee's ``ret`` must not finish the caller's translation
+    at the wrong instruction."""
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_callee_ret_does_not_finish_the_caller(self, engine, verify):
+        program = assemble(NESTED_MARKED_CALL)
+        plain = Machine(MachineConfig(engine=engine)).run(program)
+        assert plain.arrays["C"] == [3, 3]
+        result = Machine(MachineConfig(
+            accelerator=config_for_width(4), engine=engine,
+            verify_translations=verify)).run(program)
+        assert arrays_equal(plain, result)
+        outer = [t for t in result.translations if t.function == "outer"]
+        assert [t.reason.value for t in outer] == ["nested-call"]
+        assert result.functions["outer"].simd_runs == 0
+
+
 class TestMachineGuards:
     def test_runaway_program_detected(self):
         from repro.isa.assembler import assemble

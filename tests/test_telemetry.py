@@ -280,7 +280,7 @@ class TestFusedPathCounters:
             stw r2, [r1 + #2]
             halt
         """)])
-        # One block: a symbol-source move is the one decoded-handler call.
+        # One block: a symbol-source move is the one executor step.
         assert counters["codegen.superblock.inline"] == 3
         assert {name: n for name, n in counters.items()
                 if name.startswith("codegen.superblock.chained.")} == {
