@@ -11,12 +11,16 @@ the service contract end to end:
    further simulation,
 4. **soak** — a 200-wide identical storm on another unseen key costs
    exactly one machine-run, then 2,000 warm requests over 64 keep-alive
-   connections cost none; every reply is a 200,
+   connections cost none; every reply is a 200, and every reply for one
+   key carries the same result bytes,
 5. **cache endpoints** — every key simulated above is listed by
    ``POST /contains``, and ``GET /runs/<key>`` returns the farm's cache
    file byte for byte,
-6. **fidelity** — every served ``result`` payload is byte-identical to
-   a direct in-process ``RunScheduler`` run of the same request,
+6. **fidelity** — every served ``result`` is byte-identical to a direct
+   in-process ``RunScheduler`` run of the same request: the reply's
+   bytes after ``"result":`` are the direct run's compact JSON plus the
+   closing ``}``, and equal the bytes after ``"result":`` in the farm's
+   cache file for that key,
 7. **hygiene** — zero 5xx errors; malformed jobs get a 400 without
    touching the pool.
 
@@ -67,17 +71,32 @@ def get_stats(url: str) -> dict:
         return json.loads(resp.read())
 
 
-def post_run(url: str, payload: dict) -> dict:
+def post_run_raw(url: str, payload: dict) -> bytes:
+    """The raw reply bytes of one ``POST /v1/runs``."""
     req = urllib.request.Request(
         f"{url}/v1/runs", data=json.dumps(payload).encode("utf-8"),
         headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(req, timeout=120) as resp:
-        return json.loads(resp.read())
+        return resp.read()
+
+
+def post_run(url: str, payload: dict) -> dict:
+    return json.loads(post_run_raw(url, payload))
+
+
+def result_bytes(body: bytes) -> bytes:
+    """The bytes after the first ``"result":`` of a reply or a cache
+    entry: the result's compact JSON and the closing ``}``."""
+    cut = body.find(b'"result":')
+    if cut < 0:
+        fail(f"no result in {body[:120]!r}")
+    return body[cut + len(b'"result":'):]
 
 
 def keepalive_posts(port: int, payloads: list, connections: int) -> list:
-    """``(status, reply)`` for every payload, POSTed to ``/v1/runs`` over
-    *connections* keep-alive connections at once (a thread each)."""
+    """``(status, reply, raw body)`` for every payload, POSTed to
+    ``/v1/runs`` over *connections* keep-alive connections at once (a
+    thread each)."""
     def worker(chunk: list) -> list:
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
         try:
@@ -86,8 +105,8 @@ def keepalive_posts(port: int, payloads: list, connections: int) -> list:
                 conn.request("POST", "/v1/runs", body=json.dumps(payload),
                              headers={"Content-Type": "application/json"})
                 response = conn.getresponse()
-                replies.append((response.status,
-                                json.loads(response.read())))
+                body = response.read()
+                replies.append((response.status, json.loads(body), body))
             return replies
         finally:
             conn.close()
@@ -171,14 +190,14 @@ def main() -> None:
 
         # Phase 3: warm re-fires simulate nothing further.
         executed_before = stats["executed"]
-        warm_replies = {}
+        warm_bodies = {}
         for payload in COLD_SET + [STORM_REQUEST]:
-            reply = post_run(url, payload)
+            body = post_run_raw(url, payload)
+            reply = json.loads(body)
             if reply["source"] != "hit":
                 fail(f"warm re-fire of {payload} answered "
                      f"{reply['source']!r}, expected hit")
-            warm_replies[json.dumps(payload, sort_keys=True)] = \
-                reply["result"]
+            warm_bodies[json.dumps(payload, sort_keys=True)] = body
         stats = get_stats(url)["stats"]
         if stats["executed"] != executed_before:
             fail("warm re-fires raised the machine-run count")
@@ -188,7 +207,7 @@ def main() -> None:
         soak_start = time.perf_counter()
         replies = keepalive_posts(port, [SOAK_STORM_REQUEST] * SOAK_STORM_SIZE,
                                   SOAK_STORM_SIZE)
-        bad = sorted({status for status, _ in replies if status != 200})
+        bad = sorted({status for status, _, _ in replies if status != 200})
         if bad:
             fail(f"soak storm got non-200 replies: {bad}")
         after = get_stats(url)["stats"]
@@ -196,18 +215,25 @@ def main() -> None:
             fail(f"{SOAK_STORM_SIZE} identical concurrent requests cost "
                  f"{after['executed'] - stats['executed']} machine-runs, "
                  f"expected 1")
-        if sum(1 for _, r in replies if r["source"] == "cold") != 1:
+        if sum(1 for _, r, _ in replies if r["source"] == "cold") != 1:
             fail("soak storm must contain exactly one cold response")
         simulated_keys.append(replies[0][1]["key"])
         warm_set = COLD_SET + [STORM_REQUEST, SOAK_STORM_REQUEST]
         replies = keepalive_posts(
             port, [warm_set[i % len(warm_set)]
                    for i in range(SOAK_WARM_REQUESTS)], SOAK_CONNECTIONS)
-        bad = sorted({status for status, _ in replies if status != 200})
+        bad = sorted({status for status, _, _ in replies if status != 200})
         if bad:
             fail(f"soak warm phase got non-200 replies: {bad}")
-        if any(r["source"] != "hit" for _, r in replies):
+        if any(r["source"] != "hit" for _, r, _ in replies):
             fail("soak warm phase answered a request other than as a hit")
+        tails = {}
+        for _, reply, body in replies:
+            tails.setdefault(reply["key"], set()).add(result_bytes(body))
+        varied = sorted(key for key, seen in tails.items() if len(seen) != 1)
+        if varied:
+            fail(f"soak warm replies for {len(varied)} key(s) carried "
+                 f"differing result bytes")
         stats = get_stats(url)["stats"]
         if stats["executed"] != after["executed"]:
             fail(f"{SOAK_WARM_REQUESTS} warm requests cost "
@@ -232,13 +258,25 @@ def main() -> None:
             if served != stored.read_bytes():
                 fail(f"GET /runs/{key} differs from the farm's cache file")
 
-        # Phase 6: served payloads are byte-identical to direct runs.
+        # Phase 6: served payloads are byte-identical to direct runs and
+        # to the farm's cache files.
         for name, wire in direct_results().items():
-            served = json.dumps(warm_replies[name], sort_keys=True)
+            reply = json.loads(warm_bodies[name])
+            served = json.dumps(reply["result"], sort_keys=True)
             direct = json.dumps(wire, sort_keys=True)
             if served != direct:
                 fail(f"served result for {name} differs from a "
                      f"direct scheduler run")
+            key = reply["key"]
+            tail = result_bytes(warm_bodies[name])
+            compact = json.dumps(wire, separators=(",", ":")).encode("utf-8")
+            if tail != compact + b"}":
+                fail(f"served result bytes for {name} differ from a "
+                     f"direct scheduler run's")
+            stored = Path(scratch) / key[:2] / f"{key}.json"
+            if tail != result_bytes(stored.read_bytes()):
+                fail(f"served result bytes for {name} differ from the "
+                     f"farm's cache file")
 
         # Phase 7: hygiene.
         try:

@@ -331,7 +331,7 @@ class RunCacheStats:
     misses: int = 0
     stores: int = 0
     races: int = 0   # store skipped because an entry already existed
-    errors: int = 0  # corrupted or unreadable entries encountered
+    errors: int = 0  # corrupt or unreadable entries, and failed writes
     probe_calls: int = 0  # contains_many round-trips
     probed: int = 0       # keys covered by those round-trips
 
@@ -410,8 +410,20 @@ class RunCache:
         return result
 
     def store(self, key: str, result: RunResult) -> None:
-        """Atomically persist *result* under *key* (first writer wins)."""
-        if self.backend.store(key, entry_payload(key, result)):
+        """Atomically persist *result* under *key* (first writer wins).
+
+        A backend that cannot write — a full or read-only directory, a
+        root that is a regular file — loses the entry, not the run: the
+        ``OSError`` is counted under ``errors`` and not raised, so the
+        caller still answers with the result it simulated.
+        """
+        try:
+            stored = self.backend.store(key, entry_payload(key, result))
+        except OSError:
+            self.stats.errors += 1
+            _telemetry.get().count("runcache.errors")
+            return
+        if stored:
             self.stats.stores += 1
             _telemetry.get().count("runcache.stores")
         else:

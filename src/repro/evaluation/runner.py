@@ -158,6 +158,7 @@ class RunScheduler:
         self._memo: Dict[RunRequest, RunResult] = {}
         self._programs: Dict[Tuple[str, str, int], Program] = {}
         self._encoded: Dict[Tuple[str, str, int], bytes] = {}
+        self._keys: Dict[RunRequest, str] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -250,8 +251,21 @@ class RunScheduler:
         return encoded
 
     def key_for(self, request: RunRequest) -> str:
-        """The run-cache key a request resolves to (memoized encode)."""
-        return run_key_for_bytes(self.encoded_for(request), request.config)
+        """The run-cache key a request resolves to, derived once per
+        request.
+
+        The first call hashes the config fingerprint and the program's
+        encoded bytes (themselves encoded once per ``program_id``); a
+        repeated request — a warm ``repro serve`` hit, a sweep's probe
+        after its manifest keyed it — is one dict lookup.  Requests that
+        differ only in engine are distinct entries with the same key.
+        """
+        key = self._keys.get(request)
+        if key is None:
+            key = run_key_for_bytes(self.encoded_for(request),
+                                    request.config)
+            self._keys[request] = key
+        return key
 
     def _finish(self, request: RunRequest, key: Optional[str],
                 result: RunResult,

@@ -17,7 +17,9 @@ The run handler answers each request from the cheapest possible source:
 
 1. **memo / cache hit** — the key (the same engine-invariant
    :func:`~repro.evaluation.runcache.run_key_for_bytes` address every
-   other consumer uses) is already answered: O(1), zero simulation.
+   other consumer uses, derived once per request) is already answered:
+   O(1), zero simulation, and the memoized result bytes are spliced
+   into the reply unencoded.
 2. **coalesced** — an identical request is *in flight*: the handler
    awaits the existing run instead of starting a second one
    (single-flight, keyed by run key).  A thousand simultaneous
@@ -116,9 +118,11 @@ KEY_RE = re.compile(r"^[0-9a-f]{64}$")
 #: vector file.
 MAX_WIDTH = 64
 
-#: In-process memo of recently answered keys (wire dicts), so a warm
-#: storm of identical requests never re-reads the cache entry from
-#: disk.  Bounded FIFO — the persistent cache remains the real store.
+#: In-process memo of recently answered keys, each held as its result's
+#: compact JSON bytes: a warm storm of identical requests never re-reads
+#: the cache entry from disk, and each hit splices those bytes into its
+#: reply instead of encoding the result again.  Bounded FIFO — the
+#: persistent cache remains the real store.
 MEMO_ENTRIES = 256
 
 
@@ -246,11 +250,12 @@ class SimServer:
         self.cache = cache
         self.stats = ServeStats()
         #: Key/encode memoization only — programs are built and encoded
-        #: once per program_id, exactly as a sweep does; this scheduler
-        #: never simulates (the pool below does).
+        #: once per program_id, exactly as a sweep does, and each
+        #: request's run key is derived once; this scheduler never
+        #: simulates (the pool below does).
         self.scheduler = RunScheduler(jobs=1, cache=cache)
         self._worker = worker or _pool_worker
-        self._memo: Dict[str, dict] = {}
+        self._memo: Dict[str, bytes] = {}
         self._inflight: Dict[str, _Inflight] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -484,7 +489,8 @@ class SimServer:
 
     # -- the run endpoint --------------------------------------------------
 
-    async def _handle_run(self, body: bytes) -> Tuple[int, dict]:
+    async def _handle_run(self, body: bytes
+                          ) -> Tuple[int, Union[dict, bytes]]:
         start = time.perf_counter()
         tel = _telemetry.get()
         self.stats.requests += 1
@@ -496,11 +502,11 @@ class SimServer:
             return self._bad_request(str(exc) or "malformed JSON body")
 
         key = self.scheduler.key_for(request)
-        wire = await self._load_warm(key)
-        if wire is not None:
+        result = await self._load_warm(key)
+        if result is not None:
             self.stats.hits += 1
             tel.count("serve.hits")
-            return 200, self._envelope(key, "hit", start, wire)
+            return 200, self._envelope(key, "hit", start, result)
 
         entry = self._inflight.get(key)
         if entry is not None:
@@ -522,35 +528,45 @@ class SimServer:
         try:
             # shield(): a dropped client must never cancel a run other
             # waiters (and the cache) are counting on.
-            wire = await asyncio.shield(entry.task)
+            result = await asyncio.shield(entry.task)
         except Exception as exc:  # noqa: BLE001 - mapped to a clean 5xx
             self.stats.errors += 1
             tel.count("serve.errors")
             return 500, {"error": f"simulation failed: {exc}"}
-        return 200, self._envelope(key, source, start, wire)
+        return 200, self._envelope(key, source, start, result)
 
     def _envelope(self, key: str, source: str, start: float,
-                  wire: dict) -> dict:
-        return {
+                  result: bytes) -> bytes:
+        """The reply bytes: the encoded four-field head with the encoded
+        *result* spliced in as its last field.
+
+        ``json.dumps`` of the whole dict, ``"result"`` last, is these
+        exact bytes — the head's encoding without its closing ``}``,
+        then ``,"result":``, the result's encoding and ``}`` — so a hit
+        copies the result instead of encoding it again.
+        """
+        head = json.dumps({
             "service": SERVICE_NAME,
             "key": key,
             "source": source,
             "seconds": round(time.perf_counter() - start, 6),
-            "result": wire,
-        }
+        }, separators=(",", ":")).encode("utf-8")
+        return b"".join((head[:-1], b',"result":', result, b"}"))
 
-    async def _load_warm(self, key: str) -> Optional[dict]:
-        """The memoized or cached wire dict for *key*, else None.
+    async def _load_warm(self, key: str) -> Optional[bytes]:
+        """The encoded result for *key* from the memo or the cache, else
+        None.
 
-        Cache reads go through the default thread executor so a remote
-        backend's round-trip never blocks the accept loop.  The
-        in-flight re-check is unnecessary for correctness (the inflight
-        map is only touched from the loop thread) but keeps the warm
-        path strictly read-only.
+        A memo miss reads the cache on the default thread executor, so a
+        remote backend's round-trip never blocks the accept loop.  The
+        entry is validated by :meth:`RunCache.load` (format version,
+        stored key, ``RunResult.from_dict``) and encoded once into the
+        memo; its raw bytes are never served, since a client can ``PUT``
+        any bytes under a valid key.
         """
-        wire = self._memo.get(key)
-        if wire is not None:
-            return wire
+        result = self._memo.get(key)
+        if result is not None:
+            return result
         if self.cache is None:
             return None
         loop = asyncio.get_running_loop()
@@ -559,18 +575,21 @@ class SimServer:
             return None
         wire = hit.to_dict()
         wire.pop("telemetry", None)
-        self._remember(key, wire)
-        return wire
+        return self._remember(key, wire)
 
-    def _remember(self, key: str, wire: dict) -> None:
+    def _remember(self, key: str, wire: dict) -> bytes:
+        """Encode *wire* into the memo under *key*; returns the bytes."""
         if len(self._memo) >= MEMO_ENTRIES:
             # FIFO bound: drop the oldest insertion (dicts preserve
             # insertion order); the persistent cache still has it.
             self._memo.pop(next(iter(self._memo)))
-        self._memo[key] = wire
+        result = json.dumps(wire, separators=(",", ":")).encode("utf-8")
+        self._memo[key] = result
+        return result
 
-    async def _simulate(self, key: str, request: RunRequest) -> dict:
-        """Run one cold request on the pool, cache it, return the wire.
+    async def _simulate(self, key: str, request: RunRequest) -> bytes:
+        """Run one cold request on the pool, cache it, return the
+        encoded result.
 
         Exactly one of these exists per key at a time (the single-flight
         map); every error path removes the key so a failed run can be
@@ -589,11 +608,9 @@ class SimServer:
             _telemetry.get().count("serve.executed")
             wire.pop("telemetry", None)
             if self.cache is not None:
-                result = RunResult.from_dict(wire)
                 await loop.run_in_executor(None, self.cache.store,
-                                           key, result)
-            self._remember(key, wire)
-            return wire
+                                           key, RunResult.from_dict(wire))
+            return self._remember(key, wire)
         finally:
             self._inflight.pop(key, None)
 

@@ -6,6 +6,7 @@ Covers the ISSUE 2 acceptance properties at test scale:
   and rendered tables,
 * cache keys miss on any config change and on a format-version bump,
 * corrupted cache entries fall back to re-simulation without crashing,
+  and an unwritable cache costs its entries, never a run's result,
 * a warm cache answers everything with zero ``Machine.run`` calls,
 * the prefetch phase leaves per-experiment code with nothing to
   simulate.
@@ -182,6 +183,26 @@ class TestRunCache:
         path.write_text(path.read_text()[:100])  # killed mid-write
         assert cache.load(key) is None
 
+    def test_unwritable_cache_counts_an_error(self, tmp_path):
+        """A cache rooted at a regular file cannot store anything: the
+        scheduler still returns what it simulated."""
+        from repro.observability import telemetry
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        cache = RunCache(blocker)
+        request = liquid_request("FIR", 4)
+        tel = telemetry.enable()
+        try:
+            result = RunScheduler(jobs=1, cache=cache).run(request)
+            counters = dict(tel.to_dict()["counters"])
+        finally:
+            telemetry.disable()
+        wire = result.to_dict()
+        wire.pop("telemetry")
+        assert wire == execute_request(request).to_dict()
+        assert cache.stats.errors == 1 and cache.stats.stores == 0
+        assert counters.get("runcache.errors") == 1
+
     def test_clear_and_info(self, tmp_path):
         cache = RunCache(tmp_path)
         request = liquid_request()
@@ -326,6 +347,29 @@ class TestProgramMemoization:
         scheduler.run_many([liquid_request("LU", w) for w in (2, 4, 8, 16)])
         assert len(encodes) == 1, \
             "four keys against one program must encode it once"
+
+    def test_equal_requests_derive_one_key(self, monkeypatch):
+        import repro.evaluation.runner as runner_mod
+        derived = []
+        real_key = runner_mod.run_key_for_bytes
+        monkeypatch.setattr(
+            runner_mod, "run_key_for_bytes",
+            lambda encoded, config: derived.append(config)
+            or real_key(encoded, config))
+        scheduler = RunScheduler(jobs=1)
+        first, again = liquid_request("FFT"), liquid_request("FFT")
+        assert first is not again
+        assert scheduler.key_for(first) == scheduler.key_for(again)
+        assert len(derived) == 1, "a repeated request must reuse its key"
+
+    def test_engines_share_one_memoized_key(self):
+        from repro.interp.executor import ENGINES
+        scheduler = RunScheduler(jobs=1)
+        keys = {scheduler.key_for(liquid_request(engine=engine))
+                for engine in ENGINES for _ in range(2)}
+        request = liquid_request()
+        assert keys == {run_key(build_request_program(request),
+                                request.config)}
 
     def test_workers_decode_shipped_bytes(self):
         from repro.evaluation.runner import _pool_worker

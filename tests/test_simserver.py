@@ -3,7 +3,8 @@
 The contract ``repro serve`` must honor:
 
 * responses carry the exact ``RunResult.to_dict()`` wire format — byte
-  identical to a direct scheduler run of the same request,
+  identical to a direct scheduler run of the same request, whichever
+  source answered, and a memo hit encodes only the reply's head,
 * warm requests answer from the run cache with zero simulation,
 * N simultaneous identical cold requests coalesce onto **one**
   machine-run (single-flight, the run-key analogue of the fragment
@@ -12,7 +13,9 @@ The contract ``repro serve`` must honor:
   farm never wedges,
 * a client that disconnects mid-run abandons only its reply; the run
   completes, lands in the cache, and answers the next request warm,
-* malformed jobs get a 400 without touching the pool,
+* malformed jobs — garbage bodies of any shape — get a 400 without
+  touching the pool or the memo,
+* a cache that cannot be written costs the entry, never the reply,
 * the run-cache endpoints share the server's cache with ``/v1/runs``,
   and an entry stored under the wrong key never answers a run,
 * shutdown is prompt and quiet, whatever its clients are doing.
@@ -40,12 +43,16 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
+import repro.evaluation.simserver as simserver
 from repro.evaluation.cacheserver import HTTPCacheBackend
 from repro.evaluation.runcache import RunCache, entry_payload, run_key
 from repro.evaluation.runner import (
+    PROGRAM_KINDS,
     RunRequest,
+    RunScheduler,
     _pool_worker,
     build_request_program,
     execute_request,
@@ -56,6 +63,8 @@ from repro.evaluation.simserver import (
     SimServer,
     parse_run_request,
 )
+from repro.interp.executor import ENGINES
+from repro.kernels.suite import BENCHMARK_ORDER
 from repro.observability import telemetry
 from repro.system.machine import MachineConfig
 
@@ -64,20 +73,56 @@ FIR_W4 = {"benchmark": "FIR", "width": 4}
 
 def post(server, payload, timeout=60.0):
     """(status, reply dict) for one POST /v1/runs."""
-    req = urllib.request.Request(
-        server.url + "/v1/runs",
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"})
+    status, body = post_raw(server, payload, timeout)
+    return status, json.loads(body)
+
+
+def post_raw(server, payload, timeout=60.0):
+    """(status, raw reply bytes) for one POST /v1/runs on a new
+    connection; *payload* is JSON-encoded unless it is already bytes."""
+    if not isinstance(payload, bytes):
+        payload = json.dumps(payload).encode("utf-8")
+    conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                      timeout=timeout)
     try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return resp.status, json.loads(resp.read())
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+        conn.request("POST", "/v1/runs", body=payload,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
 
 
 def stats(server):
     with urllib.request.urlopen(server.url + "/stats", timeout=10) as resp:
         return json.loads(resp.read())
+
+
+@functools.lru_cache(maxsize=None)
+def _direct_bytes(payload_json: str) -> bytes:
+    wire = execute_request(
+        parse_run_request(json.loads(payload_json))).to_dict()
+    wire.pop("telemetry", None)
+    return json.dumps(wire, separators=(",", ":")).encode("utf-8")
+
+
+def direct_bytes(payload: dict) -> bytes:
+    """Compact JSON of a direct in-process run's telemetry-stripped
+    ``RunResult.to_dict()`` (simulated once per payload)."""
+    return _direct_bytes(json.dumps(payload, sort_keys=True))
+
+
+def assert_reply(body: bytes, source: str, expected: bytes) -> None:
+    """*body* is the compact ``json.dumps`` of the reply envelope: the
+    head's four fields in order, then ``"result"`` holding exactly the
+    *expected* result bytes."""
+    head, sep, tail = body.partition(b',"result":')
+    assert sep, f"no result in reply: {body[:200]!r}"
+    fields = json.loads(head + b"}")
+    assert list(fields) == ["service", "key", "source", "seconds"]
+    assert fields["service"] == SERVICE_NAME
+    assert fields["source"] == source
+    assert tail == expected + b"}"
 
 
 def raw_exchange(server, request: bytes):
@@ -155,24 +200,23 @@ class TestColdWarm:
         assert served["hits"] == 1 and served["errors"] == 0
 
     def test_result_byte_identical_to_direct_scheduler_run(self, server):
-        _, reply = post(server, FIR_W4)
-        direct = execute_request(parse_run_request(FIR_W4)).to_dict()
-        direct.pop("telemetry", None)
-        assert (json.dumps(reply["result"], sort_keys=True)
-                == json.dumps(direct, sort_keys=True))
+        for source in ("cold", "hit"):
+            status, body = post_raw(server, FIR_W4)
+            assert status == 200
+            assert_reply(body, source, direct_bytes(FIR_W4))
 
     def test_pre_populated_cache_answers_without_simulation(self,
                                                             tmp_path):
         cache = RunCache(tmp_path / "shared")
         request = parse_run_request(FIR_W4)
-        from repro.evaluation.runner import RunScheduler
         RunScheduler(jobs=1, cache=cache).run(request)
 
         server = SimServer(jobs=1, cache=RunCache(tmp_path / "shared"))
         server.start()
         try:
-            status, reply = post(server, FIR_W4)
-            assert status == 200 and reply["source"] == "hit"
+            status, body = post_raw(server, FIR_W4)
+            assert status == 200
+            assert_reply(body, "hit", direct_bytes(FIR_W4))
             assert stats(server)["stats"]["executed"] == 0
         finally:
             server.shutdown()
@@ -211,6 +255,83 @@ class TestColdWarm:
         assert counters.get("serve.executed") == 1
         assert counters.get("serve.hits") == 1
         assert counters.get("serve.bad_requests") == 1
+
+
+def _held_worker(flag_path, request, encoded):
+    """Pool entry point that holds its run open while *flag_path*
+    exists, so a test decides when a cold run lands."""
+    while os.path.exists(flag_path):
+        time.sleep(0.01)
+    return _pool_worker(request, encoded)
+
+
+def wait_for(predicate, seconds=30.0):
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class TestReplyBytes:
+    """Whichever source answers, a 200 is the compact ``json.dumps`` of
+    the envelope with ``result`` last, and the result bytes are those
+    of a direct run; a hit copies them instead of encoding them.
+    (``TestColdWarm`` reads the bytes of a cold run, a memo hit and a
+    hit from a pre-filled cache.)"""
+
+    def test_coalesced(self, tmp_path):
+        flag = tmp_path / "hold"
+        flag.write_text("")
+        server = SimServer(jobs=1, cache=RunCache(tmp_path / "cache"),
+                           worker=functools.partial(_held_worker, str(flag)))
+        server.start()
+        replies = {}
+
+        def fire(name):
+            replies[name] = post_raw(server, FIR_W4)
+
+        threads = {name: threading.Thread(target=fire, args=(name,))
+                   for name in ("cold", "coalesced")}
+        try:
+            threads["cold"].start()
+            wait_for(lambda: stats(server)["inflight"] == 1)
+            threads["coalesced"].start()
+            wait_for(lambda: stats(server)["stats"]["coalesced"] == 1)
+        finally:
+            flag.unlink()
+            for thread in threads.values():
+                thread.join(timeout=60)
+            server.shutdown()
+        for source, (status, body) in replies.items():
+            assert status == 200
+            assert_reply(body, source, direct_bytes(FIR_W4))
+
+    def test_hit_after_memo_eviction(self, server, monkeypatch):
+        monkeypatch.setattr(simserver, "MEMO_ENTRIES", 1)
+        post_raw(server, FIR_W4)
+        post_raw(server, {"benchmark": "FIR", "width": 2})  # evicts FIR_W4
+        hits = server.cache.stats.hits
+        status, body = post_raw(server, FIR_W4)
+        assert status == 200
+        assert_reply(body, "hit", direct_bytes(FIR_W4))
+        assert server.cache.stats.hits == hits + 1, \
+            "the evicted key must be answered from the cache"
+
+    def test_a_memo_hit_encodes_only_the_head(self, server, monkeypatch):
+        post_raw(server, FIR_W4)  # the cold fill
+        encoded = []
+
+        def dumps(obj, **kwargs):
+            encoded.append(obj)
+            return json.dumps(obj, **kwargs)
+
+        monkeypatch.setattr(simserver, "json", types.SimpleNamespace(
+            dumps=dumps, loads=json.loads))
+        status, body = post_raw(server, FIR_W4)
+        assert status == 200
+        assert_reply(body, "hit", direct_bytes(FIR_W4))
+        assert [list(obj) for obj in encoded] == \
+            [["service", "key", "source", "seconds"]]
 
 
 def _counting_worker(log_path, request, encoded):
@@ -313,6 +434,24 @@ class TestFailureModes:
             assert status == 200 and reply["source"] == "cold"
         finally:
             server.shutdown()
+
+    def test_unwritable_cache_still_answers(self, tmp_path):
+        """A cache rooted at a regular file cannot store the finished
+        run: the reply is still its result, counted as a cache error,
+        and the memo answers the next request without a second run."""
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        server = SimServer(jobs=1, cache=RunCache(blocker)).start()
+        try:
+            replies = [post_raw(server, FIR_W4) for _ in range(2)]
+            served = stats(server)["stats"]
+        finally:
+            server.shutdown()
+        assert [status for status, _ in replies] == [200, 200]
+        assert_reply(replies[0][1], "cold", direct_bytes(FIR_W4))
+        assert_reply(replies[1][1], "hit", direct_bytes(FIR_W4))
+        assert served["executed"] == 1 and served["errors"] == 0
+        assert server.cache.stats.errors == 1
 
     def test_failed_key_can_be_retried(self, tmp_path):
         """An error must evict the in-flight entry, not poison the key."""
@@ -501,10 +640,11 @@ class TestStatsEndpoint:
             assert stats(server)["backend"] is None
             status, a = post(server, FIR_W4)
             assert status == 200 and a["source"] == "cold"
-            # Sequential identical requests re-simulate without a cache
-            # (the memo only serves keys that went through the cache).
+            # Without a cache the memo still answers a repeat.
             _, b = post(server, FIR_W4)
+            assert b["source"] == "hit"
             assert b["result"] == a["result"]
+            assert stats(server)["stats"]["executed"] == 1
         finally:
             server.shutdown()
 
@@ -696,3 +836,130 @@ class TestDeterminism:
         direct = execute_request(request, program)
         assert reply["result"]["cycles"] == direct.cycles
         assert reply["result"]["arrays"] == direct.to_dict()["arrays"]
+
+
+# -- wire robustness -----------------------------------------------------------
+
+RUN_FIELDS = ("benchmark", "program_kind", "width", "engine", "repeat_factor")
+FIR_W2 = {"benchmark": "FIR", "width": 2}
+
+_json_scalars = (st.none() | st.booleans() | st.integers()
+                 | st.floats(allow_nan=False) | st.text(max_size=16))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=8)
+_oversized_text = st.integers(1_000, 100_000).map(lambda n: "x" * n)
+
+
+def _is_int_in(value, low, high) -> bool:
+    return type(value) is int and low <= value <= high
+
+
+#: Per field, values ``parse_run_request`` must refuse (a null width is
+#: the default width, so it is no bad value).
+_BAD_VALUES = {
+    "benchmark": (_json_values | _oversized_text).filter(
+        lambda v: v not in BENCHMARK_ORDER),
+    "program_kind": (_json_values | _oversized_text).filter(
+        lambda v: v not in PROGRAM_KINDS),
+    "width": (_json_values | st.integers()).filter(
+        lambda v: v is not None and not _is_int_in(v, 2, 64)),
+    "engine": (_json_values | _oversized_text).filter(
+        lambda v: v not in ENGINES),
+    "repeat_factor": (_json_values | st.integers()).filter(
+        lambda v: not _is_int_in(v, 1, 16)),
+}
+
+
+def _encoded(value) -> bytes:
+    return json.dumps(value).encode("utf-8")
+
+
+_valid_body = _encoded(FIR_W4)
+_garbage_run_bodies = st.one_of(
+    # truncated JSON: every proper prefix of a valid body
+    st.integers(0, len(_valid_body) - 1).map(lambda n: _valid_body[:n]),
+    st.binary(max_size=512),
+    _json_values.filter(lambda v: not isinstance(v, dict)).map(_encoded),
+    # one field wrong-typed, out of range or oversized
+    st.sampled_from(RUN_FIELDS).flatmap(
+        lambda name: _BAD_VALUES[name].map(
+            lambda value: _encoded(dict(FIR_W4, **{name: value})))),
+    st.tuples(st.text(min_size=1, max_size=16).filter(
+        lambda name: name not in RUN_FIELDS), _json_values).map(
+        lambda extra: _encoded(dict(FIR_W4, **{extra[0]: extra[1]}))),
+    # an integer literal past the interpreter's digit limit
+    st.integers(4_400, 20_000).map(
+        lambda n: b'{"benchmark": "FIR", "width": ' + b"9" * n + b"}"),
+)
+
+
+@pytest.fixture(scope="module")
+def battery_server(tmp_path_factory):
+    """One server for the whole battery, with FIR_W4 answered (memo)."""
+    server = SimServer(jobs=1, cache=RunCache(
+        tmp_path_factory.mktemp("battery"))).start()
+    status, body = post_raw(server, FIR_W4)
+    assert status == 200
+    assert_reply(body, "cold", direct_bytes(FIR_W4))
+    yield server
+    server.shutdown()
+
+
+def put_entry(server, key: str, body: bytes) -> int:
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        conn.request("PUT", f"/runs/{key}", body=body)
+        response = conn.getresponse()
+        response.read()
+        return response.status
+    finally:
+        conn.close()
+
+
+class TestWireRobustness:
+    """Hypothesis batteries against one server: no request body of any
+    shape gets past validation, simulates, or lands in the memo, and no
+    garbage entry bytes ever answer a run."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=_garbage_run_bodies)
+    def test_garbage_run_bodies_get_a_clean_400(self, battery_server, body):
+        server = battery_server
+        before = stats(server)["stats"]
+        memo_size = len(server._memo)
+        status, reply = post_raw(server, body)
+        assert status == 400
+        assert list(json.loads(reply)) == ["error"]
+        after = stats(server)["stats"]
+        assert (after["cold"], after["executed"]) == \
+            (before["cold"], before["executed"])
+        assert after["bad_requests"] == before["bad_requests"] + 1
+        assert len(server._memo) == memo_size
+        # The 400 closed its connection; a new one is answered warm.
+        status, reply = post_raw(server, FIR_W4)
+        assert status == 200
+        assert_reply(reply, "hit", direct_bytes(FIR_W4))
+
+    @settings(max_examples=25, deadline=None)
+    @given(garbage=st.binary(min_size=1, max_size=4096))
+    def test_garbage_entry_bytes_never_answer_a_run(self, battery_server,
+                                                    garbage):
+        server = battery_server
+        request = parse_run_request(FIR_W2)
+        key = run_key(build_request_program(request), request.config)
+        # Start from a key answered nowhere, so the POST below must read
+        # the entry through the cache.
+        server._memo.pop(key, None)
+        server.cache.backend.delete(key)
+        assert put_entry(server, key, garbage) in (201, 409)
+        assert server.cache.load(key) is None, "garbage never validates"
+        assert put_entry(server, key, garbage) in (201, 409)
+        errors = server.cache.stats.errors
+        status, body = post_raw(server, FIR_W2)
+        assert status == 200
+        assert_reply(body, "cold", direct_bytes(FIR_W2))
+        assert server.cache.stats.errors == errors + 1, \
+            "the run must have read, and refused, the garbage entry"
