@@ -7,7 +7,7 @@ closures.  Two ship today:
   whole-array kernels for the fragment plan's loop/chain/nest shapes;
 * ``"superblock"``
   (:class:`~repro.codegen.superblock.SuperblockBackend`) — fused run
-  closures and block/loop timing specializations for fused blocks.
+  closures for superblocks and loop-timing closures for loop blocks.
 
 Backends register by name in :data:`BACKENDS`; a future
 numexpr/C-emitting backend plugs in through :func:`register_backend`

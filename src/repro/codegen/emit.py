@@ -1,10 +1,10 @@
 """Shared ``exec()``-compile helpers for every generated closure.
 
-All runtime code generation in the repo — the fused superblocks and
-per-block timing closures, the whole-loop numpy kernels and
-whole-chain kernels, and the compiled loop-timing specializations —
-funnels through :func:`compile_closure`.  The helpers standardize the
-idioms the generators used to hand-roll separately:
+All runtime code generation in the repo — the fused superblocks, the
+whole-loop numpy kernels and whole-chain kernels, and the compiled
+loop-timing specializations — funnels through :func:`compile_closure`.
+The helpers standardize the idioms the generators used to hand-roll
+separately:
 
 * **Source assembly** (:func:`assemble`): a ``def`` header plus body
   lines carrying their own relative indentation, joined under one
@@ -16,7 +16,8 @@ idioms the generators used to hand-roll separately:
 
 Nothing is cached here: generated code lives as long as the tables of
 the one machine run that compiled it.  Telemetry: every ``compile()``
-bumps ``codegen.compile.<kind>`` (docs/observability.md).
+bumps ``codegen.compile.<kind>``, one of ``superblock``,
+``loop-timing`` and ``numpy-kernel`` (docs/observability.md).
 """
 
 from __future__ import annotations

@@ -40,8 +40,8 @@ permutation periods) carry their decoded :class:`Instruction`.
 
 :class:`BlockSpec` is the superblock-side IR: one straight-line run of
 any program (not just fragments) plus its pre-extracted timing rows,
-consumed by the superblock backend's fused-block and block-timing
-emitters.
+consumed by the superblock backend's fused-block emitter and by
+:class:`~repro.pipeline.core.BlockTiming`.
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
-"""Superblock backend: fused-run and timing-closure emission.
+"""Superblock backend: fused-run and loop-timing-closure emission.
 
 Lowers :class:`~repro.codegen.ir.BlockSpec` superblocks (lifted by
-:func:`repro.codegen.lift.lift_superblock`) into the fast engine's two
-closure kinds — the fused ``run(state)`` executor and the per-block
-``_timing(pipe, mem, taken)`` accounting specialization — plus the
-whole-window ``_loop(pipe, trips, lats, last_taken)`` timing closure
+:func:`repro.codegen.lift.lift_superblock`) into the fast engine's
+fused ``run(state)`` executor, and emits the whole-window
+``_loop(pipe, trips, lats, last_taken)`` timing closure
 :meth:`~repro.pipeline.core.PipelineModel.account_loop` compiles for a
 loop block on its first window (scalar self-loops and fragment loop
-bodies alike).  All of them go through the shared ``Backend`` protocol
-with sources compiled through :mod:`repro.codegen.emit` (stable
-filenames).
+bodies alike).  Both go through the shared ``Backend`` protocol with
+sources compiled through :mod:`repro.codegen.emit` (stable filenames).
+A single block charge compiles nothing: it runs
+:meth:`~repro.pipeline.core.PipelineModel.account_block`'s row loop,
+because no block is charged often enough to pay back a compile.
 
 The emitted code is semantically unchanged from the inline versions:
 
@@ -17,15 +18,11 @@ The emitted code is semantically unchanged from the inline versions:
   banks and memory buffer it hoists, stepping the reference executor
   for the rest, and restores ``state.pc`` and the retired count on a
   fault;
-* the block-timing closure unrolls
-  :meth:`~repro.pipeline.core.PipelineModel.account_block`'s row loop
-  with the block's constants baked in, batching same-line instruction
-  fetches through :meth:`~repro.memory.cache.Cache.repeat_hits`;
-* the loop-timing closure wraps the same row arithmetic in a per-trip
-  loop with the taken/.../taken/``last_taken`` branch pattern,
-  consuming the window's replayed D-cache latencies and a constant
-  I-cache hit term, with register ready times and the predictor
-  counter held in locals for the whole window.
+* the loop-timing closure wraps ``account_block``'s row arithmetic in
+  a per-trip loop with the taken/.../taken/``last_taken`` branch
+  pattern, consuming the window's replayed D-cache latencies and a
+  constant I-cache hit term, with register ready times and the
+  predictor counter held in locals for the whole window.
 
 Telemetry: ``codegen.superblock.lowered.<kind>`` per emitted closure;
 ``codegen.superblock.inline`` / ``.chained.<opcode>`` per fused
@@ -59,7 +56,7 @@ from repro.isa.opcodes import (
 from repro.isa.registers import LINK_REGISTER, is_float_reg, is_int_reg
 from repro.memory.memory import _FMT, _INT_MASK
 from repro.observability import telemetry as _telemetry
-from repro.pipeline.core import _FLAGS, _INSTR_BYTES
+from repro.pipeline.core import _FLAGS
 
 #: Condition suffix -> Python expression over the hoisted ``flags`` dict,
 #: mirroring the reference executor's condition predicates one for one.
@@ -569,176 +566,14 @@ def emit_fused_block(spec: BlockSpec, table):
     return fused, mem
 
 
-def emit_block_timing(spec: BlockSpec, *, icache_hit: int,
-                      dcache_hit: int, mispredict_penalty: int,
-                      call_redirect_penalty: int):
-    """Compile :meth:`PipelineModel.account_block`'s loop for *spec*.
-
-    Emits the generic loop's arithmetic with this block's constants
-    baked in — fetch line numbers, register names, latencies,
-    penalties — so accounting a block is straight-line Python with no
-    tuple unpacking or per-row branching.  Two deliberate strength
-    reductions, both stats-identical to the generic loop:
-
-    * Consecutive instructions fetched from the *same* I-cache line
-      are guaranteed hits after the first (nothing else touches the
-      icache mid-block), so the first fetch goes through the cache and
-      the rest are batched into one O(1)
-      :meth:`~repro.memory.cache.Cache.repeat_hits` call.  Each
-      batched access still advances the generation counter and
-      re-stamps the line, so recency ordering — and every future
-      hit/miss/writeback decision — is unchanged.
-    * Config latencies/penalties are literals; a table lives for one
-      ``Machine.run`` over one
-      :class:`~repro.pipeline.core.PipelineConfig`, so a compiled
-      closure never outlives its constants.
-
-    Pipeline *instance* state (caches, predictor, hazard map, stats)
-    is bound from the ``pipe`` argument at call time, so one compiled
-    block serves every pipeline sharing the config.
-    """
-    rows = spec.rows
-    if not rows:
-        return None  # entry-raiser block: never accounted
-    mode = spec.fetch_mode
-    term = spec.timing_term
-    ihit = icache_hit
-    dhit = dcache_hit
-    body: List[str] = []
-    emit = body.append
-    has_load = has_store = need_repeat = False
-    mem_index = 0
-    prev_line = None
-    rep_count = 0
-
-    def flush_repeats():
-        nonlocal rep_count, need_repeat
-        if rep_count:
-            need_repeat = True
-            emit(f"irh(({prev_line},), {rep_count})")
-            rep_count = 0
-
-    for (fetch_key, reads, reads_flags, writes, sets_flags,
-         latency, mem_kind, nbytes) in rows:
-        if mode == 1:
-            if fetch_key == prev_line:
-                rep_count += 1
-                if ihit > 1:
-                    emit(f"fetch_stall += {ihit - 1}")
-                    emit(f"ready = fetch_ready + {ihit - 1}")
-                else:
-                    emit("ready = fetch_ready")
-            else:
-                flush_repeats()
-                prev_line = fetch_key
-                emit(f"fc = ifl({fetch_key}, False)")
-                emit("if fc > 1:")
-                emit("    fetch_stall += fc - 1")
-                emit("ready = fetch_ready + fc - 1")
-        elif mode == 2:
-            emit(f"fc = ia({fetch_key}, {_INSTR_BYTES}, False)")
-            emit("if fc > 1:")
-            emit("    fetch_stall += fc - 1")
-            emit("ready = fetch_ready + fc - 1")
-        else:
-            emit("ready = fetch_ready")
-        for reg in reads:
-            emit(f"t = get({reg!r}, 0)")
-            emit("if t > ready: ready = t")
-        if reads_flags:
-            emit(f"t = get({_FLAGS!r}, 0)")
-            emit("if t > ready: ready = t")
-        emit("issue = last_issue + 1")
-        emit("if ready > issue:")
-        emit("    data_stall += ready - issue")
-        emit("    issue = ready")
-        if mem_kind == 1:
-            has_load = True
-            emit(f"a = da(mem[{mem_index}], {nbytes}, False)")
-            emit("completion = issue + a")
-            emit(f"if a > {dhit}:")
-            emit(f"    load_miss += a - {dhit}")
-            mem_index += 1
-        elif mem_kind == 2:
-            has_store = True
-            emit(f"completion = issue + {latency}")
-            emit(f"da(mem[{mem_index}], {nbytes}, True)")
-            mem_index += 1
-        else:
-            emit(f"completion = issue + {latency}")
-        for reg in writes:
-            emit(f"reg_ready[{reg!r}] = completion")
-        if sets_flags:
-            emit(f"reg_ready[{_FLAGS!r}] = completion")
-        emit("last_issue = issue")
-        emit("fetch_ready = issue")
-        emit("if completion > last_completion: "
-             "last_completion = completion")
-    if mode == 1:
-        flush_repeats()
-    if term == 1:
-        penalty = mispredict_penalty
-        emit("stats.branches += 1")
-        emit("pred = pipe.predictor")
-        emit(f"predicted = pred.predict({spec.branch_pc}, "
-             f"{spec.branch_target} if taken else {spec.branch_pc})")
-        emit(f"pred.update({spec.branch_pc}, taken)")
-        emit("if predicted != taken:")
-        emit("    stats.mispredicts += 1")
-        emit(f"    fetch_ready = issue + 1 + {penalty}")
-        emit(f"    stats.branch_penalty_cycles += {penalty}")
-    elif term == 2:
-        penalty = call_redirect_penalty
-        emit(f"fetch_ready = issue + 1 + {penalty}")
-        emit(f"stats.branch_penalty_cycles += {penalty}")
-    emit("pipe._last_issue = last_issue")
-    emit("pipe._fetch_ready = fetch_ready")
-    emit("pipe._last_completion = last_completion")
-    emit(f"stats.instructions += {spec.blen}")
-    if spec.simd:
-        emit(f"stats.simd_instructions += {spec.simd}")
-    emit("stats.data_stall_cycles += data_stall")
-    if mode:
-        emit("stats.fetch_stall_cycles += fetch_stall")
-    if has_load:
-        emit("stats.load_miss_cycles += load_miss")
-
-    prologue = [
-        "reg_ready = pipe._reg_ready",
-        "get = reg_ready.get",
-        "stats = pipe.stats",
-        "fetch_ready = pipe._fetch_ready",
-        "last_issue = pipe._last_issue",
-        "last_completion = pipe._last_completion",
-        "data_stall = 0",
-    ]
-    if mode:
-        prologue.append("fetch_stall = 0")
-    if mode == 1:
-        prologue.append("ifl = pipe._ifetch_line")
-    elif mode == 2:
-        prologue.append("ia = pipe.icache.access")
-    if need_repeat:
-        prologue.append("irh = pipe.icache.repeat_hits")
-    if has_load or has_store:
-        prologue.append("da = pipe.dcache.access")
-    if has_load:
-        prologue.append("load_miss = 0")
-    source = _emit.assemble("def _timing(pipe, mem, taken):",
-                            prologue + body)
-    return _emit.compile_closure(
-        source,
-        _emit.closure_filename("sbtiming", spec.label, spec.entry),
-        {}, "_timing", kind="block-timing")
-
-
 def emit_loop_timing(timing, *, icache_hit: int, dcache_hit: int,
                      mispredict_penalty: int):
     """Compile :meth:`~repro.pipeline.core.PipelineModel.account_loop`'s
     hazard replay for one loop block.
 
-    The row arithmetic of :func:`emit_block_timing`, constants baked,
-    wrapped in a per-trip loop: ``_loop(pipe, trips, lats, last_taken)``
+    :meth:`~repro.pipeline.core.PipelineModel.account_block`'s row
+    arithmetic, constants baked, wrapped in a per-trip loop:
+    ``_loop(pipe, trips, lats, last_taken)``
     charges *trips* executions of the block, every trip taken but the
     last, whose outcome is *last_taken*.  ``account_loop`` has already
     advanced both caches, so:
@@ -875,7 +710,7 @@ def emit_loop_timing(timing, *, icache_hit: int, dcache_hit: int,
 
 
 class SuperblockBackend:
-    """The superblock/timing-closure backend behind the ``Backend``
+    """The superblock/loop-timing backend behind the ``Backend``
     protocol."""
 
     name = "superblock"
@@ -885,19 +720,6 @@ class SuperblockBackend:
         result = emit_fused_block(spec, table)
         _telemetry.get().count("codegen.superblock.lowered.block")
         return result
-
-    def lower_block_timing(self, spec: BlockSpec, *, icache_hit: int,
-                           dcache_hit: int, mispredict_penalty: int,
-                           call_redirect_penalty: int):
-        """The compiled per-block timing closure (None for rowless
-        entry-raiser blocks)."""
-        compiled = emit_block_timing(
-            spec, icache_hit=icache_hit, dcache_hit=dcache_hit,
-            mispredict_penalty=mispredict_penalty,
-            call_redirect_penalty=call_redirect_penalty)
-        if compiled is not None:
-            _telemetry.get().count("codegen.superblock.lowered.block-timing")
-        return compiled
 
     def lower_loop_timing(self, timing, *, icache_hit: int, dcache_hit: int,
                           mispredict_penalty: int):

@@ -34,7 +34,9 @@ each into one *fused* closure:
   (reused across executions), the closing branch returns its taken
   flag, and the pipeline consumes the pre-extracted per-block
   :class:`~repro.pipeline.core.BlockTiming` via one
-  :meth:`~repro.pipeline.core.PipelineModel.account_block` call.
+  :meth:`~repro.pipeline.core.PipelineModel.account_block` call, whose
+  row loop charges every block: a block is charged too few times to
+  pay back a compiled timing closure.
   Observers that genuinely need event objects force the machine onto
   the per-instruction path, whose events are the reference executor's
   own (see ``docs/execution-engines.md``): a
@@ -79,8 +81,7 @@ from repro.pipeline.core import BlockTiming
 # Discovery and codegen live in the shared codegen layer: the lift pass
 # (repro.codegen.lift.lift_superblock) scans a straight-line run into a
 # BlockSpec, and the "superblock" backend (repro.codegen.superblock)
-# emits the fused run closure and the compiled timing specializations.
-# This module keeps the per-program tables.
+# emits the fused run closure.  This module keeps the per-program tables.
 # ---------------------------------------------------------------------------
 
 
@@ -121,13 +122,13 @@ class SuperblockTable:
     by entry pc.
 
     Three per-entry products are built on demand, each at most once:
-    the lifted :class:`~repro.codegen.ir.BlockSpec` (:meth:`spec_at`,
-    no code generated), its :class:`~repro.pipeline.core.BlockTiming`
-    (:meth:`timing_at`, which compiles only the timing closure), and
-    the :class:`FusedBlock` with its fused ``run`` closure
-    (:meth:`block_at`), which reuses both.  A caller that needs only a
-    block's extent or timing — the translator gate in the machine's
-    main loop, the fragment kernel plan — never pays for ``run``.
+    the lifted :class:`~repro.codegen.ir.BlockSpec` (:meth:`spec_at`),
+    its :class:`~repro.pipeline.core.BlockTiming` (:meth:`timing_at`),
+    neither of which generates code, and the :class:`FusedBlock` with
+    its fused ``run`` closure (:meth:`block_at`), which reuses both.  A
+    caller that needs only a block's extent or timing — the translator
+    gate in the machine's main loop, the fragment kernel plan — never
+    pays for a compile.
 
     ``marked`` (per-pc bools) stops blocks *before* marked calls so the
     machine's microcode-injection path keeps control of them; fragments
@@ -157,13 +158,6 @@ class SuperblockTable:
         self.fetch_mode = 0 if in_vector_unit else (1 if direct else 2)
         self.code_base = code_base
         self.iline_bytes = line_bytes
-        # Timing-model constants baked into the compiled timing closures
-        # (config-derived; a table never outlives its run's pipeline).
-        pconfig = pipeline.config
-        self._icache_hit = pconfig.icache.hit_latency
-        self._dcache_hit = pconfig.dcache.hit_latency
-        self._mispredict_penalty = pconfig.mispredict_penalty
-        self._call_redirect_penalty = pconfig.call_redirect_penalty
         self._specs: Dict[int, BlockSpec] = {}
         self._timings: Dict[int, BlockTiming] = {}
         self._blocks: Dict[int, FusedBlock] = {}
@@ -185,8 +179,8 @@ class SuperblockTable:
         return spec
 
     def timing_at(self, pc: int) -> BlockTiming:
-        """The block's :class:`~repro.pipeline.core.BlockTiming`, built
-        without emitting its fused ``run`` closure."""
+        """The block's :class:`~repro.pipeline.core.BlockTiming`: its
+        spec's timing rows, with no code generated."""
         timing = self._timings.get(pc)
         if timing is None:
             timing = self._timings[pc] = self._build_timing(pc)
@@ -219,22 +213,10 @@ class SuperblockTable:
 
     def _build_timing(self, entry: int) -> BlockTiming:
         spec = self.spec_at(entry)
-        compiled = None
-        if self.in_vector_unit or not self._self_loop(spec):
-            # The machine charges a main-program self-loop a window of
-            # trips at a time (account_loop); its few single-trip
-            # charges take account_block's generic row loop, so only
-            # other blocks are worth a compiled timing closure.
-            compiled = get_backend("superblock").lower_block_timing(
-                spec,
-                icache_hit=self._icache_hit,
-                dcache_hit=self._dcache_hit,
-                mispredict_penalty=self._mispredict_penalty,
-                call_redirect_penalty=self._call_redirect_penalty)
         return BlockTiming(
-            spec.rows, spec.blen, spec.simd, self.fetch_mode,
+            spec.rows, spec.blen, spec.simd, spec.fetch_mode,
             spec.timing_term, spec.branch_pc, spec.branch_target,
-            compiled, spec.label)
+            label=spec.label)
 
     def _build(self, entry: int) -> FusedBlock:
         self.compiles += 1
@@ -249,7 +231,7 @@ class SuperblockTable:
 # ---------------------------------------------------------------------------
 # Per-run tables
 #
-# Decode tables, fused blocks, their timing closures and fragment kernels
+# Decode tables, fused blocks, loop-timing closures and fragment kernels
 # all live exactly as long as one Machine.run: the machine builds them
 # here on first use and drops them with the rest of its run-local state.
 # Nothing is memoized across runs, so a finished run pins none of its

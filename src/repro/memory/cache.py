@@ -380,10 +380,6 @@ class Cache:
         tick of its last access — in O(len(lines)).
         ``tests/test_access_stream_property.py`` pins this.
 
-        The compiled block-timing closures
-        (:func:`repro.codegen.superblock.emit_block_timing`) batch
-        consecutive fetches of one just-accessed line as
-        ``repeat_hits((line,), count)``;
         :meth:`~repro.pipeline.core.PipelineModel.account_loop` charges a
         whole window of a loop block's fetches as
         ``repeat_hits(fetch_lines, trips)``.

@@ -72,17 +72,9 @@ class BlockTiming:
     terminator is 0 (none / halt), 1 (branch, with ``branch_pc`` /
     ``branch_target`` pre-offset for fragments) or 2 (call / return).
 
-    ``compiled``, when set, is a specialization of
-    :meth:`PipelineModel.account_block`'s row loop for exactly these
-    rows — same arithmetic with the constants baked in (the fast engine
-    generates one per fused block except main-program self-loops, which
-    it charges through :meth:`PipelineModel.account_loop`; see
-    :mod:`repro.interp.turbo`).  It is an optimization hook only:
-    ``account_block`` dispatches to it when present and runs the
-    generic loop otherwise, with identical cycle and stats results
-    either way.
-
-    ``loop_compiled`` and ``loop_stream`` belong to
+    Nothing is compiled per block: :meth:`PipelineModel.account_block`
+    runs its row loop over ``rows`` on every charge.  ``loop_compiled``
+    and ``loop_stream`` belong to
     :meth:`PipelineModel.account_loop`, which fills both the first time
     it charges this block as a loop: the compiled whole-window replay
     of the rows, and the per-trip stream profile (memory-row count,
@@ -92,11 +84,11 @@ class BlockTiming:
     """
 
     __slots__ = ("rows", "count", "simd", "fetch_mode", "term",
-                 "branch_pc", "branch_target", "compiled", "loop_compiled",
+                 "branch_pc", "branch_target", "loop_compiled",
                  "loop_stream", "label")
 
     def __init__(self, rows, count, simd, fetch_mode, term,
-                 branch_pc=0, branch_target=0, compiled=None, label="block"):
+                 branch_pc=0, branch_target=0, label="block"):
         self.rows = rows
         self.count = count
         self.simd = simd
@@ -104,7 +96,6 @@ class BlockTiming:
         self.term = term
         self.branch_pc = branch_pc
         self.branch_target = branch_target
-        self.compiled = compiled
         self.loop_compiled = None
         self.loop_stream = None
         self.label = label
@@ -316,14 +307,10 @@ class PipelineModel:
         ``taken`` is the terminating branch's outcome (ignored unless
         the terminator is a branch).
 
-        Fused blocks carry a compiled specialization
-        of this very loop (``timing.compiled``); dispatching to it here
-        keeps the API — and the equivalence contract — in one place.
+        Every charge runs this loop.  A copy compiled per block would
+        need ~450–750 charges to pay back its compile, more than any
+        suite block gets in one run (``docs/timing-model.md``).
         """
-        compiled = timing.compiled
-        if compiled is not None:
-            compiled(self, mem_addrs, taken)
-            return
         stats = self.stats
         reg_ready = self._reg_ready
         reg_get = reg_ready.get

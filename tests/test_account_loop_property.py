@@ -210,7 +210,7 @@ def test_repeat_hits_matches_per_access_path(seed, passes):
 
 
 def test_repeat_hits_single_line_batch():
-    """The block-timing closures' form: extra hits on one line."""
+    """One resident line hit several times in a row."""
     seq, bulk = Cache(CacheConfig()), Cache(CacheConfig())
     for cache in (seq, bulk):
         cache._access_line_number(7, False)

@@ -313,6 +313,21 @@ def _both_engines(source: str, **config):
     return outcomes
 
 
+#: The I-cache geometries where ``account_loop`` falls back to its
+#: definition: a direct-mapped 256 B I-cache (the loop's lines may
+#: conflict) and an unaligned code base (fetch mode 2: fetches may
+#: straddle lines).
+_FALLBACK_GEOMETRIES = (
+    ("direct-mapped-icache",
+     PipelineConfig(icache=CacheConfig(size_bytes=256, assoc=1,
+                                       line_bytes=32))),
+    ("unaligned-code-base", PipelineConfig(code_base=0x1002)),
+)
+
+#: (benchmark, Liquid width, or None for the scalar baseline).
+_FALLBACK_RUNS = (("FIR", None), ("FFT", None), ("FIR", 4), ("FFT", 4))
+
+
 class TestLoopWindows:
     """The fast engine charges a main-program self-loop a window of
     trips at a time (``PipelineModel.account_loop``).  Every way a
@@ -373,15 +388,26 @@ class TestLoopWindows:
             pipeline=PipelineConfig(code_base=0x1002))
         assert fast == ref
 
-    @pytest.mark.parametrize("pipeline", [
-        PipelineConfig(icache=CacheConfig(size_bytes=256, assoc=1,
-                                          line_bytes=32)),
-        PipelineConfig(code_base=0x1002),
-    ], ids=["direct-mapped-icache", "unaligned-code-base"])
-    def test_fallback_geometries_on_a_suite_baseline(self, pipeline):
-        program = build_baseline_program(build_kernel("FIR"))
-        fast = Machine(MachineConfig(pipeline=pipeline)).run(program)
-        ref = Machine(MachineConfig(pipeline=pipeline,
+    @pytest.mark.parametrize("pipeline, name, width", [
+        pytest.param(pipeline, name, width,
+                     id=geometry if (name, width) == ("FIR", None)
+                     else f"{geometry}-{name}-"
+                          f"{'baseline' if width is None else f'w{width}'}")
+        for geometry, pipeline in _FALLBACK_GEOMETRIES
+        for name, width in _FALLBACK_RUNS])
+    def test_fallback_geometries_on_a_suite_baseline(self, pipeline, name,
+                                                     width):
+        # The Liquid runs also reach fragment blocks, observed calls and
+        # bl/ret block terminators, all charged by account_block.
+        kernel = build_kernel(name)
+        if width is None:
+            program, accel = build_baseline_program(kernel), None
+        else:
+            program = build_liquid_program(kernel)
+            accel = config_for_width(width)
+        fast = Machine(MachineConfig(accelerator=accel,
+                                     pipeline=pipeline)).run(program)
+        ref = Machine(MachineConfig(accelerator=accel, pipeline=pipeline,
                                     engine="reference")).run(program)
         assert fast.to_dict() == ref.to_dict()
 

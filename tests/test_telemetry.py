@@ -12,15 +12,20 @@ import json
 
 import pytest
 
+from repro.codegen import emit
 from repro.core.scalarize import build_baseline_program, build_liquid_program
 from repro.evaluation.runcache import RunCache, run_key
+from repro.interp.state import MachineState
+from repro.interp.turbo import superblock_table_for
 from repro.isa.assembler import assemble
+from repro.isa.decoded import predecode
 from repro.kernels.suite import BENCHMARK_ORDER, build_kernel
 from repro.memory.cache import CacheConfig
 from repro.observability import telemetry
 from repro.observability.telemetry import NullTelemetry, Telemetry
-from repro.pipeline.core import PipelineConfig
+from repro.pipeline.core import PipelineConfig, PipelineModel
 from repro.simd.accelerator import config_for_width
+from repro.system.loader import load_program
 from repro.system.machine import LOOP_WINDOW_TRIPS, Machine, MachineConfig
 
 
@@ -338,3 +343,53 @@ class TestObservedCallCounters:
         assert counters["macro.kernel.invocations"] > 0
         assert counters.get("turbo.fragment.compiles", 0) == 0
         assert counters.get("turbo.fragment.lookups", 0) == 0
+
+
+class TestCompileBudget:
+    """A run compiles fused ``run`` closures, loop-timing closures and
+    numpy kernels only: a per-block timing closure would cost more to
+    compile than it saves over the few ``account_block`` charges a
+    block gets, so every block is charged by the row loop."""
+
+    COMPILED_KINDS = {"superblock", "loop-timing", "numpy-kernel"}
+
+    @pytest.mark.parametrize("width", [8, None],
+                             ids=["liquid-w8", "baseline"])
+    def test_fft_compiles_no_block_timing(self, width):
+        kernel = build_kernel("FFT")
+        if width is None:
+            program, accel = build_baseline_program(kernel), None
+        else:
+            program = build_liquid_program(kernel)
+            accel = config_for_width(width)
+        telemetry.enable()
+        try:
+            result = Machine(MachineConfig(accelerator=accel)).run(program)
+        finally:
+            telemetry.disable()
+        counters = result.telemetry["counters"]
+        prefix = "codegen.compile."
+        kinds = {name[len(prefix):] for name in counters
+                 if name.startswith(prefix)}
+        assert "superblock" in kinds
+        assert kinds <= self.COMPILED_KINDS
+        assert "codegen.superblock.lowered.block-timing" not in counters
+
+    def test_timing_at_compiles_nothing(self, monkeypatch):
+        program = build_baseline_program(build_kernel("FFT"))
+        memory, symbols = load_program(program)
+        blocks = superblock_table_for(
+            predecode(program), PipelineModel(), None, None,
+            MachineState(program, memory, symbols))
+        compiles = []
+        real_compile = emit.compile_closure
+
+        def counting_compile(*args, **kwargs):
+            compiles.append(kwargs.get("kind"))
+            return real_compile(*args, **kwargs)
+
+        monkeypatch.setattr(emit, "compile_closure", counting_compile)
+        timings = [blocks.timing_at(pc)
+                   for pc in range(len(program.instructions))]
+        assert sum(timing.count for timing in timings) > 0
+        assert compiles == []
