@@ -9,8 +9,7 @@ loop block on its first window (scalar self-loops and fragment loop
 bodies alike).  Both go through the shared ``Backend`` protocol with
 sources compiled through :mod:`repro.codegen.emit` (stable filenames).
 A single block charge compiles nothing: it runs
-:meth:`~repro.pipeline.core.PipelineModel.account_block`'s row loop,
-because no block is charged often enough to pay back a compile.
+:meth:`~repro.pipeline.core.PipelineModel.account_block`'s row loop.
 
 The emitted code is semantically unchanged from the inline versions:
 

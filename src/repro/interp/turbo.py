@@ -35,8 +35,7 @@ each into one *fused* closure:
   flag, and the pipeline consumes the pre-extracted per-block
   :class:`~repro.pipeline.core.BlockTiming` via one
   :meth:`~repro.pipeline.core.PipelineModel.account_block` call, whose
-  row loop charges every block: a block is charged too few times to
-  pay back a compiled timing closure.
+  row loop charges every block (no timing code is compiled per block).
   Observers that genuinely need event objects force the machine onto
   the per-instruction path, whose events are the reference executor's
   own (see ``docs/execution-engines.md``): a
@@ -183,7 +182,11 @@ class SuperblockTable:
         spec's timing rows, with no code generated."""
         timing = self._timings.get(pc)
         if timing is None:
-            timing = self._timings[pc] = self._build_timing(pc)
+            spec = self.spec_at(pc)
+            timing = self._timings[pc] = BlockTiming(
+                spec.rows, spec.blen, spec.simd, spec.fetch_mode,
+                spec.timing_term, spec.branch_pc, spec.branch_target,
+                label=spec.label)
         return timing
 
     def block_at(self, pc: int) -> FusedBlock:
@@ -210,13 +213,6 @@ class SuperblockTable:
         target, _err = _resolve_target(
             self.program, self.instructions[spec.pcs[-1]].target)
         return target == spec.entry
-
-    def _build_timing(self, entry: int) -> BlockTiming:
-        spec = self.spec_at(entry)
-        return BlockTiming(
-            spec.rows, spec.blen, spec.simd, spec.fetch_mode,
-            spec.timing_term, spec.branch_pc, spec.branch_target,
-            label=spec.label)
 
     def _build(self, entry: int) -> FusedBlock:
         self.compiles += 1

@@ -308,8 +308,8 @@ class PipelineModel:
         the terminator is a branch).
 
         Every charge runs this loop.  A copy compiled per block would
-        need ~450–750 charges to pay back its compile, more than any
-        suite block gets in one run (``docs/timing-model.md``).
+        need several hundred charges to pay back its compile, more than
+        any suite block gets in one run (``docs/timing-model.md``).
         """
         stats = self.stats
         reg_ready = self._reg_ready

@@ -36,7 +36,11 @@ from repro.evaluation.cli import EXPERIMENTS, _prefetch_requests, build_parser
 from repro.evaluation.experiments import EvalContext, figure6_requests
 from repro.evaluation.runcache import CACHE_FORMAT_VERSION, entry_payload
 from repro.evaluation.runner import RunScheduler
-from repro.evaluation.shard import DEFAULT_SWEEP_WIDTHS, run_sweep
+from repro.evaluation.shard import (
+    DEFAULT_SWEEP_WIDTHS,
+    _request_meta,
+    run_sweep,
+)
 from repro.kernels.suite import BENCHMARK_ORDER
 from repro.system.machine import MachineConfig
 
@@ -86,16 +90,11 @@ def evaluate_all_golden() -> dict:
     for request in requests:
         key = scheduler.key_for(request)
         result = results[request]
-        accel = request.config.accelerator
-        entries[key] = {
-            "benchmark": request.benchmark,
-            "program_kind": request.program_kind,
-            "width": accel.width if accel is not None else None,
-            "repeat_factor": request.repeat_factor,
-            "config": _config_fields(request.config),
-            "cycles": result.cycles,
-            "digest": hashlib.sha256(entry_payload(key, result)).hexdigest(),
-        }
+        entries[key] = dict(
+            _request_meta(request),
+            config=_config_fields(request.config),
+            cycles=result.cycles,
+            digest=hashlib.sha256(entry_payload(key, result)).hexdigest())
     return {"ucache_benchmark": ucache_benchmark, "entries": entries}
 
 
