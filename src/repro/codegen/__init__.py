@@ -1,4 +1,4 @@
-"""Unified fragment IR + pluggable codegen backends.
+"""Unified fragment IR and the lowering functions that compile it.
 
 The package splits runtime code generation into three layers:
 
@@ -7,25 +7,22 @@ The package splits runtime code generation into three layers:
   scalar segments, whole-fragment chains) plus the superblock spec;
 * :mod:`repro.codegen.lift` — recognition: decoded fragments and
   superblocks into IR;
-* :mod:`repro.codegen.backend` — pluggable lowering: IR into the
-  engines' closure kinds, all compiled through
+* lowering: IR into the engines' closure kinds —
+  :mod:`repro.codegen.numpy_backend` (``lower_chain``/``lower_loop``,
+  whole-array fragment kernels) and :mod:`repro.codegen.superblock`
+  (``emit_fused_block``/``emit_loop_timing``), all compiled through
   :mod:`repro.codegen.emit`.
 
-See ``docs/codegen.md`` for the node catalog and backend protocol.
+See ``docs/codegen.md`` for the node catalog and the lowering
+functions.
 """
 
-from repro.codegen.backend import BACKENDS, Backend, get_backend, \
-    register_backend
 from repro.codegen.ir import IRKind
 from repro.codegen.lift import FragmentIR, lift_fragment, lift_superblock
 
 __all__ = [
-    "BACKENDS",
-    "Backend",
     "FragmentIR",
     "IRKind",
-    "get_backend",
     "lift_fragment",
     "lift_superblock",
-    "register_backend",
 ]

@@ -1,4 +1,4 @@
-"""Typed fragment IR shared by the pluggable codegen backends.
+"""Typed fragment IR shared by the codegen lowering functions.
 
 The dynamic translator emits microcode fragments in a small, regular
 language (``repro/core/translate/translator.py``); the execution engines
@@ -6,8 +6,9 @@ used to re-derive its structure independently — turbo scanning for
 superblocks, macro pattern-matching one loop shape inline with its
 numpy lowering.  This module is the shared vocabulary between them: a
 lifting pass (:mod:`repro.codegen.lift`) raises decoded instructions
-into these nodes once, and each backend (:mod:`repro.codegen.backend`)
-lowers the nodes into its closure kind.
+into these nodes once, and the lowering functions
+(:mod:`repro.codegen.numpy_backend`, :mod:`repro.codegen.superblock`)
+turn them into their closure kinds.
 
 Node kinds (:class:`IRKind`) mirror the fragment language:
 

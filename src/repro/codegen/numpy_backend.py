@@ -13,20 +13,21 @@ rounding per op, float min/max via ``np.where`` (Python tie/NaN
 order), float bitwise through ``view(uint32)``.  Anything the
 whole-array form cannot reproduce bit-identically makes the lowering
 return None and the caller counts a
-``macro.plan.rejected.unsupported-lowering`` (per-block fallback, where
-fused blocks step the reference executor).
+``macro.plan.rejected.unsupported-lowering`` (the region then runs as
+reference-executor steps).
 
-Loop kernels have the signature ``(memory, vregs, regs, bases, n)``;
-chain kernels bake every region's static trip count and run the whole
-fragment as ``(memory, vregs, regs, bases)`` — scalar segments become
-direct register-bank assignments, each loop region inlines its
-whole-array body, and induction finals are materialized between
-regions so later segments read the architecturally correct values.
+:func:`lower_loop` kernels have the signature
+``(memory, vregs, regs, bases, n)``; :func:`lower_chain` kernels bake
+every region's static trip count and run the whole fragment as
+``(memory, vregs, regs, bases)`` — scalar segments become direct
+register-bank assignments, each loop region inlines its whole-array
+body, and induction finals are materialized between regions so later
+segments read the architecturally correct values.
 
 Sources are assembled and compiled through :mod:`repro.codegen.emit`
-(stable filenames, code-object cache) and are deterministic functions
-of the lifted IR — the hypothesis suite pins byte-identical source for
-byte-identical fragments.  Telemetry: ``codegen.numpy.lowered.<shape>``
+(stable filenames) and are deterministic functions of the lifted IR —
+the hypothesis suite pins byte-identical source for byte-identical
+fragments.  Telemetry: ``codegen.numpy.lowered.<shape>``
 per successful lowering, ``codegen.numpy.unsupported`` per refusal.
 """
 
@@ -96,7 +97,7 @@ def _bake_vector_imm(operand, elem: Optional[str], width: int):
     if isinstance(operand, VImm):
         lanes = list(operand.lanes)
         if len(lanes) != width:
-            return None  # reference raises; per-block path reproduces it
+            return None  # the reference raises; its steps reproduce it
         if kind == "f":
             return np.asarray(lanes, dtype=np.float32).reshape(1, width)
         if not all(isinstance(v, int) for v in lanes):
@@ -435,65 +436,56 @@ class LoweredKernel:
     source: str
 
 
-class NumpyBackend:
-    """The whole-array numpy backend behind the ``Backend`` protocol."""
+def lower_loop(node: LoopNode, label: str) -> Optional[LoweredKernel]:
+    """Kernel ``(memory, vregs, regs, bases, n)`` running *n* trips of
+    one canonical loop, or None when unsupported."""
+    ns = {"np": np, "_full": _full}
+    emits: List[str] = []
+    if not _emit_loop_body(node, ns, node.width, "", 0, "n", emits):
+        _telemetry.get().count("codegen.numpy.unsupported")
+        return None
+    body = _loop_prologue(node, ns, "") + emits + _loop_epilogue(node, "")
+    source = _emit.assemble("def _kernel(memory, vregs, regs, bases, n):",
+                            body)
+    kernel = _emit.compile_closure(
+        source, _emit.closure_filename("macro-kernel", label, node.head),
+        ns, "_kernel", kind="numpy-kernel")
+    _telemetry.get().count("codegen.numpy.lowered.loop")
+    return LoweredKernel(kernel, source)
 
-    name = "numpy"
 
-    def lower_loop(self, node: LoopNode,
-                   label: str) -> Optional[LoweredKernel]:
-        """Kernel ``(memory, vregs, regs, bases, n)`` running *n* trips
-        of one canonical loop, or None when unsupported."""
-        ns = {"np": np, "_full": _full}
-        emits: List[str] = []
-        if not _emit_loop_body(node, ns, node.width, "", 0, "n", emits):
-            _telemetry.get().count("codegen.numpy.unsupported")
-            return None
-        body = _loop_prologue(node, ns, "") + emits \
-            + _loop_epilogue(node, "")
-        source = _emit.assemble("def _kernel(memory, vregs, regs, bases, n):",
-                                body)
-        kernel = _emit.compile_closure(
-            source,
-            _emit.closure_filename("macro-kernel", label, node.head),
-            ns, "_kernel", kind="numpy-kernel")
-        _telemetry.get().count("codegen.numpy.lowered.loop")
-        return LoweredKernel(kernel, source)
-
-    def lower_chain(self, node: ChainNode,
-                    label: str) -> Optional[LoweredKernel]:
-        """Kernel ``(memory, vregs, regs, bases)`` running one whole
-        chain-shaped fragment, or None when any region is unsupported."""
-        tel = _telemetry.get()
-        ns = {"np": np, "_full": _full}
-        body: List[str] = ["ints = regs.ints", "floats = regs.floats"]
-        trips = {ri: (n, sb) for (ri, n, sb) in node.trips}
-        for ri, region in enumerate(node.regions):
-            if isinstance(region, LoopNode):
-                nloop, site_base = trips[ri]
-                prefix = str(ri)
-                emits: List[str] = []
-                if not _emit_loop_body(region, ns, node.width, prefix,
-                                       site_base, str(nloop), emits):
-                    tel.count("codegen.numpy.unsupported")
-                    return None
-                body += _loop_prologue(region, ns, prefix)
-                body += emits
-                body += _loop_epilogue(region, prefix)
-                # Materialize the induction final between regions: a
-                # later scalar segment may read it.
-                body.append(f"ints[{region.induction!r}] = "
-                            f"{nloop * node.width}")
-            else:
-                line = _scalar_line(region)
-                if line is None:
-                    tel.count("codegen.numpy.unsupported")
-                    return None
-                body.append(line)
-        source = _emit.assemble("def _chain(memory, vregs, regs, bases):",
-                                body)
-        kernel = _emit.compile_closure(
-            source, _emit.closure_filename("macro-chain", label, 0),
-            ns, "_chain", kind="numpy-kernel")
-        tel.count("codegen.numpy.lowered.chain")
-        return LoweredKernel(kernel, source)
+def lower_chain(node: ChainNode, label: str) -> Optional[LoweredKernel]:
+    """Kernel ``(memory, vregs, regs, bases)`` running one whole
+    chain-shaped fragment, or None when any region is unsupported."""
+    tel = _telemetry.get()
+    ns = {"np": np, "_full": _full}
+    body: List[str] = ["ints = regs.ints", "floats = regs.floats"]
+    trips = {ri: (n, sb) for (ri, n, sb) in node.trips}
+    for ri, region in enumerate(node.regions):
+        if isinstance(region, LoopNode):
+            nloop, site_base = trips[ri]
+            prefix = str(ri)
+            emits: List[str] = []
+            if not _emit_loop_body(region, ns, node.width, prefix,
+                                   site_base, str(nloop), emits):
+                tel.count("codegen.numpy.unsupported")
+                return None
+            body += _loop_prologue(region, ns, prefix)
+            body += emits
+            body += _loop_epilogue(region, prefix)
+            # Materialize the induction final between regions: a later
+            # scalar segment may read it.
+            body.append(f"ints[{region.induction!r}] = "
+                        f"{nloop * node.width}")
+        else:
+            line = _scalar_line(region)
+            if line is None:
+                tel.count("codegen.numpy.unsupported")
+                return None
+            body.append(line)
+    source = _emit.assemble("def _chain(memory, vregs, regs, bases):", body)
+    kernel = _emit.compile_closure(
+        source, _emit.closure_filename("macro-chain", label, 0),
+        ns, "_chain", kind="numpy-kernel")
+    tel.count("codegen.numpy.lowered.chain")
+    return LoweredKernel(kernel, source)

@@ -1,13 +1,14 @@
 """Superblock backend: fused-run and loop-timing-closure emission.
 
-Lowers :class:`~repro.codegen.ir.BlockSpec` superblocks (lifted by
-:func:`repro.codegen.lift.lift_superblock`) into the fast engine's
-fused ``run(state)`` executor, and emits the whole-window
+:func:`emit_fused_block` lowers a :class:`~repro.codegen.ir.BlockSpec`
+superblock (lifted by :func:`repro.codegen.lift.lift_superblock`) into
+the fast engine's fused ``run(state)`` executor, and
+:func:`emit_loop_timing` emits the whole-window
 ``_loop(pipe, trips, lats, last_taken)`` timing closure
 :meth:`~repro.pipeline.core.PipelineModel.account_loop` compiles for a
 loop block on its first window (scalar self-loops and fragment loop
-bodies alike).  Both go through the shared ``Backend`` protocol with
-sources compiled through :mod:`repro.codegen.emit` (stable filenames).
+bodies alike).  Both compile their sources through
+:mod:`repro.codegen.emit` (stable filenames).
 A single block charge compiles nothing: it runs
 :meth:`~repro.pipeline.core.PipelineModel.account_block`'s row loop.
 
@@ -23,9 +24,8 @@ The emitted code is semantically unchanged from the inline versions:
   constant I-cache hit term, with register ready times and the
   predictor counter held in locals for the whole window.
 
-Telemetry: ``codegen.superblock.lowered.<kind>`` per emitted closure;
-``codegen.superblock.inline`` / ``.chained.<opcode>`` per fused
-instruction, by the path it was emitted on.
+Telemetry: ``codegen.superblock.inline`` / ``.chained.<opcode>`` per
+fused instruction, by the path it was emitted on.
 """
 
 from __future__ import annotations
@@ -707,25 +707,3 @@ def emit_loop_timing(timing, *, icache_hit: int, dcache_hit: int,
                                timing.branch_target),
         {}, "_loop", kind="loop-timing")
 
-
-class SuperblockBackend:
-    """The superblock/loop-timing backend behind the ``Backend``
-    protocol."""
-
-    name = "superblock"
-
-    def lower_block(self, spec: BlockSpec, table):
-        """(run closure, mem list) for one fused superblock."""
-        result = emit_fused_block(spec, table)
-        _telemetry.get().count("codegen.superblock.lowered.block")
-        return result
-
-    def lower_loop_timing(self, timing, *, icache_hit: int, dcache_hit: int,
-                          mispredict_penalty: int):
-        """The compiled whole-window timing closure for one loop
-        block."""
-        compiled = emit_loop_timing(
-            timing, icache_hit=icache_hit, dcache_hit=dcache_hit,
-            mispredict_penalty=mispredict_penalty)
-        _telemetry.get().count("codegen.superblock.lowered.loop-timing")
-        return compiled

@@ -97,11 +97,6 @@ class ScalarizedLoop:
     post: List[Instruction]
     new_arrays: List[DataArray] = field(default_factory=list)
 
-    @property
-    def body_instruction_count(self) -> int:
-        """Scalar instructions per full loop nest, excluding scaffolding."""
-        return sum(len(seg) for seg in self.segments)
-
 
 class _RegAllocator:
     """Hands out scalar temp registers not colliding with mapped ones."""

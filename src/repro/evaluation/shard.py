@@ -41,7 +41,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.evaluation.runcache import CACHE_FORMAT_VERSION, entry_payload
 from repro.evaluation.runner import RunRequest, RunScheduler
-from repro.kernels.suite import BENCHMARK_ORDER
 from repro.simd.accelerator import config_for_width
 from repro.system.machine import MachineConfig
 
@@ -254,8 +253,7 @@ def _sweep_params(manifest: dict) -> dict:
     return sweep
 
 
-def merge_sweeps(manifests: Sequence[dict],
-                 verify_coverage: bool = True) -> dict:
+def merge_sweeps(manifests: Sequence[dict]) -> dict:
     """Merge shard manifests into one, verifying the fleet contract.
 
     Raises :class:`SweepError` when
@@ -265,8 +263,8 @@ def merge_sweeps(manifests: Sequence[dict],
       shards (results must be byte-identical),
     * the same key was *simulated* by two shards (the partition must
       make machine-runs disjoint — warm cache hits may repeat),
-    * with *verify_coverage*, the union of entries does not exactly
-      cover the sweep's expected key set.
+    * the union of entries does not exactly cover the sweep's expected
+      key set.
     """
     if not manifests:
         raise SweepError("nothing to merge")
@@ -305,20 +303,17 @@ def merge_sweeps(manifests: Sequence[dict],
             f"shard (expected disjoint slices): "
             + ", ".join(k[:12] + "…" for k in duplicate_runs[:5]))
 
-    missing: List[str] = []
-    unexpected: List[str] = []
-    if verify_coverage:
-        expected = sweep_keys(
-            sweep_requests(params["benchmarks"], params["widths"],
-                           params["engine"]),
-            RunScheduler(jobs=1))
-        missing = sorted(set(expected) - set(entries))
-        unexpected = sorted(set(entries) - set(expected))
-        if missing or unexpected:
-            raise SweepError(
-                f"merged sweep does not cover the expected key set: "
-                f"{len(missing)} missing, {len(unexpected)} unexpected "
-                f"(of {len(expected)} expected)")
+    expected = sweep_keys(
+        sweep_requests(params["benchmarks"], params["widths"],
+                       params["engine"]),
+        RunScheduler(jobs=1))
+    missing = sorted(set(expected) - set(entries))
+    unexpected = sorted(set(entries) - set(expected))
+    if missing or unexpected:
+        raise SweepError(
+            f"merged sweep does not cover the expected key set: "
+            f"{len(missing)} missing, {len(unexpected)} unexpected "
+            f"(of {len(expected)} expected)")
 
     walls = [m.get("stats", {}).get("wall_seconds", 0.0)
              for m in manifests]

@@ -89,6 +89,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
+from repro.core.scalarize import DEFAULT_MVL
 from repro.evaluation.runcache import CACHE_FORMAT_VERSION, RunCache
 from repro.evaluation.runner import (
     PROGRAM_KINDS,
@@ -98,6 +99,7 @@ from repro.evaluation.runner import (
 )
 from repro.interp.executor import ENGINES
 from repro.kernels.suite import BENCHMARK_ORDER
+from repro.memory.alignment import is_power_of_two
 from repro.observability import telemetry as _telemetry
 from repro.simd.accelerator import config_for_width
 from repro.system.machine import MachineConfig
@@ -111,12 +113,6 @@ SERVICE_NAME = "repro-sim-server"
 #: Entry keys are SHA-256 hex digests; anything else is rejected with
 #: 400 before touching the cache backend (no path traversal).
 KEY_RE = re.compile(r"^[0-9a-f]{64}$")
-
-#: Widths a request may ask for.  Anything in this range simulates
-#: correctly (non-power-of-two widths simply abort translation and run
-#: scalar); the bound exists so a request cannot ask for an absurd
-#: vector file.
-MAX_WIDTH = 64
 
 #: In-process memo of recently answered keys, each held as its result's
 #: compact JSON bytes: a warm storm of identical requests never re-reads
@@ -171,10 +167,14 @@ def parse_run_request(payload: dict) -> RunRequest:
     else:
         if width is None:
             width = 8
+        # The suite binaries align their arrays for vectors of up to
+        # DEFAULT_MVL elements (system/loader.py); a wider accelerator
+        # faults on its first unaligned vector access.
         if not isinstance(width, int) or isinstance(width, bool) \
-                or not 2 <= width <= MAX_WIDTH:
+                or not 2 <= width <= DEFAULT_MVL \
+                or not is_power_of_two(width):
             raise ServeRequestError(
-                f"width must be an integer in [2, {MAX_WIDTH}], "
+                f"width must be a power of two in [2, {DEFAULT_MVL}], "
                 f"got {width!r}")
         accelerator = config_for_width(width)
     config = MachineConfig(accelerator=accelerator, engine=engine)

@@ -70,7 +70,3 @@ class MachineState:
         self.pc: int = program.label_index(program.entry)
         self.halted: bool = False
         self.instructions_retired: int = 0
-
-    @property
-    def has_simd(self) -> bool:
-        return self.vregs is not None

@@ -65,9 +65,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.codegen.backend import get_backend
 from repro.codegen.ir import BlockSpec
 from repro.codegen.lift import lift_superblock
+from repro.codegen.superblock import emit_fused_block
 from repro.interp.macro import build_fragment_plan
 from repro.interp.state import MachineState
 from repro.isa.decoded import DecodedProgram, _resolve_target, predecode
@@ -79,8 +79,8 @@ from repro.pipeline.core import BlockTiming
 #
 # Discovery and codegen live in the shared codegen layer: the lift pass
 # (repro.codegen.lift.lift_superblock) scans a straight-line run into a
-# BlockSpec, and the "superblock" backend (repro.codegen.superblock)
-# emits the fused run closure.  This module keeps the per-program tables.
+# BlockSpec, and repro.codegen.superblock.emit_fused_block emits the
+# fused run closure.  This module keeps the per-program tables.
 # ---------------------------------------------------------------------------
 
 
@@ -127,7 +127,8 @@ class SuperblockTable:
     its fused ``run`` closure (:meth:`block_at`), which reuses both.  A
     caller that needs only a block's extent or timing — the translator
     gate in the machine's main loop, the fragment kernel plan — never
-    pays for a compile.
+    pays for a compile.  A fragment's table serves only the plan's
+    timings: no fragment block is ever fused.
 
     ``marked`` (per-pc bools) stops blocks *before* marked calls so the
     machine's microcode-injection path keeps control of them; fragments
@@ -165,8 +166,8 @@ class SuperblockTable:
         #: advances only through :meth:`block_at_counted`, which callers
         #: bind in place of :meth:`block_at` when telemetry is enabled —
         #: the plain hot path stays untouched when it is not.  Tables are
-        #: per-run, so the totals are that run's ``turbo.superblock.*`` /
-        #: ``turbo.fragment.*`` counts.
+        #: per-run, so the totals are that run's ``turbo.superblock.*``
+        #: counts.
         self.lookups = 0
         self.compiles = 0
 
@@ -218,7 +219,7 @@ class SuperblockTable:
         self.compiles += 1
         spec = self.spec_at(entry)
         timing = self.timing_at(entry)
-        run, mem = get_backend("superblock").lower_block(spec, self)
+        run, mem = emit_fused_block(spec, self)
         returns = (spec.term == 2
                    and self.instructions[spec.pcs[-1]].opcode == "ret")
         return FusedBlock(run, mem, timing, self._self_loop(spec), returns)
@@ -246,18 +247,21 @@ def superblock_table_for(table: DecodedProgram, pipeline,
 
 def fragment_tables_for(fragment, pipeline, width: int, offset: int,
                         state: MachineState):
-    """(decode table, SuperblockTable, plan) for one microcode fragment.
+    """(decode table, plan) for one microcode fragment.
 
-    *plan* maps region-head pcs to whole-loop kernels
-    (:func:`repro.interp.macro.build_fragment_plan`), or is ``None``
-    when no region matched.  *state* is the run's state, whose memory
+    *plan* maps region-head pcs to kernels
+    (:func:`repro.interp.macro.build_fragment_plan`; a chain fragment's
+    plan is its chain alone, at pc 0), or is ``None`` when no region
+    matched.  The kernels charge the ``BlockTiming`` rows
+    of a fragment :class:`SuperblockTable`, whose rows carry the offset
+    pcs and skip instruction fetch like the per-instruction path; no
+    fragment block is fused.  *state* is the run's state, whose memory
     and symbols the fragment shares.
     """
     table = predecode(fragment)
     blocks = SuperblockTable(table, pipeline, state, None, width, offset,
                              True)
-    plan = build_fragment_plan(fragment, blocks, width) or None
-    return table, blocks, plan
+    return table, build_fragment_plan(fragment, blocks, width) or None
 
 
 def fragment_tables_for_entry(entry, pipeline, offset: int,

@@ -161,10 +161,6 @@ class Memory:
 
     # -- bulk access (loader / tests) ------------------------------------------------
 
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        self._check_store(addr, len(data))
-        self._bytes[addr:addr + len(data)] = data
-
     def read_bytes(self, addr: int, nbytes: int) -> bytes:
         self._check_load(addr, nbytes)
         return bytes(self._bytes[addr:addr + nbytes])

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.interp.events import RetireEvent
 from repro.isa.decoded import InstrMeta, meta_of
-from repro.isa.opcodes import ELEM_SIZES, OPCODES, InstrClass
+from repro.isa.opcodes import InstrClass
 from repro.memory.cache import Cache, CacheConfig
 from repro.pipeline.branch import BimodalPredictor
 
@@ -483,10 +483,9 @@ class PipelineModel:
         timing.loop_stream = stream
         if timing.term == 1 and timing.fetch_mode != 2:
             # Imported here: the codegen layer imports this module.
-            from repro.codegen.backend import get_backend
+            from repro.codegen.superblock import emit_loop_timing
             config = self.config
-            timing.loop_compiled = get_backend(
-                "superblock").lower_loop_timing(
+            timing.loop_compiled = emit_loop_timing(
                 timing,
                 icache_hit=config.icache.hit_latency,
                 dcache_hit=config.dcache.hit_latency,
@@ -502,11 +501,3 @@ class PipelineModel:
         ``fetch_key`` with the same addressing :meth:`account` applies.
         """
         return self._ifetch_direct, self._code_base, self._iline_bytes
-
-    def _access_bytes(self, event: RetireEvent) -> int:
-        instr = event.instr
-        elem = instr.elem or "i32"
-        size = ELEM_SIZES[elem]
-        if OPCODES[instr.opcode].is_vector and event.vector_width:
-            return size * event.vector_width
-        return size

@@ -73,10 +73,6 @@ class AcceleratorConfig:
         if unknown:
             raise ValueError(f"unknown vector opcodes: {sorted(unknown)}")
 
-    @property
-    def display_name(self) -> str:
-        return self.name or f"simd{self.width}"
-
     def effective_vector_ops(self) -> frozenset:
         """The repertoire with the saturation switch applied."""
         ops = self.vector_ops

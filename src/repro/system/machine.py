@@ -248,9 +248,9 @@ class Machine:
         blacklist = set()
         translating: Optional[DynamicTranslator] = None
         fragment_offsets: Dict[str, int] = {}
-        #: entry.table_key -> (DecodedProgram, SuperblockTable, plan) from
+        #: entry.table_key -> (DecodedProgram, plan) from
         #: repro.interp.turbo.fragment_tables_for_entry, so repeated
-        #: microcode runs pay the decode and fusion passes once per run.
+        #: microcode runs pay the decode and plan passes once per run.
         #: Content keys, not ``id(entry)``: a re-translation after an
         #: eviction or a preloaded twin reuses the same tables.
         fragment_tables: Dict[tuple, tuple] = {}
@@ -439,8 +439,7 @@ class Machine:
         run_telemetry = None
         if tel_on:
             run_telemetry = self._flush_telemetry(
-                tel, run_mark, run_start, pipeline, superblocks,
-                fragment_tables)
+                tel, run_mark, run_start, pipeline, superblocks)
 
         return RunResult(
             program=program.name,
@@ -498,8 +497,7 @@ class Machine:
             blacklist.add(target)
 
     def _flush_telemetry(self, tel, run_mark, run_start: float,
-                         pipeline: PipelineModel, superblocks,
-                         fragment_tables: Dict[tuple, tuple]) -> dict:
+                         pipeline: PipelineModel, superblocks) -> dict:
         """Fold end-of-run totals into the registry; return this run's slice.
 
         The pipeline and cache models keep their own per-run statistics;
@@ -529,9 +527,6 @@ class Machine:
         if superblocks is not None:
             tel.count("turbo.superblock.lookups", superblocks.lookups)
             tel.count("turbo.superblock.compiles", superblocks.compiles)
-            for _table, blocks, _plan in fragment_tables.values():
-                tel.count("turbo.fragment.lookups", blocks.lookups)
-                tel.count("turbo.fragment.compiles", blocks.compiles)
         elapsed = time.perf_counter() - run_start
         tel.record_span("machine.run", elapsed)
         return {"counters": tel.delta_since(run_mark),
@@ -597,17 +592,21 @@ class Machine:
                       pipeline: PipelineModel,
                       offsets: Dict[str, int],
                       tables: Dict[tuple, tuple]) -> None:
-        """Execute one cached translation on the SIMD accelerator."""
+        """Execute one cached translation on the SIMD accelerator.
+
+        The fast engine runs the fragment as its plan's kernels
+        (:func:`repro.interp.macro.build_fragment_plan`): one
+        whole-fragment chain kernel for every suite fragment.  Whatever
+        no kernel covers or a kernel declines, and the whole fragment
+        under a tracer or on the reference engine, runs as reference
+        executor steps, whose events are charged one by one.
+        """
         fragment = entry.fragment
         if entry.function not in offsets:
             offsets[entry.function] = (_FRAGMENT_PC_BASE
                                        + len(offsets) * _FRAGMENT_PC_STRIDE)
         offset = offsets[entry.function]
-        table = blocks = plan = None
-        # Fast engine: whole-loop kernels first, fused blocks otherwise
-        # (same rules as the main loop — tracing forces the
-        # per-instruction path).  Fragment rows skip instruction fetch
-        # and carry offset PCs, exactly like the per-event path below.
+        table = plan = None
         # A content-key hit runs the byte-identical fragment program the
         # tables were built over.
         if self.config.engine == "fast":
@@ -616,10 +615,10 @@ class Machine:
             if cached is None:
                 cached = tables[key] = fragment_tables_for_entry(
                     entry, pipeline, offset, state)
-            table, blocks, plan = cached
+            table, plan = cached
             fragment = table.program
             if self.tracer is not None:
-                blocks = plan = None
+                plan = None
         frag_state = MachineState(fragment, state.memory, state.symbols,
                                   vector_width=entry.width)
         frag_state.regs = state.regs  # architectural scalar state is shared
@@ -628,25 +627,19 @@ class Machine:
         count = len(fragment.instructions)
         guard = 0
         max_steps = self.config.max_steps
-        account_block = pipeline.account_block
-        # Telemetry: counted block lookups, one bool load per fragment
-        # invocation when disabled.
         tel = _telemetry.get()
         tel_on = tel.enabled
-        block_lookup = None
-        if blocks is not None:
-            block_lookup = (blocks.block_at_counted if tel_on
-                            else blocks.block_at)
         while frag_state.pc < count:
             if plan is not None:
-                # A recognized counted loop (or chain) headed here is
-                # executed whole — all remaining trips as one numpy
-                # kernel plus one batched timing call.  trips()/run()
-                # return None/False for anything the whole-array form
-                # cannot reproduce bit-identically; the per-block path
-                # below then takes over, raising any error that is
-                # actually due at its exact instruction.  The guard uses
-                # the same near-max_steps fallback as the block path.
+                # A planned region headed here runs whole: the chain
+                # covers the fragment in one kernel, a loop all its
+                # remaining trips, each with batched timing calls.
+                # trips()/run() return None/False for anything the
+                # whole-array form cannot reproduce bit-identically;
+                # the reference steps below then take over, raising any
+                # error that is actually due at its exact instruction.
+                # Near max_steps they take over too, so the step-limit
+                # error fires where the reference engine raises it.
                 kernel = plan.get(frag_state.pc)
                 if kernel is not None:
                     trips = kernel.trips(frag_state)
@@ -666,20 +659,8 @@ class Machine:
                         tel.count("macro.fallback.trips-window"
                                   if trips is None
                                   else "macro.fallback.step-limit")
-            if blocks is not None:
-                block = block_lookup(frag_state.pc)
-                if guard + block.count <= max_steps:
-                    guard += block.count
-                    try:
-                        taken = block.run(frag_state)
-                    except (ExecutionError, MemoryError_) as exc:
-                        raise MachineError(
-                            f"microcode for {entry.function}: {exc}"
-                        ) from exc
-                    account_block(block.timing, block.mem, taken)
-                    continue
             guard += 1
-            if guard > self.config.max_steps:
+            if guard > max_steps:
                 raise MachineError(
                     f"microcode for {entry.function} did not terminate"
                 )

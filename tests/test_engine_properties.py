@@ -1,20 +1,21 @@
-"""Numpy fragment kernels vs. the block path, lane for lane at the rails.
+"""Numpy fragment kernels vs. reference steps, lane for lane at the rails.
 
 The numpy backend (:mod:`repro.codegen.numpy_backend`) runs a
 translated fragment's counted loop as one whole-array kernel over
 ``(trips, width)`` arrays.  Every loop it lowers must leave exactly the
-state the per-block path leaves, and the per-block path steps the
-reference :class:`~repro.interp.executor.Executor` for every vector
-instruction — so each case here pits a kernel against the reference
-lane semantics of :mod:`repro.simd.vector_ops`, including the
-saturating idioms (``vqadd``/``vqsub``) at the signed rails, where a
-naive lowering wraps.
+state the reference engine leaves by stepping the reference
+:class:`~repro.interp.executor.Executor` for every instruction — so
+each case here pits a kernel against the reference lane semantics of
+:mod:`repro.simd.vector_ops`, including the saturating idioms
+(``vqadd``/``vqsub``) at the signed rails, where a naive lowering
+wraps.
 
 Each case is a one-loop fragment, ``vld; vld; vOP.elem; vst; add; cmp;
 blt`` (one ``vld`` for a unary op or an immediate operand; a ``vred*``
 into a scalar accumulator for a reduction), run through
-``test_codegen_ir``'s ``_drive`` once with the fragment plan's kernels
-and once block by block.  Every opcode the backend lowers is covered at
+``test_codegen_ir``'s ``_drive`` (``Machine._run_fragment``) once on
+the fast engine, with the fragment plan's kernels, and once on the
+reference engine.  Every opcode the backend lowers is covered at
 every element type: deterministic sweeps over the signed boundaries and
 a seeded stdlib-random sweep, backed by hypothesis-drawn lanes.
 """
@@ -126,13 +127,15 @@ def _bit_exact(state, pipeline) -> dict:
     return snap
 
 
-def assert_kernel_matches_blocks(source: str):
-    """Run *source* both ways; return the kernel run's final state."""
-    kernel_state, kernel_pipe, ran = _drive(source, WIDTH, kernels=True)
-    block_state, block_pipe, _ = _drive(source, WIDTH, kernels=False)
-    assert ran, f"no plan kernel ran; the backend declined:\n{source}"
+def assert_kernel_matches_reference(source: str):
+    """Run *source* on both engines; return the kernel run's final
+    state."""
+    kernel_state, kernel_pipe, ran, _ = _drive(source, WIDTH, "fast")
+    ref_state, ref_pipe, _, _ = _drive(source, WIDTH, "reference")
+    assert any(ok for _name, ok in ran), \
+        f"no plan kernel ran; the backend declined:\n{source}"
     assert _bit_exact(kernel_state, kernel_pipe) == \
-        _bit_exact(block_state, block_pipe), source
+        _bit_exact(ref_state, ref_pipe), source
     return kernel_state
 
 
@@ -168,7 +171,7 @@ class TestBinaryInt:
     def test_lanes_vs_lanes(self, data, opcode, elem):
         a = data.draw(int_lanes(elem))
         b = _same_length(data, a, int_lane(elem))
-        assert_kernel_matches_blocks(loop_source(opcode, elem, a, b))
+        assert_kernel_matches_reference(loop_source(opcode, elem, a, b))
 
     @given(st.data(), st.sampled_from(INT_BINARY_OPS),
            st.sampled_from(INT_ELEMS))
@@ -176,7 +179,7 @@ class TestBinaryInt:
     def test_lanes_vs_broadcast_scalar(self, data, opcode, elem):
         a = data.draw(int_lanes(elem))
         b = data.draw(int_lane(elem))
-        assert_kernel_matches_blocks(loop_source(opcode, elem, a, imm=b))
+        assert_kernel_matches_reference(loop_source(opcode, elem, a, imm=b))
 
 
 class TestBinaryFloat:
@@ -185,7 +188,7 @@ class TestBinaryFloat:
     def test_arith_lanes(self, data, opcode):
         a = data.draw(f32_lanes)
         b = _same_length(data, a, f32_lane)
-        assert_kernel_matches_blocks(loop_source(opcode, "f32", a, b))
+        assert_kernel_matches_reference(loop_source(opcode, "f32", a, b))
 
     @given(st.data(), st.sampled_from(FLOAT_BITWISE_OPS))
     @settings(max_examples=40, deadline=None)
@@ -194,7 +197,7 @@ class TestBinaryFloat:
         masks = tuple(data.draw(st.lists(
             st.integers(min_value=0, max_value=0xFFFFFFFF),
             min_size=WIDTH, max_size=WIDTH)))
-        assert_kernel_matches_blocks(
+        assert_kernel_matches_reference(
             loop_source(opcode, "f32", a, imm=masks))
 
 
@@ -203,13 +206,13 @@ class TestUnary:
     @settings(max_examples=30, deadline=None)
     def test_int(self, data, opcode, elem):
         a = data.draw(int_lanes(elem))
-        assert_kernel_matches_blocks(loop_source(opcode, elem, a))
+        assert_kernel_matches_reference(loop_source(opcode, elem, a))
 
     @given(st.data(), st.sampled_from(UNARY_OPS))
     @settings(max_examples=30, deadline=None)
     def test_float(self, data, opcode):
         a = data.draw(f32_lanes)
-        assert_kernel_matches_blocks(loop_source(opcode, "f32", a))
+        assert_kernel_matches_reference(loop_source(opcode, "f32", a))
 
 
 class TestReduce:
@@ -218,7 +221,7 @@ class TestReduce:
     def test_int(self, data, opcode, elem):
         lanes = data.draw(int_lanes(elem))
         acc = data.draw(int_lane("i32"))
-        assert_kernel_matches_blocks(
+        assert_kernel_matches_reference(
             loop_source(opcode, elem, lanes, acc=acc))
 
     @given(st.data(), st.sampled_from(REDUCE_OPS))
@@ -229,7 +232,7 @@ class TestReduce:
         # no literal for an infinity.
         acc = data.draw(st.floats(width=32, allow_nan=False,
                                   allow_infinity=False))
-        assert_kernel_matches_blocks(
+        assert_kernel_matches_reference(
             loop_source(opcode, "f32", lanes, acc=acc))
 
 
@@ -251,9 +254,9 @@ def test_binary_signed_boundaries(opcode, elem):
     values = boundary_values(elem)
     a = [x for x in values for _ in values]
     b = values * len(values)
-    assert_kernel_matches_blocks(loop_source(opcode, elem, a, b))
+    assert_kernel_matches_reference(loop_source(opcode, elem, a, b))
     for scalar in values:
-        assert_kernel_matches_blocks(
+        assert_kernel_matches_reference(
             loop_source(opcode, elem, values, imm=scalar))
 
 
@@ -267,7 +270,7 @@ def test_saturation_clamps_at_boundaries(opcode, elem):
     else:
         cases = [(lo, hi, lo), (hi, lo, hi), (lo, 1, lo)]
     a, b, want = (list(column) for column in zip(*cases))
-    state = assert_kernel_matches_blocks(loop_source(opcode, elem, a, b))
+    state = assert_kernel_matches_reference(loop_source(opcode, elem, a, b))
     assert state.memory.load_vector(state.symbols.address_of("C"), elem,
                                     len(want)) == want
 
@@ -306,10 +309,10 @@ def test_seeded_random_sweep(elem):
     a = specials + [draw() for _ in range(count - len(specials))]
     b = specials[::-1] + [draw() for _ in range(count - len(specials))]
     for opcode in binary_ops:
-        assert_kernel_matches_blocks(loop_source(opcode, elem, a, b))
+        assert_kernel_matches_reference(loop_source(opcode, elem, a, b))
     for opcode in UNARY_OPS:
-        assert_kernel_matches_blocks(loop_source(opcode, elem, a))
+        assert_kernel_matches_reference(loop_source(opcode, elem, a))
     acc = (float(np.float32(rng.uniform(-1e3, 1e3))) if elem == "f32"
            else rng.randint(*arith.INT_BOUNDS["i32"]))
     for opcode in REDUCE_OPS:
-        assert_kernel_matches_blocks(loop_source(opcode, elem, a, acc=acc))
+        assert_kernel_matches_reference(loop_source(opcode, elem, a, acc=acc))

@@ -4,14 +4,14 @@ Three angles on ``repro/interp/macro.py``:
 
 * **Recognition** — the loops the dynamic translator actually emits
   (canonical do-while: affine ``vld``/``vst``, vector ALU body, counted
-  back-branch) must produce a whole-loop plan, with the shape's facts
-  (head, body length, induction register, trip count) matching the
-  fragment text.
+  back-branch) must each be a loop region of the fragment's one
+  whole-fragment chain kernel, with the region's facts (head, body
+  length, induction register, trip count) matching the fragment text.
 
 * **Rejection** — any deviation from the canonical shape must yield
-  *no* plan, never a wrong kernel: the per-block path is the safety
-  net, so the analyzer's only legal failure mode is declining.  Each
-  case here mutates one facet of a real translated fragment.
+  *no* plan, never a wrong kernel: reference-executor steps are the
+  safety net, so the analyzer's only legal failure mode is declining.
+  Each case here mutates one facet of a real translated fragment.
 
 * **Run-cache identity** — kernel execution leaves results
   bit-identical, so ``CACHE_FORMAT_VERSION`` stays put: run keys are
@@ -37,8 +37,9 @@ from repro.interp.macro import (
     build_fragment_plan,
 )
 from repro.interp.state import MachineState
-from repro.interp.turbo import fragment_tables_for
+from repro.interp.turbo import SuperblockTable, fragment_tables_for
 from repro.isa.assembler import assemble
+from repro.isa.decoded import predecode
 from repro.isa.instructions import Imm, Mem, Reg
 from repro.kernels.suite import build_kernel
 from repro.observability import telemetry
@@ -71,9 +72,17 @@ def _state_for(fragment, width=WIDTH):
 
 
 def _plan_for(fragment, width=WIDTH):
-    _, _, plan = fragment_tables_for(fragment, PipelineModel(), width,
-                                     OFFSET, _state_for(fragment, width))
+    _, plan = fragment_tables_for(fragment, PipelineModel(), width,
+                                  OFFSET, _state_for(fragment, width))
     return plan
+
+
+def _chain_loops(plan):
+    """The loop regions of a plan's whole-fragment chain kernel."""
+    assert set(plan) == {0}, f"plan is not one chain kernel: {plan}"
+    chain = plan[0]
+    assert isinstance(chain, FragmentChainShape)
+    return [loop for _ri, loop in chain.chain.loops]
 
 
 # -- recognition --------------------------------------------------------------
@@ -81,8 +90,9 @@ def _plan_for(fragment, width=WIDTH):
 @pytest.mark.parametrize("kernel_name", ["FIR", "FFT", "LU"])
 def test_translated_loops_are_recognized(kernel_name):
     """Every loop the translator emits for these kernels matches the
-    canonical shape: the plan covers each backward ``blt`` (plus, for
-    chain-shaped fragments, a whole-fragment shape keyed at pc 0)."""
+    canonical shape: the plan is one whole-fragment chain kernel keyed
+    at pc 0, and each backward ``blt`` closes one of its loop
+    regions."""
     for entry in _translated_entries(kernel_name):
         fragment = entry.fragment
         plan = _plan_for(fragment, entry.width)
@@ -91,28 +101,28 @@ def test_translated_loops_are_recognized(kernel_name):
             pc for pc, instr in enumerate(fragment.instructions)
             if instr.opcode == "blt"
             and fragment.labels.get(instr.target, pc + 1) <= pc]
-        loop_shapes = [k for k in plan.values() if hasattr(k, "branch_pc")]
-        assert sorted(k.branch_pc for k in loop_shapes) == back_branches
+        loops = _chain_loops(plan)
+        assert sorted(loop.branch_pc for loop in loops) == back_branches
 
 
 def test_fir_shape_facts():
     """The FIR fragment's single loop, checked field by field.
 
-    The fragment is also chain-shaped (mov prologue + one counted
-    loop + scalar-store epilogue), so the plan carries a whole-fragment
-    chain shape at pc 0 alongside the loop shape at its head.
+    The fragment is chain-shaped (mov prologue + one counted loop +
+    scalar-store epilogue), so the plan is one whole-fragment chain
+    kernel at pc 0 whose one loop region is the loop.
     """
     entry, = _translated_entries("FIR")
     fragment = entry.fragment
     plan = _plan_for(fragment)
     head = fragment.labels["u16"]
-    assert set(plan) == {0, head}
+    shape, = _chain_loops(plan)
     chain = plan[0]
     # one whole-fragment invocation retires every straight-line
     # instruction once plus the loop body once per trip
     assert chain.blen >= len(fragment.instructions)
     assert chain.trips(None) == 1
-    shape = plan[head]
+    assert shape.head == head
     branch_pc = next(pc for pc, i in enumerate(fragment.instructions)
                      if i.opcode == "blt")
     assert shape.branch_pc == branch_pc
@@ -147,9 +157,10 @@ def test_kernel_trips_histogram_counts_loop_iterations():
     invocation covered: FIR's whole-fragment chain covers its one
     loop's trip / width iterations per invocation."""
     entry, = _translated_entries("FIR")
-    loop = next(k for k in _plan_for(entry.fragment).values()
-                if isinstance(k, FragmentLoopShape))
+    plan = _plan_for(entry.fragment)
+    loop, = _chain_loops(plan)
     per_call = loop.trip // WIDTH
+    assert plan[0].iterations(1) == per_call
     program = build_liquid_program(build_kernel("FIR"))
     tel = telemetry.enable()
     try:
@@ -214,14 +225,16 @@ def test_iterations_of_each_shape():
 
 def test_plan_rejects_sites_that_disagree_with_timing_rows(fir_fragment):
     """``account_loop`` takes each access's width and kind from the
-    loop block's memory rows, so the plan admits a loop only when
-    those match its sites; here the block's ``vld`` row claims a
-    scalar width."""
-    _table, blocks, plan = fragment_tables_for(
-        fir_fragment, PipelineModel(), WIDTH, OFFSET,
-        _state_for(fir_fragment))
+    loop block's memory rows, so the plan admits a loop region only
+    when those match its sites; here the block's ``vld`` row claims a
+    scalar width, and neither the chain nor a loop kernel is built."""
+    blocks = SuperblockTable(predecode(fir_fragment), PipelineModel(),
+                             _state_for(fir_fragment), None, WIDTH, OFFSET,
+                             True)
+    plan = build_fragment_plan(fir_fragment, blocks, WIDTH)
     head = fir_fragment.labels["u16"]
-    timing = blocks.block_at(head).timing
+    assert [loop.head for loop in _chain_loops(plan)] == [head]
+    timing = blocks.timing_at(head)
     timing.rows = tuple(row[:7] + (4,) if row[6] == 1 else row
                         for row in timing.rows)
     tel = telemetry.enable()
@@ -230,7 +243,7 @@ def test_plan_rejects_sites_that_disagree_with_timing_rows(fir_fragment):
         counters = tel.to_dict()["counters"]
     finally:
         telemetry.disable()
-    assert head in plan and head not in rebuilt
+    assert rebuilt == {}
     assert counters["macro.plan.rejected.timing-mismatch"] >= 1
 
 
