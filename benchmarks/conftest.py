@@ -11,7 +11,7 @@ simulations entirely; set ``REPRO_CACHE_DIR`` to relocate the cache or
 
 The ``*_bench_records`` fixtures collect timing records (filled in by
 ``test_engine_speedup.py``, ``test_parallel_speedup.py``, the
-fragment-store ablation in ``test_ucode_cache_ablation.py`` and
+fragment-store sweep in ``test_ucode_cache_ablation.py`` and
 ``test_shard_speedup.py``) and write them through one shared
 :func:`write_bench_json` at session teardown, so
 successive runs leave machine-readable ``BENCH_*.json`` records with a
@@ -100,7 +100,7 @@ def parallel_bench_records():
 
 @pytest.fixture(scope="session")
 def fragstore_bench_records():
-    """Fragment-store ablation records, dumped as BENCH_fragstore.json."""
+    """Fragment-store warm-over-cold record, dumped as BENCH_fragstore.json."""
     yield from _records_fixture(FRAGSTORE_BENCH_PATH)
 
 

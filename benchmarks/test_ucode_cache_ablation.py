@@ -7,23 +7,21 @@ the benchmarks", giving the 8 x 64 x 32-bit = 2 KB control cache.
 The sweep runs the benchmark with the most distinct hot loops (LU has
 four elimination loops) and FFT through caches of 1..16 entries.
 
-The second half ablates the *persistent* fragment store
-(docs/retranslation.md): eviction policy (lru vs fifo) under a bounded
-``max_entries``, and the warm-over-cold sweep speedup of an unbounded
-store, emitted as ``BENCH_fragstore.json``.
+The second half times the *persistent* fragment store
+(docs/retranslation.md): the warm-over-cold speedup of a translate and
+retranslate sweep through one store, emitted as ``BENCH_fragstore.json``.
 """
 
-import os
 import time
 
 from repro.core.scalarize import build_liquid_program
-from repro.core.translate.fragstore import FragmentStore
 from repro.evaluation.crosswidth import (
     retranslate_at_width,
     translate_at_width,
 )
 from repro.evaluation.experiments import ucode_cache_ablation
 from repro.evaluation.report import render_ablation
+from repro.evaluation.runcache import FragmentStore
 from repro.kernels.suite import build_kernel
 from repro.simd.accelerator import config_for_width
 from repro.system.machine import MachineConfig
@@ -61,21 +59,18 @@ def test_ucode_cache_capacity_fft(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# Persistent fragment-store ablation (docs/retranslation.md)
+# Persistent fragment-store warm-over-cold sweep (docs/retranslation.md)
 # ---------------------------------------------------------------------------
 
 _SWEEP_BENCHES = ("FIR", "FFT", "LU")  # 2 + 3 + 8 = 13 store entries
 _SOURCE_WIDTH, _TARGET_WIDTH = 4, 8
-# One entry short of the full sweep, so exactly one eviction fires and
-# its victim is what tells the policies apart.
-_BOUND = 12
 
 
-def _sweep(store: FragmentStore, benches=_SWEEP_BENCHES) -> None:
+def _sweep(store: FragmentStore) -> None:
     """Translate at W, retranslate to 2W, all through the store."""
     target_tcfg = MachineConfig(
         accelerator=config_for_width(_TARGET_WIDTH)).translator_config()
-    for bench in benches:
+    for bench in _SWEEP_BENCHES:
         program = build_liquid_program(build_kernel(bench))
         config = MachineConfig(accelerator=config_for_width(_SOURCE_WIDTH),
                                engine="fast")
@@ -85,100 +80,35 @@ def _sweep(store: FragmentStore, benches=_SWEEP_BENCHES) -> None:
         retranslate_at_width(entries, _TARGET_WIDTH, target_tcfg, store)
 
 
-def _age(paths, mtime: float) -> None:
-    """Pin mtimes so eviction order is deterministic, not wall-clock."""
-    for path in paths:
-        os.utime(path, (mtime, mtime))
-
-
-def _bounded_run(root, policy: str) -> dict:
-    """FIR+FFT fill, touch FIR, then LU overflows by one entry.
-
-    Under ``lru`` the touch refreshes FIR's recency so the one victim
-    is an FFT entry; under ``fifo`` FIR is first-in and loses one —
-    the warm FIR hit count is the observable difference.
-    """
-    store = FragmentStore(root, max_entries=_BOUND, eviction=policy)
-    _sweep(store, benches=("FIR",))
-    fir_paths = set(store.entry_paths())
-    _age(fir_paths, 1_000.0)
-    _sweep(store, benches=("FFT",))
-    _age(set(store.entry_paths()) - fir_paths, 2_000.0)
-    _sweep(store, benches=("FIR",))  # pure loads: the recency touch
-    _sweep(store, benches=("LU",))
-    hits_before = store.stats.hits
-    _sweep(store, benches=("FIR",))
-    return {
-        "policy": policy,
-        "max_entries": _BOUND,
-        "stores": store.stats.stores,
-        "evictions": store.stats.evictions,
-        "resident": store.entry_count(),
-        "fir_warm_hits": store.stats.hits - hits_before,
-        "fir_entries": len(fir_paths),
-    }
-
-
-def test_fragstore_eviction_ablation(benchmark, tmp_path,
-                                     fragstore_bench_records):
+def test_fragstore_warm_over_cold(benchmark, tmp_path,
+                                  fragstore_bench_records):
     def run():
-        unbounded = FragmentStore(tmp_path / "unbounded")
+        store = FragmentStore(tmp_path / "fragments")
         t0 = time.perf_counter()
-        _sweep(unbounded)
+        _sweep(store)
         cold = time.perf_counter() - t0
-        cold_stores = unbounded.stats.stores
+        cold_stores = store.stats.stores
         t0 = time.perf_counter()
-        _sweep(unbounded)
+        _sweep(store)
         warm = time.perf_counter() - t0
-        record = {
+        return {
             "benches": list(_SWEEP_BENCHES),
             "from_width": _SOURCE_WIDTH,
             "to_width": _TARGET_WIDTH,
             "entries": cold_stores,
-            "warm_hits": unbounded.stats.hits,
-            "evictions": unbounded.stats.evictions,
+            "warm_hits": store.stats.hits,
             "cold_seconds": cold,
             "warm_seconds": warm,
             "speedup": cold / warm,
-            "policies": [_bounded_run(tmp_path / policy, policy)
-                         for policy in ("lru", "fifo")],
         }
-        return record
 
     record = benchmark.pedantic(run, rounds=1, iterations=1)
     fragstore_bench_records["fragstore_warm_over_cold"] = record
+    print(f"\nFragment store (w{_SOURCE_WIDTH} -> w{_TARGET_WIDTH}): "
+          f"{record['entries']} entries, cold {record['cold_seconds']:.3f}s, "
+          f"warm {record['warm_seconds']:.3f}s "
+          f"({record['speedup']:.1f}x)")
 
-    header = (f"{'store':<12}{'stores':>8}{'evict':>7}{'resident':>10}"
-              f"{'FIR warm hits':>15}")
-    lines = ["Fragment-store eviction ablation "
-             f"(w{_SOURCE_WIDTH} -> w{_TARGET_WIDTH}, "
-             f"bound {_BOUND})", header,
-             f"{'unbounded':<12}{record['entries']:>8}"
-             f"{record['evictions']:>7}{record['entries']:>10}"
-             f"{'-':>15}"]
-    for row in record["policies"]:
-        lines.append(f"{row['policy']:<12}{row['stores']:>8}"
-                     f"{row['evictions']:>7}{row['resident']:>10}"
-                     f"{row['fir_warm_hits']:>15}")
-    print("\n" + "\n".join(lines))
-
-    # Unbounded: the warm sweep is pure hits — no machine re-runs.
-    assert record["evictions"] == 0
+    # The warm sweep is pure hits — no machine re-runs.
     assert record["warm_hits"] == record["entries"]
     assert record["speedup"] > 1.0
-    by_policy = {row["policy"]: row for row in record["policies"]}
-    for row in by_policy.values():
-        # Saturated stores stay exactly at the bound, one eviction per
-        # over-capacity store.
-        assert row["resident"] == _BOUND
-        assert row["evictions"] == row["stores"] - _BOUND
-    # The recency touch saves FIR under lru: the warm re-sweep is pure
-    # hits and triggers no new work.
-    assert by_policy["lru"]["fir_warm_hits"] == \
-        by_policy["lru"]["fir_entries"]
-    assert by_policy["lru"]["stores"] == record["entries"]
-    # fifo ignores the touch, evicts first-in FIR, and pays for it with
-    # recomputation (extra stores) on the warm re-sweep.
-    assert by_policy["fifo"]["fir_warm_hits"] < \
-        by_policy["fifo"]["fir_entries"]
-    assert by_policy["fifo"]["stores"] > record["entries"]

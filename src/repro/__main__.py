@@ -46,12 +46,25 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.scalarize import build_baseline_program, build_liquid_program
+from repro.core.scalarize import (
+    build_baseline_program,
+    build_liquid_program,
+    check_width,
+)
 from repro.interp.executor import ENGINES
 from repro.kernels.suite import BENCHMARK_ORDER, build_kernel
 from repro.simd.accelerator import config_for_width
 from repro.system.machine import Machine, MachineConfig
 from repro.system.metrics import arrays_equal
+
+
+def _width(text: str) -> int:
+    """argparse ``type=`` of every width flag: :func:`check_width` on
+    the flag's integer, refused as a usage error."""
+    try:
+        return check_width(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_list(_args) -> int:
@@ -87,8 +100,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.core.translate.fragstore import FragmentStore
-    from repro.evaluation.runcache import RunCache
+    from repro.evaluation.runcache import FragmentStore, RunCache
 
     if args.action == "serve":
         # The local directory, even when $REPRO_CACHE_URL is set: a
@@ -102,7 +114,8 @@ def _cmd_cache(args) -> int:
     remote = backend["backend"] != "local"
     # The fragment store is directory-backed only; with a --cache-url
     # there is no local directory to pair it with.
-    fragments = None if remote else FragmentStore.default(args.cache_dir)
+    fragments = (None if remote
+                 else FragmentStore.default(args.cache_dir).backend)
 
     if args.action == "clear":
         removed = cache.clear()
@@ -126,9 +139,11 @@ def _cmd_cache(args) -> int:
     print(f"  entries   {cache.entry_count()}")
     print(f"  size      {cache.size_bytes() / 1024:.1f} KB")
     if fragments is not None:
+        paths = list(fragments.entry_paths())
+        size = sum(path.stat().st_size for path in paths)
         print(f"fragment store at {fragments.root}")
-        print(f"  entries   {fragments.entry_count()}")
-        print(f"  size      {fragments.size_bytes() / 1024:.1f} KB")
+        print(f"  entries   {len(paths)}")
+        print(f"  size      {size / 1024:.1f} KB")
     return 0
 
 
@@ -256,17 +271,17 @@ def _serve(cache, host: str, port: int, jobs) -> int:
 def _cmd_retranslate(args) -> int:
     import json
 
-    from repro.core.translate.fragstore import FragmentStore
     from repro.evaluation.crosswidth import crosswidth_differential
+    from repro.evaluation.runcache import FragmentStore
 
-    to_width = args.to_width if args.to_width else 2 * args.from_width
     store = None if args.no_cache else FragmentStore.default(args.cache_dir)
     report = crosswidth_differential(args.benchmark, args.from_width,
-                                     to_width, store=store)
+                                     args.to_width, store=store)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0 if report["ok"] else 1
-    print(f"{args.benchmark}: retranslate w{args.from_width} -> w{to_width}")
+    print(f"{args.benchmark}: retranslate w{args.from_width} -> "
+          f"w{args.to_width}")
     for function, info in sorted(report["functions"].items()):
         if not info["source_ok"]:
             status = f"source abort ({info['source_reason']})"
@@ -427,7 +442,8 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run one benchmark across widths")
     run_p.add_argument("benchmark", choices=BENCHMARK_ORDER)
-    run_p.add_argument("--widths", nargs="*", type=int, default=[2, 4, 8, 16])
+    run_p.add_argument("--widths", nargs="*", type=_width,
+                       default=[2, 4, 8, 16])
 
     sub.add_parser("evaluate", help="regenerate evaluation artifacts "
                                     "(see `repro evaluate --help`)")
@@ -463,7 +479,7 @@ def main(argv=None) -> int:
                          metavar="NAME", choices=BENCHMARK_ORDER,
                          help="benchmarks to sweep (default: the fast "
                               "evaluation subset)")
-    sweep_p.add_argument("--widths", nargs="*", type=int,
+    sweep_p.add_argument("--widths", nargs="*", type=_width,
                          default=[2, 4, 8, 16],
                          help="SIMD widths to sweep (default: 2 4 8 16)")
     sweep_p.add_argument("--engine", default="fast", choices=ENGINES,
@@ -526,9 +542,9 @@ def main(argv=None) -> int:
         help="re-lower one benchmark's fragments to another width and "
              "print the cross-width differential verdict")
     retr_p.add_argument("benchmark", choices=BENCHMARK_ORDER)
-    retr_p.add_argument("--from-width", type=int, default=4, metavar="W",
+    retr_p.add_argument("--from-width", type=_width, default=4, metavar="W",
                         help="source translation width (default: 4)")
-    retr_p.add_argument("--to-width", type=int, default=None, metavar="T",
+    retr_p.add_argument("--to-width", type=_width, default=None, metavar="T",
                         help="target width (default: 2*W)")
     retr_p.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="fragment-store directory root (default: "
@@ -544,7 +560,7 @@ def main(argv=None) -> int:
         help="run one benchmark with telemetry enabled and dump the "
              "counter/histogram/span registry")
     tel_p.add_argument("benchmark", choices=BENCHMARK_ORDER)
-    tel_p.add_argument("--width", type=int, default=8,
+    tel_p.add_argument("--width", type=_width, default=8,
                        help="accelerator width (default: 8)")
     tel_p.add_argument("--engine", default="fast", choices=ENGINES,
                        help="execution engine (default: fast)")
@@ -559,7 +575,7 @@ def main(argv=None) -> int:
         help="lift one benchmark's translated fragments into codegen IR "
              "and print the per-fragment shape-recognition table")
     cg_p.add_argument("benchmark", choices=BENCHMARK_ORDER)
-    cg_p.add_argument("--width", type=int, default=8,
+    cg_p.add_argument("--width", type=_width, default=8,
                       help="accelerator width (default: 8)")
     cg_p.add_argument("--json", action="store_true",
                       help="emit the table as JSON instead of text")
@@ -592,6 +608,11 @@ def main(argv=None) -> int:
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "retranslate":
+        if args.to_width is None:
+            try:
+                args.to_width = check_width(2 * args.from_width)
+            except ValueError as exc:
+                retr_p.error(f"--to-width defaults to 2*W: {exc}")
         return _cmd_retranslate(args)
     if args.command == "telemetry":
         return _cmd_telemetry(args)

@@ -5,6 +5,7 @@ from repro.core.scalarize.codegen import (
     build_baseline_program,
     build_liquid_program,
     build_native_program,
+    check_width,
 )
 from repro.core.scalarize.crosscompile import (
     LoopRegion,
@@ -31,6 +32,7 @@ __all__ = [
     "build_baseline_program",
     "build_liquid_program",
     "build_native_program",
+    "check_width",
     "LoopRegion",
     "cross_compile",
     "find_candidate_loops",

@@ -30,10 +30,26 @@ from repro.core.scalarize.scalarizer import ScalarizedLoop, scalarize_loop
 from repro.isa.instructions import Imm, Instruction, Mem, Reg, Sym, VImm
 from repro.isa.program import DataArray, Program
 from repro.isa.registers import reg_index
+from repro.memory.alignment import is_power_of_two
 
 #: Default maximum vectorizable length binaries are compiled for
 #: (the paper's evaluation uses 16).
 DEFAULT_MVL = 16
+
+
+def check_width(width) -> int:
+    """*width* if the suite's binaries run at it, else ``ValueError``.
+
+    The accelerator takes power-of-two widths of at least 2, and a
+    binary built for :data:`DEFAULT_MVL` aligns its arrays for vectors
+    of up to that many elements (``system/loader.py``): a wider
+    accelerator faults on its first unaligned vector access.
+    """
+    if not isinstance(width, int) or isinstance(width, bool) \
+            or not 2 <= width <= DEFAULT_MVL or not is_power_of_two(width):
+        raise ValueError(f"width must be a power of two in "
+                         f"[2, {DEFAULT_MVL}], got {width!r}")
+    return width
 
 
 def _add_arrays(program: Program, arrays) -> None:

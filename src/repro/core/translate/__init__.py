@@ -1,13 +1,5 @@
 """Run-time half of Liquid SIMD: the post-retirement dynamic translator."""
 
-from repro.core.translate.fragstore import (
-    FRAGSTORE_FORMAT_VERSION,
-    FRAGSTORE_SUBDIR,
-    FragmentStore,
-    FragmentStoreStats,
-    fragment_key,
-    translator_config_fingerprint,
-)
 from repro.core.translate.hw_model import TranslatorHardwareModel
 from repro.core.translate.retranslate import (
     RetranslateReason,
@@ -35,12 +27,6 @@ from repro.core.translate.ucode_cache import (
 )
 
 __all__ = [
-    "FRAGSTORE_FORMAT_VERSION",
-    "FRAGSTORE_SUBDIR",
-    "FragmentStore",
-    "FragmentStoreStats",
-    "fragment_key",
-    "translator_config_fingerprint",
     "RetranslateReason",
     "RetranslationResult",
     "retranslate_chain",

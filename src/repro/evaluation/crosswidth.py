@@ -28,13 +28,13 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.scalarize import build_liquid_program
-from repro.core.translate.fragstore import FragmentStore, fragment_key
 from repro.core.translate.retranslate import (
     RetranslationResult,
     retranslate_entry,
 )
 from repro.core.translate.translator import TranslationResult
 from repro.core.translate.ucode_cache import MicrocodeEntry
+from repro.evaluation.runcache import FragmentStore, fragment_key
 from repro.isa.encoding import encode_program
 from repro.isa.program import Program
 from repro.kernels.suite import build_kernel
@@ -68,9 +68,9 @@ def translate_at_width(program: Program, config: MachineConfig,
         for function in program.outlined_functions:
             keys[function] = fragment_key(source, width, width, tcfg,
                                           function=function)
-            payload = store.load(keys[function])
-            if payload is not None:
-                results[function] = TranslationResult.from_dict(payload)
+            stored = store.load(keys[function], TranslationResult.from_dict)
+            if stored is not None:
+                results[function] = stored
         if len(results) == len(program.outlined_functions):
             return results
     run = Machine(config).run(program)
@@ -100,10 +100,9 @@ def retranslate_at_width(entries: Iterable[MicrocodeEntry],
             key = fragment_key(entry.encoded_bytes(), entry.width,
                                target_width, target_config,
                                function=entry.function)
-            payload = store.load(key)
-            if payload is not None:
-                results[entry.function] = \
-                    RetranslationResult.from_dict(payload)
+            stored = store.load(key, RetranslationResult.from_dict)
+            if stored is not None:
+                results[entry.function] = stored
                 continue
         result = retranslate_entry(entry, target_width, target_config)
         if key is not None:

@@ -89,7 +89,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
-from repro.core.scalarize import DEFAULT_MVL
+from repro.core.scalarize import check_width
 from repro.evaluation.runcache import CACHE_FORMAT_VERSION, RunCache
 from repro.evaluation.runner import (
     PROGRAM_KINDS,
@@ -99,7 +99,6 @@ from repro.evaluation.runner import (
 )
 from repro.interp.executor import ENGINES
 from repro.kernels.suite import BENCHMARK_ORDER
-from repro.memory.alignment import is_power_of_two
 from repro.observability import telemetry as _telemetry
 from repro.simd.accelerator import config_for_width
 from repro.system.machine import MachineConfig
@@ -167,15 +166,10 @@ def parse_run_request(payload: dict) -> RunRequest:
     else:
         if width is None:
             width = 8
-        # The suite binaries align their arrays for vectors of up to
-        # DEFAULT_MVL elements (system/loader.py); a wider accelerator
-        # faults on its first unaligned vector access.
-        if not isinstance(width, int) or isinstance(width, bool) \
-                or not 2 <= width <= DEFAULT_MVL \
-                or not is_power_of_two(width):
-            raise ServeRequestError(
-                f"width must be a power of two in [2, {DEFAULT_MVL}], "
-                f"got {width!r}")
+        try:
+            check_width(width)
+        except ValueError as exc:
+            raise ServeRequestError(str(exc)) from None
         accelerator = config_for_width(width)
     config = MachineConfig(accelerator=accelerator, engine=engine)
     return RunRequest(benchmark, kind, config, repeat_factor=repeat)

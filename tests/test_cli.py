@@ -48,6 +48,48 @@ class TestReproMain:
         assert "invalid choice" in capsys.readouterr().err
 
 
+class TestWidthFlags:
+    """Every width flag takes what ``repro serve`` takes: a power of two
+    in [2, DEFAULT_MVL].  Anything else is a usage error before any
+    simulation, not a fault at the first unaligned vector access."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "FFT", "--widths", "32"],
+        ["run", "FIR", "--widths", "8", "12"],
+        ["sweep", "--benchmarks", "FIR", "--widths", "2", "12"],
+        ["telemetry", "FIR", "--width", "3"],
+        ["codegen", "FIR", "--width", "32"],
+        ["retranslate", "FIR", "--from-width", "12"],
+        ["retranslate", "FIR", "--to-width", "32"],
+        # No --to-width: the derived 2*W target is checked too.
+        ["retranslate", "FFT", "--from-width", "16"],
+    ], ids=["run-32", "run-12", "sweep-12", "telemetry-3", "codegen-32",
+            "retranslate-from-12", "retranslate-to-32",
+            "retranslate-derived-32"])
+    def test_bad_width_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error:" in err
+        assert "width must be a power of two in [2, 16], got" in err
+        assert "Traceback" not in err
+
+
+class TestRetranslateSubcommand:
+    def test_unwritable_cache_root_still_gives_a_verdict(self, tmp_path):
+        """A --cache-dir that is a regular file costs the stored
+        fragments, not the command (the fragment store fails open)."""
+        root = tmp_path / "not-a-directory"
+        root.write_text("", encoding="utf-8")
+        code, out = _capture(repro_main, ["retranslate", "FIR",
+                                          "--from-width", "4",
+                                          "--cache-dir", str(root)])
+        assert code == 0
+        assert "FIR: retranslate w4 -> w8" in out
+        assert out.rstrip().endswith("verdict: OK")
+
+
 class TestEvaluationCli:
     def test_table2_only(self):
         code, out = _capture(eval_cli, ["--experiments", "table2"])
@@ -147,6 +189,22 @@ class TestCacheSubcommand:
         assert code == 0
         assert "backend: local directory" in out
         assert "fragment store" in out
+
+    def test_info_and_clear_count_fragments(self, tmp_path):
+        from repro.evaluation.runcache import FragmentStore
+        store = FragmentStore.default(tmp_path)
+        for i in range(3):
+            store.store(f"{i:064x}", {"ok": True})
+        code, out = _capture(
+            repro_main, ["cache", "info", "--cache-dir", str(tmp_path)])
+        assert code == 0
+        assert (f"fragment store at {tmp_path / 'fragments'}\n"
+                "  entries   3\n") in out
+        code, out = _capture(
+            repro_main, ["cache", "clear", "--cache-dir", str(tmp_path)])
+        assert code == 0
+        assert "cleared 0 cached runs and 3 fragments" in out
+        assert not list(store.backend.entry_paths())
 
     def test_info_reports_reachable_daemon(self, tmp_path):
         from repro.evaluation.runcache import RunCache

@@ -23,14 +23,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.scalarize import build_liquid_program
-from repro.core.translate.fragstore import FragmentStore
 from repro.evaluation.crosswidth import (
     ENGINE_ORDER,
     crosswidth_differential,
     retranslate_at_width,
     translate_at_width,
 )
-from repro.evaluation.runcache import run_key
+from repro.evaluation.runcache import FragmentStore, run_key
 from repro.kernels.suite import BENCHMARK_ORDER, build_kernel
 from repro.observability import telemetry
 from repro.simd.accelerator import config_for_width

@@ -1,30 +1,36 @@
 """Fault-injection and keying tests for the persistent fragment store.
 
 The store must *never* make a run incorrect or crash it: truncated
-files, garbage JSON, wrong format versions and racing writers all
-degrade to a miss (``fragstore.corrupt`` / ``fragstore.race``) and the
-caller falls back to retranslation — with no cycle-count or run-key
-drift versus running without the store at all (the differential suite's
+files, garbage JSON, stale format versions, entries filed under another
+key, racing writers and a cache root that cannot be written all degrade
+to a miss or a skipped write (``fragstore.corrupt`` / ``fragstore.race``
+/ ``fragstore.write_error``), and the caller keeps or recomputes its
+translation — with no cycle-count or run-key drift versus running
+without the store at all (the differential suite's
 ``test_store_does_not_drift_cycles`` covers the end-to-end half).
 """
 
 from __future__ import annotations
 
 import json
-import os
+import shutil
 
 import pytest
 
 from repro.core.scalarize import build_liquid_program
-from repro.core.translate.fragstore import (
-    FRAGSTORE_FORMAT_VERSION,
+from repro.core.translate.translator import TranslatorConfig
+from repro.evaluation.crosswidth import (
+    retranslate_at_width,
+    translate_at_width,
+)
+from repro.evaluation.runcache import (
+    CACHE_FORMAT_VERSION,
     FragmentStore,
+    RunCache,
+    encode_entry,
     fragment_key,
     translator_config_fingerprint,
 )
-from repro.core.translate.translator import TranslatorConfig
-from repro.evaluation.crosswidth import translate_at_width
-from repro.evaluation.runcache import RunCache
 from repro.kernels.suite import build_kernel
 from repro.observability import telemetry
 from repro.simd.accelerator import config_for_width
@@ -33,12 +39,16 @@ from repro.system.machine import MachineConfig
 CFG = TranslatorConfig(width=4)
 
 
-def _store(tmp_path, **kwargs) -> FragmentStore:
-    return FragmentStore(tmp_path / "fragments", **kwargs)
+def _store(tmp_path) -> FragmentStore:
+    return FragmentStore(tmp_path / "fragments")
 
 
 def _payload(tag="x") -> dict:
     return {"function": tag, "ok": True}
+
+
+def _entry_count(store: FragmentStore) -> int:
+    return sum(1 for _ in store.backend.entry_paths())
 
 
 # ---------------------------------------------------------------------------
@@ -52,11 +62,20 @@ def test_key_is_stable_and_sensitive():
     assert base != fragment_key(b"frag", 2, 8, CFG, function="f")
     assert base != fragment_key(b"frag", 4, 16, CFG, function="f")
     assert base != fragment_key(b"frag", 4, 8, CFG, function="g")
-    assert base != fragment_key(b"frag", 4, 8, CFG, function="f",
-                                format_version=FRAGSTORE_FORMAT_VERSION + 1)
     narrower = TranslatorConfig(
         width=4, supported_vector_ops=frozenset({"vld", "vst"}))
     assert base != fragment_key(b"frag", 4, 8, narrower, function="f")
+
+
+def test_key_is_versioned_by_cache_format_version():
+    """Fragment keys carry the run cache's format version, so the bump
+    that the golden-results test demands on result drift also orphans
+    every stored fragment."""
+    base = fragment_key(b"frag", 4, 8, CFG, function="f")
+    assert base == fragment_key(b"frag", 4, 8, CFG, function="f",
+                                format_version=CACHE_FORMAT_VERSION)
+    assert base != fragment_key(b"frag", 4, 8, CFG, function="f",
+                                format_version=CACHE_FORMAT_VERSION + 1)
 
 
 def test_fingerprint_excludes_width():
@@ -68,51 +87,57 @@ def test_fingerprint_excludes_width():
 def test_round_trip(tmp_path):
     store = _store(tmp_path)
     key = fragment_key(b"frag", 4, 8, CFG)
-    assert store.load(key) is None
+    assert store.load(key, dict) is None
     store.store(key, _payload())
-    assert store.load(key) == _payload()
+    assert store.load(key, dict) == _payload()
     assert store.stats.hits == 1 and store.stats.misses == 1
-    assert store.entry_count() == 1 and store.size_bytes() > 0
-    assert store.clear() == 1
-    assert store.load(key) is None
+    # The entry is the run cache's envelope, byte for byte.
+    assert store.backend.load(key) == encode_entry(key, _payload())
+    assert _entry_count(store) == 1
+    assert store.backend.clear() == 1
+    assert store.load(key, dict) is None
 
 
 # ---------------------------------------------------------------------------
 # Fault injection
 # ---------------------------------------------------------------------------
 
-def _stored_path(store: FragmentStore, key: str):
-    store.store(key, _payload())
-    return store.path_for(key)
-
-
-@pytest.mark.parametrize("corruption", ["truncate", "garbage", "version"])
+@pytest.mark.parametrize("corruption",
+                         ["truncate", "garbage", "version", "other-key"])
 def test_corrupt_entries_fall_back_to_miss(tmp_path, corruption):
     store = _store(tmp_path)
     key = fragment_key(b"frag", 4, 8, CFG)
-    path = _stored_path(store, key)
+    path = store.backend.path_for(key)
+    if corruption == "other-key":
+        # A well-formed entry copied into another key's slot.
+        other = fragment_key(b"other", 4, 8, CFG)
+        store.store(other, _payload())
+        path.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(store.backend.path_for(other), path)
+    else:
+        store.store(key, _payload())
     if corruption == "truncate":
         path.write_text(path.read_text()[:10], encoding="utf-8")
     elif corruption == "garbage":
         path.write_text("{not json", encoding="utf-8")
-    else:
+    elif corruption == "version":
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["format_version"] = FRAGSTORE_FORMAT_VERSION + 1
+        payload["format_version"] = CACHE_FORMAT_VERSION + 1
         path.write_text(json.dumps(payload), encoding="utf-8")
 
     tel = telemetry.enable()
     try:
-        assert store.load(key) is None
+        assert store.load(key, dict) is None
         counters = dict(tel.to_dict()["counters"])
     finally:
         telemetry.disable()
     assert counters.get("fragstore.corrupt") == 1
     assert counters.get("fragstore.miss") == 1
-    assert store.stats.corrupt == 1
+    assert store.stats.errors == 1
     # The bad entry was deleted so the rewrite is a clean store.
     assert not path.exists()
     store.store(key, _payload())
-    assert store.load(key) == _payload()
+    assert store.load(key, dict) == _payload()
 
 
 def test_concurrent_writer_loses_race_gracefully(tmp_path):
@@ -134,56 +159,41 @@ def test_concurrent_writer_loses_race_gracefully(tmp_path):
     assert counters.get("fragstore.race") == 1
     assert "fragstore.store" not in counters
     assert b.stats.races == 1 and b.stats.stores == 0
-    assert a.load(key) == _payload()
-    assert a.entry_count() == 1
+    assert a.load(key, dict) == _payload()
+    assert _entry_count(a) == 1
 
 
-# ---------------------------------------------------------------------------
-# Eviction policies (the benchmarks/ ablation drives these at scale)
-# ---------------------------------------------------------------------------
+def test_unwritable_root_fails_open(tmp_path):
+    """A cache root that is a regular file loses the entries, not the
+    translations: both store-backed sweeps return what a store-free
+    sweep returns, and every refused write is counted."""
+    root = tmp_path / "not-a-directory"
+    root.write_text("", encoding="utf-8")
+    store = FragmentStore.default(root)
+    program = build_liquid_program(build_kernel("FIR"))
+    config = MachineConfig(accelerator=config_for_width(4), engine="fast")
+    target_tcfg = MachineConfig(
+        accelerator=config_for_width(8)).translator_config()
 
-def _age(store: FragmentStore, key: str, mtime: float) -> None:
-    os.utime(store.path_for(key), (mtime, mtime))
+    def sweep(store):
+        translations = translate_at_width(program, config, store)
+        entries = [t.entry for t in translations.values()
+                   if t.ok and t.entry is not None]
+        retranslations = retranslate_at_width(entries, 8, target_tcfg, store)
+        return ({fn: t.to_dict() for fn, t in translations.items()},
+                {fn: r.to_dict() for fn, r in retranslations.items()})
 
-
-def test_fifo_eviction_drops_first_in(tmp_path):
-    store = _store(tmp_path, max_entries=2, eviction="fifo")
-    keys = [fragment_key(bytes([i]), 4, 8, CFG) for i in range(3)]
-    store.store(keys[0], _payload("a"))
-    _age(store, keys[0], 1000.0)
-    store.store(keys[1], _payload("b"))
-    _age(store, keys[1], 2000.0)
-    # FIFO ignores use: loading the oldest entry must not save it.
-    assert store.load(keys[0]) == _payload("a")
-    _age(store, keys[0], 1000.0)  # fifo never refreshes mtime on load
-    store.store(keys[2], _payload("c"))
-    assert store.load(keys[0]) is None
-    assert store.load(keys[1]) == _payload("b")
-    assert store.load(keys[2]) == _payload("c")
-    assert store.stats.evictions == 1
-
-
-def test_lru_eviction_keeps_recently_used(tmp_path):
-    store = _store(tmp_path, max_entries=2, eviction="lru")
-    keys = [fragment_key(bytes([i]), 4, 8, CFG) for i in range(3)]
-    store.store(keys[0], _payload("a"))
-    _age(store, keys[0], 1000.0)
-    store.store(keys[1], _payload("b"))
-    _age(store, keys[1], 2000.0)
-    # Touch the oldest: under LRU the load refreshes its recency.
-    assert store.load(keys[0]) == _payload("a")
-    store.store(keys[2], _payload("c"))
-    assert store.load(keys[1]) is None  # victim is now the untouched one
-    assert store.load(keys[0]) == _payload("a")
-    assert store.load(keys[2]) == _payload("c")
-    assert store.stats.evictions == 1
-
-
-def test_eviction_validation():
-    with pytest.raises(ValueError):
-        FragmentStore("/tmp/x", eviction="random")
-    with pytest.raises(ValueError):
-        FragmentStore("/tmp/x", max_entries=0)
+    tel = telemetry.enable()
+    try:
+        translations, retranslations = sweep(store)
+        counters = dict(tel.to_dict()["counters"])
+    finally:
+        telemetry.disable()
+    assert (translations, retranslations) == sweep(None)
+    assert retranslations and all(r["ok"] for r in retranslations.values())
+    writes = len(translations) + len(retranslations)
+    assert store.stats.errors == counters["fragstore.write_error"] == writes
+    assert store.stats.stores == 0 and "fragstore.store" not in counters
 
 
 # ---------------------------------------------------------------------------
@@ -194,23 +204,42 @@ def test_store_is_invisible_to_run_cache(tmp_path):
     """Both caches share a root; neither sees the other's entries."""
     run_cache = RunCache(tmp_path)
     store = FragmentStore.default(tmp_path)
-    assert store.root == tmp_path / "fragments"
+    assert store.backend.root == tmp_path / "fragments"
     store.store(fragment_key(b"frag", 4, 8, CFG), _payload())
     assert run_cache.entry_count() == 0
     assert run_cache.clear() == 0
-    assert store.entry_count() == 1
+    assert _entry_count(store) == 1
+
+
+def _assert_scout_rerun_recovers(tmp_path, corrupt) -> None:
+    """Corrupt every stored FIR translation with *corrupt*, then require
+    a second sweep to count each as corrupt and reproduce the cold
+    sweep's results (and so re-store the same bytes)."""
+    store = _store(tmp_path)
+    program = build_liquid_program(build_kernel("FIR"))
+    config = MachineConfig(accelerator=config_for_width(4), engine="fast")
+    cold = translate_at_width(program, config, store)
+    for path in store.backend.entry_paths():
+        corrupt(path)
+    recovered = translate_at_width(program, config, store)
+    assert {fn: t.to_dict() for fn, t in recovered.items()} == \
+        {fn: t.to_dict() for fn, t in cold.items()}
+    assert store.stats.errors == len(cold)
 
 
 def test_corrupt_store_entry_does_not_change_outcome(tmp_path):
     """A corrupted translation entry degrades to a scout re-run whose
     results (and re-stored bytes) are identical to the cold path."""
-    store = _store(tmp_path)
-    program = build_liquid_program(build_kernel("FIR"))
-    config = MachineConfig(accelerator=config_for_width(4), engine="fast")
-    cold = translate_at_width(program, config, store)
-    for path in store.entry_paths():
-        path.write_text("{truncated", encoding="utf-8")
-    recovered = translate_at_width(program, config, store)
-    assert {fn: t.to_dict() for fn, t in recovered.items()} == \
-        {fn: t.to_dict() for fn, t in cold.items()}
-    assert store.stats.corrupt == len(cold)
+    _assert_scout_rerun_recovers(
+        tmp_path,
+        lambda path: path.write_text("{truncated", encoding="utf-8"))
+
+
+def test_undecodable_store_entry_does_not_change_outcome(tmp_path):
+    """A sound envelope around a result ``TranslationResult.from_dict``
+    cannot read is refused like a corrupt entry, as ``RunCache.load``
+    refuses one ``RunResult.from_dict`` cannot read."""
+    _assert_scout_rerun_recovers(
+        tmp_path,
+        lambda path: path.write_bytes(
+            encode_entry(path.stem, {"function": "f"})))

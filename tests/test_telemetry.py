@@ -17,7 +17,8 @@ import pytest
 from repro.codegen import emit
 from repro.core.scalarize import build_baseline_program, build_liquid_program
 from repro.evaluation.cli import FAST_SUBSET
-from repro.evaluation.runcache import RunCache, run_key
+from repro.evaluation.crosswidth import crosswidth_differential
+from repro.evaluation.runcache import FragmentStore, RunCache, run_key
 from repro.evaluation.simserver import SimServer
 from repro.interp.state import MachineState
 from repro.interp.turbo import superblock_table_for
@@ -434,8 +435,9 @@ def _catalog_patterns():
 def test_emitted_counters_are_cataloged(tmp_path):
     """Every counter a telemetry-on corpus emits has a row in
     ``docs/observability.md``'s catalog: the fast subset's Liquid w8
-    and baseline runs, one run-cache store and load, and one
-    ``repro serve`` cold and warm request."""
+    and baseline runs, one run-cache store and load, a cold and a warm
+    FIR w4 -> w8 cross-width differential through a fragment store,
+    and one ``repro serve`` cold and warm request."""
     tel = telemetry.enable()
     try:
         for name in FAST_SUBSET:
@@ -447,6 +449,10 @@ def test_emitted_counters_are_cataloged(tmp_path):
         cache = RunCache(tmp_path / "runs")
         cache.store("0" * 64, result)
         assert cache.load("0" * 64) is not None
+        fragments = FragmentStore(tmp_path / "fragments")
+        for _ in ("cold", "warm"):
+            assert crosswidth_differential("FIR", 4, 8, engines=("fast",),
+                                           store=fragments)["ok"]
         server = SimServer(jobs=1, cache=RunCache(tmp_path / "served"))
         server.start()
         try:
@@ -458,7 +464,9 @@ def test_emitted_counters_are_cataloged(tmp_path):
     finally:
         telemetry.disable()
     patterns = _catalog_patterns()
-    assert {"serve.cold", "serve.hits", "runcache.stores"} <= emitted
+    assert {"serve.cold", "serve.hits", "runcache.stores",
+            "fragstore.miss", "fragstore.store", "fragstore.hit",
+            "retranslate.attempts", "machine.preloaded_fragments"} <= emitted
     missing = sorted(name for name in emitted
                      if not any(p.match(name) for p in patterns))
     assert not missing, f"counters missing from {CATALOG.name}: {missing}"
