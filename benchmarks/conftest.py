@@ -1,13 +1,14 @@
 """Shared state for the benchmark harness.
 
-The :class:`EvalContext` memoizes machine runs, so experiments that need
-the same simulations (Figure 6, Table 6, the overhead callout) share
-them across benchmark modules instead of re-simulating.  The context
-rides a :class:`RunScheduler` backed by the persistent run cache
-(docs/evaluation-runner.md), so a benchmark session that follows an
-``evaluate --all`` — or a previous benchmark session — skips those
-simulations entirely; set ``REPRO_CACHE_DIR`` to relocate the cache or
-``REPRO_JOBS`` to bound worker processes.
+One :class:`EvalContext` serves the session.  Each experiment reads its
+own declared runs through the context's :class:`RunScheduler`, whose
+memo keeps every result, so experiments that need the same simulations
+(Figure 6, Table 6, the overhead callout) share them across benchmark
+modules instead of re-simulating.  The scheduler is backed by the
+persistent run cache (docs/evaluation-runner.md), so a benchmark
+session that follows an ``evaluate --all`` — or a previous benchmark
+session — skips those simulations entirely; set ``REPRO_CACHE_DIR`` to
+relocate the cache or ``REPRO_JOBS`` to bound worker processes.
 
 The ``*_bench_records`` fixtures collect timing records (filled in by
 ``test_engine_speedup.py``, ``test_parallel_speedup.py``, the

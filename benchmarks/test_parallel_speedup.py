@@ -36,17 +36,17 @@ MIN_SPEEDUP = 2.0
 
 
 def _suite_requests(ctx):
-    return [ctx.liquid_request(name, WIDTH) for name in BENCHMARK_ORDER]
+    """The suite's width-8 Liquid runs, by benchmark."""
+    return {name: ctx.liquid_request(name, WIDTH) for name in BENCHMARK_ORDER}
 
 
 def _run_suite(jobs, cache_dir):
     scheduler = RunScheduler(jobs=jobs, cache=RunCache(cache_dir))
     ctx = EvalContext(scheduler=scheduler)
-    requests = _suite_requests(ctx)
     start = time.perf_counter()
-    ctx.prefetch(requests)
+    runs = ctx.results(_suite_requests(ctx))
     seconds = time.perf_counter() - start
-    cycles = {r.benchmark: ctx.run_request(r).cycles for r in requests}
+    cycles = {name: run.cycles for name, run in runs.items()}
     return seconds, cycles, scheduler.stats
 
 

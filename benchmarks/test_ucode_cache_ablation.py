@@ -9,9 +9,12 @@ four elimination loops) and FFT through caches of 1..16 entries.
 
 The second half times the *persistent* fragment store
 (docs/retranslation.md): the warm-over-cold speedup of a translate and
-retranslate sweep through one store, emitted as ``BENCH_fragstore.json``.
+retranslate sweep, median cold pass (each on a fresh store) over median
+warm pass, emitted as ``BENCH_fragstore.json`` with each side's
+min-max.
 """
 
+import statistics
 import time
 
 from repro.core.scalarize import build_liquid_program
@@ -64,6 +67,8 @@ def test_ucode_cache_capacity_fft(benchmark):
 
 _SWEEP_BENCHES = ("FIR", "FFT", "LU")  # 2 + 3 + 8 = 13 store entries
 _SOURCE_WIDTH, _TARGET_WIDTH = 4, 8
+#: Cold sweeps, each on a fresh store, and warm sweeps per store.
+_COLD_PASSES, _WARM_PASSES = 5, 5
 
 
 def _sweep(store: FragmentStore) -> None:
@@ -82,33 +87,47 @@ def _sweep(store: FragmentStore) -> None:
 
 def test_fragstore_warm_over_cold(benchmark, tmp_path,
                                   fragstore_bench_records):
+    """Median cold sweep (a fresh store each pass) over median warm
+    sweep, so one noisy ~10 ms warm pass cannot swing the record."""
     def run():
-        store = FragmentStore(tmp_path / "fragments")
-        t0 = time.perf_counter()
-        _sweep(store)
-        cold = time.perf_counter() - t0
-        cold_stores = store.stats.stores
-        t0 = time.perf_counter()
-        _sweep(store)
-        warm = time.perf_counter() - t0
+        cold, warm, stored, hits = [], [], [], []
+        for i in range(_COLD_PASSES):
+            store = FragmentStore(tmp_path / f"fragments{i}")
+            t0 = time.perf_counter()
+            _sweep(store)
+            cold.append(time.perf_counter() - t0)
+            stored.append(store.stats.stores)
+            for _ in range(_WARM_PASSES):
+                hits_before = store.stats.hits
+                t0 = time.perf_counter()
+                _sweep(store)
+                warm.append(time.perf_counter() - t0)
+                hits.append(store.stats.hits - hits_before)
         return {
             "benches": list(_SWEEP_BENCHES),
             "from_width": _SOURCE_WIDTH,
             "to_width": _TARGET_WIDTH,
-            "entries": cold_stores,
-            "warm_hits": store.stats.hits,
-            "cold_seconds": cold,
-            "warm_seconds": warm,
-            "speedup": cold / warm,
+            "cold_passes": len(cold),
+            "warm_passes": len(warm),
+            "entries": max(stored),
+            "warm_hits": min(hits),
+            "cold_seconds": statistics.median(cold),
+            "cold_min_seconds": min(cold),
+            "cold_max_seconds": max(cold),
+            "warm_seconds": statistics.median(warm),
+            "warm_min_seconds": min(warm),
+            "warm_max_seconds": max(warm),
+            "speedup": statistics.median(cold) / statistics.median(warm),
         }
 
     record = benchmark.pedantic(run, rounds=1, iterations=1)
     fragstore_bench_records["fragstore_warm_over_cold"] = record
     print(f"\nFragment store (w{_SOURCE_WIDTH} -> w{_TARGET_WIDTH}): "
-          f"{record['entries']} entries, cold {record['cold_seconds']:.3f}s, "
-          f"warm {record['warm_seconds']:.3f}s "
-          f"({record['speedup']:.1f}x)")
+          f"{record['entries']} entries, median cold "
+          f"{record['cold_seconds']:.3f}s of {record['cold_passes']}, "
+          f"median warm {record['warm_seconds']:.4f}s of "
+          f"{record['warm_passes']} ({record['speedup']:.1f}x)")
 
-    # The warm sweep is pure hits — no machine re-runs.
+    # Every warm sweep is pure hits — no machine re-runs.
     assert record["warm_hits"] == record["entries"]
     assert record["speedup"] > 1.0

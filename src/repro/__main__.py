@@ -51,6 +51,8 @@ from repro.core.scalarize import (
     build_liquid_program,
     check_width,
 )
+from repro.evaluation import DEFAULT_WIDTHS, EvalContext, figure6_requests
+from repro.evaluation.cli import FAST_SUBSET, positive_int
 from repro.interp.executor import ENGINES
 from repro.kernels.suite import BENCHMARK_ORDER, build_kernel
 from repro.simd.accelerator import config_for_width
@@ -78,16 +80,15 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    kernel = build_kernel(args.benchmark)
-    baseline = build_baseline_program(kernel)
-    liquid = build_liquid_program(kernel)
-    base = Machine(MachineConfig()).run(baseline)
-    print(f"{kernel.name}: baseline {base.cycles:,} cycles")
+    name = args.benchmark
+    ctx = EvalContext([name])
+    runs = ctx.results(figure6_requests(ctx, args.widths))
+    base = runs[(name, "baseline")]
+    print(f"{name}: baseline {base.cycles:,} cycles")
     print(f"{'width':<8}{'cycles':>12}{'speedup':>9}{'translations':>14}"
           f"{'results':>9}")
     for width in args.widths:
-        machine = Machine(MachineConfig(accelerator=config_for_width(width)))
-        run = machine.run(liquid)
+        run = runs[(name, width)]
         ok = sum(1 for t in run.translations if t.ok)
         bad = sum(1 for t in run.translations if not t.ok)
         match = "match" if arrays_equal(base, run) else "DIVERGED"
@@ -180,7 +181,6 @@ def _cmd_sweep(args) -> int:
                     return 2
             manifest = merge_sweeps(manifests)
         else:
-            from repro.evaluation.cli import FAST_SUBSET
             benchmarks = args.benchmarks or FAST_SUBSET
             shard = (parse_shard_spec(args.shard)
                      if args.shard is not None else None)
@@ -443,7 +443,7 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run one benchmark across widths")
     run_p.add_argument("benchmark", choices=BENCHMARK_ORDER)
     run_p.add_argument("--widths", nargs="*", type=_width,
-                       default=[2, 4, 8, 16])
+                       default=DEFAULT_WIDTHS)
 
     sub.add_parser("evaluate", help="regenerate evaluation artifacts "
                                     "(see `repro evaluate --help`)")
@@ -480,11 +480,12 @@ def main(argv=None) -> int:
                          help="benchmarks to sweep (default: the fast "
                               "evaluation subset)")
     sweep_p.add_argument("--widths", nargs="*", type=_width,
-                         default=[2, 4, 8, 16],
-                         help="SIMD widths to sweep (default: 2 4 8 16)")
+                         default=DEFAULT_WIDTHS,
+                         help="SIMD widths to sweep (default: "
+                              f"{' '.join(map(str, DEFAULT_WIDTHS))})")
     sweep_p.add_argument("--engine", default="fast", choices=ENGINES,
                          help="execution engine (default: fast)")
-    sweep_p.add_argument("--jobs", type=int, default=None, metavar="N",
+    sweep_p.add_argument("--jobs", type=positive_int, metavar="N",
                          help="worker processes (default: cpu count)")
     sweep_p.add_argument("--shard", default=None, metavar="K/N",
                          help="execute only this sweep's K-th of N "
@@ -522,7 +523,7 @@ def main(argv=None) -> int:
                          help="bind address (default: 127.0.0.1)")
     serve_p.add_argument("--port", type=int, default=8979,
                          help="port, 0 for ephemeral (default: 8979)")
-    serve_p.add_argument("--jobs", type=int, default=None, metavar="N",
+    serve_p.add_argument("--jobs", type=positive_int, metavar="N",
                          help="simulation worker processes "
                               "(default: cpu count)")
     serve_p.add_argument("--cache-dir", default=None, metavar="DIR",

@@ -4,19 +4,18 @@ Used by ``python -m repro evaluate`` and ``examples/run_evaluation.py``.
 
 Execution goes through the parallel run scheduler and the persistent
 run cache (docs/evaluation-runner.md): before any experiment runs, the
-CLI collects every experiment's declared :class:`RunRequest`\\ s and
-prefetches their deduplicated union — fanned out over ``--jobs`` worker
-processes on cold cache, answered from ``~/.cache/repro-liquid-simd``
-(or ``$REPRO_CACHE_DIR`` / ``--cache-dir``) on warm.  Rendered tables
-are byte-identical whatever the job count or cache state.
+CLI runs the union of the selected experiments' declared runs as one
+batch — fanned out over ``--jobs`` worker processes on cold cache,
+answered from ``~/.cache/repro-liquid-simd`` (or ``$REPRO_CACHE_DIR`` /
+``--cache-dir``) on warm — and each driver then reads memo hits.
+Rendered tables are byte-identical whatever the job count or cache
+state.
 """
 
 from __future__ import annotations
 
 import argparse
-import cProfile
 import os
-import pstats
 import sys
 import time
 from typing import List, Optional
@@ -31,6 +30,17 @@ FAST_SUBSET = ["MPEG2 Dec.", "GSM Enc.", "LU", "FFT", "FIR"]
 
 EXPERIMENTS = ("table2", "table5", "table6", "figure6", "overhead",
                "codesize", "ucache", "latency", "jit")
+
+
+def positive_int(text: str) -> int:
+    """argparse ``type=`` of every ``--jobs`` flag: an integer >= 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be a positive integer, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="execution engine (results are bit-identical; "
                              "'reference' is the slow canonical "
                              "interpreter)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=positive_int, metavar="N",
                         help="worker processes for simulations (default: "
                              "os.cpu_count(); 1 = in-process/sequential)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -96,21 +106,21 @@ def _validate_benchmarks(parser: argparse.ArgumentParser,
 
 def _prefetch_requests(ctx: experiments.EvalContext, selected,
                        ucache_benchmark: str) -> list:
-    """The deduplicated union of every selected experiment's runs."""
+    """Every selected experiment's declared runs, in one list."""
     requests = []
     if "table6" in selected:
-        requests += experiments.table6_requests(ctx)
+        requests += experiments.table6_requests(ctx).values()
     if "figure6" in selected:
-        requests += experiments.figure6_requests(ctx)
+        requests += experiments.figure6_requests(ctx).values()
     if "overhead" in selected:
-        requests += experiments.native_overhead_requests(ctx)
+        requests += experiments.native_overhead_requests(ctx).values()
     if "ucache" in selected:
         requests += experiments.ucode_cache_ablation_requests(
-            ctx, ucache_benchmark)
+            ctx, ucache_benchmark).values()
     if "jit" in selected:
-        requests += experiments.software_translation_requests(ctx)
+        requests += experiments.software_translation_requests(ctx).values()
     if "latency" in selected:
-        requests += experiments.translation_latency_requests(ctx)
+        requests += experiments.translation_latency_requests(ctx).values()
     return requests
 
 
@@ -119,12 +129,14 @@ def run(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     _validate_benchmarks(parser, args.benchmarks, "--benchmarks")
     _validate_benchmarks(parser, [args.ucache_benchmark], "--ucache-benchmark")
-    if args.jobs is not None and args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.profile:
         # Worker processes would hide the simulation frames; profile the
         # whole evaluation in-process and report where the time goes
-        # (so perf PRs can cite cumulative hotspots per run).
+        # (so perf PRs can cite cumulative hotspots per run).  The
+        # profiler modules load only here: `repro serve` imports this
+        # module for its flag types.
+        import cProfile
+        import pstats
         args.jobs = 1
         profiler = cProfile.Profile()
         profiler.enable()
@@ -154,7 +166,8 @@ def _run_evaluation(args) -> int:
     ctx = experiments.EvalContext(benchmarks, engine=args.engine,
                                   scheduler=scheduler)
     start = time.time()
-    ctx.prefetch(_prefetch_requests(ctx, selected, args.ucache_benchmark))
+    scheduler.run_many(_prefetch_requests(ctx, selected,
+                                          args.ucache_benchmark))
 
     if "table2" in selected:
         rows = experiments.table2_hw_cost((2, 4, 8, 16))

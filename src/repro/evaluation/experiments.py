@@ -1,19 +1,17 @@
 """Experiment drivers: one function per table/figure of the paper.
 
 Each driver returns plain data (lists of row dicts) so tests can assert
-on it and the benchmark harness can print it.  Machine runs are memoized
-in an :class:`EvalContext` because several experiments share the same
-underlying simulations (e.g. Figure 6 and Table 6 both need the width-8
-Liquid runs).
+on it and the benchmark harness can print it.
 
-All simulation flows through the context's
-:class:`~repro.evaluation.runner.RunScheduler`, which deduplicates
-requests, consults the persistent run cache, and can fan work out
-across worker processes.  Each driver has a matching ``*_requests``
-declaration function returning the exact :class:`RunRequest`\\ s it will
-need, so a caller (the CLI's prefetch phase, the benchmark harness) can
-execute the deduplicated union in parallel up front and the driver then
-reads memoized results; see docs/evaluation-runner.md.
+A driver that simulates reads exactly the mapping ``{label:
+RunRequest}`` its ``*_requests`` declaration returns, through one
+:meth:`EvalContext.results` call, so the two cannot drift apart.  The
+context's :class:`~repro.evaluation.runner.RunScheduler` deduplicates
+requests, consults the persistent run cache, can fan work out across
+worker processes, and keeps the only memo of results.  A caller (the
+CLI's prefetch phase) can run the union of several declarations in one
+batch first; the drivers then read memo hits.  See
+docs/evaluation-runner.md.
 
 Experiment index (see DESIGN.md section 4):
 
@@ -32,7 +30,7 @@ E8        :func:`translation_latency_ablation` — cycles/instr sweep
 from __future__ import annotations
 
 import statistics
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.scalarize import (
     DEFAULT_MVL,
@@ -52,32 +50,33 @@ from repro.system.metrics import RunResult, outlined_function_sizes
 
 DEFAULT_WIDTHS: Tuple[int, ...] = (2, 4, 8, 16)
 
+Label = TypeVar("Label")
+
 
 class EvalContext:
-    """Builds programs and memoizes machine runs across experiments.
+    """Builds programs and requests, and answers declarations.
 
-    ``engine`` selects the execution engine for every machine run made
+    ``engine`` selects the execution engine for every request built
     through this context (see docs/execution-engines.md); results are
     bit-identical either way, only wall-clock time differs.
 
     Every run goes through *scheduler* (default: in-process, no
-    persistent cache — bit-identical to simulating directly).  Pass a
+    persistent cache — bit-identical to simulating directly), whose
+    memo keeps the results; the context keeps none.  Pass a
     :class:`~repro.evaluation.runner.RunScheduler` with ``jobs > 1``
     and/or a :class:`~repro.evaluation.runcache.RunCache` to parallelize
-    and persist, and call :meth:`prefetch` with the declared requests of
-    the experiments about to run so the scheduler executes their
-    deduplicated union in one batch.
+    and persist.
     """
 
     def __init__(self, benchmarks: Optional[Sequence[str]] = None,
                  engine: str = "fast",
                  scheduler: Optional[RunScheduler] = None) -> None:
-        self.benchmarks = list(benchmarks or BENCHMARK_ORDER)
+        self.benchmarks = list(BENCHMARK_ORDER if benchmarks is None
+                               else benchmarks)
         self.engine = engine
         self.scheduler = scheduler if scheduler is not None \
             else RunScheduler(jobs=1)
         self._programs: Dict[Tuple[str, str], Program] = {}
-        self._runs: Dict[RunRequest, RunResult] = {}
 
     # -- program construction -------------------------------------------------
 
@@ -97,9 +96,9 @@ class EvalContext:
 
     # -- request construction ----------------------------------------------------
 
-    def baseline_request(self, benchmark: str) -> RunRequest:
+    def baseline_request(self, benchmark: str, **config_kwargs) -> RunRequest:
         return RunRequest(benchmark, "baseline",
-                          MachineConfig(engine=self.engine))
+                          MachineConfig(engine=self.engine, **config_kwargs))
 
     def liquid_request(self, benchmark: str, width: int, *,
                        pretranslate: bool = False,
@@ -111,43 +110,13 @@ class EvalContext:
 
     # -- machine runs ------------------------------------------------------------
 
-    def run_request(self, request: RunRequest) -> RunResult:
-        """Answer one request (memo -> scheduler -> cache -> simulate)."""
-        result = self._runs.get(request)
-        if result is None:
-            result = self.scheduler.run(request)
-            self._runs[request] = result
-        return result
-
-    def prefetch(self, requests: Iterable[RunRequest]) -> int:
-        """Execute the deduplicated union of *requests* in one batch.
-
-        With a multi-job scheduler this is where the fan-out happens;
-        subsequent per-experiment code then reads memoized results.
-        Returns the number of requests that were not already memoized.
-        """
-        todo = [r for r in dict.fromkeys(requests) if r not in self._runs]
-        if todo:
-            self._runs.update(self.scheduler.run_many(todo))
-        return len(todo)
-
-    def baseline_run(self, benchmark: str) -> RunResult:
-        return self.run_request(self.baseline_request(benchmark))
-
-    def liquid_run(self, benchmark: str, width: int) -> RunResult:
-        return self.run_request(self.liquid_request(benchmark, width))
-
-    def pretranslated_run(self, benchmark: str, width: int) -> RunResult:
-        """The paper's 'built-in ISA support' point: microcode from call 1."""
-        return self.run_request(
-            self.liquid_request(benchmark, width, pretranslate=True))
-
-    def scaled_run(self, benchmark: str, width: int, factor: int,
-                   pretranslate: bool = False) -> RunResult:
-        """A Liquid run whose schedule repeats *factor* x longer."""
-        return self.run_request(
-            self.liquid_request(benchmark, width, pretranslate=pretranslate,
-                                factor=factor))
+    def results(self, requests: Dict[Label, RunRequest]
+                ) -> Dict[Label, RunResult]:
+        """Answer a declaration ``{label: request}`` as
+        ``{label: result}`` with one scheduler batch."""
+        answers = self.scheduler.run_many(requests.values())
+        return {label: answers[request]
+                for label, request in requests.items()}
 
 
 # --------------------------------------------------------------------------
@@ -192,9 +161,9 @@ def table5_outlined_sizes(ctx: Optional[EvalContext] = None) -> List[dict]:
 # --------------------------------------------------------------------------
 
 
-def table6_requests(ctx: EvalContext, width: int = 8) -> List[RunRequest]:
-    """Runs :func:`table6_call_distances` will need."""
-    return [ctx.liquid_request(b, width) for b in ctx.benchmarks]
+def table6_requests(ctx: EvalContext, width: int = 8) -> Dict[str, RunRequest]:
+    """Runs :func:`table6_call_distances` reads, by benchmark."""
+    return {b: ctx.liquid_request(b, width) for b in ctx.benchmarks}
 
 
 def table6_call_distances(ctx: Optional[EvalContext] = None,
@@ -205,9 +174,10 @@ def table6_call_distances(ctx: Optional[EvalContext] = None,
     plus the mean distance over all hot loops.
     """
     ctx = ctx or EvalContext()
+    runs = ctx.results(table6_requests(ctx, width))
     rows = []
     for benchmark in ctx.benchmarks:
-        run = ctx.liquid_run(benchmark, width)
+        run = runs[benchmark]
         distances = [
             stats.first_two_call_distance
             for stats in run.functions.values()
@@ -231,13 +201,15 @@ def table6_call_distances(ctx: Optional[EvalContext] = None,
 
 def figure6_requests(ctx: EvalContext,
                      widths: Iterable[int] = DEFAULT_WIDTHS
-                     ) -> List[RunRequest]:
-    """Runs :func:`figure6_speedups` will need."""
-    requests = []
+                     ) -> Dict[Tuple[str, object], RunRequest]:
+    """Runs :func:`figure6_speedups` reads (and ``repro sweep``/``run``),
+    by ``(benchmark, "baseline")`` and ``(benchmark, width)``."""
+    requests = {}
     for benchmark in ctx.benchmarks:
-        requests.append(ctx.baseline_request(benchmark))
-        requests.extend(ctx.liquid_request(benchmark, width)
-                        for width in widths)
+        requests[(benchmark, "baseline")] = ctx.baseline_request(benchmark)
+        for width in widths:
+            requests[(benchmark, width)] = ctx.liquid_request(benchmark,
+                                                              width)
     return requests
 
 
@@ -245,12 +217,13 @@ def figure6_speedups(ctx: Optional[EvalContext] = None,
                      widths: Iterable[int] = DEFAULT_WIDTHS) -> List[dict]:
     """Speedup of the Liquid binary over the no-SIMD scalar baseline."""
     ctx = ctx or EvalContext()
+    runs = ctx.results(figure6_requests(ctx, widths))
     rows = []
     for benchmark in ctx.benchmarks:
-        base = ctx.baseline_run(benchmark)
+        base = runs[(benchmark, "baseline")]
         speedups = {}
         for width in widths:
-            run = ctx.liquid_run(benchmark, width)
+            run = runs[(benchmark, width)]
             speedups[width] = round(run.speedup_over(base), 3)
         rows.append({"benchmark": benchmark, "speedups": speedups,
                      "baseline_cycles": base.cycles})
@@ -262,17 +235,19 @@ def figure6_speedups(ctx: Optional[EvalContext] = None,
 # --------------------------------------------------------------------------
 
 
-def native_overhead_requests(ctx: EvalContext,
-                             width: int = 16) -> List[RunRequest]:
-    """Runs :func:`native_overhead` will need (incl. the 2x schedules)."""
-    requests = []
-    for benchmark in ctx.benchmarks:
-        requests.append(ctx.baseline_request(benchmark))
-        for pretranslate in (False, True):
-            for factor in (1, 2):
-                requests.append(ctx.liquid_request(
-                    benchmark, width, pretranslate=pretranslate,
-                    factor=factor))
+def native_overhead_requests(ctx: EvalContext, width: int = 16
+                             ) -> Dict[Tuple[str, str], RunRequest]:
+    """Runs :func:`native_overhead` reads, by ``(benchmark, kind)``:
+    Liquid or native (pretranslated), at the 1x or 2x schedule."""
+    requests = {}
+    for b in ctx.benchmarks:
+        requests[(b, "baseline")] = ctx.baseline_request(b)
+        requests[(b, "liquid")] = ctx.liquid_request(b, width)
+        requests[(b, "liquid2")] = ctx.liquid_request(b, width, factor=2)
+        requests[(b, "native")] = ctx.liquid_request(b, width,
+                                                     pretranslate=True)
+        requests[(b, "native2")] = ctx.liquid_request(
+            b, width, pretranslate=True, factor=2)
     return requests
 
 
@@ -300,15 +275,13 @@ def native_overhead(ctx: Optional[EvalContext] = None,
       lengths, for completeness.
     """
     ctx = ctx or EvalContext()
+    runs = ctx.results(native_overhead_requests(ctx, width))
     rows = []
     for benchmark in ctx.benchmarks:
-        base = ctx.baseline_run(benchmark)
-        liquid = ctx.liquid_run(benchmark, width)
-        native = ctx.pretranslated_run(benchmark, width)
-        liquid2 = ctx.scaled_run(benchmark, width, factor=2,
-                                 pretranslate=False)
-        native2 = ctx.scaled_run(benchmark, width, factor=2,
-                                 pretranslate=True)
+        base, liquid, native, liquid2, native2 = (
+            runs[(benchmark, name)]
+            for name in ("baseline", "liquid", "native", "liquid2",
+                         "native2"))
         liquid_slope = liquid2.cycles - liquid.cycles
         native_slope = native2.cycles - native.cycles
         s_liquid = liquid.speedup_over(base)
@@ -361,15 +334,15 @@ def code_size_overhead(ctx: Optional[EvalContext] = None,
 def ucode_cache_ablation_requests(ctx: EvalContext, benchmark: str = "FFT",
                                   width: int = 8,
                                   entry_counts: Iterable[int] =
-                                  (1, 2, 4, 8, 16)) -> List[RunRequest]:
-    """Runs :func:`ucode_cache_ablation` will need."""
-    return [ctx.liquid_request(benchmark, width, ucode_cache_entries=entries)
-            for entries in entry_counts]
+                                  (1, 2, 4, 8, 16)) -> Dict[int, RunRequest]:
+    """Runs :func:`ucode_cache_ablation` reads, by entry count."""
+    return {entries: ctx.liquid_request(benchmark, width,
+                                        ucode_cache_entries=entries)
+            for entries in entry_counts}
 
 
 def ucode_cache_ablation(benchmark: str = "FFT", width: int = 8,
                          entry_counts: Iterable[int] = (1, 2, 4, 8, 16),
-                         engine: str = "fast",
                          ctx: Optional[EvalContext] = None) -> List[dict]:
     """Sweep microcode cache entries; 8 should capture every working set.
 
@@ -383,11 +356,11 @@ def ucode_cache_ablation(benchmark: str = "FFT", width: int = 8,
     elimination loops are the largest working set in the suite and the
     sharpest demonstration of the paper's 8-entry sufficiency claim.
     """
-    ctx = ctx or EvalContext(engine=engine)
+    ctx = ctx or EvalContext()
+    runs = ctx.results(ucode_cache_ablation_requests(ctx, benchmark, width,
+                                                     entry_counts))
     rows = []
-    for entries in entry_counts:
-        run = ctx.run_request(ctx.liquid_request(
-            benchmark, width, ucode_cache_entries=entries))
+    for entries, run in runs.items():
         calls = sum(s.calls for s in run.functions.values())
         simd = sum(s.simd_runs for s in run.functions.values())
         rows.append({
@@ -409,14 +382,16 @@ def software_translation_requests(ctx: EvalContext,
                                   benchmarks: Optional[Sequence[str]] = None,
                                   width: int = 8,
                                   software_cpi: int = 30
-                                  ) -> List[RunRequest]:
-    """Runs :func:`software_translation_comparison` will need."""
-    requests = []
+                                  ) -> Dict[Tuple[str, str], RunRequest]:
+    """Runs :func:`software_translation_comparison` reads, by
+    ``(benchmark, "hardware" | "software")``."""
+    requests = {}
     for benchmark in benchmarks or _JIT_DEFAULT_BENCHMARKS:
-        requests.append(ctx.liquid_request(benchmark, width))
-        requests.append(ctx.liquid_request(
+        requests[(benchmark, "hardware")] = ctx.liquid_request(benchmark,
+                                                               width)
+        requests[(benchmark, "software")] = ctx.liquid_request(
             benchmark, width, translation_mode="software",
-            software_cycles_per_instruction=software_cpi))
+            software_cycles_per_instruction=software_cpi)
     return requests
 
 
@@ -426,7 +401,6 @@ _JIT_DEFAULT_BENCHMARKS = ("MPEG2 Dec.", "GSM Enc.", "LU", "FIR")
 def software_translation_comparison(benchmarks: Optional[Sequence[str]] = None,
                                     width: int = 8,
                                     software_cpi: int = 30,
-                                    engine: str = "fast",
                                     ctx: Optional[EvalContext] = None
                                     ) -> List[dict]:
     """Extension E9: hardware vs. software (JIT) dynamic translation.
@@ -439,13 +413,13 @@ def software_translation_comparison(benchmarks: Optional[Sequence[str]] = None,
     Both are one-time costs, so both amortize to zero — the measured
     difference is the (small) constant the paper's hardware buys.
     """
-    ctx = ctx or EvalContext(engine=engine)
+    ctx = ctx or EvalContext()
+    runs = ctx.results(software_translation_requests(ctx, benchmarks, width,
+                                                     software_cpi))
     rows = []
     for benchmark in benchmarks or _JIT_DEFAULT_BENCHMARKS:
-        hw = ctx.run_request(ctx.liquid_request(benchmark, width))
-        sw = ctx.run_request(ctx.liquid_request(
-            benchmark, width, translation_mode="software",
-            software_cycles_per_instruction=software_cpi))
+        hw = runs[(benchmark, "hardware")]
+        sw = runs[(benchmark, "software")]
         rows.append({
             "benchmark": benchmark,
             "hardware_cycles": hw.cycles,
@@ -469,24 +443,23 @@ def memory_sensitivity_requests(ctx: EvalContext,
                                 benchmarks: Optional[Sequence[str]] = None,
                                 width: int = 8,
                                 miss_penalties: Iterable[int] = (0, 30, 100)
-                                ) -> List[RunRequest]:
-    """Runs :func:`memory_sensitivity` will need."""
-    requests = []
+                                ) -> Dict[Tuple[str, int, str], RunRequest]:
+    """Runs :func:`memory_sensitivity` reads, by ``(benchmark, miss
+    penalty, "baseline" | "liquid")``."""
+    requests = {}
     for benchmark in benchmarks or ("179.art", "FIR"):
         for penalty in miss_penalties:
             pipe = _memory_pipeline(penalty)
-            requests.append(RunRequest(
-                benchmark, "baseline",
-                MachineConfig(pipeline=pipe, engine=ctx.engine)))
-            requests.append(ctx.liquid_request(benchmark, width,
-                                               pipeline=pipe))
+            requests[(benchmark, penalty, "baseline")] = \
+                ctx.baseline_request(benchmark, pipeline=pipe)
+            requests[(benchmark, penalty, "liquid")] = ctx.liquid_request(
+                benchmark, width, pipeline=pipe)
     return requests
 
 
 def memory_sensitivity(benchmarks: Optional[Sequence[str]] = None,
                        width: int = 8,
                        miss_penalties: Iterable[int] = (0, 30, 100),
-                       engine: str = "fast",
                        ctx: Optional[EvalContext] = None) -> List[dict]:
     """Extension E11: how much of each speedup the memory system gates.
 
@@ -496,17 +469,15 @@ def memory_sensitivity(benchmarks: Optional[Sequence[str]] = None,
     causal: on an ideal memory system art's SIMD speedup should open up,
     while FIR's should barely move.
     """
-    ctx = ctx or EvalContext(engine=engine)
+    ctx = ctx or EvalContext()
+    runs = ctx.results(memory_sensitivity_requests(ctx, benchmarks, width,
+                                                   miss_penalties))
     rows = []
     for benchmark in benchmarks or ("179.art", "FIR"):
         speedups = {}
         for penalty in miss_penalties:
-            pipe = _memory_pipeline(penalty)
-            base = ctx.run_request(RunRequest(
-                benchmark, "baseline",
-                MachineConfig(pipeline=pipe, engine=ctx.engine)))
-            liquid = ctx.run_request(ctx.liquid_request(benchmark, width,
-                                                        pipeline=pipe))
+            base = runs[(benchmark, penalty, "baseline")]
+            liquid = runs[(benchmark, penalty, "liquid")]
             speedups[penalty] = round(liquid.speedup_over(base), 3)
         rows.append({"benchmark": benchmark, "speedups": speedups})
     return rows
@@ -514,13 +485,16 @@ def memory_sensitivity(benchmarks: Optional[Sequence[str]] = None,
 
 def observation_point_requests(ctx: EvalContext,
                                benchmarks: Optional[Sequence[str]] = None,
-                               width: int = 8) -> List[RunRequest]:
-    """Runs :func:`observation_point_comparison` will need."""
-    requests = []
+                               width: int = 8
+                               ) -> Dict[Tuple[str, str], RunRequest]:
+    """Runs :func:`observation_point_comparison` reads, by
+    ``(benchmark, "retirement" | "decode")``."""
+    requests = {}
     for benchmark in benchmarks or _OBSERVATION_DEFAULT_BENCHMARKS:
-        requests.append(ctx.liquid_request(benchmark, width))
-        requests.append(ctx.liquid_request(benchmark, width,
-                                           observation_point="decode"))
+        requests[(benchmark, "retirement")] = ctx.liquid_request(benchmark,
+                                                                 width)
+        requests[(benchmark, "decode")] = ctx.liquid_request(
+            benchmark, width, observation_point="decode")
     return requests
 
 
@@ -529,7 +503,6 @@ _OBSERVATION_DEFAULT_BENCHMARKS = ("FFT", "FIR", "093.nasa7", "MPEG2 Dec.")
 
 def observation_point_comparison(benchmarks: Optional[Sequence[str]] = None,
                                  width: int = 8,
-                                 engine: str = "fast",
                                  ctx: Optional[EvalContext] = None
                                  ) -> List[dict]:
     """Extension E10: decode-time vs. post-retirement translation.
@@ -541,12 +514,12 @@ def observation_point_comparison(benchmarks: Optional[Sequence[str]] = None,
     Post-retirement (the paper's choice) sees everything and its latency
     is hidden by Table 6's call distances.
     """
-    ctx = ctx or EvalContext(engine=engine)
+    ctx = ctx or EvalContext()
+    runs = ctx.results(observation_point_requests(ctx, benchmarks, width))
     rows = []
     for benchmark in benchmarks or _OBSERVATION_DEFAULT_BENCHMARKS:
-        retire = ctx.run_request(ctx.liquid_request(benchmark, width))
-        decode = ctx.run_request(ctx.liquid_request(
-            benchmark, width, observation_point="decode"))
+        retire = runs[(benchmark, "retirement")]
+        decode = runs[(benchmark, "decode")]
         rows.append({
             "benchmark": benchmark,
             "retirement_cycles": retire.cycles,
@@ -563,17 +536,17 @@ def translation_latency_requests(ctx: EvalContext,
                                  benchmark: str = "171.swim", width: int = 8,
                                  cycles_per_instruction: Iterable[int] =
                                  (1, 10, 50, 100, 500, 5000)
-                                 ) -> List[RunRequest]:
-    """Runs :func:`translation_latency_ablation` will need."""
-    return [ctx.liquid_request(benchmark, width,
-                               translation_cycles_per_instruction=cpi)
-            for cpi in cycles_per_instruction]
+                                 ) -> Dict[int, RunRequest]:
+    """Runs :func:`translation_latency_ablation` reads, by translator
+    cycles per instruction."""
+    return {cpi: ctx.liquid_request(benchmark, width,
+                                    translation_cycles_per_instruction=cpi)
+            for cpi in cycles_per_instruction}
 
 
 def translation_latency_ablation(benchmark: str = "171.swim", width: int = 8,
                                  cycles_per_instruction: Iterable[int] =
                                  (1, 10, 50, 100, 500, 5000),
-                                 engine: str = "fast",
                                  ctx: Optional[EvalContext] = None
                                  ) -> List[dict]:
     """Sweep translator speed; performance should degrade only slowly.
@@ -582,12 +555,12 @@ def translation_latency_ablation(benchmark: str = "171.swim", width: int = 8,
     of cycles per scalar instruction without affecting performance"
     because outlined calls are >300 cycles apart (Table 6).
     """
-    ctx = ctx or EvalContext(engine=engine)
+    ctx = ctx or EvalContext()
+    runs = ctx.results(translation_latency_requests(
+        ctx, benchmark, width, cycles_per_instruction))
     rows = []
     baseline_cycles = None
-    for cpi in cycles_per_instruction:
-        run = ctx.run_request(ctx.liquid_request(
-            benchmark, width, translation_cycles_per_instruction=cpi))
+    for cpi, run in runs.items():
         if baseline_cycles is None:
             baseline_cycles = run.cycles
         rows.append({

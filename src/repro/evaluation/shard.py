@@ -2,7 +2,9 @@
 
 A *sweep* is the materialized request set behind the paper's figures:
 for every benchmark, the scalar baseline plus one Liquid run per SIMD
-width.  This module turns that set into a cache-coherent fleet job:
+width — the values of
+:func:`~repro.evaluation.experiments.figure6_requests`.  This module
+turns that set into a cache-coherent fleet job:
 
 * **Sharding** — :func:`shard_for_key` hash-partitions the sweep's
   run-cache keys, so ``K`` independent invocations (``repro sweep
@@ -16,12 +18,12 @@ width.  This module turns that set into a cache-coherent fleet job:
   digest of the canonical cache entry bytes
   (:func:`~repro.evaluation.runcache.entry_payload`), plus provenance
   (simulated here vs. answered warm) and scheduler/cache statistics.
-* **Merging** — :func:`merge_sweeps` verifies the shards: full
-  coverage of the expected key set, no key simulated by two shards
-  (zero duplicate machine-runs), and byte-identical results wherever
-  shards overlap.  The merged manifest carries the same per-key digest
-  table as an unsharded run, so "sharded == unsharded" is a dict
-  comparison.
+* **Merging** — :func:`merge_sweeps` verifies the shards: well-formed
+  manifests of one sweep, full coverage of the expected key set, no key
+  simulated by two shards (zero duplicate machine-runs), and
+  byte-identical results wherever shards overlap.  The merged manifest
+  carries the same per-key digest table as an unsharded run, so
+  "sharded == unsharded" is a dict comparison.
 * **Incremental re-bench** — ``repro sweep --incremental`` runs the
   same pipeline expecting a warm cache: all keys are probed in one
   ``contains_many`` round-trip and only the misses are simulated, so a
@@ -37,25 +39,29 @@ import hashlib
 import re
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
+from repro.core.scalarize import check_width
+from repro.evaluation.experiments import (
+    DEFAULT_WIDTHS,
+    EvalContext,
+    figure6_requests,
+)
 from repro.evaluation.runcache import CACHE_FORMAT_VERSION, entry_payload
 from repro.evaluation.runner import RunRequest, RunScheduler
-from repro.simd.accelerator import config_for_width
-from repro.system.machine import MachineConfig
+from repro.interp.executor import ENGINES
+from repro.kernels.suite import BENCHMARK_ORDER
 
 #: ``kind`` field of every sweep manifest; the merge step refuses
 #: anything else.
 SWEEP_MANIFEST_KIND = "repro-sweep"
 
-DEFAULT_SWEEP_WIDTHS: Tuple[int, ...] = (2, 4, 8, 16)
-
 _SHARD_SPEC_RE = re.compile(r"^(\d+)/(\d+)$")
 
 
 class SweepError(ValueError):
-    """A sweep invariant failed: bad shard spec, coverage gap,
-    divergent shard results, or duplicate simulation."""
+    """A sweep invariant failed: bad shard spec, malformed manifest,
+    coverage gap, divergent shard results, or duplicate simulation."""
 
 
 @dataclass(frozen=True)
@@ -96,22 +102,6 @@ def shard_for_key(key: str, count: int) -> int:
     return int(key[:16], 16) % count + 1
 
 
-def sweep_requests(benchmarks: Sequence[str],
-                   widths: Iterable[int] = DEFAULT_SWEEP_WIDTHS,
-                   engine: str = "fast") -> List[RunRequest]:
-    """Materialize the sweep: baseline + one Liquid run per width."""
-    requests = []
-    for benchmark in benchmarks:
-        requests.append(RunRequest(benchmark, "baseline",
-                                   MachineConfig(engine=engine)))
-        for width in widths:
-            requests.append(RunRequest(
-                benchmark, "liquid",
-                MachineConfig(accelerator=config_for_width(width),
-                              engine=engine)))
-    return requests
-
-
 def _request_meta(request: RunRequest) -> dict:
     accel = request.config.accelerator
     return {
@@ -122,7 +112,7 @@ def _request_meta(request: RunRequest) -> dict:
     }
 
 
-def sweep_keys(requests: Sequence[RunRequest],
+def sweep_keys(requests: Iterable[RunRequest],
                scheduler: RunScheduler) -> Dict[str, RunRequest]:
     """key -> request for the whole sweep (programs built/encoded once)."""
     return {scheduler.key_for(request): request for request in requests}
@@ -151,7 +141,7 @@ def sweep_speedups(entries: Dict[str, dict]) -> Dict[str, float]:
 
 
 def run_sweep(benchmarks: Sequence[str],
-              widths: Iterable[int] = DEFAULT_SWEEP_WIDTHS,
+              widths: Iterable[int] = DEFAULT_WIDTHS,
               engine: str = "fast",
               scheduler: Optional[RunScheduler] = None,
               shard: Optional[ShardSpec] = None,
@@ -172,8 +162,8 @@ def run_sweep(benchmarks: Sequence[str],
                          "against, not --no-cache")
 
     widths = tuple(widths)
-    requests = sweep_requests(benchmarks, widths, engine)
-    keys = sweep_keys(requests, scheduler)
+    ctx = EvalContext(benchmarks, engine=engine)
+    keys = sweep_keys(figure6_requests(ctx, widths).values(), scheduler)
     selected = keys
     if shard is not None:
         selected = {key: request for key, request in keys.items()
@@ -236,18 +226,44 @@ def run_sweep(benchmarks: Sequence[str],
     return manifest
 
 
-def _check_manifest(manifest: dict, label: str) -> None:
-    if manifest.get("kind") != SWEEP_MANIFEST_KIND:
-        raise SweepError(f"{label}: not a sweep manifest "
-                         f"(kind={manifest.get('kind')!r})")
+def _check_manifest(manifest, label: str) -> None:
+    """Refuse anything but a well-formed sweep manifest of this build."""
+    kind = manifest.get("kind") if isinstance(manifest, dict) else None
+    if kind != SWEEP_MANIFEST_KIND:
+        raise SweepError(f"{label}: not a sweep manifest (kind={kind!r})")
     if manifest.get("format_version") != CACHE_FORMAT_VERSION:
         raise SweepError(
             f"{label}: cache format {manifest.get('format_version')!r} "
             f"does not match this build ({CACHE_FORMAT_VERSION})")
+    for field in ("sweep", "coverage", "entries", "sources", "stats"):
+        if not isinstance(manifest.get(field), dict):
+            raise SweepError(f"{label}: {field!r} is not a JSON object")
+    sweep = manifest["sweep"]
+    benchmarks = sweep.get("benchmarks")
+    if not isinstance(benchmarks, list) or \
+            not all(name in BENCHMARK_ORDER for name in benchmarks):
+        raise SweepError(f"{label}: sweep benchmarks must be a list of "
+                         f"suite benchmarks, got {benchmarks!r}")
+    widths = sweep.get("widths")
+    try:
+        if not isinstance(widths, list):
+            raise ValueError(f"widths must be a list, got {widths!r}")
+        for width in widths:
+            check_width(width)
+    except ValueError as exc:
+        raise SweepError(f"{label}: sweep {exc}") from None
+    if sweep.get("engine") not in ENGINES:
+        raise SweepError(f"{label}: sweep engine must be one of {ENGINES}, "
+                         f"got {sweep.get('engine')!r}")
+    for name in ("machine_runs", "cache_hits", "wall_seconds"):
+        value = manifest["stats"].get(name, 0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SweepError(f"{label}: stats {name!r} must be a number, "
+                             f"got {value!r}")
 
 
 def _sweep_params(manifest: dict) -> dict:
-    sweep = dict(manifest.get("sweep") or {})
+    sweep = dict(manifest["sweep"])
     sweep.pop("shard", None)
     sweep.pop("incremental", None)
     return sweep
@@ -282,14 +298,14 @@ def merge_sweeps(manifests: Sequence[dict]) -> dict:
     simulated_by: Dict[str, int] = {}
     duplicate_runs = []
     for i, manifest in enumerate(manifests, start=1):
-        for key, meta in manifest.get("entries", {}).items():
+        for key, meta in manifest["entries"].items():
             known = entries.get(key)
             if known is not None and known != meta:
                 raise SweepError(
                     f"shard results diverge for key {key[:12]}…: "
                     f"{known} != {meta}")
             entries[key] = meta
-            source = manifest.get("sources", {}).get(key, "unknown")
+            source = manifest["sources"].get(key, "unknown")
             if source == "simulated":
                 if key in simulated_by:
                     duplicate_runs.append(key)
@@ -303,10 +319,9 @@ def merge_sweeps(manifests: Sequence[dict]) -> dict:
             f"shard (expected disjoint slices): "
             + ", ".join(k[:12] + "…" for k in duplicate_runs[:5]))
 
-    expected = sweep_keys(
-        sweep_requests(params["benchmarks"], params["widths"],
-                       params["engine"]),
-        RunScheduler(jobs=1))
+    ctx = EvalContext(params["benchmarks"], engine=params["engine"])
+    expected = sweep_keys(figure6_requests(ctx, params["widths"]).values(),
+                          RunScheduler(jobs=1))
     missing = sorted(set(expected) - set(entries))
     unexpected = sorted(set(entries) - set(expected))
     if missing or unexpected:
@@ -315,12 +330,11 @@ def merge_sweeps(manifests: Sequence[dict]) -> dict:
             f"{len(missing)} missing, {len(unexpected)} unexpected "
             f"(of {len(expected)} expected)")
 
-    walls = [m.get("stats", {}).get("wall_seconds", 0.0)
-             for m in manifests]
+    walls = [m["stats"].get("wall_seconds", 0.0) for m in manifests]
     merged_stats = {
-        "machine_runs": sum(m.get("stats", {}).get("machine_runs", 0)
+        "machine_runs": sum(m["stats"].get("machine_runs", 0)
                             for m in manifests),
-        "cache_hits": sum(m.get("stats", {}).get("cache_hits", 0)
+        "cache_hits": sum(m["stats"].get("cache_hits", 0)
                           for m in manifests),
         "wall_seconds": round(sum(walls), 6),
         "max_shard_wall_seconds": round(max(walls), 6) if walls else 0.0,
@@ -331,7 +345,7 @@ def merge_sweeps(manifests: Sequence[dict]) -> dict:
         "format_version": CACHE_FORMAT_VERSION,
         "sweep": dict(params, shard=None, incremental=False),
         "coverage": {
-            "total_requests": manifests[0]["coverage"]["total_requests"],
+            "total_requests": len(expected),
             "selected": len(entries),
         },
         "backend": manifests[0].get("backend", {"backend": "none"}),

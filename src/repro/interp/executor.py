@@ -23,6 +23,7 @@ from typing import List, Optional, Tuple, Union
 from repro import arith
 from repro.interp.events import RetireEvent
 from repro.interp.state import MachineState
+from repro.isa.decoded import VEC_BINARY_OPS, VEC_PERM_OPS, VEC_RED_OPS, VEC_UNARY_OPS
 from repro.isa.instructions import Imm, Instruction, Mem, Reg, Sym, VImm
 from repro.isa.opcodes import ELEM_SIZES, LOAD_ELEM, OPCODES, STORE_ELEM, InstrClass
 from repro.isa.registers import LINK_REGISTER, is_float_reg, is_int_reg, is_vector_reg
@@ -50,12 +51,6 @@ _COND = {
 
 _FLOAT_UNARY = {"fneg", "fabs"}
 _FLOAT_BITWISE = {"fand", "forr"}
-_VEC_BINARY = {"vadd", "vsub", "vmul", "vand", "vorr", "veor", "vbic",
-               "vshl", "vshr", "vmin", "vmax", "vqadd", "vqsub", "vmask",
-               "vabd"}
-_VEC_UNARY = {"vabs", "vneg"}
-_VEC_PERM = {"vbfly", "vrev", "vrot"}
-_VEC_RED = {"vredsum", "vredmin", "vredmax"}
 
 
 class Executor:
@@ -326,7 +321,7 @@ class Executor:
             lanes = self._vector(instr.srcs[0], width)
             state.memory.store_vector(addr, elem, lanes)
             return None, addr
-        if opcode in _VEC_BINARY:
+        if opcode in VEC_BINARY_OPS:
             a = self._vector(instr.srcs[0], width)
             b_operand = instr.srcs[1]
             if isinstance(b_operand, Imm):
@@ -336,14 +331,14 @@ class Executor:
             lanes = vector_binary(opcode, a, b, elem or "i32")
             state.vregs.write(instr.dst.name, lanes, elem)
             return None, None
-        if opcode in _VEC_UNARY:
+        if opcode in VEC_UNARY_OPS:
             a = self._vector(instr.srcs[0], width)
             lanes = vector_unary(opcode, a, elem or "i32")
             state.vregs.write(instr.dst.name, lanes, elem)
             return None, None
-        if opcode in _VEC_PERM:
+        if opcode in VEC_PERM_OPS:
             return self._exec_perm(instr, width)
-        if opcode in _VEC_RED:
+        if opcode in VEC_RED_OPS:
             acc = self._value(instr.srcs[0])
             lanes = self._vector(instr.srcs[1], width)
             value = vector_reduce(opcode, acc, lanes, elem or "i32")

@@ -11,9 +11,10 @@ reads per fused block, so neither pays for ``OPCODES`` lookups or
 operand walks on the hot path.
 
 It also holds the few facts the code emitters share: the vector opcode
-families, the fused i32 integer-ALU semantics (:data:`_INT_ALU_FAST`,
-each identical to ``arith.int_op(opcode, a, b, "i32")``) and lazy
-branch-target resolution (:func:`_resolve_target`).  Nothing here
+families (the reference executor dispatches on them too), the fused
+i32 integer-ALU semantics (:data:`_INT_ALU_FAST`, each identical to
+``arith.int_op(opcode, a, b, "i32")``) and lazy branch-target
+resolution (:func:`_resolve_target`).  Nothing here
 raises for a bad instruction: an unknown opcode gets no metadata, and
 its error fires only if the instruction executes, exactly where the
 reference engine raises it.

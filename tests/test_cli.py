@@ -76,6 +76,24 @@ class TestWidthFlags:
         assert "Traceback" not in err
 
 
+class TestJobsFlags:
+    """Every ``--jobs`` flag takes a positive integer; anything else is
+    a usage error, not a traceback from the scheduler or the server."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--benchmarks", "FIR", "--jobs", "0"],
+        ["serve", "--port", "0", "--jobs", "-1"],
+        ["evaluate", "--experiments", "table2", "--jobs", "0"],
+    ], ids=["sweep-0", "serve-minus-1", "evaluate-0"])
+    def test_bad_jobs_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --jobs: must be a positive integer" in err
+        assert "Traceback" not in err
+
+
 class TestRetranslateSubcommand:
     def test_unwritable_cache_root_still_gives_a_verdict(self, tmp_path):
         """A --cache-dir that is a regular file costs the stored
@@ -154,6 +172,34 @@ class TestEvaluationCli:
         # trailing timing/stats line, which reports hits vs simulated).
         strip = lambda out: out.splitlines()[:-1]
         assert strip(cold) == strip(warm)
+
+    def test_every_run_is_simulated_in_the_prefetch_batch(self,
+                                                         monkeypatch):
+        """Each driver reads exactly its own declaration, so the one
+        prefetch batch simulates every run and the drivers' batches are
+        all memo hits."""
+        from repro.evaluation.runner import RunScheduler
+        simulating = ["table6", "figure6", "overhead", "ucache", "jit",
+                      "latency"]
+        executed = []
+        real_run_many = RunScheduler.run_many
+
+        def run_many(scheduler, requests):
+            before = scheduler.stats.executed
+            results = real_run_many(scheduler, requests)
+            executed.append(scheduler.stats.executed - before)
+            return results
+
+        monkeypatch.setattr(RunScheduler, "run_many", run_many)
+        code, _ = _capture(eval_cli, ["--experiments", *simulating,
+                                      "--benchmarks", "FIR",
+                                      "--ucache-benchmark", "FIR",
+                                      "--no-cache", "--jobs", "1"])
+        assert code == 0
+        assert len(executed) == 1 + len(simulating)
+        assert executed[0] > 0
+        assert executed[1:] == [0] * len(simulating), \
+            "a driver simulated a run the prefetch batch did not cover"
 
     def test_no_cache_flag_disables_reporting(self):
         code, out = _capture(eval_cli, ["--benchmarks", "LU",
@@ -303,6 +349,15 @@ class TestSweepSubcommand:
         code = repro_main(["sweep", "--merge", str(out_path)])
         assert code == 1
         assert "cover" in capsys.readouterr().err
+
+    def test_merge_refuses_malformed_manifest(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text("[]", encoding="utf-8")
+        code = repro_main(["sweep", "--merge", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sweep: manifest #1: not a sweep manifest")
+        assert "Traceback" not in err
 
     def test_bad_shard_spec_exits_nonzero(self, capsys):
         code = repro_main(["sweep", "--shard", "nope"])

@@ -33,14 +33,14 @@ import json
 from pathlib import Path
 
 from repro.evaluation.cli import EXPERIMENTS, _prefetch_requests, build_parser
-from repro.evaluation.experiments import EvalContext, figure6_requests
+from repro.evaluation.experiments import (
+    DEFAULT_WIDTHS,
+    EvalContext,
+    figure6_requests,
+)
 from repro.evaluation.runcache import CACHE_FORMAT_VERSION, entry_payload
 from repro.evaluation.runner import RunScheduler
-from repro.evaluation.shard import (
-    DEFAULT_SWEEP_WIDTHS,
-    _request_meta,
-    run_sweep,
-)
+from repro.evaluation.shard import _request_meta, run_sweep
 from repro.kernels.suite import BENCHMARK_ORDER
 from repro.system.machine import MachineConfig
 
@@ -59,7 +59,7 @@ EVALUATE_ALL_RUNS = 58
 
 def golden_manifest() -> dict:
     """The full sweep, simulated uncached with the default engine."""
-    manifest = run_sweep(BENCHMARK_ORDER, DEFAULT_SWEEP_WIDTHS,
+    manifest = run_sweep(BENCHMARK_ORDER, DEFAULT_WIDTHS,
                          engine=MachineConfig().engine,
                          scheduler=RunScheduler(jobs=1))
     return {field: manifest[field] for field in GOLDEN_FIELDS}
@@ -80,7 +80,7 @@ def evaluate_all_golden() -> dict:
     sweep, simulated uncached with the default engine."""
     ucache_benchmark = build_parser().parse_args(["--all"]).ucache_benchmark
     ctx = EvalContext(BENCHMARK_ORDER, engine=MachineConfig().engine)
-    figure6 = set(figure6_requests(ctx))
+    figure6 = set(figure6_requests(ctx).values())
     requests = [request for request in dict.fromkeys(
                     _prefetch_requests(ctx, EXPERIMENTS, ucache_benchmark))
                 if request not in figure6]
@@ -150,7 +150,7 @@ def test_sweep_matches_golden_results():
     fresh = golden_manifest()
     assert fresh["sweep"] == golden["sweep"]
     assert len(fresh["entries"]) == \
-        len(BENCHMARK_ORDER) * (1 + len(DEFAULT_SWEEP_WIDTHS))
+        len(BENCHMARK_ORDER) * (1 + len(DEFAULT_WIDTHS))
     assert fresh["entries"] == golden["entries"], _drift_message(
         "the sweep's results", golden["entries"], fresh["entries"])
 

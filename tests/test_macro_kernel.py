@@ -336,8 +336,8 @@ def _prefetch_subset(engine, cache_dir):
     scheduler = RunScheduler(jobs=1, cache=RunCache(cache_dir))
     ctx = EvalContext(SUBSET, engine=engine, scheduler=scheduler)
     requests = [ctx.liquid_request(name, WIDTH) for name in SUBSET]
-    ctx.prefetch(requests)
-    return ctx, requests, scheduler
+    scheduler.run_many(requests)
+    return requests, scheduler
 
 
 def test_macro_run_cache_byte_identity(tmp_path, monkeypatch):
@@ -346,8 +346,8 @@ def test_macro_run_cache_byte_identity(tmp_path, monkeypatch):
     cache without simulating."""
     fast_dir = tmp_path / "fast"
     ref_dir = tmp_path / "reference"
-    _, fast_requests, _ = _prefetch_subset("fast", fast_dir)
-    _, ref_requests, _ = _prefetch_subset("reference", ref_dir)
+    fast_requests, _ = _prefetch_subset("fast", fast_dir)
+    ref_requests, _ = _prefetch_subset("reference", ref_dir)
 
     fast_cache = RunCache(fast_dir)
     ref_cache = RunCache(ref_dir)
@@ -365,12 +365,11 @@ def test_macro_run_cache_byte_identity(tmp_path, monkeypatch):
         Machine, "run",
         lambda self, program: machine_runs.append(program.name)
         or real_run(self, program))
-    warm_ctx, warm_requests, warm_scheduler = _prefetch_subset(
-        "reference", fast_dir)
+    warm_requests, warm_scheduler = _prefetch_subset("reference", fast_dir)
     assert machine_runs == [], \
         f"reference re-simulated despite fast-written cache: {machine_runs}"
     assert warm_scheduler.stats.cache_hits == len(SUBSET)
     assert warm_scheduler.stats.executed == 0
-    warm_cycles = {r.benchmark: warm_ctx.run_request(r).cycles
+    warm_cycles = {r.benchmark: warm_scheduler.run(r).cycles
                    for r in warm_requests}
     assert set(warm_cycles) == set(SUBSET)

@@ -39,11 +39,90 @@ from repro.evaluation.runner import (
     build_request_program,
     execute_request,
 )
-from repro.simd.accelerator import config_for_width
+from repro.memory.cache import CacheConfig
+from repro.pipeline.core import PipelineConfig
+from repro.simd.accelerator import (
+    FULL_VECTOR_OPS,
+    STANDARD_PATTERNS,
+    AcceleratorConfig,
+    config_for_width,
+)
 from repro.system.machine import Machine, MachineConfig
 
 SUBSET = ["LU", "FFT"]
 WIDTHS = (2, 8)
+
+
+#: One other valid value for every config field that can change a
+#: result.  ``test_every_config_field_reaches_the_key`` walks the fields
+#: of ``MachineConfig`` and of every config nested in it, so a field
+#: added to any of them fails that test by name until it gets a value
+#: here (and a place in ``config_fingerprint``).
+FIELD_VARIATIONS = {
+    MachineConfig: {
+        "translation_enabled": False,
+        "ucode_cache_entries": 4,
+        "max_ucode_instructions": 32,
+        "translation_cycles_per_instruction": 2,
+        "collapse_offset_loads": False,
+        "const_immediates": False,
+        "attempt_plain_bl": True,
+        "pretranslate": True,
+        "interrupt_interval": 1000,
+        "translation_mode": "software",
+        "software_cycles_per_instruction": 10,
+        "observation_point": "decode",
+        "verify_translations": True,
+        "mvl": 8,
+        "max_steps": 1000,
+    },
+    PipelineConfig: {
+        "mispredict_penalty": 3,
+        "call_redirect_penalty": 2,
+        "pipeline_depth": 6,
+        "code_base": 0x2000,
+    },
+    CacheConfig: {
+        "size_bytes": 8 * 1024,
+        "assoc": 32,
+        "line_bytes": 64,
+        "hit_latency": 2,
+        "miss_penalty": 10,
+    },
+    AcceleratorConfig: {
+        "width": 4,
+        "permutations": STANDARD_PATTERNS[:-1],
+        "vector_ops": FULL_VECTOR_OPS - {"vabd"},
+        "supports_saturation": False,
+    },
+}
+
+#: Fields that must not reach the key: engines are bit-identical, and
+#: an accelerator's name is for display.
+KEY_EXEMPT_FIELDS = {MachineConfig: {"engine"}, AcceleratorConfig: {"name"}}
+
+
+def _field_variants(config, path):
+    """``(field path, config with that one field changed)`` for every
+    field of *config* and of the configs nested in it; the config is
+    None for a field ``FIELD_VARIATIONS`` has no value for."""
+    cls = type(config)
+    for field in dataclasses.fields(cls):
+        name = f"{path}.{field.name}"
+        value = getattr(config, field.name)
+        if dataclasses.is_dataclass(value):
+            for inner, changed in _field_variants(value, name):
+                if changed is not None:
+                    changed = dataclasses.replace(config,
+                                                  **{field.name: changed})
+                yield inner, changed
+        elif field.name not in KEY_EXEMPT_FIELDS.get(cls, ()):
+            varied = FIELD_VARIATIONS.get(cls, {})
+            if field.name not in varied:
+                yield name, None
+            else:
+                yield name, dataclasses.replace(
+                    config, **{field.name: varied[field.name]})
 
 
 def liquid_request(benchmark="LU", width=8, **kwargs):
@@ -91,6 +170,24 @@ class TestRunKey:
         ):
             keys.add(run_key(program, changed))
         assert len(keys) == 6, "every config variation must change the key"
+
+    def test_every_config_field_reaches_the_key(self):
+        program = build_request_program(liquid_request())
+        base = MachineConfig(accelerator=config_for_width(8))
+        variants = dict(_field_variants(base, "MachineConfig"))
+        unvaried = sorted(name for name, config in variants.items()
+                          if config is None)
+        assert not unvaried, \
+            f"no variation for {unvaried}: add one to FIELD_VARIATIONS"
+        shared = sorted(name for name, config in variants.items()
+                        if run_key(program, config) == run_key(program, base))
+        assert not shared, \
+            f"changing {shared} leaves the run key unchanged: two configs " \
+            "would share cache entries (see config_fingerprint)"
+        # Both caches and the accelerator were walked, not skipped.
+        assert {"MachineConfig.pipeline.icache.assoc",
+                "MachineConfig.pipeline.dcache.assoc",
+                "MachineConfig.accelerator.width"} <= set(variants)
 
     def test_key_is_engine_invariant(self):
         # Engines are bit-identical by contract, so one cached result
@@ -388,8 +485,9 @@ class TestEvalContextIntegration:
         tables = {}
         for jobs in (1, 4):
             ctx = EvalContext(SUBSET, scheduler=RunScheduler(jobs=jobs))
-            ctx.prefetch(figure6_requests(ctx, WIDTHS)
-                         + table6_requests(ctx))
+            ctx.scheduler.run_many(
+                [*figure6_requests(ctx, WIDTHS).values(),
+                 *table6_requests(ctx).values()])
             rows[jobs] = {
                 "figure6": figure6_speedups(ctx, WIDTHS),
                 "table6": table6_call_distances(ctx),
@@ -405,19 +503,23 @@ class TestEvalContextIntegration:
     def test_prefetch_leaves_nothing_to_simulate(self):
         scheduler = RunScheduler(jobs=1)
         ctx = EvalContext(["LU"], scheduler=scheduler)
-        ctx.prefetch(native_overhead_requests(ctx, width=8))
+        scheduler.run_many(native_overhead_requests(ctx, width=8).values())
         executed = scheduler.stats.executed
         native_overhead(ctx, width=8)  # includes the 2x scaled runs
         assert scheduler.stats.executed == executed, \
             "prefetch must cover every run native_overhead needs"
 
     def test_scaled_runs_are_memoized(self):
+        """The scheduler's memo, the only one, answers a declaration
+        asked for twice."""
         scheduler = RunScheduler(jobs=1)
         ctx = EvalContext(["LU"], scheduler=scheduler)
-        first = ctx.scaled_run("LU", 8, factor=2)
-        again = ctx.scaled_run("LU", 8, factor=2)
+        declared = {"LU x2": ctx.liquid_request("LU", 8, factor=2)}
+        first = ctx.results(declared)["LU x2"]
+        again = ctx.results(declared)["LU x2"]
         assert first is again
         assert scheduler.stats.executed == 1
+        assert scheduler.stats.memo_hits == 1
 
     def test_context_shares_runs_with_persistent_cache(self, tmp_path):
         cache_dir = tmp_path / "cache"

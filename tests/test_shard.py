@@ -8,8 +8,8 @@ The acceptance properties behind ``repro sweep``:
   machine-runs,
 * ``--incremental`` on a warm cache costs zero machine-runs and one
   probe round-trip,
-* the merge step actually rejects coverage gaps, divergent results,
-  and duplicate simulations.
+* the merge step actually rejects malformed manifests, coverage gaps,
+  divergent results, and duplicate simulations.
 """
 
 import copy
@@ -17,9 +17,11 @@ import copy
 import pytest
 
 from repro.evaluation.cacheserver import HTTPCacheBackend
+from repro.evaluation.experiments import EvalContext, figure6_requests
 from repro.evaluation.runcache import RunCache
 from repro.evaluation.runner import RunScheduler
 from repro.evaluation.shard import (
+    SWEEP_MANIFEST_KIND,
     ShardSpec,
     SweepError,
     merge_sweeps,
@@ -27,7 +29,6 @@ from repro.evaluation.shard import (
     run_sweep,
     shard_for_key,
     sweep_keys,
-    sweep_requests,
 )
 from repro.evaluation.simserver import SimServer
 from repro.observability import telemetry
@@ -39,6 +40,11 @@ WIDTHS = (2, 4)
 
 def _scheduler(tmp_path, subdir="cache"):
     return RunScheduler(jobs=1, cache=RunCache(tmp_path / subdir))
+
+
+def _requests(benchmarks):
+    """The sweep's runs: Figure 6's declaration over *benchmarks*."""
+    return figure6_requests(EvalContext(benchmarks), WIDTHS).values()
 
 
 def _sweep(tmp_path, subdir="cache", **kwargs):
@@ -59,8 +65,7 @@ class TestShardSpec:
             parse_shard_spec(bad)
 
     def test_partition_is_deterministic_disjoint_complete(self, tmp_path):
-        keys = sweep_keys(sweep_requests(["FIR", "LU"], WIDTHS),
-                          _scheduler(tmp_path))
+        keys = sweep_keys(_requests(["FIR", "LU"]), _scheduler(tmp_path))
         for count in (1, 2, 3, 5):
             owners = {key: shard_for_key(key, count) for key in keys}
             # Deterministic: a second assignment pass agrees exactly.
@@ -70,10 +75,8 @@ class TestShardSpec:
             assert all(1 <= owner <= count for owner in owners.values())
 
     def test_keys_are_stable_across_schedulers(self, tmp_path):
-        a = sweep_keys(sweep_requests(BENCHMARKS, WIDTHS),
-                       _scheduler(tmp_path, "a"))
-        b = sweep_keys(sweep_requests(BENCHMARKS, WIDTHS),
-                       _scheduler(tmp_path, "b"))
+        a = sweep_keys(_requests(BENCHMARKS), _scheduler(tmp_path, "a"))
+        b = sweep_keys(_requests(BENCHMARKS), _scheduler(tmp_path, "b"))
         assert set(a) == set(b), \
             "content addresses must not depend on the scheduler instance"
 
@@ -197,6 +200,29 @@ class TestMergeVerification:
         forged[1]["sources"][key] = "simulated"
         with pytest.raises(SweepError, match="more than one"):
             merge_sweeps(forged)
+
+    @pytest.mark.parametrize("case", [
+        "array", "string", "no-benchmarks", "unknown-benchmark", "width-12",
+        "entries-list"])
+    def test_merge_refuses_malformed_manifest(self, tmp_path, case):
+        """A manifest merge cannot read is a SweepError naming it, not
+        a traceback from deep inside the merge."""
+        manifest = _sweep(tmp_path)
+        sweep = manifest["sweep"]
+        if case == "array":
+            manifest = [manifest]
+        elif case == "string":
+            manifest = SWEEP_MANIFEST_KIND
+        elif case == "no-benchmarks":
+            del sweep["benchmarks"]
+        elif case == "unknown-benchmark":
+            sweep["benchmarks"] = ["FIR", "not-a-benchmark"]
+        elif case == "width-12":
+            sweep["widths"] = [2, 12]
+        else:
+            manifest["entries"] = list(manifest["entries"])
+        with pytest.raises(SweepError, match=r"^manifest #1: "):
+            merge_sweeps([manifest])
 
     def test_merged_stats_aggregate(self, tmp_path):
         shards = self._shards(tmp_path)
