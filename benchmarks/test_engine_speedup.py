@@ -12,6 +12,11 @@ over the reference interpreter and both written to
   machine, where nearly every instruction retires inside a fused
   self-loop window -- the scalar path the Figure 6 baselines take.
 
+The fast engine's timed passes follow a warm-up pass over the same
+programs, so every generated closure they build is ``exec``-ed from the
+per-process code cache (``docs/codegen.md``): they time fused execution
+and closure builds, not ``compile()``.
+
 The differential suite (``tests/test_engine_differential.py``) already
 proves the two engines bit-identical, so this file only measures time;
 it still cross-checks cycle counts as a cheap sanity net.
@@ -42,7 +47,7 @@ def _run_suite(programs, config):
 def _measure(programs, **config):
     """(fast seconds, reference seconds), cycles cross-checked."""
     fast = MachineConfig(engine="fast", **config)
-    _run_suite(programs, fast)  # warm imports and the allocator
+    _run_suite(programs, fast)  # warm imports, allocator, code cache
     fast_seconds, fast_cycles = min(
         _run_suite(programs, fast) for _ in range(2))
     ref_seconds, ref_cycles = _run_suite(

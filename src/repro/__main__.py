@@ -52,7 +52,7 @@ from repro.core.scalarize import (
     check_width,
 )
 from repro.evaluation import DEFAULT_WIDTHS, EvalContext, figure6_requests
-from repro.evaluation.cli import FAST_SUBSET, positive_int
+from repro.evaluation.cli import FAST_SUBSET, port_number, positive_int
 from repro.interp.executor import ENGINES
 from repro.kernels.suite import BENCHMARK_ORDER, build_kernel
 from repro.simd.accelerator import config_for_width
@@ -466,7 +466,7 @@ def main(argv=None) -> int:
                               "$REPRO_CACHE_URL; info/clear only)")
     cache_p.add_argument("--host", default="127.0.0.1",
                          help="serve: bind address (default: 127.0.0.1)")
-    cache_p.add_argument("--port", type=int, default=8742,
+    cache_p.add_argument("--port", type=port_number, default=8742,
                          help="serve: port, 0 for ephemeral "
                               "(default: 8742)")
 
@@ -521,7 +521,7 @@ def main(argv=None) -> int:
              "cold runs fan out over a bounded worker pool")
     serve_p.add_argument("--host", default="127.0.0.1",
                          help="bind address (default: 127.0.0.1)")
-    serve_p.add_argument("--port", type=int, default=8979,
+    serve_p.add_argument("--port", type=port_number, default=8979,
                          help="port, 0 for ephemeral (default: 8979)")
     serve_p.add_argument("--jobs", type=positive_int, metavar="N",
                          help="simulation worker processes "

@@ -43,6 +43,18 @@ def positive_int(text: str) -> int:
         f"must be a positive integer, got {text!r}")
 
 
+def port_number(text: str) -> int:
+    """argparse ``type=`` of every ``--port`` flag: an integer in
+    [0, 65535], 0 for an ephemeral port."""
+    try:
+        if 0 <= int(text) <= 65535:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be a port number in [0, 65535], got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         description="Regenerate the paper's evaluation tables and figures.",

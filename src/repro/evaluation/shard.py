@@ -19,7 +19,8 @@ turns that set into a cache-coherent fleet job:
   (:func:`~repro.evaluation.runcache.entry_payload`), plus provenance
   (simulated here vs. answered warm) and scheduler/cache statistics.
 * **Merging** — :func:`merge_sweeps` verifies the shards: well-formed
-  manifests of one sweep, full coverage of the expected key set, no key
+  manifests of one sweep, each entry the record of the request its key
+  names, full coverage of the expected key set, no key
   simulated by two shards (zero duplicate machine-runs), and
   byte-identical results wherever shards overlap.  The merged manifest
   carries the same per-key digest table as an unsharded run, so
@@ -57,6 +58,7 @@ from repro.kernels.suite import BENCHMARK_ORDER
 SWEEP_MANIFEST_KIND = "repro-sweep"
 
 _SHARD_SPEC_RE = re.compile(r"^(\d+)/(\d+)$")
+_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 
 
 class SweepError(ValueError):
@@ -262,6 +264,24 @@ def _check_manifest(manifest, label: str) -> None:
                              f"got {value!r}")
 
 
+def _entry_problem(meta, request: RunRequest) -> Optional[str]:
+    """Why *meta* is not a manifest entry of *request*, or None."""
+    if not isinstance(meta, dict):
+        return f"not a JSON object: {meta!r}"
+    for field, value in _request_meta(request).items():
+        got = meta.get(field)
+        if got != value or type(got) is not type(value):
+            return f"{field} {got!r} is not its request's {value!r}"
+    cycles = meta.get("cycles")
+    if isinstance(cycles, bool) or not isinstance(cycles, int) or \
+            cycles < 1:
+        return f"cycles must be a positive integer, got {cycles!r}"
+    digest = meta.get("digest")
+    if not isinstance(digest, str) or not _DIGEST_RE.fullmatch(digest):
+        return f"digest must be 64 hex digits, got {digest!r}"
+    return None
+
+
 def _sweep_params(manifest: dict) -> dict:
     sweep = dict(manifest["sweep"])
     sweep.pop("shard", None)
@@ -277,6 +297,9 @@ def merge_sweeps(manifests: Sequence[dict]) -> dict:
     * manifests describe different sweeps (benchmarks/widths/engine),
     * the same key carries different cycles or entry digests in two
       shards (results must be byte-identical),
+    * an entry is not the record of the request its key names: a JSON
+      object whose request fields equal that request's, a positive
+      integer ``cycles`` and a 64-hex-digit ``digest``,
     * the same key was *simulated* by two shards (the partition must
       make machine-runs disjoint — warm cache hits may repeat),
     * the union of entries does not exactly cover the sweep's expected
@@ -293,12 +316,20 @@ def merge_sweeps(manifests: Sequence[dict]) -> dict:
                 f"manifest #{i} describes a different sweep than #1: "
                 f"{_sweep_params(manifest)} != {params}")
 
+    ctx = EvalContext(params["benchmarks"], engine=params["engine"])
+    expected = sweep_keys(figure6_requests(ctx, params["widths"]).values(),
+                          RunScheduler(jobs=1))
     entries: Dict[str, dict] = {}
     sources: Dict[str, str] = {}
     simulated_by: Dict[str, int] = {}
     duplicate_runs = []
     for i, manifest in enumerate(manifests, start=1):
         for key, meta in manifest["entries"].items():
+            if key in expected:
+                problem = _entry_problem(meta, expected[key])
+                if problem:
+                    raise SweepError(
+                        f"manifest #{i}: entry {key}: {problem}")
             known = entries.get(key)
             if known is not None and known != meta:
                 raise SweepError(
@@ -319,9 +350,6 @@ def merge_sweeps(manifests: Sequence[dict]) -> dict:
             f"shard (expected disjoint slices): "
             + ", ".join(k[:12] + "…" for k in duplicate_runs[:5]))
 
-    ctx = EvalContext(params["benchmarks"], engine=params["engine"])
-    expected = sweep_keys(figure6_requests(ctx, params["widths"]).values(),
-                          RunScheduler(jobs=1))
     missing = sorted(set(expected) - set(entries))
     unexpected = sorted(set(entries) - set(expected))
     if missing or unexpected:

@@ -231,8 +231,9 @@ class SuperblockTable:
 # Decode tables, fused blocks, loop-timing closures and fragment kernels
 # all live exactly as long as one Machine.run: the machine builds them
 # here on first use and drops them with the rest of its run-local state.
-# Nothing is memoized across runs, so a finished run pins none of its
-# programs or generated closures.
+# Only the closures' immutable code objects are kept across runs
+# (codegen/emit.py), so a finished run pins none of its programs or
+# generated closures.
 # ---------------------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from repro.__main__ import main as repro_main
-from repro.evaluation.cli import run as eval_cli
+from repro.evaluation.cli import port_number, run as eval_cli
 
 
 def _capture(fn, *args):
@@ -92,6 +92,32 @@ class TestJobsFlags:
         err = capsys.readouterr().err
         assert "error: argument --jobs: must be a positive integer" in err
         assert "Traceback" not in err
+
+
+class TestPortFlags:
+    """Every ``--port`` flag takes an integer in [0, 65535] (0 for an
+    ephemeral port); anything else is a usage error, not a server that
+    fails to bind."""
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--port", "70000"],
+        ["serve", "--port", "-1"],
+        ["serve", "--port", "x"],
+        ["cache", "serve", "--port", "70000"],
+        ["cache", "serve", "--port", "-1"],
+    ], ids=["serve-70000", "serve-minus-1", "serve-x", "cache-70000",
+            "cache-minus-1"])
+    def test_bad_port_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --port: must be a port number" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["0", "8979", "65535"])
+    def test_port_range_ends_are_accepted(self, text):
+        assert port_number(text) == int(text)
 
 
 class TestRetranslateSubcommand:

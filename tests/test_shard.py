@@ -8,8 +8,9 @@ The acceptance properties behind ``repro sweep``:
   machine-runs,
 * ``--incremental`` on a warm cache costs zero machine-runs and one
   probe round-trip,
-* the merge step actually rejects malformed manifests, coverage gaps,
-  divergent results, and duplicate simulations.
+* the merge step actually rejects malformed manifests, entries unlike
+  the requests their keys name, coverage gaps, divergent results, and
+  duplicate simulations.
 """
 
 import copy
@@ -222,6 +223,38 @@ class TestMergeVerification:
         else:
             manifest["entries"] = list(manifest["entries"])
         with pytest.raises(SweepError, match=r"^manifest #1: "):
+            merge_sweeps([manifest])
+
+    @pytest.mark.parametrize("field, value", [
+        (None, 5),
+        ("benchmark", "LU"),
+        ("program_kind", "baseline"),
+        ("width", 4),
+        ("width", 2.0),
+        ("repeat_factor", 2),
+        ("repeat_factor", True),
+        ("cycles", 0),
+        ("cycles", True),
+        ("cycles", 1.5),
+        ("digest", "0" * 63),
+        ("digest", "A" * 64),
+        ("digest", None),
+    ], ids=["number", "benchmark", "program-kind", "width", "width-float",
+            "repeat-factor", "repeat-factor-bool", "cycles-0", "cycles-bool",
+            "cycles-float", "digest-short", "digest-upper", "digest-null"])
+    def test_merge_refuses_entry_unlike_its_request(self, tmp_path, field,
+                                                    value):
+        """Every entry must record the request its key names; one that
+        does not is a SweepError naming the manifest and the key, not a
+        TypeError from the speedups."""
+        manifest = _sweep(tmp_path)
+        key = next(key for key, meta in manifest["entries"].items()
+                   if meta["width"] == 2)
+        if field is None:
+            manifest["entries"][key] = value
+        else:
+            manifest["entries"][key][field] = value
+        with pytest.raises(SweepError, match=rf"^manifest #1: entry {key}: "):
             merge_sweeps([manifest])
 
     def test_merged_stats_aggregate(self, tmp_path):
