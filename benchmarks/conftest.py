@@ -11,12 +11,10 @@ session — skips those simulations entirely; set ``REPRO_CACHE_DIR`` to
 relocate the cache or ``REPRO_JOBS`` to bound worker processes.
 
 The ``*_bench_records`` fixtures collect timing records (filled in by
-``test_engine_speedup.py``, ``test_parallel_speedup.py``, the
-fragment-store sweep in ``test_ucode_cache_ablation.py`` and
+``test_engine_speedup.py``, ``test_parallel_speedup.py`` and
 ``test_shard_speedup.py``) and write them through one shared
-:func:`write_bench_json` at session teardown, so
-successive runs leave machine-readable ``BENCH_*.json`` records with a
-common schema::
+:func:`write_bench_json` at session teardown, so successive runs leave
+machine-readable ``BENCH_*.json`` records with a common schema::
 
     {
       "machine":  {platform, python, cpu_count, processor},
@@ -40,7 +38,6 @@ from repro.evaluation.runner import RunScheduler
 _BENCH_DIR = Path(__file__).resolve().parent
 ENGINE_BENCH_PATH = _BENCH_DIR / "BENCH_engine.json"
 PARALLEL_BENCH_PATH = _BENCH_DIR / "BENCH_parallel.json"
-FRAGSTORE_BENCH_PATH = _BENCH_DIR / "BENCH_fragstore.json"
 SHARD_BENCH_PATH = _BENCH_DIR / "BENCH_shard.json"
 
 
@@ -97,12 +94,6 @@ def engine_bench_records():
 def parallel_bench_records():
     """Scheduler/cache timing records, dumped as BENCH_parallel.json."""
     yield from _records_fixture(PARALLEL_BENCH_PATH)
-
-
-@pytest.fixture(scope="session")
-def fragstore_bench_records():
-    """Fragment-store warm-over-cold record, dumped as BENCH_fragstore.json."""
-    yield from _records_fixture(FRAGSTORE_BENCH_PATH)
 
 
 @pytest.fixture(scope="session")

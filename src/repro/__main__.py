@@ -9,11 +9,11 @@ Subcommands:
 * ``run NAME``  — run one benchmark across the width sweep and print its
   Figure 6 row plus translation outcomes.
 * ``cache``     — inspect (``cache info``), empty (``cache clear``), or
-  share over HTTP (``cache serve``) the persistent run cache *and*
-  fragment store (docs/evaluation-runner.md, docs/retranslation.md).
-  ``info``/``clear`` take ``--cache-url`` to address a running server
-  instead of a local directory; ``cache serve`` is ``serve`` over one
-  cache directory on port 8742.
+  share over HTTP (``cache serve``) the persistent run cache
+  (docs/evaluation-runner.md).  ``info``/``clear`` take
+  ``--cache-url`` to address a running server instead of a local
+  directory; ``cache serve`` is ``serve`` over one cache directory on
+  port 8742.
 * ``sweep``     — run (one shard of) the paper-figure sweep through the
   run cache and write a JSON manifest; ``--shard K/N`` executes a
   disjoint hash-slice against a shared backend, ``--incremental``
@@ -101,7 +101,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.evaluation.runcache import FragmentStore, RunCache
+    from repro.evaluation.runcache import RunCache
 
     if args.action == "serve":
         # The local directory, even when $REPRO_CACHE_URL is set: a
@@ -112,23 +112,13 @@ def _cmd_cache(args) -> int:
 
     cache = RunCache.default(args.cache_dir, cache_url=args.cache_url)
     backend = cache.describe()
-    remote = backend["backend"] != "local"
-    # The fragment store is directory-backed only; with a --cache-url
-    # there is no local directory to pair it with.
-    fragments = (None if remote
-                 else FragmentStore.default(args.cache_dir).backend)
-
     if args.action == "clear":
         removed = cache.clear()
-        frag_note = ""
-        if fragments is not None:
-            frag_removed = fragments.clear()
-            frag_note = (f" and {frag_removed} "
-                         f"fragment{'s' if frag_removed != 1 else ''}")
-        print(f"cleared {removed} cached run{'s' if removed != 1 else ''}"
-              f"{frag_note} from {backend['location']}")
+        print(f"cleared {removed} cached run{'s' if removed != 1 else ''} "
+              f"from {backend['location']}")
         return 0
 
+    remote = backend["backend"] != "local"
     kind = ("http (repro cache serve)" if remote else "local directory")
     print(f"run cache backend: {kind}")
     print(f"  location  {backend['location']}")
@@ -139,12 +129,6 @@ def _cmd_cache(args) -> int:
             return 1
     print(f"  entries   {cache.entry_count()}")
     print(f"  size      {cache.size_bytes() / 1024:.1f} KB")
-    if fragments is not None:
-        paths = list(fragments.entry_paths())
-        size = sum(path.stat().st_size for path in paths)
-        print(f"fragment store at {fragments.root}")
-        print(f"  entries   {len(paths)}")
-        print(f"  size      {size / 1024:.1f} KB")
     return 0
 
 
@@ -272,11 +256,9 @@ def _cmd_retranslate(args) -> int:
     import json
 
     from repro.evaluation.crosswidth import crosswidth_differential
-    from repro.evaluation.runcache import FragmentStore
 
-    store = None if args.no_cache else FragmentStore.default(args.cache_dir)
     report = crosswidth_differential(args.benchmark, args.from_width,
-                                     args.to_width, store=store)
+                                     args.to_width)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0 if report["ok"] else 1
@@ -547,12 +529,6 @@ def main(argv=None) -> int:
                         help="source translation width (default: 4)")
     retr_p.add_argument("--to-width", type=_width, default=None, metavar="T",
                         help="target width (default: 2*W)")
-    retr_p.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="fragment-store directory root (default: "
-                             "$REPRO_CACHE_DIR or ~/.cache/"
-                             "repro-liquid-simd)")
-    retr_p.add_argument("--no-cache", action="store_true",
-                        help="bypass the persistent fragment store")
     retr_p.add_argument("--json", action="store_true",
                         help="emit the full report as JSON")
 

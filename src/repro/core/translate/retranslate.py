@@ -73,32 +73,6 @@ class RetranslationResult:
     entry: Optional[MicrocodeEntry] = None
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        """JSON-safe representation (inverse of :meth:`from_dict`)."""
-        return {
-            "function": self.function,
-            "source_width": self.source_width,
-            "target_width": self.target_width,
-            "ok": self.ok,
-            "reason": self.reason.value if self.reason is not None else None,
-            "entry": self.entry.to_dict() if self.entry is not None else None,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RetranslationResult":
-        return cls(
-            function=data["function"],
-            source_width=data["source_width"],
-            target_width=data["target_width"],
-            ok=data["ok"],
-            reason=(RetranslateReason(data["reason"])
-                    if data["reason"] is not None else None),
-            entry=(MicrocodeEntry.from_dict(data["entry"])
-                   if data["entry"] is not None else None),
-            detail=data["detail"],
-        )
-
 
 class _Rejected(Exception):
     def __init__(self, reason: RetranslateReason, detail: str = "") -> None:
@@ -289,7 +263,7 @@ def retranslate_entry(entry: MicrocodeEntry, target_width: int,
     permutation repertoire and vector-opcode set gate the rewrite the
     same way they gate a fresh translation).  On success the result
     carries a new :class:`MicrocodeEntry` with ``ready_cycle=0`` —
-    retranslation is an offline/fleet operation, not a per-run latency.
+    retranslation is an offline operation, not a per-run latency.
     """
     tel = _telemetry.get()
     tel.count("retranslate.attempts")

@@ -24,10 +24,10 @@ class MicrocodeEntry:
 
     Identity is *content-based*: two entries are interchangeable when
     ``(function, width, encoded_bytes())`` agree, no matter whether they
-    came from the dynamic translator, a cross-width retranslation, or
-    the persistent fragment store — so store-loaded and
-    freshly-translated twins share one :attr:`table_key` and the
-    machine's fragment tables never double-compile them.
+    came from the dynamic translator or a cross-width retranslation —
+    so retranslated and freshly-translated twins share one
+    :attr:`table_key` and the machine's fragment tables never
+    double-compile them.
 
     Attributes:
         function: label of the outlined function this entry translates.

@@ -1,18 +1,20 @@
 """Cross-width retranslation orchestration and differential verdicts.
 
-This module ties the tentpole pieces together for the CLI
+This module ties the retranslation pieces together for the CLI
 (``repro retranslate``) and the conformance suite
 (``tests/test_crosswidth_differential.py``):
 
 1. translate a benchmark's Liquid binary at a **source** width ``W``
-   (or pull the translations from the persistent fragment store),
+   (one machine run),
 2. re-lower every successful entry to a **target** width ``T`` with
-   :func:`~repro.core.translate.retranslate.retranslate_entry`
-   (store-backed as well, keyed by the source fragment's bytes),
+   :func:`~repro.core.translate.retranslate.retranslate_entry`,
 3. run the benchmark at ``T`` twice per engine — once translating
    fresh at runtime, once with the retranslated fragments *preloaded*
    into the microcode cache — and compare against each other and
    against the reference engine.
+
+Nothing is persisted: every call translates and retranslates again in
+memory, since both are pure functions of the program and the widths.
 
 The verdict is **array-based**, not fragment-byte-based, on purpose: a
 fresh translation at ``2W`` may legitimately differ in form from a
@@ -25,18 +27,11 @@ run — the same fallback the translator's own abort path guarantees.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.scalarize import build_liquid_program
-from repro.core.translate.retranslate import (
-    RetranslationResult,
-    retranslate_entry,
-)
-from repro.core.translate.translator import TranslationResult
+from repro.core.translate.retranslate import retranslate_entry
 from repro.core.translate.ucode_cache import MicrocodeEntry
-from repro.evaluation.runcache import FragmentStore, fragment_key
-from repro.isa.encoding import encode_program
-from repro.isa.program import Program
 from repro.kernels.suite import build_kernel
 from repro.simd.accelerator import config_for_width
 from repro.system.machine import Machine, MachineConfig
@@ -47,73 +42,8 @@ from repro.system.metrics import arrays_equal
 ENGINE_ORDER = ("reference", "fast")
 
 
-def translate_at_width(program: Program, config: MachineConfig,
-                       store: Optional[FragmentStore] = None,
-                       ) -> Dict[str, TranslationResult]:
-    """Translation results for every outlined function of *program*.
-
-    With a *store*, results are content-addressed by the encoded scalar
-    program + function + ``(W, W)`` + translator fingerprint; when every
-    outlined function hits, **no machine run happens at all** — the
-    warm-fleet path the fragment store exists for.  Misses fall back to
-    one scout run whose results are then persisted (aborts too: a loop
-    the translator rejects once is rejected forever under that config).
-    """
-    tcfg = config.translator_config()
-    width = config.accelerator.width
-    keys: Dict[str, str] = {}
-    if store is not None:
-        source = encode_program(program)
-        results: Dict[str, TranslationResult] = {}
-        for function in program.outlined_functions:
-            keys[function] = fragment_key(source, width, width, tcfg,
-                                          function=function)
-            stored = store.load(keys[function], TranslationResult.from_dict)
-            if stored is not None:
-                results[function] = stored
-        if len(results) == len(program.outlined_functions):
-            return results
-    run = Machine(config).run(program)
-    results = {t.function: t for t in run.translations}
-    if store is not None:
-        for function, result in results.items():
-            if function in keys:
-                store.store(keys[function], result.to_dict())
-    return results
-
-
-def retranslate_at_width(entries: Iterable[MicrocodeEntry],
-                         target_width: int, target_config,
-                         store: Optional[FragmentStore] = None,
-                         ) -> Dict[str, RetranslationResult]:
-    """Re-lower *entries* to *target_width*, store-backed when possible.
-
-    Retranslations are keyed by the **source fragment's** canonical
-    bytes (plus source/target widths and the target translator
-    fingerprint), so the same entry retranslated by any process in a
-    fleet hits the same slot.
-    """
-    results: Dict[str, RetranslationResult] = {}
-    for entry in entries:
-        key = None
-        if store is not None:
-            key = fragment_key(entry.encoded_bytes(), entry.width,
-                               target_width, target_config,
-                               function=entry.function)
-            stored = store.load(key, RetranslationResult.from_dict)
-            if stored is not None:
-                results[entry.function] = stored
-                continue
-        result = retranslate_entry(entry, target_width, target_config)
-        if key is not None:
-            store.store(key, result.to_dict())
-        results[entry.function] = result
-    return results
-
-
 def crosswidth_differential(benchmark: str, from_width: int, to_width: int,
                             engines: Sequence[str] = ENGINE_ORDER,
-                            store: Optional[FragmentStore] = None,
                             source_engine: str = "fast") -> dict:
     """The cross-width differential verdict for one benchmark.
 
@@ -128,14 +58,13 @@ def crosswidth_differential(benchmark: str, from_width: int, to_width: int,
     program = build_liquid_program(build_kernel(benchmark))
     source_config = MachineConfig(
         accelerator=config_for_width(from_width), engine=source_engine)
-    translations = translate_at_width(program, source_config, store)
-    target_machine_config = MachineConfig(
-        accelerator=config_for_width(to_width))
-    target_tcfg = target_machine_config.translator_config()
-    retranslations = retranslate_at_width(
-        [t.entry for t in translations.values()
-         if t.ok and t.entry is not None],
-        to_width, target_tcfg, store)
+    translations = {t.function: t
+                    for t in Machine(source_config).run(program).translations}
+    target_tcfg = MachineConfig(
+        accelerator=config_for_width(to_width)).translator_config()
+    retranslations = {
+        t.function: retranslate_entry(t.entry, to_width, target_tcfg)
+        for t in translations.values() if t.ok and t.entry is not None}
     preload: List[MicrocodeEntry] = [
         r.entry for r in retranslations.values()
         if r.ok and r.entry is not None]

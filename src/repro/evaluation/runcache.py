@@ -40,13 +40,6 @@ and corruption fall-back, and delegates raw byte storage to a
 Both backends answer each other's entries byte-identically: the server
 stores the exact payload bytes the local backend writes, under the same
 key.  See ``docs/evaluation-runner.md``.
-
-The same module keeps a second namespace, :class:`FragmentStore`:
-translation and cross-width retranslation outcomes under
-``<cache root>/fragments/`` (``docs/retranslation.md``).  Its entries
-use the same local backend, the same ``{format_version, key, result}``
-envelope (:func:`encode_entry` / :func:`decode_entry`) and the same
-:data:`CACHE_FORMAT_VERSION`.
 """
 
 from __future__ import annotations
@@ -57,30 +50,18 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    Optional,
-    Protocol,
-    Set,
-    TypeVar,
-    Union,
-)
+from typing import Dict, Iterable, Iterator, Optional, Protocol, Set, Union
 
-from repro.core.translate.translator import TranslatorConfig
 from repro.isa.encoding import encode_program
 from repro.isa.program import Program
 from repro.observability import telemetry as _telemetry
 from repro.system.machine import MachineConfig
 from repro.system.metrics import RunResult
 
-#: Bump whenever simulation or translation semantics, the RunResult
-#: wire format or a translation result's wire format change in a way
-#: that makes old cached results wrong or unreadable.  It versions run
-#: entries and :class:`FragmentStore` entries alike, in their keys and
-#: in their stored envelope.
+#: Bump whenever simulation or translation semantics or the RunResult
+#: wire format change in a way that makes old cached results wrong or
+#: unreadable.  It versions run entries in their keys and in their
+#: stored envelope.
 #: 2: keys became engine-invariant (entries shared across engines).
 CACHE_FORMAT_VERSION = 2
 
@@ -94,16 +75,9 @@ CACHE_URL_ENV = "REPRO_CACHE_URL"
 
 _DEFAULT_SUBDIR = Path(".cache") / "repro-liquid-simd"
 
-#: What :func:`decode_entry` and a result type's ``from_dict`` raise on
-#: an entry that cannot be used.
+#: What :func:`decode_entry` and ``RunResult.from_dict`` raise on an
+#: entry that cannot be used.
 _ENTRY_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
-
-_T = TypeVar("_T")
-
-#: Subdirectory of the cache root holding :class:`FragmentStore`
-#: entries.  Its entries sit one level below a run shard's, so the run
-#: cache's shard listing never sees them.
-FRAGSTORE_SUBDIR = "fragments"
 
 
 def default_cache_dir() -> Path:
@@ -174,35 +148,6 @@ def config_fingerprint(config: MachineConfig) -> dict:
     }
 
 
-def translator_config_fingerprint(config: TranslatorConfig) -> dict:
-    """Canonical JSON-safe dict of every translation-relevant field.
-
-    The width is deliberately **not** included — source and target
-    widths are separate key components, so one fingerprint describes a
-    whole accelerator generation across widths.
-    """
-    return {
-        "max_ucode_instructions": config.max_ucode_instructions,
-        "cycles_per_instruction": config.cycles_per_instruction,
-        "collapse_offset_loads": config.collapse_offset_loads,
-        "const_immediates": config.const_immediates,
-        "supports_saturation": config.supports_saturation,
-        "permutations": [p.name for p in config.permutations],
-        "supported_vector_ops": (
-            None if config.supported_vector_ops is None
-            else sorted(config.supported_vector_ops)),
-    }
-
-
-def _content_key(header: dict, body: bytes) -> str:
-    """SHA-256 hex digest of *header* as canonical JSON, a NUL, *body*."""
-    h = hashlib.sha256(json.dumps(
-        header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-    h.update(b"\x00")
-    h.update(body)
-    return h.hexdigest()
-
-
 def run_key_for_bytes(encoded: bytes, config: MachineConfig,
                       format_version: int = CACHE_FORMAT_VERSION) -> str:
     """Content address of one simulation given pre-encoded program bytes.
@@ -211,36 +156,19 @@ def run_key_for_bytes(encoded: bytes, config: MachineConfig,
     program once per ``program_id`` and key many configs against the
     same bytes (a width sweep shares one program across every width).
     """
-    return _content_key({"format_version": format_version,
-                         "config": config_fingerprint(config)}, encoded)
+    h = hashlib.sha256(json.dumps(
+        {"format_version": format_version,
+         "config": config_fingerprint(config)},
+        sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    h.update(b"\x00")
+    h.update(encoded)
+    return h.hexdigest()
 
 
 def run_key(program: Program, config: MachineConfig,
             format_version: int = CACHE_FORMAT_VERSION) -> str:
     """Content address of one simulation: SHA-256 hex digest."""
     return run_key_for_bytes(encode_program(program), config, format_version)
-
-
-def fragment_key(source_bytes: bytes, source_width: int, target_width: int,
-                 config: TranslatorConfig, function: str = "",
-                 format_version: int = CACHE_FORMAT_VERSION) -> str:
-    """Content address of one translation outcome: SHA-256 hex digest.
-
-    *source_bytes* is the encoded scalar program for a fresh translation
-    (``source_width == target_width``), or the source fragment's
-    :meth:`~repro.core.translate.ucode_cache.MicrocodeEntry.encoded_bytes`
-    for a retranslation; *config* is the target's translator config.
-    """
-    return _content_key(
-        {
-            "format_version": format_version,
-            "function": function,
-            "source_width": source_width,
-            "target_width": target_width,
-            "translator": translator_config_fingerprint(config),
-        },
-        source_bytes,
-    )
 
 
 def entry_payload(key: str, result: RunResult) -> bytes:
@@ -260,8 +188,8 @@ def entry_payload(key: str, result: RunResult) -> bytes:
 
 
 def encode_entry(key: str, result: dict) -> bytes:
-    """The stored bytes of one entry, run or fragment:
-    ``{format_version, key, result}`` as compact JSON."""
+    """The stored bytes of one entry: ``{format_version, key, result}``
+    as compact JSON."""
     return json.dumps(
         {"format_version": CACHE_FORMAT_VERSION, "key": key, "result": result},
         separators=(",", ":"),
@@ -421,8 +349,7 @@ class LocalDirectoryBackend:
 
 @dataclass
 class RunCacheStats:
-    """Hit/miss accounting for one :class:`RunCache` or
-    :class:`FragmentStore` instance (the store is never probed)."""
+    """Hit/miss accounting for one :class:`RunCache` instance."""
 
     hits: int = 0
     misses: int = 0
@@ -564,67 +491,3 @@ class RunCache:
         """Delete every entry; returns how many were removed."""
         return self.backend.clear()
 
-
-class FragmentStore:
-    """Translation outcomes persisted beside the run cache.
-
-    Keys come from :func:`fragment_key`; entries are written and checked
-    by the same :func:`encode_entry` / :func:`decode_entry` pair as run
-    entries, through a :class:`LocalDirectoryBackend` under
-    ``<cache root>/fragments``.  A corrupt, stale-format or misfiled
-    entry, or one its result type cannot decode, is deleted and read as
-    a miss, so the caller (re)translates; a write the directory refuses
-    is counted, not raised, so the caller keeps the result it computed.
-    Results are stored as their ``to_dict()`` (``TranslationResult`` /
-    ``RetranslationResult``) and loaded through the caller's
-    ``from_dict``.
-    """
-
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.backend = LocalDirectoryBackend(root)
-        self.stats = RunCacheStats()
-
-    @classmethod
-    def default(cls, cache_dir: Optional[Union[str, Path]] = None,
-                ) -> "FragmentStore":
-        """Store under *cache_dir*, ``$REPRO_CACHE_DIR``, or ``~/.cache``."""
-        base = Path(cache_dir) if cache_dir else default_cache_dir()
-        return cls(base / FRAGSTORE_SUBDIR)
-
-    def load(self, key: str, decode: Callable[[dict], _T]) -> Optional[_T]:
-        """The result stored under *key*, decoded by *decode* (a result
-        type's ``from_dict``), or None (miss or refused entry)."""
-        tel = _telemetry.get()
-        raw = self.backend.load(key)
-        if raw is not None:
-            try:
-                result = decode(decode_entry(key, raw))
-            except _ENTRY_ERRORS:
-                self.stats.errors += 1
-                tel.count("fragstore.corrupt")
-                self.backend.delete(key)
-            else:
-                self.stats.hits += 1
-                tel.count("fragstore.hit")
-                return result
-        self.stats.misses += 1
-        tel.count("fragstore.miss")
-        return None
-
-    def store(self, key: str, result: dict) -> None:
-        """Persist *result* under *key*: first writer wins, failures are
-        counted under ``errors`` and not raised, as in
-        :meth:`RunCache.store`."""
-        tel = _telemetry.get()
-        try:
-            stored = self.backend.store(key, encode_entry(key, result))
-        except OSError:
-            self.stats.errors += 1
-            tel.count("fragstore.write_error")
-            return
-        if stored:
-            self.stats.stores += 1
-            tel.count("fragstore.store")
-        else:
-            self.stats.races += 1
-            tel.count("fragstore.race")

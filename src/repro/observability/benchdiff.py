@@ -9,16 +9,15 @@ records as::
       "speedups": {<record name>: <derived speedup>, ...}
     }
 
-This module diffs two such payloads on every speedup they carry —
-the top-level ``speedups`` map *and* the nested per-kernel speedups
-inside each record (``records[name]["kernels"]``, flattened to
-``name/kernel``; see :func:`collect_speedups`) — and classifies each
-delta.  A *regression* is a record whose new speedup fell below
-``old * (1 - tolerance)``; records missing from the new payload are
-regressions too (a perf gate that silently stops measuring is worse
-than one that fails).  Records only present in the new payload are
-informational ``added`` rows, so a kernel joining or leaving the
-suite is always reported, never silently skipped.
+This module diffs two such payloads on every speedup they carry (the
+top-level ``speedups`` map and each record's own ``speedup``; see
+:func:`collect_speedups`) and classifies each delta.  A *regression*
+is a record whose new speedup fell below ``old * (1 - tolerance)``;
+records missing from the new payload are regressions too (a perf gate
+that silently stops measuring is worse than one that fails).  Records
+only present in the new payload are informational ``added`` rows, so
+a record joining or leaving the suite is always reported, never
+silently skipped.
 
 ``repro bench compare OLD.json NEW.json [--tolerance PCT]`` is the CLI
 wrapper; CI's ``bench-smoke`` job runs it against the committed
@@ -95,20 +94,13 @@ class BenchComparison:
 
 def collect_speedups(payload: dict, label: str = "payload"
                      ) -> Dict[str, float]:
-    """Every gateable speedup in *payload*, flattened to one map.
+    """Every gateable speedup in *payload*, as one map by record name.
 
-    Three sources, merged (names never collide in practice — the
-    flat map's keys are record names, and kernel entries get compound
-    ``record/kernel`` names):
+    Two sources, merged:
 
     * the top-level ``speedups`` map (one derived speedup per record);
     * each record's own ``"speedup"`` scalar — same name, same value as
-      the flat map when both exist;
-    * each record's nested per-kernel dicts
-      (``records[name]["kernels"][kernel]["speedup"]``), as
-      ``"name/kernel"`` — so a kernel that regresses, appears, or
-      vanishes is reported per kernel instead of being averaged into
-      (or silently dropped from) the aggregate.
+      the flat map when both exist.
     """
     out: Dict[str, float] = {}
     speedups = payload.get("speedups")
@@ -130,16 +122,6 @@ def collect_speedups(payload: dict, label: str = "payload"
             if isinstance(value, (int, float)) \
                     and not isinstance(value, bool):
                 out[rname] = float(value)
-            kernels = record.get("kernels")
-            if not isinstance(kernels, dict):
-                continue
-            for kname, kernel in kernels.items():
-                if not isinstance(kernel, dict):
-                    continue
-                kvalue = kernel.get("speedup")
-                if isinstance(kvalue, (int, float)) \
-                        and not isinstance(kvalue, bool):
-                    out[f"{rname}/{kname}"] = float(kvalue)
     if not out:
         raise ValueError(f"{label}: no 'speedups' map or per-record "
                          f"speedups — not a BENCH_*.json payload "

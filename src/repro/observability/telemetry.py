@@ -28,10 +28,11 @@ Three primitive kinds:
   nest: entering ``b`` inside ``a`` records under ``a.b``, so the dump
   shows the phase tree without any external correlation.
 
-``to_dict()`` / ``from_dict()`` round-trip the registry through JSON
-(the ``repro telemetry --json`` output), ``merge()`` folds one registry
-into another (worker processes), and ``marker()`` / ``delta_since()``
-give cheap per-run attribution on top of process-wide accumulation.
+``to_dict()`` renders the registry as JSON-safe data (the ``repro
+telemetry --json`` output), and ``marker()`` / ``delta_since()`` give
+cheap per-run attribution on top of process-wide accumulation.  Each
+process keeps its own registry: nothing collects the registries of
+pool workers.
 """
 
 from __future__ import annotations
@@ -193,10 +194,10 @@ class Telemetry:
             if value != get_prev(name, 0)
         }
 
-    # -- serialization / aggregation --------------------------------------
+    # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-safe representation (inverse of :meth:`from_dict`)."""
+        """JSON-safe representation (``repro telemetry --json``)."""
         return {
             "counters": dict(sorted(self.counters.items())),
             "histograms": {
@@ -209,41 +210,6 @@ class Telemetry:
                 for path, s in sorted(self.spans.items())
             },
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Telemetry":
-        t = cls()
-        t.counters = dict(data.get("counters", {}))
-        t.histograms = {
-            name: [h["count"], h["total"], h["min"], h["max"]]
-            for name, h in data.get("histograms", {}).items()
-        }
-        t.spans = {
-            path: [s["entries"], s["seconds"]]
-            for path, s in data.get("spans", {}).items()
-        }
-        return t
-
-    def merge(self, other: "Telemetry") -> None:
-        """Fold *other*'s records into this registry (cross-process)."""
-        for name, value in other.counters.items():
-            self.count(name, value)
-        for name, h in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                self.histograms[name] = list(h)
-            else:
-                mine[0] += h[0]
-                mine[1] += h[1]
-                mine[2] = min(mine[2], h[2])
-                mine[3] = max(mine[3], h[3])
-        for path, s in other.spans.items():
-            mine = self.spans.get(path)
-            if mine is None:
-                self.spans[path] = list(s)
-            else:
-                mine[0] += s[0]
-                mine[1] += s[1]
 
     def reset(self) -> None:
         self.counters.clear()

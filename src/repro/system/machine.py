@@ -180,9 +180,8 @@ class Machine:
 
     *preloaded_microcode* seeds the microcode cache with completed
     translations before execution starts (ready at cycle 0) — the
-    mechanism behind cross-width retranslation and the persistent
-    fragment store: a fragment translated elsewhere (another process,
-    another width) runs here without the scalar observation pass.
+    mechanism behind cross-width retranslation: a fragment translated
+    at another width runs here without the scalar observation pass.
     Preloading is deliberately **not** a :class:`MachineConfig` field:
     run-cache keys fingerprint the config, and a preloaded fragment must
     produce the same result as translating it locally, so it must not

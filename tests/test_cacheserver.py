@@ -155,8 +155,8 @@ def _racing_store(root_and_tag):
 class TestConcurrentWriters:
     def test_two_processes_one_valid_entry(self, tmp_path):
         """Two processes racing ``store()`` on one key: exactly one
-        winner, and the surviving entry is intact (the fragment store's
-        first-writer-wins guarantee, ported to the run cache)."""
+        winner, and the surviving entry is intact (first writer
+        wins)."""
         root = str(tmp_path / "raced")
         with ProcessPoolExecutor(max_workers=2) as pool:
             outcomes = list(pool.map(_racing_store,

@@ -5,8 +5,8 @@ Five angles on ``repro/codegen/``:
 * **Determinism** — lifting the same fragment bytes and lowering them
   through the numpy backend must produce byte-identical generated
   source, every time (a property test over real translated fragments;
-  the fragment store and the machine's per-run fragment tables both
-  rely on content-keyed reuse being safe).
+  the machine's per-run fragment tables rely on content-keyed reuse
+  being safe).
 
 * **Coverage** — every :class:`~repro.codegen.ir.IRKind` member must
   be exercised by at least one lifted paper kernel, mirroring the

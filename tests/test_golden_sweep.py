@@ -23,6 +23,12 @@ under the old semantics) and regenerate the file in the same change,
 which makes the drift visible in review::
 
     PYTHONPATH=src python tests/test_golden_sweep.py
+
+It also re-runs the 40 requests of the end-to-end benchmark's
+``serve-cold`` workload (Liquid programs of the fast subset at every
+width, ``repeat_factor`` 2 and 3), most of which ``--all`` never makes,
+against that benchmark's own oracle, ``benchmarks/e2e/expected.json``.
+This module only reads that file.
 """
 
 from __future__ import annotations
@@ -32,22 +38,31 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.evaluation.cli import EXPERIMENTS, _prefetch_requests, build_parser
+from repro.evaluation.cli import (
+    EXPERIMENTS,
+    FAST_SUBSET,
+    _prefetch_requests,
+    build_parser,
+)
 from repro.evaluation.experiments import (
     DEFAULT_WIDTHS,
     EvalContext,
     figure6_requests,
 )
 from repro.evaluation.runcache import CACHE_FORMAT_VERSION, entry_payload
-from repro.evaluation.runner import RunScheduler
+from repro.evaluation.runner import RunRequest, RunScheduler
 from repro.evaluation.shard import _request_meta, run_sweep
 from repro.kernels.suite import BENCHMARK_ORDER
+from repro.simd.accelerator import config_for_width
 from repro.system.machine import MachineConfig
 
 GOLDEN = (Path(__file__).resolve().parent.parent
           / "benchmarks" / "GOLDEN_sweep.json")
 
 REGENERATE = "PYTHONPATH=src python tests/test_golden_sweep.py"
+
+#: The end-to-end benchmark's oracle, regenerated only by its harness.
+E2E_EXPECTED = GOLDEN.parent / "e2e" / "expected.json"
 
 #: The manifest fields that are pure functions of the code: provenance,
 #: wall times and cache statistics are left out.
@@ -163,6 +178,41 @@ def test_evaluate_all_matches_golden_results():
     assert fresh["entries"] == golden["entries"], _drift_message(
         "the rest of `repro evaluate --all`", golden["entries"],
         fresh["entries"])
+
+
+def _e2e_digest(result) -> str:
+    """The digest ``E2E_EXPECTED``'s note defines: sha256 of the
+    telemetry-stripped ``RunResult.to_dict()`` as sorted-key compact
+    JSON."""
+    wire = result.to_dict()
+    wire.pop("telemetry", None)
+    return hashlib.sha256(json.dumps(
+        wire, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    ).hexdigest()
+
+
+def test_serve_cold_runs_match_the_e2e_oracle():
+    with E2E_EXPECTED.open(encoding="utf-8") as handle:
+        oracle = json.load(handle)["runs"]
+    requests = {
+        f"liquid/{name}/w{width}/x{repeat}": RunRequest(
+            name, "liquid",
+            MachineConfig(accelerator=config_for_width(width)),
+            repeat_factor=repeat)
+        for name in FAST_SUBSET for width in DEFAULT_WIDTHS
+        for repeat in (2, 3)}
+    results = RunScheduler(jobs=1).run_many(requests.values())
+    moved = []
+    for run_id, request in requests.items():
+        result = results[request]
+        fresh = {"cycles": result.cycles, "sha256": _e2e_digest(result)}
+        if oracle.get(run_id) != fresh:
+            moved.append(f"  {run_id}: {oracle.get(run_id)} -> {fresh}")
+    assert len(requests) == 40
+    assert not moved, (
+        f"serve-cold results differ from {E2E_EXPECTED.name}:\n"
+        + "\n".join(moved) + "\nIf the change is intended, regenerate "
+        "it with `python3 benchmarks/e2e/run.py --regen-expected` too.")
 
 
 if __name__ == "__main__":

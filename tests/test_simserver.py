@@ -344,8 +344,7 @@ def _counting_worker(log_path, request, encoded):
 
     O_APPEND writes are atomic at this size, so concurrent workers (or
     racing requests, if single-flight ever broke) each leave exactly
-    one line — the same counting idiom as the fragment-store race
-    tests, moved to the service layer.
+    one line.
     """
     with open(log_path, "a") as log:
         log.write(f"{request.benchmark}\n")

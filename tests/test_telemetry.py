@@ -1,7 +1,7 @@
 """Unit and differential tests for the observability registry.
 
 Covers the recording :class:`Telemetry` primitives (counters,
-histograms, nested spans, JSON round-trip, merge, per-run markers), the
+histograms, nested spans, JSON round-trip, per-run markers), the
 :class:`NullTelemetry` shim's API parity, and — the load-bearing
 property — that enabling telemetry changes *nothing* about simulation
 results: identical cycle counts, identical run-cache keys, and
@@ -18,7 +18,7 @@ from repro.codegen import emit
 from repro.core.scalarize import build_baseline_program, build_liquid_program
 from repro.evaluation.cli import FAST_SUBSET
 from repro.evaluation.crosswidth import crosswidth_differential
-from repro.evaluation.runcache import FragmentStore, RunCache, run_key
+from repro.evaluation.runcache import RunCache, run_key
 from repro.evaluation.simserver import SimServer
 from repro.interp.state import MachineState
 from repro.interp.turbo import superblock_table_for
@@ -105,16 +105,10 @@ class TestSerialization:
         return t
 
     def test_json_round_trip(self):
-        t = self._populated()
-        wire = json.loads(json.dumps(t.to_dict()))
-        assert Telemetry.from_dict(wire).to_dict() == t.to_dict()
-
-    def test_merge_folds_everything(self):
-        a, b = self._populated(), self._populated()
-        a.merge(b)
-        assert a.counters == {"a": 6, "b.c": 2}
-        assert a.histograms["h"] == [4, 14.0, 2.5, 4.5]
-        assert a.spans["s"][0] == 2
+        """``to_dict()`` is JSON-safe and loses nothing through
+        ``json.dumps``/``json.loads`` (``repro telemetry --json``)."""
+        wire = self._populated().to_dict()
+        assert json.loads(json.dumps(wire)) == wire
 
     def test_render_text_lists_counters(self):
         text = self._populated().render_text()
@@ -437,9 +431,9 @@ def _catalog_patterns():
 def test_emitted_counters_are_cataloged(tmp_path):
     """Every counter a telemetry-on corpus emits has a row in
     ``docs/observability.md``'s catalog: the fast subset's Liquid w8
-    and baseline runs, one run-cache store and load, a cold and a warm
-    FIR w4 -> w8 cross-width differential through a fragment store,
-    and one ``repro serve`` cold and warm request."""
+    and baseline runs, one run-cache store and load, one FIR w4 -> w8
+    cross-width differential, and one ``repro serve`` cold and warm
+    request."""
     tel = telemetry.enable()
     try:
         for name in FAST_SUBSET:
@@ -451,10 +445,7 @@ def test_emitted_counters_are_cataloged(tmp_path):
         cache = RunCache(tmp_path / "runs")
         cache.store("0" * 64, result)
         assert cache.load("0" * 64) is not None
-        fragments = FragmentStore(tmp_path / "fragments")
-        for _ in ("cold", "warm"):
-            assert crosswidth_differential("FIR", 4, 8, engines=("fast",),
-                                           store=fragments)["ok"]
+        assert crosswidth_differential("FIR", 4, 8, engines=("fast",))["ok"]
         server = SimServer(jobs=1, cache=RunCache(tmp_path / "served"))
         server.start()
         try:
@@ -467,7 +458,6 @@ def test_emitted_counters_are_cataloged(tmp_path):
         telemetry.disable()
     patterns = _catalog_patterns()
     assert {"serve.cold", "serve.hits", "runcache.stores",
-            "fragstore.miss", "fragstore.store", "fragstore.hit",
             "retranslate.attempts", "machine.preloaded_fragments"} <= emitted
     missing = sorted(name for name in emitted
                      if not any(p.match(name) for p in patterns))
