@@ -2,7 +2,9 @@
 
 :func:`emit_fused_block` lowers a :class:`~repro.codegen.ir.BlockSpec`
 superblock (lifted by :func:`repro.codegen.lift.lift_superblock`) into
-the fast engine's fused ``run(state)`` executor, and
+the fast engine's fused ``run(state)`` executor, or, for a block that
+loops on itself, its window closure
+``run(state, limit, window) -> (trips, taken)``, and
 :func:`emit_loop_timing` emits the whole-window
 ``_loop(pipe, trips, lats, last_taken)`` timing closure
 :meth:`~repro.pipeline.core.PipelineModel.account_loop` compiles for a
@@ -18,6 +20,9 @@ The emitted code is semantically unchanged from the inline versions:
   banks and memory buffer it hoists, stepping the reference executor
   for the rest, and restores ``state.pc`` and the retired count on a
   fault;
+* the window closure runs the same lines trip after trip in one
+  ``while`` loop, with the registers and flags they name held in
+  locals for the whole window (written back on exit and on a fault);
 * the loop-timing closure wraps ``account_block``'s row arithmetic in
   a per-trip loop with the taken/.../taken/``last_taken`` branch
   pattern, consuming the window's replayed D-cache latencies and a
@@ -30,7 +35,9 @@ fused instruction, by the path it was emitted on.
 
 from __future__ import annotations
 
+import re
 import struct
+from array import array
 from typing import Dict, List
 
 import numpy as np
@@ -67,6 +74,11 @@ _COND_EXPRS = {
     "gt": 'flags["gt"]',
     "ge": 'flags["gt"] or flags["eq"]',
 }
+
+#: A register-bank subscript -- ``ints['r2']``, ``floats['f1']``,
+#: ``flags["lt"]`` -- the only way an emitted line names a register or
+#: flag.  A window closure rewrites each to a local of the same name.
+_BANK_REF = r"""\b(ints|floats|flags)\[['"](\w+)['"]\]"""
 
 #: Integer ops whose :data:`~repro.isa.decoded._INT_ALU_FAST` form is
 #: ``_w32(expr)``, as an expression template: the inline form tests the
@@ -253,7 +265,9 @@ def _inline_lines(pc: int, instr: Instruction, ns: dict, state):
     live register banks (dict identity is stable for the whole run:
     :class:`~repro.isa.registers.RegisterFile` mutates its banks in
     place, never rebinding them) and, for memory accesses, ``buf``
-    bound to the memory's byte buffer.  Each inline form is only used
+    bound to the memory's byte buffer.  They name a register or flag
+    only as a bank subscript (:data:`_BANK_REF`), which a window
+    closure turns into a local.  Each inline form is only used
     under exactly the conditions for which it computes what the
     reference executor computes, by the same (documented) identities.
     *state* is the run's :class:`~repro.interp.state.MachineState`,
@@ -292,7 +306,9 @@ def _inline_lines(pc: int, instr: Instruction, ns: dict, state):
             return ([f"v = {expr.format(a=a, b=b)}",
                      f"ints[{d!r}] = v if {_I32_MIN} <= v <= {_I32_MAX} "
                      f"else _w32(v)"], {"ints"})
-        fn = f"f{pc}"
+        # Underscored: a window closure's locals take register names,
+        # ``f0``..``f15`` among them.
+        fn = f"_alu{pc}"
         ns[fn] = fast
         return [f"ints[{d!r}] = {fn}({a}, {b})"], {"ints"}
 
@@ -402,8 +418,20 @@ def _inline_lines(pc: int, instr: Instruction, ns: dict, state):
         # binary64 +/-/* of binary32 operands followed by one rounding
         # to binary32 is correctly rounded (2p+2 <= 53): identical to
         # the reference's float32 arithmetic (float registers always hold
-        # exact binary32 values: every write path rounds).
-        return ([f"floats[{d!r}] = float(_f32({a} {py_sym} {b}))"],
+        # exact binary32 values: every write path rounds).  A store into
+        # the block's one-element array('f') ``_r`` is that rounding:
+        # the C double-to-float conversion np.float32 also makes.  Which
+        # NaN payload survives depends on the operand order the
+        # arithmetic uses, so a NaN result comes from the reference's
+        # own float_op.
+        ns.setdefault("_r", array("f", (0.0,)))
+        ns["_fop"] = arith.float_op
+        return ([f"v = {a} {py_sym} {b}",
+                 "if v == v:",
+                 "    _r[0] = v",
+                 f"    floats[{d!r}] = _r[0]",
+                 "else:",
+                 f"    floats[{d!r}] = _fop({opcode!r}, {a}, {b})"],
                 {"floats"})
 
     if not spec.is_vector and cls in (InstrClass.LOAD, InstrClass.STORE):
@@ -423,6 +451,17 @@ def emit_fused_block(spec: BlockSpec, table):
     taken flag (None for other terminators); ``mem`` holds the block's
     effective addresses in execution order after each run.
 
+    A block whose inline closing branch targets its own entry (a
+    self-loop) compiles instead to a window closure,
+    ``run(state, limit, window) -> (trips, taken)``, and ``mem`` is
+    None.  It runs trips of the same lines in one ``while`` loop until
+    the branch falls through or *limit* trips have run, appends every
+    trip's effective addresses to *window*, and returns the trip count
+    and the last trip's taken flag.  The registers and flags its lines
+    name live in locals for the whole window: loaded on entry, written
+    back on exit and on a fault.  A block that steps the executor keeps
+    them in the banks, where the step reads and writes them.
+
     A shape the emitter does not inline is one step of the reference
     :class:`~repro.interp.executor.Executor` on the block's own
     :class:`~repro.isa.instructions.Instruction`: the block sets
@@ -433,11 +472,11 @@ def emit_fused_block(spec: BlockSpec, table):
 
     Only the block's own objects and module-level helpers (the
     ``Executor`` class among them) are bound into the closure's
-    namespace, never anything run-sized (memory, its buffer, the state
-    or its symbol table): ``exec`` ties the namespace and the function
-    into a reference cycle, which would keep them alive past the run
-    until the cyclic collector ran.  Whatever the body needs of the
-    run's state it reads from the ``state`` argument, or was folded
+    namespace, never anything run-sized (memory, its buffer, the state,
+    its symbol table or a window): ``exec`` ties the namespace and the
+    function into a reference cycle, which would keep them alive past
+    the run until the cyclic collector ran.  Whatever the body needs of
+    the run's state it reads from the ``state`` argument, or was folded
     into a literal at fuse time.
 
     Telemetry: ``codegen.superblock.inline`` counts the instructions
@@ -451,10 +490,22 @@ def emit_fused_block(spec: BlockSpec, table):
     pcs = spec.pcs
     term = spec.term
     blen = spec.blen
+    if term:
+        tpc = pcs[-1]
+        instr = instructions[tpc]
+    inline_branch = loop = False
+    if term == 1:
+        target, terr = _resolve_target(table.program, instr.target)
+        cond_expr = (_COND_EXPRS.get(instr.opcode[1:])
+                     if instr.opcode != "b" else None)
+        inline_branch = terr is None and (instr.opcode == "b"
+                                          or cond_expr is not None)
+        loop = inline_branch and target == entry
 
-    mem: List[int] = []
-    ns = {"_m": mem.append, "_c": mem.clear, "_f32": np.float32,
-          "_w32": _w32}
+    mem = None if loop else []
+    ns = {"_f32": np.float32, "_w32": _w32}
+    if mem is not None:
+        ns.update(_m=mem.append, _c=mem.clear)
     body: List[str] = []
     hoists = set()
     has_mem = False
@@ -490,17 +541,18 @@ def emit_fused_block(spec: BlockSpec, table):
             chain(pc)
 
     retired = f"state.instructions_retired = n0 + {blen}"
-    if term:
-        tpc = pcs[-1]
-        instr = instructions[tpc]
-    if term == 1:
-        target, terr = _resolve_target(table.program, instr.target)
-        cond_expr = (_COND_EXPRS.get(instr.opcode[1:])
-                     if instr.opcode != "b" else None)
-        if terr is None and instr.opcode == "b":
+    if loop:
+        if cond_expr is not None:
+            hoists.add("flags")
+        body += ["trips += 1",
+                 "if trips >= limit:" if cond_expr is None
+                 else f"if not ({cond_expr}) or trips >= limit:",
+                 "    break"]
+    elif term == 1:
+        if inline_branch and instr.opcode == "b":
             body += [f"p = {tpc}", f"state.pc = {target}", retired,
                      "return True"]
-        elif terr is None and cond_expr is not None:
+        elif inline_branch:
             hoists.add("flags")
             body += [f"p = {tpc}",
                      f"if {cond_expr}:",
@@ -535,23 +587,30 @@ def emit_fused_block(spec: BlockSpec, table):
     else:
         body += [f"state.pc = {spec.exit_pc}", retired, "return None"]
 
-    src = ["def _fused(state):"]
-    if has_mem or "buf" in hoists:
-        src.append("    _c()")
-    src.append("    n0 = state.instructions_retired")
-    src.append(f"    p = {entry}")
-    src.append("    try:")
-    for bank in ("ints", "floats", "flags"):
-        if bank in hoists:
-            src.append(f"        {bank} = state.regs.{bank}")
-    if "buf" in hoists:
-        src.append("        buf = state.memory._bytes")
-    for line in body:
-        src.append("        " + line)
-    src += ["    except BaseException:",
-            "        state.pc = p",
-            f"        state.instructions_retired = n0 + p - {entry}",
-            "        raise"]
+    appends = has_mem or "buf" in hoists
+    if loop:
+        exit_lines = [f"taken = {cond_expr or True}",
+                      f"state.pc = {target} if taken else {tpc + 1}"]
+        src = _window_source(body, exit_lines, hoists, appends,
+                             not chained, entry, blen)
+    else:
+        src = ["def _fused(state):"]
+        if appends:
+            src.append("    _c()")
+        src.append("    n0 = state.instructions_retired")
+        src.append(f"    p = {entry}")
+        src.append("    try:")
+        for bank in ("ints", "floats", "flags"):
+            if bank in hoists:
+                src.append(f"        {bank} = state.regs.{bank}")
+        if "buf" in hoists:
+            src.append("        buf = state.memory._bytes")
+        for line in body:
+            src.append("        " + line)
+        src += ["    except BaseException:",
+                "        state.pc = p",
+                f"        state.instructions_retired = n0 + p - {entry}",
+                "        raise"]
     fused = _emit.compile_closure(
         "\n".join(src),
         _emit.closure_filename("superblock", spec.label, entry),
@@ -563,6 +622,58 @@ def emit_fused_block(spec: BlockSpec, table):
     for opcode, count in chained.items():
         tel.count("codegen.superblock.chained." + opcode, count)
     return fused, mem
+
+
+def _window_source(body: List[str], exit_lines: List[str], hoists,
+                   appends: bool, local: bool, entry: int,
+                   blen: int) -> List[str]:
+    """Source lines of a self-loop block's window closure: *body* (one
+    trip, ending in the ``break`` test) as the body of a ``while`` loop,
+    then *exit_lines*, which set ``taken`` and ``state.pc``.
+
+    With *local*, every bank subscript in those lines becomes a local of
+    the register's or flag's own name, loaded once before the loop and
+    written back once after it, on a fault too.
+    """
+    names: Dict[str, str] = {}  # register or flag -> bank, first use
+
+    def to_local(match) -> str:
+        bank, name = match.groups()
+        names.setdefault(name, bank)
+        return name
+
+    if local:
+        body = [re.sub(_BANK_REF, to_local, line) for line in body]
+        exit_lines = [re.sub(_BANK_REF, to_local, line)
+                      for line in exit_lines]
+    src = ["def _fused(state, limit, window):"]
+    if appends:
+        src.append("    _m = window.append")
+    src.append("    n0 = state.instructions_retired")
+    for bank in ("ints", "floats", "flags"):
+        if bank in hoists:
+            src.append(f"    {bank} = state.regs.{bank}")
+    if "buf" in hoists:
+        src.append("    buf = state.memory._bytes")
+    src += [f"    {name} = {bank}[{name!r}]" for name, bank in names.items()]
+    src += ["    trips = 0",
+            f"    p = {entry}",
+            "    try:",
+            "        while True:"]
+    src += ["            " + line for line in body]
+    src += ["    except BaseException:",
+            "        state.pc = p",
+            f"        state.instructions_retired = "
+            f"n0 + trips * {blen} + p - {entry}",
+            "        raise"]
+    if names:
+        src.append("    finally:")
+        src += [f"        {bank}[{name!r}] = {name}"
+                for name, bank in names.items()]
+    src += ["    " + line for line in exit_lines]
+    src += [f"    state.instructions_retired = n0 + trips * {blen}",
+            "    return trips, taken"]
+    return src
 
 
 def emit_loop_timing(timing, *, icache_hit: int, dcache_hit: int,

@@ -31,8 +31,9 @@ each into one *fused* closure:
 * **Event-free inline retirement.**  An inline instruction builds no
   ``RetireEvent`` (a chained executor call builds its one event).
   Memory operations append their effective address to a per-block list
-  (reused across executions), the closing branch returns its taken
-  flag, and the pipeline consumes the pre-extracted per-block
+  (reused across executions; a window closure appends to the window's
+  own list), the closing branch returns its taken flag, and the
+  pipeline consumes the pre-extracted per-block
   :class:`~repro.pipeline.core.BlockTiming` via one
   :meth:`~repro.pipeline.core.PipelineModel.account_block` call, whose
   row loop charges every block (no timing code is compiled per block).
@@ -45,16 +46,21 @@ each into one *fused* closure:
   The machine checks a block against the translator through the
   lift-only :meth:`SuperblockTable.spec_at`, so a block it keeps
   observing is never compiled.
-* **One timing call per window of a hot loop.**  A block whose closing
-  branch targets its own entry (``FusedBlock.self_loop``) is re-run by
-  the machine trip after trip, and a whole window of trips is charged
-  with one :meth:`~repro.pipeline.core.PipelineModel.account_loop`
-  call over the window's address stream.
+* **One call per window of a hot loop.**  A block whose closing
+  branch targets its own entry (``FusedBlock.self_loop``) compiles to
+  a window closure that runs a whole window of trips in one generated
+  ``while`` loop, with the registers and flags it names held in locals
+  for the whole window.  The machine calls it once per window and
+  charges the window with one
+  :meth:`~repro.pipeline.core.PipelineModel.account_loop` call over
+  the window's address stream.
 
 Error fidelity is preserved exactly: a fused closure that faults
-restores ``state.pc`` to the faulting instruction and
-``instructions_retired`` to the completed prefix before re-raising, so
-diagnostics match the per-instruction engines.  An inline load or store
+writes back the registers it holds in locals and restores ``state.pc``
+to the faulting instruction and ``instructions_retired`` to the
+completed prefix (every finished trip of a window included) before
+re-raising, so diagnostics and registers match the per-instruction
+engines.  An inline load or store
 whose bounds or read-only test fails calls ``Memory._check_load`` /
 ``_check_store`` to raise, so the exception and its text come from
 :class:`~repro.memory.memory.Memory` itself.  A malformed instruction
@@ -70,7 +76,7 @@ from repro.codegen.lift import lift_superblock
 from repro.codegen.superblock import emit_fused_block
 from repro.interp.macro import build_fragment_plan
 from repro.interp.state import MachineState
-from repro.isa.decoded import DecodedProgram, _resolve_target, predecode
+from repro.isa.decoded import DecodedProgram, predecode
 from repro.pipeline.core import BlockTiming
 
 
@@ -95,17 +101,21 @@ class FusedBlock:
     :meth:`~repro.pipeline.core.PipelineModel.account_block` together
     with ``timing``.
 
-    ``self_loop`` marks a block whose closing branch targets its own
-    entry: a taken trip lands back on this very block, so the machine
-    keeps running trips and charges a whole window of them with one
-    :meth:`~repro.pipeline.core.PipelineModel.account_loop`.
+    ``self_loop`` marks a block whose inline closing branch targets its
+    own entry.  Its ``run`` is the window closure
+    ``run(state, limit, window) -> (trips, taken)``: it runs trips until
+    the branch falls through or *limit* trips have run, appending their
+    effective addresses to the caller's fresh *window* list, and the
+    machine charges the window with one
+    :meth:`~repro.pipeline.core.PipelineModel.account_loop` (one
+    ``account_block`` for a single trip).  Its ``mem`` is None.
     ``returns`` marks a block that ends in ``ret``: run during an
     observed call, it finishes the translation.
     """
 
     __slots__ = ("run", "mem", "timing", "count", "self_loop", "returns")
 
-    def __init__(self, run, mem: List[int], timing: BlockTiming,
+    def __init__(self, run, mem: Optional[List[int]], timing: BlockTiming,
                  self_loop: bool = False, returns: bool = False) -> None:
         self.run = run
         self.mem = mem
@@ -207,14 +217,6 @@ class SuperblockTable:
 
     # -- internals ----------------------------------------------------------
 
-    def _self_loop(self, spec: BlockSpec) -> bool:
-        """Does the block's closing branch target its own entry?"""
-        if spec.term != 1:
-            return False
-        target, _err = _resolve_target(
-            self.program, self.instructions[spec.pcs[-1]].target)
-        return target == spec.entry
-
     def _build(self, entry: int) -> FusedBlock:
         self.compiles += 1
         spec = self.spec_at(entry)
@@ -222,7 +224,7 @@ class SuperblockTable:
         run, mem = emit_fused_block(spec, self)
         returns = (spec.term == 2
                    and self.instructions[spec.pcs[-1]].opcode == "ret")
-        return FusedBlock(run, mem, timing, self._self_loop(spec), returns)
+        return FusedBlock(run, mem, timing, mem is None, returns)
 
 
 # ---------------------------------------------------------------------------

@@ -273,12 +273,13 @@ class Machine:
         ]
         # Fast engine: fuse straight-line runs into superblocks executed
         # with one dispatch and one account_block() call, or — for a
-        # block that loops on itself — one account_loop() call per
-        # window of trips.  A tracer needs every RetireEvent, so tracing
-        # disables fusion wholesale.  While a translation is in flight,
-        # a block runs fused only from a block entry (right after a
-        # control transfer retired, or as the translation begins) and
-        # only when the translator ignores every pc in it
+        # block that loops on itself — one call of its window closure
+        # and one account_loop() call per window of trips.  A tracer
+        # needs every RetireEvent, so tracing disables fusion
+        # wholesale.  While a translation is in flight, a block runs
+        # fused only from a block entry (right after a control
+        # transfer retired, or as the translation begins) and only
+        # when the translator ignores every pc in it
         # (DynamicTranslator.ignores): those retirements would change
         # nothing it computes.  Everything else it observes takes the
         # per-instruction path through the reference executor, whose
@@ -314,35 +315,32 @@ class Machine:
                 # path so the step-limit error fires at the exact
                 # instruction it would under the reference engine.
                 if steps + count <= max_steps:
-                    steps += count
-                    window = None
                     try:
-                        taken = block.run(state)
-                        if taken and block.self_loop:
-                            # The taken branch re-entered this block:
-                            # run trips until it falls through, the
-                            # window cap, or the last trip max_steps
-                            # allows; then charge the window at once.
-                            run = block.run
+                        if block.self_loop:
+                            # One call runs the window: trips until the
+                            # branch falls through, the window cap, or
+                            # the last trip max_steps allows.  The fresh
+                            # list takes the window's addresses and is
+                            # dropped once charged.
+                            mem = []
+                            trips, taken = block.run(
+                                state, min(LOOP_WINDOW_TRIPS,
+                                           (max_steps - steps) // count),
+                                mem)
+                        else:
                             mem = block.mem
-                            window = mem[:]
                             trips = 1
-                            limit = min(LOOP_WINDOW_TRIPS,
-                                        1 + (max_steps - steps) // count)
-                            while taken and trips < limit:
-                                taken = run(state)
-                                window += mem
-                                trips += 1
+                            taken = block.run(state)
                     except (ExecutionError, MemoryError_) as exc:
                         raise MachineError(
                             f"{program.name} @pc={state.pc}: {exc}"
                         ) from exc
-                    if window is None:
-                        account_block(block.timing, block.mem, taken)
+                    steps += trips * count
+                    if trips == 1:
+                        account_block(block.timing, mem, taken)
                     else:
-                        steps += (trips - 1) * count
-                        fallback = account_loop(block.timing, trips,
-                                                window, taken)
+                        fallback = account_loop(block.timing, trips, mem,
+                                                taken)
                         if tel_on:
                             tel.count("turbo.loop.windows")
                             tel.observe("turbo.loop.trips", trips)

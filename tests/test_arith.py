@@ -1,5 +1,10 @@
 """Unit tests for the shared arithmetic semantics."""
 
+import math
+import random
+import struct
+from array import array
+
 import pytest
 
 from repro import arith
@@ -88,6 +93,45 @@ class TestFloat:
     def test_unknown_float_op(self):
         with pytest.raises(ValueError):
             arith.float_op("fxyz", 1.0, 2.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_array_rounding_matches_f32(self):
+        """A store into a one-element ``array('f')``, the fused blocks'
+        binary32 rounding, gives ``arith.f32``'s double bit for bit:
+        random bit patterns, uniform values, ties halfway between
+        neighbouring binary32 values (normal and subnormal), overflow to
+        infinity, and quiet and signalling NaN payloads."""
+        rng = random.Random(27)
+
+        def double(bits):
+            return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+        def single(bits):
+            return struct.unpack("<f", struct.pack("<I", bits))[0]
+
+        values = [double(rng.getrandbits(64)) for _ in range(20000)]
+        values += [rng.uniform(-3.5e38, 3.5e38) for _ in range(5000)]
+        values += [rng.uniform(-1e-37, 1e-37) for _ in range(5000)]
+        for _ in range(5000):
+            # Below the largest finite binary32, and subnormal.
+            low = rng.choice((rng.randrange(0x7F7FFFFF),
+                              rng.randrange(0x7FFFFF)))
+            sign = rng.getrandbits(1) << 31
+            tie = (single(sign | low) + single(sign | (low + 1))) / 2
+            values += [tie, math.nextafter(tie, 0.0),
+                       math.nextafter(tie, math.copysign(math.inf, tie))]
+        top = (single(0x7F7FFFFF) + 2.0 ** 128) / 2
+        values += [top, math.nextafter(top, 0.0), -top, 1e39, -1e300,
+                   math.inf, -math.inf, 0.0, -0.0, 5e-324]
+        for payload in (0, 1, 0x12345, 1 << 28, 1 << 29, (1 << 51) - 1):
+            for head in (0x7FF8, 0x7FF0, 0xFFF8, 0xFFF0):
+                if head & 0x8 or payload:
+                    values.append(double(head << 48 | payload))
+        cell = array("f", (0.0,))
+        for value in values:
+            cell[0] = value
+            assert struct.pack("<d", cell[0]) == \
+                struct.pack("<d", arith.f32(value)), value
 
 
 class TestFloatBits:

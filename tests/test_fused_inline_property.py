@@ -1,13 +1,15 @@
 """Property battery: the fused block's inline shapes vs. the reference.
 
 The superblock emitter (``repro.codegen.superblock._inline_lines``) runs
-scalar loads and stores, ``fmax``/``fmin``/``fabs``/``fneg``,
-conditional moves, wrapping ``add``/``sub`` and the float-register mask
-idiom (``and``/``orr``) as straight Python over register banks and the
-memory buffer hoisted once per block, with symbol bases, the memory
-size and its read-only ranges folded into literals at fuse time.  Each
-inline form claims to compute exactly what the reference executor
-step it replaces computes; every other shape is such a step.
+scalar loads and stores, ``fadd``/``fsub``/``fmul``,
+``fmax``/``fmin``/``fabs``/``fneg``, conditional moves, wrapping
+``add``/``sub`` and the float-register mask idiom (``and``/``orr``) as
+straight Python over register banks (or, in a self-loop's window
+closure, locals) and the memory buffer hoisted once per block, with
+symbol bases, the memory size and its read-only ranges folded into
+literals at fuse time.  Each inline form claims to compute exactly
+what the reference executor step it replaces computes; every other
+shape is such a step.
 
 Hypothesis generates self-loop bodies drawn from every one of those
 shapes (each load/store opcode and signedness, symbol and register
@@ -22,9 +24,10 @@ count) or the same ``MachineError`` text.
 The fixed cases fault on a late trip of a self-loop window -- a store
 into ``.rodata``, a store past the end of memory, a negative-address
 load, a store fault after a chained executor step has counted itself
-retired -- and on an undefined symbol, which must stay an executor
-step.  Each must leave the reference's pc, retired count and
-message.
+retired, a fault after an all-inline window has advanced an integer
+register, a float accumulator and the flags -- and on an undefined
+symbol, which must stay an executor step.  Each must leave the
+reference's pc, retired count, message, registers and flags.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import contextlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.system.machine as machine_module
 from repro import arith
@@ -130,7 +133,8 @@ def compares(draw) -> str:
 
 @st.composite
 def float_ops(draw) -> str:
-    opcode = draw(st.sampled_from(("fmax", "fmin", "fabs", "fneg")))
+    opcode = draw(st.sampled_from(("fmax", "fmin", "fabs", "fneg", "fadd",
+                                   "fsub", "fmul")))
     dst, a = draw(float_regs), draw(float_regs)
     if opcode in ("fabs", "fneg"):
         return f"{opcode} {dst}, {a}"
@@ -212,6 +216,12 @@ def _outcome(program, engine: str):
 @given(data=st.lists(words, min_size=WORDS, max_size=WORDS),
        body=st.lists(body_instructions, min_size=1, max_size=12),
        trips=st.integers(1, MAX_TRIPS))
+# f1..f5 load five NaNs with distinct payloads.  The reference's
+# float32 arithmetic keeps the second operand's payload; Python's
+# binary64 ``+``/``*`` may keep either (CPython keeps the first once it
+# has specialized the operation, some trips in).
+@example(data=[_signed(b) for b in (SPECIAL_BITS * 2)[:WORDS]],
+         body=["fadd f3, f1, f2", "fmul f4, f2, f5"], trips=16)
 @settings(max_examples=150, deadline=None)
 def test_inline_shapes_match_reference(data, body, trips):
     program = assemble(_program_source(data, body, trips))
@@ -251,15 +261,18 @@ def _pair_loop(values, body, outputs) -> str:
 def test_float_shapes_on_every_special_pair():
     """``fmax``/``fmin`` ties between signed zeros and NaNs in either
     operand, ``fabs``/``fneg`` of every special, immediates that tie
-    with or round differently from the register value, and the mask
-    idiom with every special as the mask (``0``, all-ones, sign-only
-    and abs among them) or as the second float."""
+    with or round differently from the register value, the mask idiom
+    with every special as the mask (``0``, all-ones, sign-only and abs
+    among them) or as the second float, and ``fadd``/``fsub``/``fmul``
+    rounding, overflowing, and choosing between two NaN payloads."""
     ops = [("fmax f3, f1, f2", "MX"), ("fmin f3, f1, f2", "MN"),
            ("fmax f3, f1, #-0.0", "MXZ"), ("fmin f3, f1, #0.0", "MNZ"),
            ("fmax f3, f1, #0.1", "MXI"), ("fmin f3, f2, #-8.0", "MNI"),
            ("fabs f3, f1", "AB"), ("fneg f3, f2", "NG"),
            ("and f3, f1, r3", "AM"), ("orr f3, f1, r3", "OM"),
-           ("orr f3, f1, f2", "OF")]
+           ("orr f3, f1, f2", "OF"), ("fadd f3, f1, f2", "AD"),
+           ("fsub f3, f1, f2", "SB"), ("fmul f3, f1, f2", "ML"),
+           ("fadd f3, f1, #0.1", "ADI"), ("fmul f3, f2, #3.4e38", "MLI")]
     body = []
     for instr, out in ops:
         body += [instr, f"stf f3, [{out} + r0]"]
@@ -322,7 +335,8 @@ def test_non_finite_immediates_take_the_generic_path():
 
 
 def _fault(source: str, engine: str, monkeypatch):
-    """(exception type, message, pc, retired) of a faulting run."""
+    """(exception type, message, pc, retired, registers, flags) of a
+    faulting run."""
     states = []
     real_state = machine_module.MachineState
 
@@ -336,7 +350,8 @@ def _fault(source: str, engine: str, monkeypatch):
         Machine(MachineConfig(engine=engine)).run(assemble(source))
     state = states[0]
     return (type(info.value).__name__, str(info.value), state.pc,
-            state.instructions_retired)
+            state.instructions_retired, state.regs.snapshot(),
+            dict(state.regs.flags))
 
 
 def _walk(access: str, start: str, step: int, trips: int = 64,
@@ -363,6 +378,12 @@ FAULTS = {
     "negative-address-load": _walk("ldw r3, [r1 + #0]", "#12", -4),
     # Address 30 - 2 * trip: negative on trip 17.
     "negative-index-load": _walk("ldh r3, [r1 + r0]", "#30", -4),
+    # Every instruction inline: the trip counter, a float accumulator
+    # and the flags have advanced by the time the store faults on trip
+    # 17, so the window closure must write its locals back.
+    "inline-state-then-fault": _walk("fadd f1, f1, f2\nstw r2, [A + r1]",
+                                     "#0", 4, data=".rodata K i32 8 = 1")
+    .replace("loop:", "fmov f2, #0.1\nloop:"),
     # The symbol-source move stays an executor step, which counts
     # itself retired before the store faults on trip 17.
     "chained-then-fault": _walk("mov r4, A\nstw r2, [A + r1]", "#0", 1,
@@ -394,6 +415,10 @@ def test_late_trip_fault_matches_reference(case, monkeypatch):
         if case == "chained-then-fault":
             # Once in the entry block, once in the self-loop block.
             assert counters["codegen.superblock.chained.mov"] == 2
+        if case == "inline-state-then-fault":
+            assert not [name for name in counters
+                        if name.startswith("codegen.superblock.chained.")]
+            assert fast[4]["f1"] != 0.0 and fast[5]["lt"]
         assert fast[0] == "MachineError"
         assert fast[3] > 10, "the fault should land on a late trip"
 
