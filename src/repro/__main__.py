@@ -243,6 +243,9 @@ def _serve(cache, host: str, port: int, jobs) -> int:
           f"cache: {backend}; Ctrl-C to stop)")
     # SIGTERM takes the Ctrl-C path: shutdown() stops the pool workers,
     # which would otherwise outlive us holding the listening socket.
+    # SIGINT is set too: under nohup, or as a non-interactive shell's
+    # background job, it arrives ignored.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         while True:

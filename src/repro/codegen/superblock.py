@@ -6,7 +6,7 @@ the fast engine's fused ``run(state)`` executor, or, for a block that
 loops on itself, its window closure
 ``run(state, limit, window) -> (trips, taken)``, and
 :func:`emit_loop_timing` emits the whole-window
-``_loop(pipe, trips, lats, last_taken)`` timing closure
+``_loop(pipe, trips, lats, last_taken, misses)`` timing closure
 :meth:`~repro.pipeline.core.PipelineModel.account_loop` compiles for a
 loop block on its first window (scalar self-loops and fragment loop
 bodies alike).  Both compile their sources through
@@ -25,9 +25,10 @@ The emitted code is semantically unchanged from the inline versions:
   locals for the whole window (written back on exit and on a fault);
 * the loop-timing closure wraps ``account_block``'s row arithmetic in
   a per-trip loop with the taken/.../taken/``last_taken`` branch
-  pattern, consuming the window's replayed D-cache latencies and a
-  constant I-cache hit term, with register ready times and the
-  predictor counter held in locals for the whole window.
+  pattern, consuming the window's D-cache latencies and a constant
+  I-cache hit term, with register ready times and the predictor
+  counter held in locals for the whole window; it jumps over a steady
+  run of all-hit trips arithmetically.
 
 Telemetry: ``codegen.superblock.inline`` / ``.chained.<opcode>`` per
 fused instruction, by the path it was emitted on.
@@ -683,7 +684,7 @@ def emit_loop_timing(timing, *, icache_hit: int, dcache_hit: int,
 
     :meth:`~repro.pipeline.core.PipelineModel.account_block`'s row
     arithmetic, constants baked, wrapped in a per-trip loop:
-    ``_loop(pipe, trips, lats, last_taken)``
+    ``_loop(pipe, trips, lats, last_taken, misses)``
     charges *trips* executions of the block, every trip taken but the
     last, whose outcome is *last_taken*.  ``account_loop`` has already
     advanced both caches, so:
@@ -705,6 +706,22 @@ def emit_loop_timing(timing, *, icache_hit: int, dcache_hit: int,
     method call per trip: a taken branch to an entry at or below it
     mispredicts on counter 0 (on 1 as well when the target is
     forward), a fall-through on any non-zero counter.
+
+    *misses* lists, ascending and ending with *trips*, the trips in
+    which some load's latency is not *dcache_hit*; every other trip is
+    all-hit.  After each all-hit taken trip the closure takes the state
+    relative to ``issue``: the written registers' ready times,
+    ``fetch_ready``, ``last_completion`` and the counter.  When two
+    consecutive such trips leave the same state, each further all-hit
+    taken trip repeats the last one (the row arithmetic is ``max`` and
+    ``+``, so it shifts with ``issue``), and the closure jumps to the
+    trip before the next listed trip or the window's last trip,
+    advancing the times, the written registers and the data-stall sum
+    by the last trip's deltas.  Load-miss cycles and mispredicts stay:
+    the jumped trips hit, and an unchanged counter after a taken branch
+    is saturated.  Registers the rows only read need no place in the
+    state: the first trip issues past each of them, so none stalls a
+    later trip.
     """
     rows = timing.rows
     fetch_extra = icache_hit - 1 if timing.fetch_mode == 1 else 0
@@ -775,11 +792,21 @@ def emit_loop_timing(timing, *, icache_hit: int, dcache_hit: int,
         "mispredicts = 0",
         "k = 0",
         "last = trips - 1",
-        "for _t in range(trips):",
+        "j = 0",
+        "miss = misses[0]",
+        "state = None",
+        "t = 0",
+        "while t < trips:",
     ]
     body += ["    " + line for line in trip]
+    # The issue-relative state after a trip.  Registers the rows only
+    # read are left out: the first trip issues past each of them, so
+    # none stalls a later trip.
+    relative = ", ".join([f"{names[reg]} - issue" for reg in written]
+                         + ["fetch_ready - issue",
+                            "last_completion - issue", "c"])
     body += [
-        "    if _t < last or last_taken:",
+        "    if t < last or last_taken:",
         "        if c < 3:",
         f"            if c < {taken_ok}:",
         "                mispredicts += 1",
@@ -789,6 +816,33 @@ def emit_loop_timing(timing, *, icache_hit: int, dcache_hit: int,
         "        mispredicts += 1",
         f"        fetch_ready = issue + 1 + {penalty}",
         "        c -= 1",
+        "    if t == miss:",
+        "        j += 1",
+        "        miss = misses[j]",
+        "        state = None",
+        "    elif t < last:",
+        f"        now = ({relative})",
+        "        if now == state:",
+        # Every further all-hit taken trip repeats this one.
+        "            n = (miss if miss < last else last) - t - 1",
+        "            if n > 0:",
+        "                d = (issue - base) * n",
+        "                issue += d",
+        "                fetch_ready += d",
+        "                last_completion += d",
+    ]
+    body += [f"                {names[reg]} += d" for reg in written]
+    body += [
+        "                data_stall += (data_stall - stall) * n",
+    ]
+    if mem_index:
+        body.append(f"                k += {mem_index} * n")
+    body += [
+        "                t += n",
+        "        state = now",
+        "        base = issue",
+        "        stall = data_stall",
+        "    t += 1",
         f"pred.set_counter({bpc}, c)",
     ]
     body += [f"reg_ready[{reg!r}] = {names[reg]}" for reg in written]
@@ -810,8 +864,8 @@ def emit_loop_timing(timing, *, icache_hit: int, dcache_hit: int,
                     f"{fetch_extra * len(rows)} * trips")
     if has_load:
         body.append("stats.load_miss_cycles += load_miss")
-    source = _emit.assemble("def _loop(pipe, trips, lats, last_taken):",
-                            body)
+    source = _emit.assemble(
+        "def _loop(pipe, trips, lats, last_taken, misses):", body)
     return _emit.compile_closure(
         source,
         _emit.closure_filename("loop-timing", timing.label,

@@ -17,15 +17,24 @@ against an independent list-based model).  The win over list-based true
 LRU is the hit path: one dict store instead of a recency-list splice,
 with the O(assoc) ``min`` scan paid only on evictions (misses on a full
 set), which are rare by construction for a cache worth modelling.
+
+:meth:`Cache.access_stream` charges a whole stream at once, with no
+per-access loop: by a vectorized residency probe when nothing can be
+evicted, else by each access's LRU stack distance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
+
+#: Positions per block of :meth:`Cache._stack_hits`' dominance
+#: table, and queries per chunk of its exact counts (bounds the
+#: element-wise checks' memory).
+_BLOCK = 64
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -194,10 +203,12 @@ class Cache:
         arrays through a 64-way cache — is resolved with vectorized
         numpy probing: hits are "resident at entry OR touched earlier in
         the stream", final stamps land on each line's last occurrence
-        tick, and the statistics are bulk sums.  Any stream that could
-        evict (per-set occupancy would exceed the associativity) falls
-        back to replaying :meth:`_access_line_number` per line, so the
-        fast path never has to model victim selection.
+        tick, and the statistics are bulk sums.  A stream that could
+        evict (per-set occupancy would exceed the associativity) is
+        resolved by LRU stack distance instead (:meth:`_stack_hits`),
+        also without a per-line loop.  The eviction-free path stays
+        because it is cheaper where it applies;
+        :meth:`_access_line_number` remains the per-access reference.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
         count = int(addrs.shape[0])
@@ -235,25 +246,42 @@ class Cache:
             lines, return_index=True, return_inverse=True)
 
         # Eviction-freedom precondition: for every set, resident lines
-        # plus distinct new lines must fit the associativity.
+        # plus distinct new lines must fit the associativity.  The first
+        # set found over it settles the question.
         resident0 = np.empty(len(uniq), dtype=bool)
         new_per_set: Dict[int, int] = {}
+        fits = True
         for j, line in enumerate(uniq.tolist()):
-            ways = self._stamps[line % num_sets]
+            set_index = line % num_sets
+            ways = self._stamps[set_index]
             hit = (line // num_sets) in ways
             resident0[j] = hit
             if not hit:
+                extra = new_per_set.get(set_index, 0) + 1
+                if len(ways) + extra > self._assoc:
+                    fits = False
+                    break
+                new_per_set[set_index] = extra
+        if fits:
+            first_occurrence = np.zeros(total, dtype=bool)
+            first_occurrence[first_idx] = True
+            hits = resident0[inverse] | ~first_occurrence
+            # State update: every line's final stamp is the tick of its
+            # last occurrence; dirty is set iff any occurrence was a write.
+            tick0 = self._tick
+            last_idx = np.zeros(len(uniq), dtype=np.int64)
+            np.maximum.at(last_idx, inverse, np.arange(total, dtype=np.int64))
+            written = np.zeros(len(uniq), dtype=bool)
+            np.logical_or.at(written, inverse, line_writes)
+            for j, line in enumerate(uniq.tolist()):
                 set_index = line % num_sets
-                new_per_set[set_index] = new_per_set.get(set_index, 0) + 1
-        fits = all(
-            len(self._stamps[s]) + extra <= self._assoc
-            for s, extra in new_per_set.items())
-        if not fits:
-            return self._stream_lines_evicting(lines, line_writes)
-
-        first_occurrence = np.zeros(total, dtype=bool)
-        first_occurrence[first_idx] = True
-        hits = resident0[inverse] | ~first_occurrence
+                tag = line // num_sets
+                self._stamps[set_index][tag] = tick0 + int(last_idx[j]) + 1
+                if written[j]:
+                    self._dirty[set_index].add(tag)
+        else:
+            hits = self._stack_hits(lines, line_writes)
+        self._tick += total
         misses = ~hits
         stats = self.stats
         write_count = int(line_writes.sum())
@@ -261,112 +289,158 @@ class Cache:
         stats.writes += write_count
         stats.read_misses += int((misses & ~line_writes).sum())
         stats.write_misses += int((misses & line_writes).sum())
-
-        # State update: every line's final stamp is the tick of its last
-        # occurrence; dirty is set iff any occurrence was a write.
-        tick0 = self._tick
-        self._tick = tick0 + total
-        last_idx = np.zeros(len(uniq), dtype=np.int64)
-        np.maximum.at(last_idx, inverse, np.arange(total, dtype=np.int64))
-        written = np.zeros(len(uniq), dtype=bool)
-        np.logical_or.at(written, inverse, line_writes)
-        for j, line in enumerate(uniq.tolist()):
-            set_index = line % num_sets
-            tag = line // num_sets
-            self._stamps[set_index][tag] = tick0 + int(last_idx[j]) + 1
-            if written[j]:
-                self._dirty[set_index].add(tag)
         return np.where(hits, self._hit_latency, self._miss_latency)
 
-    def _stream_lines_evicting(self, lines: np.ndarray,
-                               line_writes: np.ndarray) -> np.ndarray:
-        """Sequential replay of an eviction-bearing line stream.
+    def _stack_hits(self, lines: np.ndarray,
+                    line_writes: np.ndarray) -> np.ndarray:
+        """Per-line hit flags of a stream that may evict, by LRU stack
+        distance (Mattson et al., IBM Systems Journal, 1970).
 
-        Bit-identical to calling :meth:`_access_line_number` once per
-        line — same latencies, same victim sequence, same final stamps,
-        dirty bits, tick, and statistics (the property suite pins
-        this) — but tuned for streams that evict on most accesses,
-        which is exactly when the vectorized fast path above bails out
-        (e.g. 179.art's 16 KB arrays streaming through 8 sets).  Two
-        strength reductions over the naive replay:
+        Leaves the stamps, dirty bits and writeback count that calling
+        :meth:`_access_line_number` once per line would (the caller
+        advances the tick and counts the accesses and misses; the
+        property suite pins the whole), with no victim picked one
+        access at a time:
 
-        * Victim selection is a per-set **lazy-deletion heap** of
-          ``(stamp, tag)`` pairs instead of an O(assoc) ``min`` scan.
-          Stamps are strictly increasing and therefore unique, so the
-          smallest non-stale heap entry is exactly the line ``min``
-          would have picked.  A set's heap is built from its resident
-          stamps the first time that set needs a victim; from then on
-          every re-stamp pushes a fresh pair and stale pairs are
-          popped on sight (their stamp no longer matches the live
-          dict), giving O(log assoc) eviction.
-        * Statistics and the generation counter accumulate in locals
-          and are written back once.
+        * each touched set's resident lines go in front of the window,
+          LRU first, as pseudo-accesses, and the extended stream is
+          ordered set-major (stable), so a set's accesses are
+          contiguous;
+        * an access hits iff its line occurred before and fewer than
+          ``assoc`` distinct lines lie strictly between the two
+          occurrences.  A gap below ``assoc`` is a certain hit, no
+          previous occurrence a certain miss; the rest are counted
+          exactly: between positions ``p`` and ``i`` lie
+          ``#{q < i : nxt(q) > i} - #{q < p : nxt(q) > i}`` distinct
+          lines.  The first term is a prefix count of first
+          occurrences, the second a dominance count read from a
+          cumulative table over (block of ``q``, block of ``nxt(q)``)
+          plus element-wise checks of the two partial blocks;
+        * a residency runs from a miss (or a pseudo-access) to the next
+          miss of its line.  A dirty one costs a writeback when it ends
+          by eviction: a later miss of its line, or its line falling
+          out of the set's ``assoc`` most recent lines by the end.
         """
         num_sets = self._num_sets
         assoc = self._assoc
-        hit_latency = self._hit_latency
-        miss_latency = self._miss_latency
         stamps = self._stamps
         dirty_sets = self._dirty
-        tick = self._tick
-        reads = writes = read_misses = write_misses = writebacks = 0
-        heaps: Dict[int, list] = {}
         total = int(lines.shape[0])
-        lat = np.empty(total, dtype=np.int64)
-        line_list = lines.tolist()
-        write_list = line_writes.tolist()
-        for i in range(total):
-            line = line_list[i]
-            is_write = write_list[i]
+        touched = np.flatnonzero(np.bincount(lines % num_sets)).tolist()
+        pre_lines: List[int] = []
+        pre_stamps: List[int] = []
+        pre_dirty: List[bool] = []
+        for set_index in touched:
+            ways = stamps[set_index]
+            dirty = dirty_sets[set_index]
+            for tag in sorted(ways, key=ways.__getitem__):
+                pre_lines.append(tag * num_sets + set_index)
+                pre_stamps.append(ways[tag])
+                pre_dirty.append(tag in dirty)
+        n_pre = len(pre_lines)
+        size = n_pre + total
+        ext = np.concatenate((np.asarray(pre_lines, dtype=np.int64), lines))
+        order = np.argsort(ext % num_sets, kind="stable")
+        seq = ext[order]
+        rank = np.empty(size, dtype=np.int64)
+        rank[order] = np.arange(size, dtype=np.int64)
+        # Occurrences of each line, grouped, in stream order.
+        by_line = np.argsort(seq, kind="stable")
+        same = seq[by_line[1:]] == seq[by_line[:-1]]
+        earlier = by_line[:-1][same]
+        later = by_line[1:][same]
+        # Blocks of 64 positions; wider past 16,384 positions, so the
+        # table stays within 257 x 258 entries.
+        block = max(_BLOCK, -(-size // 256))
+        blocks = -(-size // block)
+        padded = blocks * block
+        prev = np.full(padded, -1, dtype=np.int64)
+        prev[later] = earlier
+        nxt = np.full(padded, padded, dtype=np.int64)  # none: block `blocks`
+        nxt[earlier] = later
+
+        pos = rank[n_pre:]
+        hit = np.zeros(total, dtype=bool)
+        back = prev[pos]
+        seen = back >= 0
+        hit[seen] = pos[seen] - back[seen] <= assoc
+        unsure = np.flatnonzero(seen & ~hit)
+        if len(unsure):
+            firsts = np.cumsum(prev[:size] < 0)
+            cols = blocks + 1
+            counts = np.bincount(
+                np.arange(size, dtype=np.int64) // block * cols
+                + nxt[:size] // block,
+                minlength=blocks * cols).reshape(blocks, cols)
+            # beyond[a, b] = #{q in block a : block of nxt(q) > b};
+            # table[a, b] sums it over the blocks before a.
+            beyond = np.zeros((blocks, cols), dtype=np.int32)
+            np.cumsum(counts[:, :0:-1], axis=1, dtype=np.int32,
+                      out=beyond[:, -2::-1])
+            table = np.zeros((blocks, cols), dtype=np.int32)
+            np.cumsum(beyond[:-1], axis=0, dtype=np.int32, out=table[1:])
+            offsets = np.arange(block, dtype=np.int64)
+            for start in range(0, len(unsure), _CHUNK):
+                which = unsure[start:start + _CHUNK]
+                i = pos[which]
+                p = back[which]
+                p_base = p // block * block
+                i_base = i // block * block
+                between = table[p_base // block, i_base // block]
+                col_i = i[:, None]
+                # q in p's block, before p, next occurring past i.
+                q = p_base[:, None] + offsets
+                between += ((q < p[:, None]) & (nxt[q] > col_i)).sum(axis=1)
+                # q before p's block whose next occurrence r lies in
+                # i's block, past i.
+                r = i_base[:, None] + offsets
+                q = prev[r]
+                between += ((r > col_i) & (q >= 0)
+                            & (q < p_base[:, None])).sum(axis=1)
+                hit[which] = firsts[i] - 1 - between < assoc
+
+        # Residencies, in line-grouped order: each starts at a
+        # pseudo-access or a miss, and is dirty if any of its accesses
+        # writes (a pseudo-access: if its line was dirty at entry).
+        starts = np.ones(size, dtype=bool)
+        starts[pos] = ~hit
+        marks = np.empty(size, dtype=bool)
+        marks[rank[:n_pre]] = pre_dirty
+        marks[pos] = line_writes
+        grouped_starts = starts[by_line]
+        heads = np.flatnonzero(grouped_starts)
+        res_dirty = np.logical_or.reduceat(marks[by_line], heads)
+        # A line's last residency is the one its last occurrence is in.
+        ends = np.flatnonzero(np.append(~same, True))
+        last_pos = by_line[ends]
+        res_of_end = np.cumsum(grouped_starts)[ends] - 1
+        # Kept at the end iff its last occurrence is among its set's
+        # `assoc` most recent last occurrences.
+        recency = np.argsort(last_pos)
+        ordered_sets = seq[last_pos[recency]] % num_sets
+        newer = (np.searchsorted(ordered_sets, ordered_sets, side="right")
+                 - 1 - np.arange(len(recency)))
+        kept = np.empty(len(recency), dtype=bool)
+        kept[recency] = newer < assoc
+        evicted = np.ones(len(heads), dtype=bool)
+        evicted[res_of_end] = ~kept
+        self.stats.writebacks += int((res_dirty & evicted).sum())
+
+        tick0 = self._tick
+        for set_index in touched:
+            stamps[set_index].clear()
+            dirty_sets[set_index].clear()
+        source = order[last_pos[kept]]
+        for line, at, dirty in zip(seq[last_pos[kept]].tolist(),
+                                   source.tolist(),
+                                   res_dirty[res_of_end[kept]].tolist()):
             set_index = line % num_sets
             tag = line // num_sets
-            ways = stamps[set_index]
-            tick += 1
-            if is_write:
-                writes += 1
-            else:
-                reads += 1
-            heap = heaps.get(set_index)
-            if tag in ways:
-                ways[tag] = tick
-                if heap is not None:
-                    heappush(heap, (tick, tag))
-                if is_write:
-                    dirty_sets[set_index].add(tag)
-                lat[i] = hit_latency
-                continue
-            if is_write:
-                write_misses += 1
-            else:
-                read_misses += 1
-            dirty = dirty_sets[set_index]
-            if len(ways) >= assoc:
-                if heap is None:
-                    heap = [(stamp, t) for t, stamp in ways.items()]
-                    heapify(heap)
-                    heaps[set_index] = heap
-                while True:
-                    stamp, victim = heappop(heap)
-                    if ways.get(victim) == stamp:
-                        break
-                del ways[victim]
-                if victim in dirty:
-                    dirty.remove(victim)
-                    writebacks += 1
-            ways[tag] = tick
-            if heap is not None:
-                heappush(heap, (tick, tag))
-            if is_write:
-                dirty.add(tag)
-            lat[i] = miss_latency
-        self._tick = tick
-        stats = self.stats
-        stats.reads += reads
-        stats.writes += writes
-        stats.read_misses += read_misses
-        stats.write_misses += write_misses
-        stats.writebacks += writebacks
-        return lat
+            stamps[set_index][tag] = (pre_stamps[at] if at < n_pre
+                                      else tick0 + at - n_pre + 1)
+            if dirty:
+                dirty_sets[set_index].add(tag)
+        return hit
 
     def repeat_hits(self, lines, passes: int) -> None:
         """Account *passes* back-to-back read passes over *lines*.

@@ -414,7 +414,7 @@ class PipelineModel:
         batched per cache (I- and D-cache are separate structures, so
         only the order within each matters):
 
-        * the D-cache replays the whole stream with
+        * the D-cache charges the whole stream with
           :meth:`~repro.memory.cache.Cache.access_stream`;
         * a fetched block (``fetch_mode == 1``) whose lines are all
           resident hits on every fetch of the window, charged at once
@@ -424,7 +424,9 @@ class PipelineModel:
         * the hazard, fetch-hit and back-branch replay runs in the
           block's compiled loop closure
           (:func:`repro.codegen.superblock.emit_loop_timing`), built on
-          the block's first window.
+          the block's first window.  It is handed the trips in which a
+          load misses (or straddles two lines), and jumps over the
+          steady state of the all-hit runs between them.
 
         Anywhere the fast path does not apply, the definition runs
         instead.  Returns None after the fast path, else that reason:
@@ -461,15 +463,20 @@ class PipelineModel:
                 account_block(timing, addrs[start:start + n_mem],
                               trip != last or last_taken)
             return reason
+        lats = None
+        misses = [trips]
         if n_mem:
-            lats = self.dcache.access_stream(
-                addrs, np.tile(nbytes, trips), np.tile(writes, trips)
-            ).tolist()
-        else:
-            lats = None
+            lat = self.dcache.access_stream(
+                addrs, np.tile(nbytes, trips), np.tile(writes, trips))
+            # Trips where a load does not take the plain hit latency (a
+            # straddling load's two-line hit counts too).
+            loads = lat.reshape(trips, n_mem)[:, ~writes]
+            misses = np.flatnonzero(
+                (loads != self._dcache_hit).any(axis=1)).tolist() + misses
+            lats = lat.tolist()
         if timing.fetch_mode == 1:
             self.icache.repeat_hits(fetch_lines, trips)
-        timing.loop_compiled(self, trips, lats, last_taken)
+        timing.loop_compiled(self, trips, lats, last_taken, misses)
         return None
 
     def _prepare_loop(self, timing: BlockTiming) -> tuple:

@@ -5,7 +5,8 @@
 trip-major address stream, every trip taken but the last.  Its fast
 path batches both caches (``Cache.access_stream`` on the D-cache,
 ``Cache.repeat_hits`` on the I-cache) and replays hazards and the
-back-branch in a compiled closure; its fallbacks run the definition.
+back-branch in a compiled closure, which jumps over the steady state
+of all-hit trips; its fallbacks run the definition.
 Either way the pipeline must end in exactly the state the definition
 leaves: hazard map, issue/fetch/completion times, statistics, both
 caches' stamps, dirty bits, ticks and counters, and the predictor's
@@ -13,6 +14,9 @@ counters.  The generator covers every row kind (ALU, load, store;
 register and flag reads and writes), all three fetch modes, caches
 that evict and lines that conflict, warm state, every predictor
 counter, backward and forward targets, and both last-trip outcomes.
+Long windows over a small footprint add long all-hit runs, with ready
+times and ``last_completion`` far ahead of ``issue``, straddling loads
+and miss trips inside a run and on the last trip.
 
 The same file pins the generalized ``Cache.repeat_hits`` (passes over a
 resident line sequence) against the per-access path.
@@ -229,3 +233,78 @@ def test_lines_resident_has_no_side_effects():
     assert not cache.lines_resident([0, 4])   # 4 maps to set 0 too
     assert not cache.lines_resident([1])
     assert _cache_state(cache) == before
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       fetch_mode=st.sampled_from((0, 1)),
+       trips=st.integers(200, 3000),
+       counter=st.integers(0, 3),
+       last_taken=st.booleans(),
+       forward=st.booleans(),
+       misses=st.sampled_from(("none", "inside", "last", "both")),
+       ahead=st.sampled_from((0, 40, 400)))
+@settings(max_examples=60, deadline=None)
+def test_long_windows_match_sequential_blocks(
+        seed, fetch_mode, trips, counter, last_taken, forward, misses,
+        ahead):
+    """Long windows on the default caches over a small footprint, so
+    long runs of all-hit trips occur (the compiled replay jumps over
+    their steady state): ready times and ``last_completion`` up to
+    *ahead* cycles past ``issue``, straddling loads, and a miss trip
+    inside a run, on the last trip, both or neither."""
+    rng = random.Random(seed)
+    config = PipelineConfig()
+    seq = PipelineModel(config)
+    fast = PipelineModel(config)
+    _, base, line_bytes = seq.fetch_profile()
+    entry = rng.randrange(0, 64)
+
+    def fetch_key(i):
+        return (base + (entry + i) * 4) // line_bytes if fetch_mode else 0
+
+    rows = _random_rows(rng, rng.randint(1, 12), fetch_key)
+    branch_pc = entry + len(rows) - 1
+    branch_target = branch_pc + 3 if forward else entry
+    mem_rows = [row for row in rows if row[6]]
+    # Each memory row cycles over a few lines of a 1 KB footprint; some
+    # start two bytes short of a line end, so wide accesses straddle.
+    starts = [rng.randrange(1, 32) * 32 - 2 if rng.random() < 0.3
+              else rng.randrange(1024) for _ in mem_rows]
+    period = rng.choice((1, 2, 4))
+    miss_trips = set()
+    if misses in ("inside", "both"):
+        miss_trips.add(rng.randrange(trips // 3, trips - 1))
+    if misses in ("last", "both"):
+        miss_trips.add(trips - 1)
+    addrs = []
+    for t in range(trips):
+        for m, start in enumerate(starts):
+            if t in miss_trips:
+                addrs.append(0x8000 + t * 64 + m * 16)   # a cold line
+            else:
+                addrs.append(start + (t % period) * 32)
+
+    code_lines = sorted({(base + (entry + i) * 4) // line_bytes
+                         for i in range(len(rows))})
+    for pipe in (seq, fast):
+        wrng = random.Random(seed)
+        _warm(pipe, wrng, code_lines)
+        for reg in REGS + (FLAGS,):
+            if wrng.random() < 0.5:
+                pipe._reg_ready[reg] = pipe._last_issue + wrng.randint(
+                    0, ahead)
+        pipe._last_completion = pipe._last_issue + ahead
+        pipe.predictor.set_counter(branch_pc, counter)
+
+    seq_timing = BlockTiming(rows, len(rows), 0, fetch_mode, 1, branch_pc,
+                             branch_target)
+    n_mem = len(mem_rows)
+    for t in range(trips):
+        seq.account_block(seq_timing, addrs[t * n_mem:(t + 1) * n_mem],
+                          t != trips - 1 or last_taken)
+    fast_timing = BlockTiming(rows, len(rows), 0, fetch_mode, 1, branch_pc,
+                              branch_target)
+    assert fast.account_loop(fast_timing, trips,
+                             np.asarray(addrs, dtype=np.int64),
+                             last_taken) is None
+    assert _pipeline_state(fast) == _pipeline_state(seq)

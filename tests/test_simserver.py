@@ -557,15 +557,16 @@ class TestFailureModes:
 
 
 @contextlib.contextmanager
-def cli_server(*args):
+def cli_server(*args, preexec_fn=None):
     """``python -m repro *args`` in its own session; yields (process,
-    server namespace with ``url`` and ``port``) once it prints its URL."""
+    server namespace with ``url`` and ``port``) once it prints its URL.
+    *preexec_fn* runs in the child before it starts Python."""
     src = Path(repro.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", *args],
         stdout=subprocess.PIPE, text=True, env=env,
-        start_new_session=True)
+        start_new_session=True, preexec_fn=preexec_fn)
     try:
         banner = proc.stdout.readline()
         url = re.search(r"http://[\d.]+:(\d+)", banner)
@@ -581,6 +582,24 @@ def cli_server(*args):
         proc.wait(timeout=10)
 
 
+def _assert_stops_cleanly(proc, server, signum) -> None:
+    """*signum* makes serve exit 0 within 10 s, no forked pool worker
+    survives holding the listening socket, and the next client is
+    refused instead of hanging."""
+    proc.send_signal(signum)
+    assert proc.wait(timeout=10) == 0
+    deadline = time.time() + 10
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.time() < deadline, "a pool worker outlived serve"
+        time.sleep(0.05)
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", server.port), timeout=5)
+
+
 def test_sigterm_shuts_down_server_and_pool(tmp_path):
     """``repro serve`` treats SIGTERM like Ctrl-C: it exits promptly, no
     forked pool worker survives holding the listening socket, and the
@@ -589,19 +608,23 @@ def test_sigterm_shuts_down_server_and_pool(tmp_path):
                     "--cache-dir", str(tmp_path / "cache")) as (proc, server):
         status, reply = post(server, FIR_W4)
         assert status == 200 and reply["source"] == "cold"
+        _assert_stops_cleanly(proc, server, signal.SIGTERM)
 
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=10) == 0
-        deadline = time.time() + 10
-        while True:
-            try:
-                os.killpg(proc.pid, 0)
-            except ProcessLookupError:
-                break
-            assert time.time() < deadline, "a pool worker outlived serve"
-            time.sleep(0.05)
-        with pytest.raises(ConnectionRefusedError):
-            socket.create_connection(("127.0.0.1", server.port), timeout=5)
+
+def _ignore_sigint():
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def test_sigint_stops_serve_started_with_sigint_ignored(tmp_path):
+    """Under ``nohup`` or as a non-interactive shell's background job,
+    serve starts with SIGINT ignored; Ctrl-C must still stop it the
+    same clean way."""
+    with cli_server("serve", "--port", "0", "--jobs", "1",
+                    "--cache-dir", str(tmp_path / "cache"),
+                    preexec_fn=_ignore_sigint) as (proc, server):
+        status, reply = post(server, FIR_W4)
+        assert status == 200 and reply["source"] == "cold"
+        _assert_stops_cleanly(proc, server, signal.SIGINT)
 
 
 def test_cache_serve_boots_the_same_server(tmp_path):
