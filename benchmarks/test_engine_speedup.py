@@ -5,18 +5,23 @@ over the reference interpreter and both written to
 ``benchmarks/BENCH_engine.json`` via the session fixture in conftest:
 
 * ``engine_speedup`` runs the full fifteen-kernel liquid suite at
-  hardware width 8, where superblock fusion and the fragment kernels
+  hardware width 8, where self-loop windows and the fragment kernels
   share the work;
 * ``engine_speedup_baseline`` runs the scalar baseline programs of the
   evaluation CLI's ``FAST_SUBSET`` kernels on the accelerator-less
   machine, where nearly every instruction retires inside a fused
   self-loop window -- the scalar path the Figure 6 baselines take.
 
-Each timed fast pass starts from an empty per-process code cache
-(``repro.codegen.emit._code``, ``docs/codegen.md``), so it compiles
-every generated closure as a program's first run in a fresh process
-does: the speedup includes codegen.  A warm-up pass before them loads
-imports and warms the allocator.
+After a warm-up pass of the fast engine, which loads imports and warms
+the allocator, one timed pass runs each program on both engines back
+to back, alternating which engine goes first, and each side's time is
+the sum over the programs.  A drift in host speed during the pass then
+reaches both sides alike, where timing all of one engine minutes after
+the other let it skew the ratio.  The pass starts from an empty
+per-process code cache (``repro.codegen.emit._code``,
+``docs/codegen.md``), so each fast run compiles every generated closure
+as a program's first run in a fresh process does: the speedup includes
+codegen.
 
 The differential suite (``tests/test_engine_differential.py``) already
 proves the two engines bit-identical, so this file only measures time;
@@ -38,32 +43,25 @@ WIDTH = 8
 MIN_SPEEDUP = 2.0
 
 
-def _run_suite(programs, config):
-    cycles = 0
-    start = time.perf_counter()
-    for program in programs:
-        cycles += Machine(config).run(program).cycles
-    return time.perf_counter() - start, cycles
-
-
-def _first_run(programs, config):
-    """One timed pass from an empty code cache: it compiles every
-    generated closure, as a first run does."""
-    emit._code.clear()
-    return _run_suite(programs, config)
-
-
 def _measure(programs, **config):
-    """(fast seconds, reference seconds), cycles cross-checked."""
-    fast = MachineConfig(engine="fast", **config)
-    _run_suite(programs, fast)  # warm imports and the allocator
-    fast_seconds, fast_cycles = min(
-        _first_run(programs, fast) for _ in range(2))
-    ref_seconds, ref_cycles = _run_suite(
-        programs, MachineConfig(engine="reference", **config))
-    assert fast_cycles == ref_cycles, \
-        "engines disagree on simulated cycles; run the differential suite"
-    return fast_seconds, ref_seconds
+    """(fast seconds, reference seconds), cycles cross-checked: one
+    pass from an empty code cache, each program run on both engines
+    back to back, the engine that goes first alternating."""
+    engines = (MachineConfig(engine="fast", **config),
+               MachineConfig(engine="reference", **config))
+    for program in programs:  # warm imports and the allocator
+        Machine(engines[0]).run(program)
+    emit._code.clear()
+    seconds = [0.0, 0.0]
+    for i, program in enumerate(programs):
+        cycles = [0, 0]
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            cycles[side] = Machine(engines[side]).run(program).cycles
+            seconds[side] += time.perf_counter() - start
+        assert cycles[0] == cycles[1], \
+            "engines disagree on simulated cycles; run the differential suite"
+    return seconds[0], seconds[1]
 
 
 def _record(records, name, kernels, fast_seconds, ref_seconds, **extra):

@@ -10,8 +10,8 @@ The package splits runtime code generation into three layers:
 * lowering: IR into the engines' closure kinds —
   :mod:`repro.codegen.numpy_backend` (``lower_chain``/``lower_loop``,
   whole-array fragment kernels) and :mod:`repro.codegen.superblock`
-  (``emit_fused_block``/``emit_loop_timing``), all compiled through
-  :mod:`repro.codegen.emit`.
+  (``emit_fused_block``, the window closure of a scalar self-loop, and
+  ``emit_loop_timing``), all compiled through :mod:`repro.codegen.emit`.
 
 See ``docs/codegen.md`` for the node catalog and the lowering
 functions.

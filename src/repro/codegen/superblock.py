@@ -1,28 +1,28 @@
-"""Superblock backend: fused-run and loop-timing-closure emission.
+"""Superblock backend: window-closure and loop-timing-closure emission.
 
-:func:`emit_fused_block` lowers a :class:`~repro.codegen.ir.BlockSpec`
-superblock (lifted by :func:`repro.codegen.lift.lift_superblock`) into
-the fast engine's fused ``run(state)`` executor, or, for a block that
-loops on itself, its window closure
-``run(state, limit, window) -> (trips, taken)``, and
+:func:`emit_fused_block` lowers a self-loop
+:class:`~repro.codegen.ir.BlockSpec` (lifted by
+:func:`repro.codegen.lift.lift_superblock`; :func:`loop_condition`
+tells a self-loop from any other block) into the fast engine's window
+closure ``run(state, limit, window) -> (trips, taken)``, and
 :func:`emit_loop_timing` emits the whole-window
 ``_loop(pipe, trips, lats, last_taken, misses)`` timing closure
 :meth:`~repro.pipeline.core.PipelineModel.account_loop` compiles for a
 loop block on its first window (scalar self-loops and fragment loop
 bodies alike).  Both compile their sources through
-:mod:`repro.codegen.emit` (stable filenames).
-A single block charge compiles nothing: it runs
+:mod:`repro.codegen.emit` (stable filenames).  A single block charge
+compiles nothing: it runs
 :meth:`~repro.pipeline.core.PipelineModel.account_block`'s row loop.
+Every main-program instruction outside a self-loop runs on the
+per-instruction path, so nothing else is fused.
 
 The emitted code is semantically unchanged from the inline versions:
 
-* the fused block runs the scalar shapes inline over the register
-  banks and memory buffer it hoists, stepping the reference executor
-  for the rest, and restores ``state.pc`` and the retired count on a
-  fault;
-* the window closure runs the same lines trip after trip in one
-  ``while`` loop, with the registers and flags they name held in
-  locals for the whole window (written back on exit and on a fault);
+* the window closure runs the block's scalar shapes inline trip after
+  trip in one ``while`` loop, stepping the reference executor for the
+  rest, with the registers and flags the inline lines name held in
+  locals for the whole window (written back on exit and on a fault),
+  and restores ``state.pc`` and the retired count on a fault;
 * the loop-timing closure wraps ``account_block``'s row arithmetic in
   a per-trip loop with the taken/.../taken/``last_taken`` branch
   pattern, consuming the window's D-cache latencies and a constant
@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 import struct
 from array import array
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from repro.isa.opcodes import (
     STORE_ELEM,
     InstrClass,
 )
-from repro.isa.registers import LINK_REGISTER, is_float_reg, is_int_reg
+from repro.isa.registers import is_float_reg, is_int_reg
 from repro.memory.memory import _FMT, _INT_MASK
 from repro.observability import telemetry as _telemetry
 from repro.pipeline.core import _FLAGS
@@ -441,35 +441,52 @@ def _inline_lines(pc: int, instr: Instruction, ns: dict, state):
     return None
 
 
+def loop_condition(spec: BlockSpec, program) -> Optional[str]:
+    """The condition under which a self-loop block's closing branch is
+    taken, as a source expression over the ``flags`` bank (``"True"``
+    for ``b``), or None when *spec* is not a self-loop.
+
+    A self-loop ends in an inline branch -- ``b`` or a condition in
+    :data:`_COND_EXPRS` -- whose resolved target is the block's own
+    entry.  :class:`~repro.interp.turbo.SuperblockTable` fuses a block
+    only when this holds, and :func:`emit_fused_block` emits its
+    window loop from the result.
+    """
+    if spec.term != 1:
+        return None
+    instr = program.instructions[spec.pcs[-1]]
+    target, terr = _resolve_target(program, instr.target)
+    if terr is not None or target != spec.entry:
+        return None
+    if instr.opcode == "b":
+        return "True"
+    return _COND_EXPRS.get(instr.opcode[1:])
+
+
 def emit_fused_block(spec: BlockSpec, table):
-    """(run closure, mem list) for one lifted superblock.
+    """The window closure of one lifted self-loop block.
 
     *table* is the owning :class:`~repro.interp.turbo.SuperblockTable`
     — the emitter pulls the instructions, their timing metadata and the
-    run's state from it.  The generated function executes every
-    instruction in the block (raising from the faulting pc exactly like
-    the per-instruction engines) and returns the terminating branch's
-    taken flag (None for other terminators); ``mem`` holds the block's
-    effective addresses in execution order after each run.
-
-    A block whose inline closing branch targets its own entry (a
-    self-loop) compiles instead to a window closure,
-    ``run(state, limit, window) -> (trips, taken)``, and ``mem`` is
-    None.  It runs trips of the same lines in one ``while`` loop until
-    the branch falls through or *limit* trips have run, appends every
-    trip's effective addresses to *window*, and returns the trip count
-    and the last trip's taken flag.  The registers and flags its lines
-    name live in locals for the whole window: loaded on entry, written
-    back on exit and on a fault.  A block that steps the executor keeps
-    them in the banks, where the step reads and writes them.
+    run's state from it.  *spec* must be a self-loop
+    (:func:`loop_condition`).  The closure,
+    ``run(state, limit, window) -> (trips, taken)``, runs trips of the
+    block in one ``while`` loop until the branch falls through or
+    *limit* trips have run, appends every trip's effective addresses to
+    *window*, and returns the trip count and the last trip's taken
+    flag.  The registers and flags its lines name live in locals for
+    the whole window: loaded on entry, written back on exit and on a
+    fault.  A block that steps the executor keeps them in the banks,
+    where the step reads and writes them.  A fault raises from the
+    faulting pc exactly like the per-instruction engines.
 
     A shape the emitter does not inline is one step of the reference
     :class:`~repro.interp.executor.Executor` on the block's own
     :class:`~repro.isa.instructions.Instruction`: the block sets
     ``state.pc`` (the executor reads it), then reads the event's
-    ``mem_addr`` for a memory op and ``taken`` for a branch.  Since the
-    executor counts itself retired, the block sets the retired count
-    from a snapshot taken on entry, on exit and on a fault alike.
+    ``mem_addr`` for a memory op.  Since the executor counts itself
+    retired, the block sets the retired count from a snapshot taken on
+    entry, on exit and on a fault alike.
 
     Only the block's own objects and module-level helpers (the
     ``Executor`` class among them) are bound into the closure's
@@ -489,129 +506,45 @@ def emit_fused_block(spec: BlockSpec, table):
     state = table.state
     entry = spec.entry
     pcs = spec.pcs
-    term = spec.term
-    blen = spec.blen
-    if term:
-        tpc = pcs[-1]
-        instr = instructions[tpc]
-    inline_branch = loop = False
-    if term == 1:
-        target, terr = _resolve_target(table.program, instr.target)
-        cond_expr = (_COND_EXPRS.get(instr.opcode[1:])
-                     if instr.opcode != "b" else None)
-        inline_branch = terr is None and (instr.opcode == "b"
-                                          or cond_expr is not None)
-        loop = inline_branch and target == entry
-
-    mem = None if loop else []
+    cond = loop_condition(spec, table.program)
+    if cond is None:
+        raise ValueError(f"block at pc {entry} is not a self-loop")
     ns = {"_f32": np.float32, "_w32": _w32}
-    if mem is not None:
-        ns.update(_m=mem.append, _c=mem.clear)
     body: List[str] = []
     hoists = set()
     has_mem = False
     chained: Dict[str, int] = {}
-
-    def chain(pc: int, line: str = "{}") -> None:
-        """Set ``p`` and ``state.pc``, then *line* around the reference
-        executor's step of *pc*'s instruction."""
-        name = f"i{pc}"
-        ns["_X"] = Executor
-        ns[name] = instructions[pc]
-        opcode = instructions[pc].opcode
-        chained[opcode] = chained.get(opcode, 0) + 1
-        body.extend([f"state.pc = p = {pc}",
-                     line.format(f"_X(state).execute({name})")])
-
-    straight = pcs[:-1] if term else pcs
-    for pc in straight:
-        inline = _inline_lines(pc, instructions[pc], ns, state)
+    for pc in pcs[:-1]:
+        instr = instructions[pc]
+        inline = _inline_lines(pc, instr, ns, state)
         if inline is not None:
             lines, needs = inline
             hoists |= needs
             body.append(f"p = {pc}")
             body.extend(lines)
             continue
+        ns["_X"] = Executor
+        ns[f"i{pc}"] = instr
+        chained[instr.opcode] = chained.get(instr.opcode, 0) + 1
+        step = f"_X(state).execute(i{pc})"
         meta = metas[pc]
-        if meta is not None and (meta.is_load
-                                 or meta.cls is InstrClass.STORE
-                                 or meta.cls is InstrClass.VSTORE):
+        if meta.is_load or meta.cls is InstrClass.STORE \
+                or meta.cls is InstrClass.VSTORE:
             has_mem = True
-            chain(pc, "_m({}.mem_addr)")
-        else:
-            chain(pc)
+            step = f"_m({step}.mem_addr)"
+        body += [f"state.pc = p = {pc}", step]
 
-    retired = f"state.instructions_retired = n0 + {blen}"
-    if loop:
-        if cond_expr is not None:
-            hoists.add("flags")
-        body += ["trips += 1",
-                 "if trips >= limit:" if cond_expr is None
-                 else f"if not ({cond_expr}) or trips >= limit:",
-                 "    break"]
-    elif term == 1:
-        if inline_branch and instr.opcode == "b":
-            body += [f"p = {tpc}", f"state.pc = {target}", retired,
-                     "return True"]
-        elif inline_branch:
-            hoists.add("flags")
-            body += [f"p = {tpc}",
-                     f"if {cond_expr}:",
-                     f"    state.pc = {target}",
-                     f"    {retired}",
-                     "    return True",
-                     f"state.pc = {tpc + 1}",
-                     retired,
-                     "return False"]
-        else:
-            chain(tpc, "r = {}.taken")
-            body += [retired, "return r"]
-    elif term == 2:
-        terr = None
-        if metas[tpc].cls is InstrClass.CALL:
-            target, terr = _resolve_target(table.program, instr.target)
-            tail = [f"ints[{LINK_REGISTER!r}] = {tpc + 1}",
-                    f"state.pc = {target}"]
-        else:
-            tail = [f"state.pc = ints[{LINK_REGISTER!r}]"]
-        if terr is None:
-            hoists.add("ints")
-            body += [f"p = {tpc}", *tail]
-        else:
-            chain(tpc)
-        body += [retired, "return None"]
-    elif term == 3:
-        body += [f"p = {tpc}",
-                 "state.halted = True",
-                 f"state.pc = {tpc + 1}",
-                 retired, "return None"]
-    else:
-        body += [f"state.pc = {spec.exit_pc}", retired, "return None"]
-
-    appends = has_mem or "buf" in hoists
-    if loop:
-        exit_lines = [f"taken = {cond_expr or True}",
-                      f"state.pc = {target} if taken else {tpc + 1}"]
-        src = _window_source(body, exit_lines, hoists, appends,
-                             not chained, entry, blen)
-    else:
-        src = ["def _fused(state):"]
-        if appends:
-            src.append("    _c()")
-        src.append("    n0 = state.instructions_retired")
-        src.append(f"    p = {entry}")
-        src.append("    try:")
-        for bank in ("ints", "floats", "flags"):
-            if bank in hoists:
-                src.append(f"        {bank} = state.regs.{bank}")
-        if "buf" in hoists:
-            src.append("        buf = state.memory._bytes")
-        for line in body:
-            src.append("        " + line)
-        src += ["    except BaseException:",
-                "        state.pc = p",
-                f"        state.instructions_retired = n0 + p - {entry}",
-                "        raise"]
+    if cond != "True":
+        hoists.add("flags")
+    body += ["trips += 1",
+             "if trips >= limit:" if cond == "True"
+             else f"if not ({cond}) or trips >= limit:",
+             "    break"]
+    exit_lines = [f"taken = {cond}",
+                  f"state.pc = {entry} if taken else {pcs[-1] + 1}"]
+    src = _window_source(body, exit_lines, hoists,
+                         has_mem or "buf" in hoists, not chained, entry,
+                         spec.blen)
     fused = _emit.compile_closure(
         "\n".join(src),
         _emit.closure_filename("superblock", spec.label, entry),
@@ -622,7 +555,7 @@ def emit_fused_block(spec: BlockSpec, table):
         tel.count("codegen.superblock.inline", inlined)
     for opcode, count in chained.items():
         tel.count("codegen.superblock.chained." + opcode, count)
-    return fused, mem
+    return fused
 
 
 def _window_source(body: List[str], exit_lines: List[str], hoists,

@@ -386,9 +386,8 @@ def _mask_bits(value: Number) -> int:
 
 
 #: Selectable execution engines (``MachineConfig.engine``): "fast"
-#: (superblock fusion and fragment kernels in the machine loop, with
-#: this executor wherever an observer needs events — the production
-#: default) and "reference" (this executor for every step, the oracle
+#: (self-loop windows and fragment kernels in the machine loop, with
+#: this executor for every other step — the production default) and "reference" (this executor for every step, the oracle
 #: the differential suite checks against).
 ENGINES = ("fast", "reference")
 

@@ -1,64 +1,57 @@
-"""Superblock-fused execution for the ``fast`` engine.
+"""Self-loop window execution for the ``fast`` engine.
 
 The per-instruction path runs every retirement through the reference
 :class:`~repro.interp.executor.Executor`, and pays three costs each
 time: the executor's opcode dispatch and operand walk, a
 frozen-dataclass :class:`~repro.interp.events.RetireEvent` allocation,
 and a Python-level :meth:`~repro.pipeline.core.PipelineModel.account`
-call.  This module removes them at *superblock* granularity, the
-classic region-specialization move of interpreter JITs (and of
-Revec-style region vectorizers): specialize a straight-line run once,
-execute it many times.
+call.  Nearly all simulated work retires inside hot scalar loops, so
+this module removes those costs there and nowhere else, as the paper's
+translator works only on hot loops: a main-program block whose inline
+closing branch targets its own entry (a *self-loop*) compiles to one
+*window closure*, and every other instruction takes the
+per-instruction path.
 
 On top of a :class:`~repro.isa.decoded.DecodedProgram` (the per-pc
-timing metadata), a :class:`SuperblockTable` lazily discovers
-straight-line runs —
-basic blocks ending at branches, calls, returns, or ``halt`` (in this
-repo, chiefly the bodies of the outlined scalar loops) — and compiles
-each into one *fused* closure:
+timing metadata), a :class:`SuperblockTable` lifts the straight-line
+block at each pc some backward branch targets, the only pcs where a
+self-loop can start, and keeps it when it is a self-loop
+(:meth:`SuperblockTable.loop_at`):
 
-* **One dispatch per block.**  The generated function runs the
-  block's instructions as straight Python over the register-bank dicts
-  and the memory buffer, hoisted once per block: integer ALU, compare
-  and (conditional) moves, binary32 add/sub/mul/max/min/abs/neg on
-  float registers, scalar loads and stores (symbol bases resolved to
-  address literals at fuse time, bounds and read-only checks inline),
-  float-register mask idioms (``and``/``orr``), and the block-closing
-  branch.  Whatever shape the emitter declines is one call of the
-  reference :class:`~repro.interp.executor.Executor` on that
-  instruction, the interpreter the per-instruction path runs
+* **One call per window of trips.**  The generated function runs a
+  whole window of trips in one ``while`` loop over the registers and
+  flags it names, held in locals for the whole window, and the memory
+  buffer: integer ALU, compare and (conditional) moves, binary32
+  add/sub/mul/max/min/abs/neg on float registers, scalar loads and
+  stores (symbol bases resolved to address literals at fuse time,
+  bounds and read-only checks inline), float-register mask idioms
+  (``and``/``orr``), and the closing branch.  Whatever shape the
+  emitter declines is one call of the reference
+  :class:`~repro.interp.executor.Executor` on that instruction, the
+  interpreter the per-instruction path runs
   (``codegen.superblock.chained.<opcode>`` counts them).
 * **Event-free inline retirement.**  An inline instruction builds no
   ``RetireEvent`` (a chained executor call builds its one event).
-  Memory operations append their effective address to a per-block list
-  (reused across executions; a window closure appends to the window's
-  own list), the closing branch returns its taken flag, and the
-  pipeline consumes the pre-extracted per-block
-  :class:`~repro.pipeline.core.BlockTiming` via one
-  :meth:`~repro.pipeline.core.PipelineModel.account_block` call, whose
-  row loop charges every block (no timing code is compiled per block).
-  Observers that genuinely need event objects force the machine onto
-  the per-instruction path, whose events are the reference executor's
-  own (see ``docs/execution-engines.md``): a
+  Memory operations append their effective address to the window's
+  own list, and the machine charges the window with one
+  :meth:`~repro.pipeline.core.PipelineModel.account_loop` call over
+  that address stream and the block's pre-extracted
+  :class:`~repro.pipeline.core.BlockTiming` (one
+  :meth:`~repro.pipeline.core.PipelineModel.account_block` call for a
+  one-trip window).  Observers that genuinely need event objects
+  force the machine onto the per-instruction path, whose events are
+  the reference executor's own (see ``docs/execution-engines.md``): a
   :class:`~repro.system.trace.TraceRecorder` for the whole run, the
   dynamic translator only for pcs it does not yet ignore
   (:meth:`~repro.core.translate.translator.DynamicTranslator.ignores`).
-  The machine checks a block against the translator through the
-  lift-only :meth:`SuperblockTable.spec_at`, so a block it keeps
-  observing is never compiled.
-* **One call per window of a hot loop.**  A block whose closing
-  branch targets its own entry (``FusedBlock.self_loop``) compiles to
-  a window closure that runs a whole window of trips in one generated
-  ``while`` loop, with the registers and flags it names held in locals
-  for the whole window.  The machine calls it once per window and
-  charges the window with one
-  :meth:`~repro.pipeline.core.PipelineModel.account_loop` call over
-  the window's address stream.
+  The machine checks a loop against the translator and the step limit
+  through its lift-only spec, so a loop it may not run fused is never
+  compiled.
 
-Error fidelity is preserved exactly: a fused closure that faults
+Error fidelity is preserved exactly: a window closure that faults
 writes back the registers it holds in locals and restores ``state.pc``
 to the faulting instruction and ``instructions_retired`` to the
-completed prefix (every finished trip of a window included) before
+completed prefix (every finished trip of the window included) before
 re-raising, so diagnostics and registers match the per-instruction
 engines.  An inline load or store
 whose bounds or read-only test fails calls ``Memory._check_load`` /
@@ -73,72 +66,61 @@ from typing import Dict, List, Optional
 
 from repro.codegen.ir import BlockSpec
 from repro.codegen.lift import lift_superblock
-from repro.codegen.superblock import emit_fused_block
+from repro.codegen.superblock import emit_fused_block, loop_condition
 from repro.interp.macro import build_fragment_plan
 from repro.interp.state import MachineState
-from repro.isa.decoded import DecodedProgram, predecode
+from repro.isa.decoded import DecodedProgram, _resolve_target, predecode
+from repro.isa.opcodes import InstrClass
 from repro.pipeline.core import BlockTiming
 
 
 # ---------------------------------------------------------------------------
-# Superblock discovery + fusion
+# Self-loop discovery + fusion
 #
 # Discovery and codegen live in the shared codegen layer: the lift pass
 # (repro.codegen.lift.lift_superblock) scans a straight-line run into a
-# BlockSpec, and repro.codegen.superblock.emit_fused_block emits the
-# fused run closure.  This module keeps the per-program tables.
+# BlockSpec, and repro.codegen.superblock.emit_fused_block emits a
+# self-loop's window closure.  This module keeps the per-program tables.
 # ---------------------------------------------------------------------------
 
 
 class FusedBlock:
-    """One compiled superblock: run it, then account its timing.
+    """One compiled self-loop block: its window closure and timing.
 
-    ``run(state)`` executes every instruction in the block (raising from
-    the faulting pc exactly like the per-instruction engines) and
-    returns the terminating branch's taken flag (None for other
-    terminators).  ``mem`` then holds the block's effective addresses in
-    execution order, ready for
-    :meth:`~repro.pipeline.core.PipelineModel.account_block` together
-    with ``timing``.
-
-    ``self_loop`` marks a block whose inline closing branch targets its
-    own entry.  Its ``run`` is the window closure
-    ``run(state, limit, window) -> (trips, taken)``: it runs trips until
-    the branch falls through or *limit* trips have run, appending their
-    effective addresses to the caller's fresh *window* list, and the
+    ``run(state, limit, window) -> (trips, taken)`` runs trips until the
+    closing branch falls through or *limit* trips have run (raising from
+    the faulting pc exactly like the per-instruction engines), appending
+    their effective addresses to the caller's fresh *window* list; the
     machine charges the window with one
     :meth:`~repro.pipeline.core.PipelineModel.account_loop` (one
-    ``account_block`` for a single trip).  Its ``mem`` is None.
-    ``returns`` marks a block that ends in ``ret``: run during an
-    observed call, it finishes the translation.
+    :meth:`~repro.pipeline.core.PipelineModel.account_block` for a
+    single trip) over ``timing``.  ``count`` is the instructions per
+    trip.
     """
 
-    __slots__ = ("run", "mem", "timing", "count", "self_loop", "returns")
+    __slots__ = ("run", "timing", "count")
 
-    def __init__(self, run, mem: Optional[List[int]], timing: BlockTiming,
-                 self_loop: bool = False, returns: bool = False) -> None:
+    def __init__(self, run, timing: BlockTiming) -> None:
         self.run = run
-        self.mem = mem
         self.timing = timing
         self.count = timing.count
-        self.self_loop = self_loop
-        self.returns = returns
 
 
 class SuperblockTable:
-    """Lazily fuses a program (its
+    """Lazily lifts a program (its
     :class:`~repro.isa.decoded.DecodedProgram`) into superblocks, keyed
-    by entry pc.
+    by entry pc, and fuses its self-loops.
 
-    Three per-entry products are built on demand, each at most once:
+    Four per-entry products are built on demand, each at most once:
     the lifted :class:`~repro.codegen.ir.BlockSpec` (:meth:`spec_at`),
     its :class:`~repro.pipeline.core.BlockTiming` (:meth:`timing_at`),
-    neither of which generates code, and the :class:`FusedBlock` with
-    its fused ``run`` closure (:meth:`block_at`), which reuses both.  A
-    caller that needs only a block's extent or timing — the translator
-    gate in the machine's main loop, the fragment kernel plan — never
-    pays for a compile.  A fragment's table serves only the plan's
-    timings: no fragment block is ever fused.
+    the self-loop test (:meth:`loop_at`), none of which generates code,
+    and the :class:`FusedBlock` with its window closure
+    (:meth:`block_at`), which reuses the first two.  A caller that
+    needs only a block's extent or timing -- the machine's gates, the
+    fragment kernel plan -- never pays for a compile.  A fragment's
+    table serves only the plan's timings: no fragment block is ever
+    fused.
 
     ``marked`` (per-pc bools) stops blocks *before* marked calls so the
     machine's microcode-injection path keeps control of them; fragments
@@ -170,15 +152,19 @@ class SuperblockTable:
         self.iline_bytes = line_bytes
         self._specs: Dict[int, BlockSpec] = {}
         self._timings: Dict[int, BlockTiming] = {}
+        self._loops: Dict[int, Optional[BlockSpec]] = {}
         self._blocks: Dict[int, FusedBlock] = {}
-        #: telemetry counters (docs/observability.md): every ``_build``
-        #: (one fused ``run`` closure) bumps ``compiles``; ``lookups``
-        #: advances only through :meth:`block_at_counted`, which callers
-        #: bind in place of :meth:`block_at` when telemetry is enabled —
-        #: the plain hot path stays untouched when it is not.  Tables are
-        #: per-run, so the totals are that run's ``turbo.superblock.*``
-        #: counts.
-        self.lookups = 0
+        #: The pcs some backward branch targets (the branch itself
+        #: included): the only entries a self-loop can have.
+        self._heads = set()
+        for pc, meta in enumerate(self.metas):
+            if meta is not None and meta.cls is InstrClass.BRANCH:
+                target, _err = _resolve_target(
+                    self.program, self.instructions[pc].target)
+                if target is not None and target <= pc:
+                    self._heads.add(target)
+        #: Window closures built (one per fused self-loop): the run's
+        #: ``turbo.superblock.compiles`` count (docs/observability.md).
         self.compiles = 0
 
     def spec_at(self, pc: int) -> BlockSpec:
@@ -200,37 +186,39 @@ class SuperblockTable:
                 label=spec.label)
         return timing
 
+    def loop_at(self, pc: int) -> Optional[BlockSpec]:
+        """The lifted block at *pc* if it is a self-loop
+        (:func:`~repro.codegen.superblock.loop_condition`), else None.
+
+        Memoized per pc; a pc no backward branch targets is never
+        lifted.  Generates no code.
+        """
+        try:
+            return self._loops[pc]
+        except KeyError:
+            spec = None
+            if pc in self._heads:
+                spec = self.spec_at(pc)
+                if loop_condition(spec, self.program) is None:
+                    spec = None
+            self._loops[pc] = spec
+            return spec
+
     def block_at(self, pc: int) -> FusedBlock:
+        """The fused self-loop at *pc*, compiling its window closure on
+        first use; *pc* must be a :meth:`loop_at` entry."""
         block = self._blocks.get(pc)
         if block is None:
-            block = self._blocks[pc] = self._build(pc)
+            self.compiles += 1
+            block = self._blocks[pc] = FusedBlock(
+                emit_fused_block(self.spec_at(pc), self), self.timing_at(pc))
         return block
-
-    def block_at_counted(self, pc: int) -> FusedBlock:
-        """:meth:`block_at` plus a fusion-table lookup count (a lookup
-        that triggers ``_build`` is the table's "miss")."""
-        self.lookups += 1
-        block = self._blocks.get(pc)
-        if block is None:
-            block = self._blocks[pc] = self._build(pc)
-        return block
-
-    # -- internals ----------------------------------------------------------
-
-    def _build(self, entry: int) -> FusedBlock:
-        self.compiles += 1
-        spec = self.spec_at(entry)
-        timing = self.timing_at(entry)
-        run, mem = emit_fused_block(spec, self)
-        returns = (spec.term == 2
-                   and self.instructions[spec.pcs[-1]].opcode == "ret")
-        return FusedBlock(run, mem, timing, mem is None, returns)
 
 
 # ---------------------------------------------------------------------------
 # Per-run tables
 #
-# Decode tables, fused blocks, loop-timing closures and fragment kernels
+# Decode tables, window closures, loop-timing closures and fragment kernels
 # all live exactly as long as one Machine.run: the machine builds them
 # here on first use and drops them with the rest of its run-local state.
 # Only the closures' immutable code objects are kept across runs

@@ -7,7 +7,7 @@ computes **once per program** is the static side of every instruction:
 the instruction class, the registers read and written, flag use, and
 result latency — which :meth:`~repro.pipeline.core.PipelineModel.account`
 reads per retirement and :func:`~repro.codegen.lift.lift_superblock`
-reads per fused block, so neither pays for ``OPCODES`` lookups or
+reads per lifted block, so neither pays for ``OPCODES`` lookups or
 operand walks on the hot path.
 
 It also holds the few facts the code emitters share: the vector opcode
@@ -45,7 +45,8 @@ def _w32(value: int) -> int:
 
 #: opcode -> fused i32 semantics, each identical to
 #: ``arith.int_op(opcode, a, b, "i32")`` (the differential suite checks
-#: this); a fused block binds one to skip the opcode if-chain per ALU op.
+#: this); a window closure binds one to skip the opcode if-chain per ALU
+#: op.
 _INT_ALU_FAST = {
     "add": lambda a, b: _w32(a + b),
     "sub": lambda a, b: _w32(a - b),

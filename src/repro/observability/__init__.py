@@ -4,7 +4,7 @@ Two pieces live here:
 
 * :mod:`repro.observability.telemetry` — a process-wide registry of
   named counters, histograms, and wall-clock spans, threaded through
-  the hot subsystems (superblock fusion, macro-kernel recognition, the
+  the hot subsystems (self-loop fusion, macro-kernel recognition, the
   dynamic translator, the microcode and run caches, and the machine's
   pipeline/cache totals).  Disabled by default via a module-level no-op
   shim, so the fused/macro fast paths pay nothing; ``repro telemetry``

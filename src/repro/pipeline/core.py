@@ -53,8 +53,8 @@ class BlockTiming:
     """Static timing facts of one superblock, pre-extracted for
     :meth:`PipelineModel.account_block`.
 
-    The fast engine builds one of these per fused block
-    (:mod:`repro.interp.turbo`): everything :meth:`PipelineModel.account`
+    The fast engine builds one of these per fused self-loop and per
+    fragment block a kernel charges (:mod:`repro.interp.turbo`): everything :meth:`PipelineModel.account`
     would have derived per retirement — fetch line numbers, read/write
     sets, latencies, memory access widths, the terminator kind — is
     frozen into per-instruction rows, so accounting a block is one tight

@@ -162,8 +162,7 @@ def vector_reduce(opcode: str, acc: Number, lanes: Sequence[Number],
 # * float bitwise ops reinterpret through ``view(uint32)`` exactly like
 #   ``arith.float_bits``/``bits_float``;
 # * anything numpy cannot reproduce exactly makes the lowering decline,
-#   and the fragment runs through fused blocks and the reference
-#   executor instead.
+#   and the fragment runs through the reference executor instead.
 #
 # The differential suite (tests/test_engine_differential.py) and the
 # kernel-vs-block sweeps at the integer rails

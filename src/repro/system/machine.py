@@ -9,8 +9,8 @@ Execution of one Liquid binary proceeds exactly as the paper describes:
 
 1. The first time a marked (``blo``) call retires, the translator starts
    observing the outlined function's retire stream while the function
-   runs in scalar form.  Blocks whose retirements the translator would
-   ignore run fused, without events.
+   runs in scalar form.  Self-loops whose retirements the translator
+   would ignore run fused, without events.
 2. At the function's ``ret`` the translation finalizes; after a
    configurable latency (cycles per observed instruction) the microcode
    becomes available in the cache.  Aborted translations blacklist the
@@ -42,7 +42,6 @@ from repro.interp.turbo import (
     superblock_table_for,
 )
 from repro.isa.decoded import predecode
-from repro.isa.opcodes import InstrClass
 from repro.memory.memory import MemoryError_
 from repro.interp.state import MachineState
 from repro.observability import telemetry as _telemetry
@@ -109,12 +108,13 @@ class MachineConfig:
     #: (defense in depth against translator bugs and the paper's
     #: false-positive scenario).
     verify_translations: bool = False
-    #: Execution engine: "fast" (the production default: superblock
-    #: fusion with batched timing and whole-loop numpy kernels for
-    #: translated SIMD fragments, with the reference executor wherever
-    #: an observer needs events) or "reference" (the reference executor
-    #: for every step, kept as the oracle).  Both are bit-identical; see
-    #: docs/execution-engines.md and tests/test_engine_differential.py.
+    #: Execution engine: "fast" (the production default: scalar
+    #: self-loops a window of trips at a time with batched timing and
+    #: whole-loop numpy kernels for translated SIMD fragments, with the
+    #: reference executor for every other step) or "reference" (the
+    #: reference executor for every step, kept as the oracle).  Both
+    #: are bit-identical; see docs/execution-engines.md and
+    #: tests/test_engine_differential.py.
     engine: str = "fast"
     mvl: int = 16
     max_steps: int = 80_000_000
@@ -161,10 +161,6 @@ class MachineConfig:
 #: PC-indexed structure see a distinct address space per cached fragment.
 _FRAGMENT_PC_BASE = 1 << 20
 _FRAGMENT_PC_STRIDE = 1 << 12
-
-#: Instruction classes that end a fused block (lift_superblock); the
-#: pc after one retires is a block entry.
-_TRANSFERS = frozenset((InstrClass.BRANCH, InstrClass.CALL, InstrClass.RET))
 
 #: Most trips of a scalar self-loop one ``account_loop`` window charges.
 #: ``account_loop`` is exact for any trip count, so the cap only bounds
@@ -271,92 +267,69 @@ class Machine:
             and ins.target is not None
             for ins in instructions
         ]
-        # Fast engine: fuse straight-line runs into superblocks executed
-        # with one dispatch and one account_block() call, or — for a
-        # block that loops on itself — one call of its window closure
-        # and one account_loop() call per window of trips.  A tracer
-        # needs every RetireEvent, so tracing disables fusion
-        # wholesale.  While a translation is in flight, a block runs
-        # fused only from a block entry (right after a control
-        # transfer retired, or as the translation begins) and only
-        # when the translator ignores every pc in it
+        # Fast engine: a main-program self-loop (a block whose inline
+        # closing branch targets its own entry) runs as one call of its
+        # window closure and one account_loop() call per window of
+        # trips; every other instruction takes the per-instruction path
+        # below.  A tracer needs every RetireEvent, so tracing disables
+        # fusion wholesale.  While a translation is in flight, a loop
+        # runs fused only when the translator ignores every pc in it
         # (DynamicTranslator.ignores): those retirements would change
         # nothing it computes.  Everything else it observes takes the
         # per-instruction path through the reference executor, whose
         # events are eager — all of it when interrupt_interval is set,
         # since the external-abort instant is read after every
-        # instruction.
+        # instruction.  Both gates read the loop's lift-only spec, so a
+        # loop that may not run fused compiles nothing.
+        loop_at = block_at = None
         superblocks = None
-        block_lookup = None
-        spec_at = None
         if table is not None and tracer is None:
             superblocks = superblock_table_for(table, pipeline,
                                                marked_call, hw_width, state)
-            # Telemetry swaps in the counted lookup; the plain hot path
-            # is untouched when disabled.
-            block_lookup = (superblocks.block_at_counted if tel_on
-                            else superblocks.block_at)
-            spec_at = superblocks.spec_at
+            loop_at = superblocks.loop_at
+            block_at = superblocks.block_at
         fuse_observed = config.interrupt_interval is None
-        at_entry = False
         account_block = pipeline.account_block
         account_loop = pipeline.account_loop
         while not state.halted:
             pc = state.pc
-            if superblocks is not None and 0 <= pc < n_instr \
-                    and not marked_call[pc] \
+            spec = loop_at(pc) if loop_at is not None else None
+            # Near max_steps, fall through to the per-instruction path
+            # so the step-limit error fires at the exact instruction it
+            # would under the reference engine.
+            if spec is not None and steps + spec.blen <= max_steps \
                     and (translating is None
-                         or (at_entry and fuse_observed
-                             and all(map(translating.ignores,
-                                         spec_at(pc).pcs)))):
-                block = block_lookup(pc)
+                         or (fuse_observed
+                             and all(map(translating.ignores, spec.pcs)))):
+                block = block_at(pc)
                 count = block.count
-                # Near max_steps, fall through to the per-instruction
-                # path so the step-limit error fires at the exact
-                # instruction it would under the reference engine.
-                if steps + count <= max_steps:
-                    try:
-                        if block.self_loop:
-                            # One call runs the window: trips until the
-                            # branch falls through, the window cap, or
-                            # the last trip max_steps allows.  The fresh
-                            # list takes the window's addresses and is
-                            # dropped once charged.
-                            mem = []
-                            trips, taken = block.run(
-                                state, min(LOOP_WINDOW_TRIPS,
-                                           (max_steps - steps) // count),
-                                mem)
-                        else:
-                            mem = block.mem
-                            trips = 1
-                            taken = block.run(state)
-                    except (ExecutionError, MemoryError_) as exc:
-                        raise MachineError(
-                            f"{program.name} @pc={state.pc}: {exc}"
-                        ) from exc
-                    steps += trips * count
-                    if trips == 1:
-                        account_block(block.timing, mem, taken)
-                    else:
-                        fallback = account_loop(block.timing, trips, mem,
-                                                taken)
-                        if tel_on:
-                            tel.count("turbo.loop.windows")
-                            tel.observe("turbo.loop.trips", trips)
-                            if fallback is not None:
-                                tel.count("turbo.loop.fallback." + fallback)
-                    if translating is not None:
-                        if tel_on:
-                            tel.count("translate.fused_blocks")
-                        if block.returns:
-                            if tel_on:
-                                tel.count("translate.fused_finishes")
-                            self._finish_translation(
-                                translating, program, state, pipeline,
-                                ucache, functions, translations, blacklist)
-                            translating = None
-                    continue
+                # One call runs the window: trips until the branch falls
+                # through, the window cap, or the last trip max_steps
+                # allows.  The fresh list takes the window's addresses
+                # and is dropped once charged.
+                mem = []
+                try:
+                    trips, taken = block.run(
+                        state, min(LOOP_WINDOW_TRIPS,
+                                   (max_steps - steps) // count),
+                        mem)
+                except (ExecutionError, MemoryError_) as exc:
+                    raise MachineError(
+                        f"{program.name} @pc={state.pc}: {exc}"
+                    ) from exc
+                steps += trips * count
+                if trips == 1:
+                    account_block(block.timing, mem, taken)
+                else:
+                    fallback = account_loop(block.timing, trips, mem, taken)
+                    if tel_on:
+                        tel.count("turbo.loop.windows")
+                        tel.observe("turbo.loop.trips", trips)
+                        if fallback is not None:
+                            tel.count("turbo.loop.fallback." + fallback)
+                if translating is not None and tel_on:
+                    tel.count("translate.fused_blocks")
+                continue
             steps += 1
             if steps > max_steps:
                 raise MachineError(
@@ -367,7 +340,6 @@ class Machine:
             instr = instructions[pc]
 
             if marked_call[pc]:
-                at_entry = True
                 if translating is not None:
                     # A call inside the observed call: the callee's ret
                     # must not finish the caller's translation.
@@ -415,9 +387,6 @@ class Machine:
             if tracer is not None:
                 tracer.record(event, source="scalar")
             if translating is not None:
-                # Retiring a control transfer ends a fused block: the
-                # next pc is a block entry.
-                at_entry = meta is not None and meta.cls in _TRANSFERS
                 if config.interrupt_interval is not None \
                         and pipeline.now >= next_interrupt:
                     translating.abort_external()
@@ -461,8 +430,7 @@ class Machine:
                             translations: List[TranslationResult],
                             blacklist: set) -> None:
         """Finalize the in-flight translation once the observed call's
-        ``ret`` retired (per instruction or as the end of a fused block):
-        cache the microcode, or blacklist the function."""
+        ``ret`` retired: cache the microcode, or blacklist the function."""
         config = self.config
         if config.translation_mode == "software":
             # The JIT runs on the core itself: charge its work as a
@@ -522,7 +490,6 @@ class Machine:
             tel.count(f"{prefix}.write_misses", cstats.write_misses)
             tel.count(f"{prefix}.writebacks", cstats.writebacks)
         if superblocks is not None:
-            tel.count("turbo.superblock.lookups", superblocks.lookups)
             tel.count("turbo.superblock.compiles", superblocks.compiles)
         elapsed = time.perf_counter() - run_start
         tel.record_span("machine.run", elapsed)

@@ -96,7 +96,7 @@ class TestFloat:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_array_rounding_matches_f32(self):
-        """A store into a one-element ``array('f')``, the fused blocks'
+        """A store into a one-element ``array('f')``, the window closures'
         binary32 rounding, gives ``arith.f32``'s double bit for bit:
         random bit patterns, uniform values, ties halfway between
         neighbouring binary32 values (normal and subnormal), overflow to

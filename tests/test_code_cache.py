@@ -30,7 +30,7 @@ def empty_code_cache(monkeypatch):
 
 def _run_fft():
     """One FFT width-8 run of a freshly built program, telemetry on:
-    fused blocks, loop-timing closures and a chain kernel."""
+    window closures, loop-timing closures and a chain kernel."""
     program = build_liquid_program(build_kernel("FFT"))
     telemetry.enable()
     try:

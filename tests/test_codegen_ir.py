@@ -353,18 +353,22 @@ def test_nested_loop_plan_shapes():
 
 
 def test_fused_blocks_chain_the_reference_executor():
-    """What a fused block does not inline (here the vector ops of a
+    """What a window closure does not inline (here the vector ops of a
     program run on a vector machine) is one step of the reference
     executor on the block's own instruction, never a second copy of its
-    semantics; and the block binds nothing run-sized."""
+    semantics; and the closure binds nothing run-sized."""
     program = assemble(nest_source(WIDTH))
     state = _state_for(program, WIDTH)
     blocks = superblock_table_for(predecode(program), PipelineModel(),
                                   None, WIDTH, state)
     run_sized = (state, state.memory, state.memory._bytes, state.symbols,
                  state.regs, state.vregs)
+    heads = [pc for pc in range(len(program.instructions))
+             if blocks.loop_at(pc) is not None]
+    # The inner loop is the one self-loop; the outer one contains it.
+    assert heads == [program.label_index("inner")]
     chained = 0
-    for pc in range(len(program.instructions)):
+    for pc in heads:
         namespace = blocks.block_at(pc).run.__globals__
         for name, value in namespace.items():
             assert not any(value is obj for obj in run_sized), name

@@ -309,8 +309,9 @@ class TestVectorExecution:
 # The assembler rejects unknown opcodes outright, so these tests build
 # Instruction/Program objects by hand to reach the interpreter's own
 # guards.  Both engines must fail with the same error, message and pc:
-# the fast engine's fused block steps the executor on a shape it does
-# not inline, and nothing fires before the bad instruction executes
+# the fast engine steps the executor on any shape a window closure does
+# not inline, and on all code outside self-loops (these programs), and
+# nothing fires before the bad instruction executes
 # (repro.isa.decoded.predecode never raises), so an unreachable bad
 # instruction never aborts a run.
 # ---------------------------------------------------------------------------
@@ -337,7 +338,8 @@ def assert_same_error_on_both_engines(instructions, match):
     """Both engines fail the same way: a :class:`MachineError` wrapping
     the executor's :class:`ExecutionError`, with the same text (which
     names the faulting pc).  On the fast engine the faulting shape sits
-    in a fused block, which steps the executor on it."""
+    outside any self-loop, so the per-instruction path steps the
+    executor on it."""
     errors = [run_error(instructions, engine)
               for engine in ("reference", "fast")]
     for error in errors:

@@ -1,13 +1,14 @@
-"""Property battery: the fused block's inline shapes vs. the reference.
+"""Property battery: the window closure's inline shapes vs. the reference.
 
 The superblock emitter (``repro.codegen.superblock._inline_lines``) runs
 scalar loads and stores, ``fadd``/``fsub``/``fmul``,
 ``fmax``/``fmin``/``fabs``/``fneg``, conditional moves, wrapping
 ``add``/``sub`` and the float-register mask idiom (``and``/``orr``) as
-straight Python over register banks (or, in a self-loop's window
-closure, locals) and the memory buffer hoisted once per block, with
-symbol bases, the memory size and its read-only ranges folded into
-literals at fuse time.  Each inline form claims to compute exactly
+straight Python over locals holding a self-loop's registers (or the
+register banks, when the loop also steps the executor) and the memory
+buffer hoisted once per window, with symbol bases, the memory size and
+its read-only ranges folded into literals at fuse time.  Only
+self-loops are fused, so every shape under test sits in a loop body.  Each inline form claims to compute exactly
 what the reference executor step it replaces computes; every other
 shape is such a step.
 
@@ -25,9 +26,10 @@ The fixed cases fault on a late trip of a self-loop window -- a store
 into ``.rodata``, a store past the end of memory, a negative-address
 load, a store fault after a chained executor step has counted itself
 retired, a fault after an all-inline window has advanced an integer
-register, a float accumulator and the flags -- and on an undefined
-symbol, which must stay an executor step.  Each must leave the
-reference's pc, retired count, message, registers and flags.
+register, a float accumulator and the flags -- and inside a window on
+an undefined symbol or an immediate no inline form holds, which must
+stay executor steps.  Each must leave the reference's pc, retired
+count, message, registers and flags.
 """
 
 from __future__ import annotations
@@ -228,11 +230,12 @@ def test_inline_shapes_match_reference(data, body, trips):
     with _counting() as counters:
         fast = _outcome(program, "fast")
     assert fast == _outcome(program, "reference")
-    # Everything but ``mov r1, M`` (a symbol source) ran inline, so the
+    # The loop's window ran every body instruction inline, so the
     # comparison above exercised the inline forms, not the fallbacks.
-    chained = {name for name in counters
-               if name.startswith("codegen.superblock.chained.")}
-    assert chained == {"codegen.superblock.chained.mov"}
+    # The prologue and epilogue run per instruction and fuse nothing.
+    assert counters["codegen.superblock.inline"] == len(body) + 3
+    assert not [name for name in counters
+                if name.startswith("codegen.superblock.chained.")]
 
 
 # -- exhaustive edge pairs -----------------------------------------------------
@@ -311,7 +314,7 @@ def test_wrapping_add_sub_on_boundaries():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_immediates_take_the_generic_path():
     """Immediates whose binary32 (or exact) literal does not exist: the
-    emitter declines these shapes, and the fused blocks must step the
+    emitter declines these shapes, and the window closure must step the
     reference executor on them."""
     body = ["fadd f1, f1, #1e999", "fmul f2, f2, #-1e39",
             "fmax f3, f3, #1e999", "fmin f4, f4, #-1e999",
@@ -388,13 +391,14 @@ FAULTS = {
     # itself retired before the store faults on trip 17.
     "chained-then-fault": _walk("mov r4, A\nstw r2, [A + r1]", "#0", 1,
                                 data=".rodata K i32 8 = 1"),
-    "undefined-symbol": _walk("ldw r3, [A + #0]", "#0", 4, trips=40)
-    .replace("halt", "ldw r3, [NOPE + r0]\nhalt"),
+    # The window steps the executor on the load, whose symbol lookup
+    # fails on the first trip.
+    "undefined-symbol": _walk("ldw r3, [A + #0]\nldw r3, [NOPE + r0]",
+                              "#0", 4, trips=40),
     # An immediate no inline form can hold: int() of it overflows when
     # the executor executes it.
-    "infinite-integer-immediate": _walk("ldw r3, [A + #0]", "#0", 4,
-                                        trips=40)
-    .replace("halt", "add r3, r3, #1e999\nhalt"),
+    "infinite-integer-immediate": _walk(
+        "ldw r3, [A + #0]\nadd r3, r3, #1e999", "#0", 4, trips=40),
 }
 
 
@@ -413,8 +417,8 @@ def test_late_trip_fault_matches_reference(case, monkeypatch):
         assert counters["codegen.superblock.chained.add"] == 1
     else:
         if case == "chained-then-fault":
-            # Once in the entry block, once in the self-loop block.
-            assert counters["codegen.superblock.chained.mov"] == 2
+            # The self-loop's window steps the executor on the move.
+            assert counters["codegen.superblock.chained.mov"] == 1
         if case == "inline-state-then-fault":
             assert not [name for name in counters
                         if name.startswith("codegen.superblock.chained.")]
@@ -432,16 +436,31 @@ def test_read_only_edges_match_reference(opcode, edge, delta, form):
     test (``start - n < a < end``) must fault exactly where
     ``Memory._check_store`` does, for a fuse-time constant address
     (whole elements either side) and for a run-time one (byte steps,
-    so a wide store can straddle the edge)."""
+    so a wide store can straddle the edge).  The store sits in a
+    two-trip self-loop, so a window runs it inline."""
     nbytes = ELEM_SIZES[STORE_ELEM[opcode]]
     src = "f1" if opcode == "stf" else "r2"
     edge_bytes = 0 if edge == "start" else 32  # K is eight words
     if form == "constant":
-        access = [f"{opcode} {src}, [K + #{edge_bytes // nbytes + delta}]"]
+        setup = []
+        address = f"[K + #{edge_bytes // nbytes + delta}]"
     else:
-        access = ["mov r1, K", f"add r1, r1, #{edge_bytes + delta}",
-                  f"{opcode} {src}, [r1]"]
+        setup = ["mov r1, K", f"add r1, r1, #{edge_bytes + delta}"]
+        address = "[r1]"
     program = assemble("\n".join([
         ".data A i32 16 = 3", ".rodata K i32 8 = 1", ".data B i32 16 = 5",
-        "main:", "mov r2, #-2", *access, "halt"]))
-    assert _outcome(program, "fast") == _outcome(program, "reference")
+        "main:", "mov r2, #-2", "mov r0, #0", *setup, "loop:",
+        f"{opcode} {src}, {address}", "add r0, r0, #1", "cmp r0, #2",
+        "blt loop", "halt"]))
+    with _counting() as counters:
+        fast = _outcome(program, "fast")
+    assert fast == _outcome(program, "reference")
+    chained = {name: n for name, n in counters.items()
+               if name.startswith("codegen.superblock.chained.")}
+    if form == "constant" and isinstance(fast, str):
+        # A fuse-time address that faults stays an executor step.
+        assert chained == {"codegen.superblock.chained." + opcode: 1}
+    else:
+        # The store, the counter update, the compare and the branch.
+        assert counters["codegen.superblock.inline"] == 4
+        assert chained == {}

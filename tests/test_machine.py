@@ -7,11 +7,13 @@ import weakref
 
 import pytest
 
+import repro.interp.turbo as turbo_module
 import repro.system.machine as machine_module
 from repro.core.scalarize import build_baseline_program, build_liquid_program
 from repro.isa.assembler import assemble
 from repro.kernels.suite import build_kernel
 from repro.memory.cache import CacheConfig
+from repro.observability import telemetry
 from repro.pipeline.core import PipelineConfig
 from repro.simd.accelerator import config_for_width
 from repro.system.machine import (
@@ -313,6 +315,69 @@ def _both_engines(source: str, **config):
     return outcomes
 
 
+def _fast_telemetry(source: str, **config) -> dict:
+    """Counters and histograms of one telemetry-on fast run."""
+    tel = telemetry.enable()
+    try:
+        Machine(MachineConfig(**config)).run(assemble(source))
+        return tel.to_dict()
+    finally:
+        telemetry.disable()
+
+
+#: A straight-line program over every inline shape of
+#: ``codegen.superblock._inline_lines``, a forward branch, a plain call,
+#: its ``ret`` and a ``halt``: no backward branch, so no self-loop.
+_STRAIGHT_LINE = """
+.data M i32 8 = 1, 2, 3, 4, 5, 6, 7, 8
+.data H i16 4 = -1, 2, -3, 4
+.data F f32 4 = 1.5, -2.0, 3.0, 0.25
+main:
+    mov r1, #3
+    mov r2, r1
+    add r3, r1, #5
+    sub r4, r3, r2
+    mul r5, r3, r4
+    cmp r3, #4
+    movgt r6, #1
+    cmp r3, r4
+    movle r6, r2
+    ldw r7, [M + #2]
+    ldb r8, [M + r1]
+    ldh r9, [H + #1]
+    lduh r10, [H + r1]
+    stw r7, [M + #5]
+    sth r9, [H + #0]
+    stb r8, [M + r1]
+    ldf f1, [F + #0]
+    ldf f2, [F + r1]
+    fadd f3, f1, f2
+    fsub f4, f1, #0.5
+    fmul f5, f1, f2
+    fmax f6, f1, f2
+    fmin f7, f1, #-1.0
+    fabs f8, f2
+    fneg f9, f1
+    fmov f10, f2
+    fmovlt f11, #1.0
+    and f12, f2, r1
+    orr f13, f1, r2
+    orr f14, f1, f2
+    stf f3, [F + #1]
+    stf f14, [F + r1]
+    cmp r1, #3
+    beq skip
+    mov r11, #99
+skip:
+    bl sub
+    stw r1, [M + #0]
+    halt
+sub:
+    add r1, r1, #1
+    ret
+"""
+
+
 #: The I-cache geometries where ``account_loop`` falls back to its
 #: definition: a direct-mapped 256 B I-cache (the loop's lines may
 #: conflict) and an unaligned code base (fetch mode 2: fetches may
@@ -343,6 +408,62 @@ class TestLoopWindows:
                                                 ("mov r1, #0",)))
         assert fast == ref
         assert fast["instructions"] == 2 + trips * 8 + 1
+
+    def test_straight_line_code_compiles_nothing(self):
+        """Only self-loops are fused: code outside them, every inline
+        shape, a call, a ``ret`` and a ``halt`` among it, takes the
+        per-instruction path and compiles no window closure."""
+        counters = _fast_telemetry(_STRAIGHT_LINE)["counters"]
+        assert not [name for name in counters if name.startswith((
+            "codegen.compile.superblock", "codegen.reuse.superblock",
+            "codegen.superblock."))]
+        assert counters.get("turbo.superblock.compiles", 0) == 0
+        fast, ref = _both_engines(_STRAIGHT_LINE)
+        assert fast == ref
+        assert isinstance(fast, dict)
+
+    def test_loop_entered_by_falling_through_runs_every_trip_fused(self):
+        """The head of a loop entered straight from the code before it
+        runs its first trip in a window too."""
+        trips = LOOP_WINDOW_TRIPS + 5
+        source = _counted_loop(trips, self.BODY, ("mov r1, #0",))
+        data = _fast_telemetry(source)
+        assert data["counters"]["turbo.loop.windows"] == 2
+        assert data["histograms"]["turbo.loop.trips"]["total"] == trips
+        fast, ref = _both_engines(source)
+        assert fast == ref
+
+    def test_observed_loop_compiles_only_where_it_runs_fused(
+            self, monkeypatch):
+        """During an observed call the translator still observes the
+        callee's loop, so the machine compiles nothing for it then.  Its
+        window closure is compiled right where its first window runs,
+        on a later scalar call (the microcode is not ready yet)."""
+        events = []
+        real_emit = turbo_module.emit_fused_block
+
+        def emit(spec, table):
+            events.append(("compile", spec.entry,
+                           table.state.instructions_retired))
+            run = real_emit(spec, table)
+
+            def window(state, limit, mem):
+                events.append(("run", spec.entry,
+                               state.instructions_retired))
+                return run(state, limit, mem)
+            return window
+
+        monkeypatch.setattr(turbo_module, "emit_fused_block", emit)
+        result = run_program(build_liquid_program(simple_kernel(calls=3)),
+                             width=8,
+                             translation_cycles_per_instruction=100000)
+        assert [t.ok for t in result.translations] == [True]
+        assert result.functions["hot_fn"].scalar_runs == 3
+        compiles = [i for i, event in enumerate(events)
+                    if event[0] == "compile"]
+        assert compiles
+        for i in compiles:
+            assert events[i + 1] == ("run",) + events[i][1:]
 
     @pytest.mark.parametrize("max_steps", [2 + 8 * 300 + 5, 8002, 8003])
     def test_step_limit_inside_a_window(self, max_steps):

@@ -8,6 +8,7 @@ results: identical cycle counts, identical run-cache keys, and
 byte-identical persisted cache entries.
 """
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -214,8 +215,8 @@ class TestDifferential:
 
 class TestLoopWindowCounters:
     """``turbo.loop.*`` counts the fast engine's self-loop windows
-    truthfully, and ``turbo.superblock.lookups`` counts block
-    dispatches (a window is one dispatch, however many trips)."""
+    truthfully, and ``turbo.superblock.compiles`` the window closures
+    built (one per fused loop, however many windows run)."""
 
     TRIPS = 2 * LOOP_WINDOW_TRIPS + 123
 
@@ -242,13 +243,13 @@ class TestLoopWindowCounters:
     def test_windows_trips_and_dispatches(self):
         data = self._run()
         counters = data["counters"]
-        # Dispatches: the entry block (mov + trip 1, whose branch
-        # targets pc 1, not its own entry), three windows of the
-        # self-loop at pc 1 (cap, cap, rest), and the halt block.
-        assert counters["turbo.superblock.lookups"] == 5
+        # The mov and the halt run per instruction; the self-loop at
+        # pc 1, entered by falling through, runs every trip in three
+        # windows (cap, cap, rest) of one window closure.
+        assert counters["turbo.superblock.compiles"] == 1
         assert counters["turbo.loop.windows"] == 3
         assert data["histograms"]["turbo.loop.trips"] == {
-            "count": 3, "total": self.TRIPS - 1, "min": 122,
+            "count": 3, "total": self.TRIPS, "min": 123,
             "max": LOOP_WINDOW_TRIPS}
         assert not any(name.startswith("turbo.loop.fallback.")
                        for name in counters)
@@ -281,13 +282,19 @@ class TestFusedPathCounters:
         counters = self._counters([assemble("""
         .data A i32 4 = 0
         main:
+            mov r0, #0
+        loop:
             mov r1, A
             ldw r2, [A + #1]
             stw r2, [r1 + #2]
+            add r0, r0, #1
+            cmp r0, #3
+            blt loop
             halt
         """)])
-        # One block: a symbol-source move is the one executor step.
-        assert counters["codegen.superblock.inline"] == 3
+        # One self-loop, fused once however many trips it runs: a
+        # symbol-source move is its one executor step.
+        assert counters["codegen.superblock.inline"] == 5
         assert {name: n for name, n in counters.items()
                 if name.startswith("codegen.superblock.chained.")} == {
                     "codegen.superblock.chained.mov": 1}
@@ -305,10 +312,9 @@ class TestFusedPathCounters:
 
 
 class TestObservedCallCounters:
-    """``translate.fused_blocks`` counts block dispatches while a
-    translation is in flight, ``translate.fused_finishes`` the attempts
-    a fused block's ``ret`` finished; fragment code runs as kernels or
-    reference steps and compiles no fused closure."""
+    """``translate.fused_blocks`` counts self-loop windows run while a
+    translation is in flight; fragment code runs as kernels or
+    reference steps and compiles no window closure."""
 
     def _counters(self, **config):
         program = build_liquid_program(build_kernel("FFT"))
@@ -322,16 +328,6 @@ class TestObservedCallCounters:
     def test_fused_blocks_during_observation(self):
         counters = self._counters(accelerator=config_for_width(8))
         assert counters["translate.fused_blocks"] > 0
-        # A successful attempt observes its own ret per instruction.
-        assert "translate.fused_finishes" not in counters
-
-    def test_aborted_attempts_end_in_fused_ret_blocks(self):
-        counters = self._counters(accelerator=config_for_width(8),
-                                  max_ucode_instructions=2)
-        aborts = counters["translate.abort.ucode-buffer-overflow"]
-        assert 0 < counters["translate.fused_finishes"] <= aborts
-        assert counters["translate.fused_blocks"] >= \
-            counters["translate.fused_finishes"]
 
     def test_interrupts_keep_observation_per_instruction(self):
         counters = self._counters(accelerator=config_for_width(8),
@@ -340,9 +336,9 @@ class TestObservedCallCounters:
         assert "translate.fused_blocks" not in counters
 
     def test_planned_fragment_blocks_compile_no_closure(self):
-        """Every fused ``run`` closure the run builds (compiled, or
-        exec-ed from a code object an earlier run compiled) is one of
-        the main program's superblock fusions."""
+        """Every window closure the run builds (compiled, or exec-ed
+        from a code object an earlier run compiled) is one of the main
+        program's self-loop fusions."""
         counters = self._counters(accelerator=config_for_width(8))
         assert counters["macro.kernel.invocations"] > 0
         built = (counters.get("codegen.compile.superblock", 0)
@@ -400,11 +396,13 @@ class TestCompileBudget:
         assert compiles == []
 
 
-CATALOG = Path(__file__).resolve().parents[1] / "docs" / "observability.md"
+ROOT = Path(__file__).resolve().parents[1]
+CATALOG = ROOT / "docs" / "observability.md"
 
 
-def _catalog_patterns():
-    """One regex per name in the first column of the counter catalog.
+def _catalog_names():
+    """(name, regex) per name in the first column of the counter
+    catalog.
 
     ``a.b.c`` / ``.d`` names ``a.b.c`` and ``a.b.d``; ``{x,y}`` is
     either; a ``<reason>``-style placeholder or a ``*`` matches any
@@ -412,11 +410,11 @@ def _catalog_patterns():
     """
     text = CATALOG.read_text(encoding="utf-8")
     section = text.split("### Counter catalog", 1)[1].split("\n\n", 2)[1]
-    patterns = []
+    names = []
     for row in section.splitlines()[2:]:
-        names = re.findall(r"`([^`]+)`", row.split("|")[1])
-        prefix = names[0][:names[0].rfind(".") + 1]
-        for name in names:
+        cells = re.findall(r"`([^`]+)`", row.split("|")[1])
+        prefix = cells[0][:cells[0].rfind(".") + 1]
+        for name in cells:
             if name.startswith("."):
                 name = prefix + name[1:]
             regex = re.escape(name)
@@ -424,16 +422,29 @@ def _catalog_patterns():
                            lambda m: "(?:" + m.group(1).replace(",", "|")
                            + ")", regex)
             regex = re.sub(r"<[^>]+>|\\\*", ".+", regex)
-            patterns.append(re.compile(regex + r"\Z"))
-    return patterns
+            names.append((name, re.compile(regex + r"\Z")))
+    return names
 
 
-def test_emitted_counters_are_cataloged(tmp_path):
-    """Every counter a telemetry-on corpus emits has a row in
-    ``docs/observability.md``'s catalog: the fast subset's Liquid w8
-    and baseline runs, one run-cache store and load, one FIR w4 -> w8
-    cross-width differential, and one ``repro serve`` cold and warm
-    request."""
+def _source_literals():
+    """Every string constant under ``src/repro/``, f-string parts
+    included."""
+    literals = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        literals.update(node.value for node in ast.walk(tree)
+                        if isinstance(node, ast.Constant)
+                        and isinstance(node.value, str))
+    return literals
+
+
+@pytest.fixture(scope="module")
+def emitted_counters(tmp_path_factory):
+    """Every counter a telemetry-on corpus emits: the fast subset's
+    Liquid w8 and baseline runs, one run-cache store and load, one FIR
+    w4 -> w8 cross-width differential, and one ``repro serve`` cold and
+    warm request."""
+    tmp_path = tmp_path_factory.mktemp("corpus")
     tel = telemetry.enable()
     try:
         for name in FAST_SUBSET:
@@ -453,12 +464,38 @@ def test_emitted_counters_are_cataloged(tmp_path):
                     for _ in range(2)] == ["cold", "hit"]
         finally:
             server.shutdown()
-        emitted = set(tel.to_dict()["counters"])
+        return set(tel.to_dict()["counters"])
     finally:
         telemetry.disable()
-    patterns = _catalog_patterns()
+
+
+def test_emitted_counters_are_cataloged(emitted_counters):
+    """Every counter the corpus emits has a row in
+    ``docs/observability.md``'s catalog."""
+    patterns = [regex for _, regex in _catalog_names()]
     assert {"serve.cold", "serve.hits", "runcache.stores",
-            "retranslate.attempts", "machine.preloaded_fragments"} <= emitted
-    missing = sorted(name for name in emitted
+            "retranslate.attempts", "machine.preloaded_fragments"} \
+        <= emitted_counters
+    missing = sorted(name for name in emitted_counters
                      if not any(p.match(name) for p in patterns))
     assert not missing, f"counters missing from {CATALOG.name}: {missing}"
+
+
+def test_cataloged_counters_are_emitted_or_named(emitted_counters):
+    """Every catalog name is emitted by the corpus, or the source still
+    spells it: as a string literal, or for a ``<placeholder>`` or ``*``
+    name, a literal starting with its fixed prefix.  A row whose counter
+    the code no longer emits fails here."""
+    literals = _source_literals()
+    stale = []
+    for name, regex in _catalog_names():
+        if any(regex.match(counter) for counter in emitted_counters):
+            continue
+        fixed = re.split(r"<|\*|\{", name, maxsplit=1)
+        if len(fixed) == 1:
+            named = name in literals
+        else:
+            named = any(literal.startswith(fixed[0]) for literal in literals)
+        if not named:
+            stale.append(name)
+    assert not stale, f"{CATALOG.name} rows nothing emits: {stale}"
