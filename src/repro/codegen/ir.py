@@ -280,3 +280,45 @@ class BlockSpec:
     @property
     def timing_term(self) -> int:
         return 1 if self.term == 1 else (2 if self.term == 2 else 0)
+
+
+@dataclass(frozen=True)
+class AffineAccess:
+    """An inline scalar load or store of a self-loop whose address on
+    trip ``t`` is ``first + t * slope``.
+
+    ``first`` is ``const`` plus, for each ``(register, multiplier)`` of
+    ``terms``, the register's value on entry to the window times the
+    multiplier; ``const`` already holds the symbol address, the
+    immediate index and the steps of the inductions the body updates
+    before the access.
+    """
+
+    pc: int
+    terms: Tuple[Tuple[str, int], ...]
+    const: int
+    slope: int
+    nbytes: int
+    store: bool
+
+
+@dataclass(frozen=True)
+class LoopShape:
+    """Static facts of a self-loop body, lifted without generating code.
+
+    ``inductions`` holds one ``(register, step, update pc)`` per integer
+    register the body writes exactly once, with an inline
+    ``add r, r, #imm`` or ``sub r, r, #imm``; ``accesses`` the affine
+    ones among the inline scalar loads and stores (:class:`AffineAccess`).
+    ``counted`` is ``(cmp pc, register, bound, condition)`` when the
+    body's only flag write is a ``cmp`` of an induction with an integer
+    immediate and nothing in it reads the flags, so the closing
+    ``b<condition>`` alone decides the trip count; else None.
+    ``slopes`` holds one slope per memory row, in row order, when every
+    memory access of the body is affine, else None.
+    """
+
+    inductions: Tuple[Tuple[str, int, int], ...]
+    accesses: Tuple[AffineAccess, ...]
+    counted: Optional[Tuple[int, str, int, str]]
+    slopes: Optional[Tuple[int, ...]]

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro import arith
 from repro.codegen.ir import (
+    AffineAccess,
     AluNode,
     BlockSpec,
     ChainNode,
@@ -36,6 +37,7 @@ from repro.codegen.ir import (
     IRKind,
     LoadNode,
     LoopNode,
+    LoopShape,
     PermNode,
     ReduceNode,
     ScalarNode,
@@ -49,7 +51,7 @@ from repro.isa.decoded import (
     _resolve_target,
 )
 from repro.isa.instructions import Imm, Mem, Reg, Sym
-from repro.isa.opcodes import STORE_ELEM, InstrClass
+from repro.isa.opcodes import ELEM_SIZES, LOAD_ELEM, STORE_ELEM, InstrClass
 from repro.isa.registers import is_float_reg, is_int_reg, is_vector_reg
 from repro.observability import telemetry as _telemetry
 from repro.pipeline.core import _INSTR_BYTES
@@ -60,6 +62,11 @@ _INT31 = 1 << 31
 #: Upper bound on fused superblock length (defensive; real blocks are
 #: short).
 MAX_BLOCK = 200
+
+#: What converting a malformed or out-of-range immediate raises; the
+#: superblock emitter then declines, leaving the error to the reference
+#: executor at run time.
+_BAD_CONSTANT = (TypeError, ValueError, OverflowError)
 
 
 def _reject(reason: str):
@@ -279,7 +286,6 @@ def lift_loop(fragment, head: int, branch_pc: int,
 
 
 def _elem_size(elem: str) -> int:
-    from repro.isa.opcodes import ELEM_SIZES
     return ELEM_SIZES[elem]
 
 
@@ -652,3 +658,175 @@ def lift_superblock(table, entry: int) -> BlockSpec:
     return BlockSpec(entry, tuple(pcs), term, exit_pc, tuple(rows),
                      len(pcs), simd, table.fetch_mode, branch_pc,
                      branch_target, label)
+
+
+# ---------------------------------------------------------------------------
+# Self-loop shape
+# ---------------------------------------------------------------------------
+
+
+def _address_terms(mem: Mem, scale: int, symbols):
+    """``(const, ((register, multiplier), ...))`` for a scalar access's
+    effective address ``base + index * scale``, or None for the forms
+    the executor keeps (a non-integer register or an undefined symbol,
+    whose lookup must fail at run time, from the faulting pc).
+
+    A symbol base is read from the run's table now: a superblock table
+    lives for one ``Machine.run``, over that run's symbols.
+    """
+    const = 0
+    terms: List[Tuple[str, int]] = []
+    base = mem.base
+    if isinstance(base, Sym):
+        try:
+            const = symbols.address_of(base.name)
+        except KeyError:
+            return None
+    elif isinstance(base, Reg) and is_int_reg(base.name):
+        terms.append((base.name, 1))
+    else:
+        return None
+    index = mem.index
+    if isinstance(index, Imm):
+        try:
+            const += int(index.value) * scale
+        except _BAD_CONSTANT:
+            return None
+    elif isinstance(index, Reg) and is_int_reg(index.name):
+        terms.append((index.name, scale))
+    elif index is not None:
+        return None
+    return const, tuple(terms)
+
+
+def scalar_access(instr, state):
+    """``(bank, nbytes, const, terms)`` of a scalar load or store the
+    window closure runs inline (:func:`_address_terms`), or None.
+
+    None for a register of the other class (the executor's generic
+    path: a conversion, or the reference's error), an address form the
+    executor keeps, and a constant address that faults: the memory's
+    size and read-only ranges are fixed once the loader has placed the
+    program.
+    """
+    opcode = instr.opcode
+    load = opcode in LOAD_ELEM
+    if load:
+        elem = LOAD_ELEM[opcode][0]
+        reg = instr.dst
+    else:
+        elem = STORE_ELEM[opcode]
+        reg = instr.srcs[0] if instr.srcs else None
+    if not isinstance(reg, Reg) or instr.mem is None:
+        return None
+    if elem == "f32":
+        bank = "floats" if is_float_reg(reg.name) else None
+    else:
+        bank = "ints" if is_int_reg(reg.name) else None
+    nbytes = ELEM_SIZES[elem]
+    parts = None if bank is None \
+        else _address_terms(instr.mem, nbytes, state.symbols)
+    if parts is None:
+        return None
+    const, terms = parts
+    memory = state.memory
+    if not terms and (not 0 <= const <= memory.size - nbytes or (
+            not load and memory.overlaps_read_only(const, nbytes))):
+        return None
+    return bank, nbytes, const, terms
+
+
+def _induction_step(instr) -> Optional[int]:
+    """The step of an inline ``add r, r, #imm`` / ``sub r, r, #imm``
+    on an integer register, else None."""
+    if instr.opcode not in ("add", "sub") or instr.dst is None \
+            or len(instr.srcs) != 2:
+        return None
+    a, b = instr.srcs
+    d = instr.dst.name
+    if not (is_int_reg(d) and isinstance(a, Reg) and a.name == d
+            and isinstance(b, Imm)):
+        return None
+    try:
+        step = int(b.value)
+    except _BAD_CONSTANT:
+        return None
+    return step if instr.opcode == "add" else -step
+
+
+def lift_loop_shape(table, spec: BlockSpec) -> LoopShape:
+    """The :class:`~repro.codegen.ir.LoopShape` of the self-loop *spec*
+    of a :class:`~repro.interp.turbo.SuperblockTable` (lift only, no
+    codegen).
+
+    An affine access's address registers are each an induction or a
+    register the body never writes, so its address moves by a fixed
+    slope per trip as long as no induction wraps.  The body is every
+    pc but the closing branch; a chained executor step counts by the
+    registers and flags its metadata says it writes and reads.
+    """
+    instructions = table.instructions
+    metas = table.metas
+    body = spec.pcs[:-1]
+    writers: Dict[str, List[int]] = {}
+    flag_writers: List[int] = []
+    reads_flags = False
+    for pc in body:
+        meta = metas[pc]
+        for reg in meta.writes:
+            writers.setdefault(reg, []).append(pc)
+        if meta.sets_flags:
+            flag_writers.append(pc)
+        reads_flags = reads_flags or meta.reads_flags
+    inductions: Dict[str, Tuple[int, int]] = {}
+    for reg, pcs in writers.items():
+        if len(pcs) == 1:
+            step = _induction_step(instructions[pcs[0]])
+            if step is not None:
+                inductions[reg] = (step, pcs[0])
+
+    accesses: List[AffineAccess] = []
+    all_affine = True
+    for pc in body:
+        meta = metas[pc]
+        if not (meta.is_load or meta.cls is InstrClass.STORE
+                or meta.cls is InstrClass.VSTORE):
+            continue
+        facts = None if meta.is_vector \
+            else scalar_access(instructions[pc], table.state)
+        access = None
+        if facts is not None:
+            _bank, nbytes, const, terms = facts
+            slope = 0
+            for reg, mult in terms:
+                if reg in inductions:
+                    step, update = inductions[reg]
+                    slope += step * mult
+                    if update < pc:
+                        const += step * mult
+                elif reg in writers:
+                    break
+            else:
+                access = AffineAccess(pc, terms, const, slope, nbytes,
+                                      not meta.is_load)
+        if access is None:
+            all_affine = False
+        else:
+            accesses.append(access)
+
+    counted = None
+    # A self-loop closes with ``b`` or a ``b<cond>`` the emitter tests
+    # inline (superblock.loop_condition); only the latter can exit.
+    cond = instructions[spec.pcs[-1]].opcode[1:]
+    if len(flag_writers) == 1 and not reads_flags and cond:
+        instr = instructions[flag_writers[0]]
+        if instr.opcode == "cmp" and len(instr.srcs) == 2:
+            a, b = instr.srcs
+            if isinstance(a, Reg) and a.name in inductions \
+                    and isinstance(b, Imm) and type(b.value) is int:
+                counted = (flag_writers[0], a.name, b.value, cond)
+    return LoopShape(
+        tuple((reg, step, update)
+              for reg, (step, update) in inductions.items()),
+        tuple(accesses), counted,
+        tuple(access.slope for access in accesses) if all_affine else None)

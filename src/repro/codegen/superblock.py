@@ -19,16 +19,23 @@ per-instruction path, so nothing else is fused.
 The emitted code is semantically unchanged from the inline versions:
 
 * the window closure runs the block's scalar shapes inline trip after
-  trip in one ``while`` loop, stepping the reference executor for the
-  rest, with the registers and flags the inline lines name held in
-  locals for the whole window (written back on exit and on a fault),
-  and restores ``state.pc`` and the retired count on a fault;
+  trip in one loop, stepping the reference executor for the rest, with
+  the registers and flags the inline lines name held in locals for the
+  whole window (written back on exit and on a fault), and restores
+  ``state.pc`` and the retired count on a fault.  Its form follows the
+  loop's lift-only :class:`~repro.codegen.ir.LoopShape`: a prologue
+  checks the affine accesses, the counted exit and the inductions'
+  i32 range once per window (:func:`safe_trips`, :func:`exit_trips`,
+  :func:`no_wrap_trips`), so a counted loop runs as
+  ``for trips in range(n)`` with its compare hoisted out, and an
+  affine access indexes a typed ``memoryview`` with no per-trip test;
 * the loop-timing closure wraps ``account_block``'s row arithmetic in
   a per-trip loop with the taken/.../taken/``last_taken`` branch
   pattern, consuming the window's D-cache latencies and a constant
   I-cache hit term, with register ready times and the predictor
-  counter held in locals for the whole window; it jumps over a steady
-  run of all-hit trips arithmetically.
+  counter held in locals for the whole window; it drops the hazard
+  tests and ``last_completion`` updates its row order makes dead, and
+  jumps over a steady run of all-hit trips arithmetically.
 
 Telemetry: ``codegen.superblock.inline`` / ``.chained.<opcode>`` per
 fused instruction, by the path it was emitted on.
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 import re
 import struct
+import sys
 from array import array
 from typing import Dict, List, Optional
 
@@ -46,20 +54,15 @@ import numpy as np
 from repro import arith
 from repro.codegen import emit as _emit
 from repro.codegen.ir import BlockSpec
+from repro.codegen.lift import _BAD_CONSTANT, scalar_access
 from repro.interp.executor import Executor
 from repro.isa.decoded import (
     _INT_ALU_FAST,
     _resolve_target,
     _w32,
 )
-from repro.isa.instructions import Imm, Instruction, Reg, Sym
-from repro.isa.opcodes import (
-    ELEM_SIZES,
-    LOAD_ELEM,
-    OPCODES,
-    STORE_ELEM,
-    InstrClass,
-)
+from repro.isa.instructions import Imm, Instruction, Reg
+from repro.isa.opcodes import LOAD_ELEM, OPCODES, STORE_ELEM, InstrClass
 from repro.isa.registers import is_float_reg, is_int_reg
 from repro.memory.memory import _FMT, _INT_MASK
 from repro.observability import telemetry as _telemetry
@@ -76,6 +79,10 @@ _COND_EXPRS = {
     "ge": 'flags["gt"] or flags["eq"]',
 }
 
+#: Condition suffix -> the comparison it takes of a ``cmp``'s operands.
+_COND_OPS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
+             "ge": ">="}
+
 #: A register-bank subscript -- ``ints['r2']``, ``floats['f1']``,
 #: ``flags["lt"]`` -- the only way an emitted line names a register or
 #: flag.  A window closure rewrites each to a local of the same name.
@@ -89,11 +96,6 @@ _WRAPPED_EXPRS = {"add": "{a} + {b}", "sub": "{a} - {b}"}
 _I32_MIN = -0x80000000
 _I32_MAX = 0x7FFFFFFF
 
-#: What converting a malformed or out-of-range immediate raises; the
-#: emitter then declines, leaving the error to the reference executor
-#: at run time.
-_BAD_CONSTANT = (TypeError, ValueError, OverflowError)
-
 #: Scalar load/store opcode -> the precompiled ``struct`` accessor its
 #: inline form calls on the memory buffer, in
 #: :class:`~repro.memory.memory.Memory`'s own formats (stores pack the
@@ -105,44 +107,125 @@ _ACCESSORS = {
        for op, elem in STORE_ELEM.items()},
 }
 
+#: Scalar load/store opcode -> the ``memoryview.cast`` format an affine
+#: access indexes: the ``struct`` accessor's format in native byte
+#: order, which is Memory's little-endian one only on a little-endian
+#: host (:data:`_VIEWS`).
+_VIEW_FORMATS = {
+    **{op: _FMT[key][1] for op, key in LOAD_ELEM.items()},
+    **{op: _FMT[(elem, False)][1] for op, elem in STORE_ELEM.items()},
+}
 
-def _address(mem, scale: int, symbols):
-    """*mem*'s effective address as an int (every part known now) or a
-    source expression over ``ints``; None for the forms the executor
-    keeps (a non-integer register or an undefined symbol,
-    whose lookup must fail at run time, from the faulting pc).
+#: Typed views read and write Memory's little-endian bytes only on a
+#: little-endian host; elsewhere every access keeps its ``struct``
+#: accessor.
+_VIEWS = sys.byteorder == "little"
 
-    A symbol base is read from the run's table at fuse time: a table
-    lives for one ``Machine.run``, over that run's symbols.
-    """
-    const = 0
-    terms: List[str] = []
-    base = mem.base
-    if isinstance(base, Sym):
-        try:
-            const = symbols.address_of(base.name)
-        except KeyError:
-            return None
-    elif isinstance(base, Reg) and is_int_reg(base.name):
-        terms.append(f"ints[{base.name!r}]")
+
+# -- window prologue arithmetic ----------------------------------------------
+#
+# A window closure calls these once per window, before its first trip,
+# to lower its trip budget ``n`` to the trips it can run without a
+# per-trip test.  Each returns a count in ``[0, n]`` (``[1, n]`` for
+# exit_trips when ``n >= 1``); tests/test_window_prologue_property.py
+# checks them against a trip-by-trip count.
+
+
+def safe_trips(first: int, slope: int, n: int, hi: int,
+               guards=()) -> int:
+    """Leading trips, at most *n*, whose address ``first + t * slope``
+    lies in ``[0, hi]`` and in none of the open intervals *guards*."""
+    if slope > 0:
+        m = (hi - first) // slope + 1 if first >= 0 else 0
+    elif slope < 0:
+        m = first // -slope + 1 if first <= hi else 0
     else:
-        return None
-    index = mem.index
-    if isinstance(index, Imm):
-        try:
-            const += int(index.value) * scale
-        except _BAD_CONSTANT:
-            return None
-    elif isinstance(index, Reg) and is_int_reg(index.name):
-        terms.append(f"ints[{index.name!r}] * {scale}" if scale > 1
-                     else f"ints[{index.name!r}]")
-    elif index is not None:
-        return None
-    if not terms:
-        return const
+        m = n if 0 <= first <= hi else 0
+    if m > n:
+        m = n
+    for low, end in guards:
+        if slope > 0:
+            # The first trip past ``low`` is the only one that can land
+            # inside before the walk passes ``end``.
+            t = (low - first) // slope + 1
+            if t < 0:
+                t = 0
+            if t < m and first + t * slope < end:
+                m = t
+        elif slope < 0:
+            t = (first - end) // -slope + 1
+            if t < 0:
+                t = 0
+            if t < m and first + t * slope > low:
+                m = t
+        elif low < first < end:
+            m = 0
+    return m if m > 0 else 0
+
+
+def exit_trips(cond: str, value: int, step: int, bound: int,
+               n: int) -> int:
+    """Trips, at most *n*, up to and including the first trip ``t``
+    whose compare of ``value + t * step`` with *bound* fails *cond*
+    (``b<cond>`` falls through there); *n* if no trip before it does."""
+    if cond in ("gt", "ge"):
+        # v > b  <=>  -v < -b, and v >= b  <=>  -v <= -b.
+        value, step, bound = -value, -step, -bound
+        cond = "lt" if cond == "gt" else "le"
+    if cond == "le":
+        cond, bound = "lt", bound + 1
+    if cond == "lt":
+        if value >= bound:
+            t = 0
+        elif step <= 0:
+            return n
+        else:
+            t = (bound - value + step - 1) // step
+    elif cond == "ne":
+        gap = bound - value
+        if gap == 0:
+            t = 0
+        elif step == 0 or gap % step or gap // step < 0:
+            return n
+        else:
+            t = gap // step
+    else:  # eq
+        if value != bound:
+            t = 0
+        elif step == 0:
+            return n
+        else:
+            t = 1
+    return t + 1 if t < n else n
+
+
+def no_wrap_trips(value: int, step: int, n: int) -> int:
+    """Leading trips, at most *n*, whose update of an induction from
+    *value* by *step*, ``value + (t + 1) * step``, stays in the i32
+    range (so it needs no wrap test)."""
+    if step > 0:
+        m = (_I32_MAX - value) // step
+    elif step < 0:
+        m = (value - _I32_MIN) // -step
+    else:
+        return n
+    return m if m < n else n
+
+
+def _address_expr(const: int, terms) -> str:
+    """Source of ``const`` plus each ``(register, multiplier)`` term's
+    register times its multiplier, over ``ints``."""
+    parts = [f"ints[{reg!r}] * {mult}" if mult > 1 else f"ints[{reg!r}]"
+             for reg, mult in terms]
     if const:
-        terms.append(str(const))
-    return " + ".join(terms)
+        parts.append(str(const))
+    return " + ".join(parts)
+
+
+def _access_target(instr: Instruction, bank: str) -> str:
+    """The bank subscript a scalar load writes or a store reads."""
+    reg = instr.dst if instr.opcode in LOAD_ELEM else instr.srcs[0]
+    return f"{bank}[{reg.name!r}]"
 
 
 def _memory_lines(instr: Instruction, ns: dict, state):
@@ -155,66 +238,77 @@ def _memory_lines(instr: Instruction, ns: dict, state):
     so a fault's type and text still come from ``Memory``.  The
     memory's size and read-only ranges are literals: both are fixed
     once the loader has placed the program.  A constant address is
-    checked now — one that faults stays with the executor.
+    checked now — one that faults stays with the executor
+    (:func:`~repro.codegen.lift.scalar_access`).
     """
-    opcode = instr.opcode
-    load = opcode in LOAD_ELEM
-    if load:
-        elem = LOAD_ELEM[opcode][0]
-        reg = instr.dst
-    else:
-        elem = STORE_ELEM[opcode]
-        reg = instr.srcs[0] if instr.srcs else None
-    if not isinstance(reg, Reg) or instr.mem is None:
+    facts = scalar_access(instr, state)
+    if facts is None:
         return None
-    # A register of the other class takes the executor's generic path
-    # (a conversion, or the reference's error).
-    if elem == "f32":
-        bank = "floats" if is_float_reg(reg.name) else None
-    else:
-        bank = "ints" if is_int_reg(reg.name) else None
-    nbytes = ELEM_SIZES[elem]
-    address = _address(instr.mem, nbytes, state.symbols)
-    if bank is None or address is None:
-        return None
-    memory = state.memory
-    limit = memory.size - nbytes
-    # Memory._check_store's overlap test ``a < end and a + n > start``,
-    # solved for ``a``.
-    guarded = [] if load else [(start - nbytes, end)
-                               for start, end in memory._ro_ranges]
+    bank, nbytes, const, terms = facts
+    load = instr.opcode in LOAD_ELEM
     lines: List[str] = []
-    needs = {bank, "buf"}
-    if isinstance(address, int):
-        if not 0 <= address <= limit or any(
-                low < address < end for low, end in guarded):
-            return None
-        a = str(address)
-    else:
-        faults = " or ".join([f"not 0 <= a <= {limit}"] + [
-            f"{low} < a < {end}" for low, end in guarded])
+    if terms:
+        faults = " or ".join(
+            [f"not 0 <= a <= {state.memory.size - nbytes}"]
+            + [f"{low} < a < {end}"
+               for low, end in _store_guards(state.memory, nbytes, load)])
         check = "_check_load" if load else "_check_store"
-        lines += [f"a = {address}",
+        lines += [f"a = {_address_expr(const, terms)}",
                   f"if {faults}:",
                   f"    state.memory.{check}(a, {nbytes})"]
-        needs.add("ints")
         a = "a"
-    access = f"_{opcode}"
-    ns[access] = _ACCESSORS[opcode]
-    target = f"{bank}[{reg.name!r}]"
-    if load and elem == "f32":
-        # Unpacking '<f' yields an exact binary32 value, which
-        # arith.f32 returns unchanged; only a NaN takes the rounding.
-        lines += [f"v = {access}(buf, {a})[0]",
-                  f"{target} = v if v == v else float(_f32(v))"]
-    elif load:
-        lines.append(f"{target} = {access}(buf, {a})[0]")
-    elif elem == "f32":
-        lines.append(f"{access}(buf, {a}, {target})")
     else:
-        lines.append(f"{access}(buf, {a}, {target} & {_INT_MASK[elem]})")
+        a = str(const)
+    lines += _struct_lines(instr, ns, bank, a)
     lines.append(f"_m({a})")
-    return lines, needs
+    return lines, {bank, "buf", "ints"} if terms else {bank, "buf"}
+
+
+def _store_guards(memory, nbytes: int, load: bool):
+    """The open intervals a store's address must avoid:
+    ``Memory._check_store``'s overlap test ``a < end and a + n > start``
+    solved for ``a``; none for a load."""
+    return () if load else tuple((start - nbytes, end)
+                                 for start, end in memory._ro_ranges)
+
+
+def _struct_lines(instr: Instruction, ns: dict, bank: str,
+                  a: str) -> List[str]:
+    """A scalar access at address expression *a* through its
+    precompiled ``struct`` accessor on ``buf``."""
+    access = f"_{instr.opcode}"
+    ns[access] = _ACCESSORS[instr.opcode]
+    return _access_lines(instr, bank, f"{access}(buf, {a})[0]",
+                         f"{access}(buf, {a}, {{}})")
+
+
+def _view_lines(instr: Instruction, bank: str, view: str,
+                index: str) -> List[str]:
+    """A scalar access at element *index* of the typed memoryview
+    *view*, which reads and writes exactly the bytes and values the
+    ``struct`` accessor does (``tests/test_arith.py`` pins this)."""
+    item = f"{view}[{index}]"
+    return _access_lines(instr, bank, item, item + " = {}")
+
+
+def _access_lines(instr: Instruction, bank: str, read: str,
+                  write: str) -> List[str]:
+    """A scalar load through the expression *read*, or a store of the
+    register's value through the template *write*, in the element's
+    own semantics."""
+    opcode = instr.opcode
+    target = _access_target(instr, bank)
+    if opcode in LOAD_ELEM:
+        if LOAD_ELEM[opcode][0] == "f32":
+            # Unpacking '<f' yields an exact binary32 value, which
+            # arith.f32 returns unchanged; only a NaN takes the rounding.
+            return [f"v = {read}",
+                    f"{target} = v if v == v else float(_f32(v))"]
+        return [f"{target} = {read}"]
+    elem = STORE_ELEM[opcode]
+    # Stores write the value masked to its width, as Memory.store does.
+    return [write.format(target if elem == "f32"
+                         else f"{target} & {_INT_MASK[elem]}")]
 
 
 def _float_operand(operand):
@@ -467,18 +561,46 @@ def emit_fused_block(spec: BlockSpec, table):
     """The window closure of one lifted self-loop block.
 
     *table* is the owning :class:`~repro.interp.turbo.SuperblockTable`
-    — the emitter pulls the instructions, their timing metadata and the
-    run's state from it.  *spec* must be a self-loop
-    (:func:`loop_condition`).  The closure,
-    ``run(state, limit, window) -> (trips, taken)``, runs trips of the
-    block in one ``while`` loop until the branch falls through or
-    *limit* trips have run, appends every trip's effective addresses to
-    *window*, and returns the trip count and the last trip's taken
+    — the emitter pulls the instructions, their timing metadata, the
+    loop's lift-only :class:`~repro.codegen.ir.LoopShape` and the run's
+    state from it.  *spec* must be a self-loop (:func:`loop_condition`).
+    The closure, ``run(state, limit, window) -> (trips, taken)``, runs
+    trips of the block until the branch falls through or *limit* trips
+    have run, and returns the trip count and the last trip's taken
     flag.  The registers and flags its lines name live in locals for
     the whole window: loaded on entry, written back on exit and on a
     fault.  A block that steps the executor keeps them in the banks,
     where the step reads and writes them.  A fault raises from the
     faulting pc exactly like the per-instruction engines.
+
+    A prologue, run once per window after the locals are loaded,
+    lowers the trip budget ``n`` from *limit* with the module's
+    prologue helpers: to the counted loop's exit trip
+    (:func:`exit_trips`), to the trips before an induction that an
+    affine address or the compare reads would leave the i32 range
+    (:func:`no_wrap_trips`), and to the leading trips on which every
+    affine access passes the size and read-only tests
+    (:func:`safe_trips`).  When ``n`` ends at 0 the closure returns
+    ``(0, False)`` having touched nothing, and the machine runs that
+    step per instruction, so a fault, a wrap or an exit happens at its
+    exact instruction in the reference executor.  The body then runs
+    without those tests:
+
+    * an affine access indexes a typed ``memoryview`` cast of the
+      memory buffer when its slope is a multiple of its size (on a
+      little-endian host), starting at its first address modulo its
+      size; otherwise it calls its ``struct`` accessor on
+      ``first + trips * slope``;
+    * a counted loop runs ``for trips in range(n)``: its compare emits
+      nothing per trip and sets the flags once after the loop (on a
+      fault, from the compares that trip count had made);
+    * a bounded induction's update is a plain add;
+    * every other access keeps its per-trip test (:func:`_memory_lines`).
+
+    When every memory access is affine, the closure writes only the
+    first trip's addresses to *window*, and the machine extends them by
+    the loop's slopes (``LoopShape.slopes``); otherwise every trip's
+    effective addresses are appended to *window*.
 
     A shape the emitter does not inline is one step of the reference
     :class:`~repro.interp.executor.Executor` on the block's own
@@ -490,12 +612,13 @@ def emit_fused_block(spec: BlockSpec, table):
 
     Only the block's own objects and module-level helpers (the
     ``Executor`` class among them) are bound into the closure's
-    namespace, never anything run-sized (memory, its buffer, the state,
-    its symbol table or a window): ``exec`` ties the namespace and the
-    function into a reference cycle, which would keep them alive past
-    the run until the cyclic collector ran.  Whatever the body needs of
-    the run's state it reads from the ``state`` argument, or was folded
-    into a literal at fuse time.
+    namespace, never anything run-sized (memory, its buffer or a view
+    of it, the state, its symbol table or a window): ``exec`` ties the
+    namespace and the function into a reference cycle, which would keep
+    them alive past the run until the cyclic collector ran.  Whatever
+    the body needs of the run's state it reads from the ``state``
+    argument, or was folded into a literal at fuse time.  The typed
+    views are locals, released on the way out.
 
     Telemetry: ``codegen.superblock.inline`` counts the instructions
     emitted as inline lines and ``codegen.superblock.chained.<opcode>``
@@ -509,42 +632,103 @@ def emit_fused_block(spec: BlockSpec, table):
     cond = loop_condition(spec, table.program)
     if cond is None:
         raise ValueError(f"block at pc {entry} is not a self-loop")
+    shape = table.shape_at(entry)
+    steps = {reg: (step, update) for reg, step, update in shape.inductions}
+    counted = shape.counted
+    # The inductions an affine address or the counted compare reads:
+    # the prologue bounds the window to the trips whose updates stay in
+    # the i32 range, so those updates need no wrap test.
+    bounded = {reg for access in shape.accesses
+               for reg, _mult in access.terms if reg in steps}
+    if counted is not None:
+        bounded.add(counted[1])
+    updates = {steps[reg][1]: reg for reg in bounded}
     ns = {"_f32": np.float32, "_w32": _w32}
-    body: List[str] = []
     hoists = set()
-    has_mem = False
+    prologue: List[str] = []
+    if counted is not None:
+        cmp_pc, reg, bound, cname = counted
+        step, update = steps[reg]
+        ns["_exit"] = exit_trips
+        prologue += [f"c0 = ints[{reg!r}] + {step}" if update < cmp_pc
+                     else f"c0 = ints[{reg!r}]",
+                     f"n = _exit({cname!r}, c0, {step}, {bound}, n)"]
+    for reg in sorted(bounded):
+        ns["_nowrap"] = no_wrap_trips
+        prologue.append(f"n = _nowrap(ints[{reg!r}], {steps[reg][0]}, n)")
+    checks, setup, releases, accesses = _affine_accesses(
+        shape, instructions, state.memory, ns, hoists)
+    prologue += checks
+    if prologue:
+        hoists.add("ints")
+    if shape.slopes:
+        setup.append("window.extend(("
+                     + "".join(f"{first}, " for first, _ in accesses.values())
+                     + "))")
+
+    body: List[str] = []
     chained: Dict[str, int] = {}
     for pc in pcs[:-1]:
         instr = instructions[pc]
-        inline = _inline_lines(pc, instr, ns, state)
-        if inline is not None:
+        if pc in accesses:
+            lines = accesses[pc][1]
+        elif pc in updates:
+            reg = updates[pc]
+            step = steps[reg][0]
+            sign = "-" if step < 0 else "+"
+            lines = [f"ints[{reg!r}] = ints[{reg!r}] {sign} {abs(step)}"]
+            hoists.add("ints")
+        elif counted is not None and pc == counted[0]:
+            lines = []
+        else:
+            inline = _inline_lines(pc, instr, ns, state)
+            if inline is None:
+                ns["_X"] = Executor
+                ns[f"i{pc}"] = instr
+                chained[instr.opcode] = chained.get(instr.opcode, 0) + 1
+                step = f"_X(state).execute(i{pc})"
+                meta = metas[pc]
+                if meta.is_load or meta.cls is InstrClass.STORE \
+                        or meta.cls is InstrClass.VSTORE:
+                    step = f"_m({step}.mem_addr)"
+                body += [f"state.pc = p = {pc}", step]
+                continue
             lines, needs = inline
             hoists |= needs
-            body.append(f"p = {pc}")
-            body.extend(lines)
-            continue
-        ns["_X"] = Executor
-        ns[f"i{pc}"] = instr
-        chained[instr.opcode] = chained.get(instr.opcode, 0) + 1
-        step = f"_X(state).execute(i{pc})"
-        meta = metas[pc]
-        if meta.is_load or meta.cls is InstrClass.STORE \
-                or meta.cls is InstrClass.VSTORE:
-            has_mem = True
-            step = f"_m({step}.mem_addr)"
-        body += [f"state.pc = p = {pc}", step]
+        body.append(f"p = {pc}")
+        body.extend(lines)
 
-    if cond != "True":
-        hoists.add("flags")
-    body += ["trips += 1",
-             "if trips >= limit:" if cond == "True"
-             else f"if not ({cond}) or trips >= limit:",
-             "    break"]
-    exit_lines = [f"taken = {cond}",
+    post: List[str] = []
+    fault: List[str] = []
+    if counted is not None:
+        # Trip t compares c0 + t * step.  Nothing in the body reads the
+        # flags, so they stay in the bank and are set once, from the
+        # last compare the window (or the faulting trip) made.
+        cmp_pc, _reg, bound, cname = counted
+        step = steps[counted[1]][0]
+        header = "for trips in range(n):"
+        post = ["trips = n",
+                f"c = c0 + (n - 1) * {step}",
+                f"state.regs.set_flags(c, {bound})"]
+        fault = [f"k = trips + 1 if p > {cmp_pc} else trips",
+                 "if k:",
+                 f"    state.regs.set_flags(c0 + (k - 1) * {step}, {bound})"]
+        taken = f"c {_COND_OPS[cname]} {bound}"
+    else:
+        if cond != "True":
+            hoists.add("flags")
+        header = "while True:"
+        body += ["trips += 1",
+                 "if trips >= n:" if cond == "True"
+                 else f"if not ({cond}) or trips >= n:",
+                 "    break"]
+        taken = cond
+    exit_lines = [f"taken = {taken}",
                   f"state.pc = {entry} if taken else {pcs[-1] + 1}"]
-    src = _window_source(body, exit_lines, hoists,
-                         has_mem or "buf" in hoists, not chained, entry,
-                         spec.blen)
+    # A loop whose accesses are not all affine appends every trip's.
+    src = _window_source(
+        prologue, setup, header, body, post, fault, exit_lines, hoists,
+        releases, shape.slopes is None, not chained, entry, spec.blen)
     fused = _emit.compile_closure(
         "\n".join(src),
         _emit.closure_filename("superblock", spec.label, entry),
@@ -558,16 +742,116 @@ def emit_fused_block(spec: BlockSpec, table):
     return fused
 
 
-def _window_source(body: List[str], exit_lines: List[str], hoists,
+def _affine_accesses(shape, instructions, memory, ns: dict, hoists):
+    """Prologue lines, per-window set-up lines, the names of the views
+    to release and ``{pc: (first address source, body lines)}`` for
+    the affine accesses of *shape*.
+
+    Each access with a register term gets a prologue local ``A<k>``
+    holding its first-trip address and lowers ``n`` to its safe trips;
+    a constant address was checked at fuse time.  A view is shared by
+    the accesses of one format whose every trip's address has the same
+    offset modulo the element size: those whose register terms are all
+    scaled indexes.
+    """
+    size = memory.size
+    prologue: List[str] = []
+    setup: List[str] = []
+    views: Dict[object, str] = {}
+    firsts: Dict[str, str] = {}    # address source -> its prologue local
+    checks = set()
+    indexes: Dict[tuple, str] = {}  # (first, element size) -> local
+    out = {}
+    for k, access in enumerate(shape.accesses):
+        instr = instructions[access.pc]
+        nbytes = access.nbytes
+        slope = access.slope
+        load = not access.store
+        elem = LOAD_ELEM[instr.opcode][0] if load \
+            else STORE_ELEM[instr.opcode]
+        bank = "floats" if elem == "f32" else "ints"
+        hoists |= {bank, "buf"}
+        if access.terms:
+            address = _address_expr(access.const, access.terms)
+            first = firsts.get(address)
+            if first is None:
+                first = firsts[address] = f"A{len(firsts)}"
+                prologue.append(f"{first} = {address}")
+            guards = _store_guards(memory, nbytes, load)
+            check = (f"n = _safe({first}, {slope}, n, {size - nbytes}"
+                     + (f", {guards!r})" if guards else ")"))
+            if check not in checks:
+                checks.add(check)
+                ns["_safe"] = safe_trips
+                prologue.append(check)
+        else:
+            first = str(access.const)
+        if _VIEWS and slope % nbytes == 0:
+            fmt = _VIEW_FORMATS[instr.opcode]
+            if all(mult % nbytes == 0 for _reg, mult in access.terms):
+                offset = access.const % nbytes
+                view = views.get((fmt, offset))
+                if view is None:
+                    view = views[fmt, offset] = f"V{fmt}{offset}"
+                    end = offset + (size - offset) // nbytes * nbytes
+                    whole = offset == 0 and end == size
+                    setup.append(f"{view} = mv.cast({fmt!r})" if whole else
+                                 f"{view} = mv[{offset}:{end}]"
+                                 f".cast({fmt!r})")
+            else:
+                view = f"W{k}"
+                views[k] = view
+                setup += [f"o = {first} % {nbytes}",
+                          f"{view} = mv[o:o + ({size} - o) // {nbytes} "
+                          f"* {nbytes}].cast({fmt!r})"]
+            if access.terms:
+                index = indexes.get((first, nbytes))
+                if index is None:
+                    index = indexes[first, nbytes] = f"E{len(indexes)}"
+                    setup.append(f"{index} = {first} // {nbytes}")
+            else:
+                index = str(access.const // nbytes)
+            lines = _view_lines(instr, bank, view,
+                                _trip_expr(index, slope // nbytes))
+        else:
+            lines = _struct_lines(instr, ns, bank,
+                                  _trip_expr(first, slope))
+        if shape.slopes is None:
+            lines.append(f"_m({_trip_expr(first, slope)})")
+        out[access.pc] = first, lines
+    releases = list(views.values())
+    if views:
+        setup.insert(0, "mv = memoryview(buf)")
+        releases.append("mv")
+    return prologue, setup, releases, out
+
+
+def _trip_expr(first: str, slope: int) -> str:
+    """Source of ``first + trips * slope``."""
+    if not slope:
+        return first
+    return f"{first} + trips" if slope == 1 \
+        else f"{first} + trips * {slope}"
+
+
+def _window_source(prologue: List[str], setup: List[str], header: str,
+                   body: List[str], post: List[str], fault: List[str],
+                   exit_lines: List[str], hoists, releases: List[str],
                    appends: bool, local: bool, entry: int,
                    blen: int) -> List[str]:
-    """Source lines of a self-loop block's window closure: *body* (one
-    trip, ending in the ``break`` test) as the body of a ``while`` loop,
-    then *exit_lines*, which set ``taken`` and ``state.pc``.
+    """Source lines of a self-loop block's window closure.
+
+    *prologue* lowers the trip budget ``n`` (a return of ``(0, False)``
+    follows it when it has lines), *setup* runs once before the first
+    trip, *body* (one trip) runs under *header* -- a ``for`` over
+    ``range(n)``, or a ``while`` whose body ends in the ``break`` test
+    -- then *post* once after the loop; *fault* runs on a fault before
+    the re-raise, and *exit_lines* set ``taken`` and ``state.pc``.
+    The typed views in *releases* are released on the way out.
 
     With *local*, every bank subscript in those lines becomes a local of
-    the register's or flag's own name, loaded once before the loop and
-    written back once after it, on a fault too.
+    the register's or flag's own name, loaded once before the prologue
+    and written back once after the loop, on a fault too.
     """
     names: Dict[str, str] = {}  # register or flag -> bank, first use
 
@@ -576,10 +860,11 @@ def _window_source(body: List[str], exit_lines: List[str], hoists,
         names.setdefault(name, bank)
         return name
 
+    groups = [prologue, setup, body, post, fault, exit_lines]
     if local:
-        body = [re.sub(_BANK_REF, to_local, line) for line in body]
-        exit_lines = [re.sub(_BANK_REF, to_local, line)
-                      for line in exit_lines]
+        groups = [[re.sub(_BANK_REF, to_local, line) for line in lines]
+                  for lines in groups]
+    prologue, setup, body, post, fault, exit_lines = groups
     src = ["def _fused(state, limit, window):"]
     if appends:
         src.append("    _m = window.append")
@@ -590,20 +875,29 @@ def _window_source(body: List[str], exit_lines: List[str], hoists,
     if "buf" in hoists:
         src.append("    buf = state.memory._bytes")
     src += [f"    {name} = {bank}[{name!r}]" for name, bank in names.items()]
+    src.append("    n = limit")
+    if prologue:
+        src += ["    " + line for line in prologue]
+        src += ["    if not n:",
+                "        return 0, False"]
+    src += ["    " + line for line in setup]
     src += ["    trips = 0",
             f"    p = {entry}",
             "    try:",
-            "        while True:"]
+            "        " + header]
     src += ["            " + line for line in body]
+    src += ["        " + line for line in post]
     src += ["    except BaseException:",
             "        state.pc = p",
             f"        state.instructions_retired = "
-            f"n0 + trips * {blen} + p - {entry}",
-            "        raise"]
-    if names:
+            f"n0 + trips * {blen} + p - {entry}"]
+    src += ["        " + line for line in fault]
+    src.append("        raise")
+    cleanup = [f"{bank}[{name!r}] = {name}" for name, bank in names.items()]
+    cleanup += [f"{view}.release()" for view in releases]
+    if cleanup:
         src.append("    finally:")
-        src += [f"        {bank}[{name!r}] = {name}"
-                for name, bank in names.items()]
+        src += ["        " + line for line in cleanup]
     src += ["    " + line for line in exit_lines]
     src += [f"    state.instructions_retired = n0 + trips * {blen}",
             "    return trips, taken"]
@@ -640,6 +934,24 @@ def emit_loop_timing(timing, *, icache_hit: int, dcache_hit: int,
     mispredicts on counter 0 (on 1 as well when the target is
     forward), a fall-through on any non-zero counter.
 
+    A row issues as ``issue += 1`` (``+= icache_hit - 1`` past the
+    trip's first row, whose fetch-ready time is the previous row's
+    issue plus the hit term), and then each operand ready later -- a
+    register's ready time, the first row's fetch-ready time -- delays
+    it, adding the gap to the data stalls: the sequential form of
+    ``account_block``'s ``max``.  Three exact peepholes follow from
+    the row order, since each row issues at least one cycle after the
+    row before it and completes no earlier than its floor (its latency,
+    the D-cache hit latency for a load):
+
+    * a read needs no test when a constant-latency row of the same trip
+      wrote the register at least that latency rows back;
+    * a row whose latency is at most a later row's floor plus their
+      distance in rows completes no later than that row, so it keeps no
+      ``completion`` temporary and no ``last_completion`` update;
+    * with ``icache_hit > 1`` the rows after the first add their
+      constant fetch stall to the data stalls once per trip.
+
     *misses* lists, ascending and ending with *trips*, the trips in
     which some load's latency is not *dcache_hit*; every other trip is
     all-hit.  After each all-hit taken trip the closure takes the state
@@ -672,36 +984,63 @@ def emit_loop_timing(timing, *, icache_hit: int, dcache_hit: int,
     mem_index = 0
     trip: List[str] = []
     emit = trip.append
+    # Every row issues at least one cycle after the one before it, and
+    # completes no earlier than its floor after issuing: its latency, or
+    # the D-cache hit latency for a load.
+    floors = [dcache_hit if row[6] == 1 else row[5] for row in rows]
+    writers = {}  # register -> (row, constant latency or None), this trip
     for i, (_fetch_key, reads, reads_flags, writes, sets_flags,
             latency, mem_kind, _nbytes) in enumerate(rows):
-        # ``issue`` always holds the previous row's issue cycle, which
-        # is also the fetch-ready time of every row but a trip's first.
-        fetch = "fetch_ready" if i == 0 else "issue"
-        emit(f"ready = {fetch} + {fetch_extra}" if fetch_extra
-             else f"ready = {fetch}")
+        # ``issue`` holds the previous row's issue cycle, which is also
+        # the fetch-ready time of every row but a trip's first.  Each
+        # operand ready later than the issue slot delays it.
+        if i == 0:
+            emit("issue += 1")
+            operands = ["fetch_ready + " + str(fetch_extra) if fetch_extra
+                        else "fetch_ready"]
+        else:
+            # A later row's fetch is ready fetch_extra after the row
+            # before it issued.
+            emit(f"issue += {max(fetch_extra, 1)}")
+            operands = []
         for reg in reads + ((_FLAGS,) if reads_flags else ()):
-            x = local(reg)
-            emit(f"if {x} > ready: ready = {x}")
-        emit("issue += 1")
-        emit("if ready > issue:")
-        emit("    data_stall += ready - issue")
-        emit("    issue = ready")
+            # A constant-latency write at least that many rows back in
+            # this trip is ready by the time this row issues.
+            row, ready_in = writers.get(reg, (None, None))
+            if ready_in is None or i - row < ready_in:
+                operands.append(local(reg))
+        for x in operands:
+            emit(f"if {x} > issue:")
+            emit(f"    data_stall += {x} - issue")
+            emit(f"    issue = {x}")
+        # A later row of the trip that cannot complete earlier makes
+        # this row's last_completion update dead.
+        dominated = mem_kind != 1 and any(
+            latency <= floors[m] + m - i for m in range(i + 1, len(rows)))
         if mem_kind == 1:
             has_load = True
             emit(f"a = lats[k + {mem_index}]" if mem_index else "a = lats[k]")
             emit("completion = issue + a")
             emit(f"if a > {dcache_hit}:")
             emit(f"    load_miss += a - {dcache_hit}")
+            completion = "completion"
+        elif dominated:
+            completion = f"issue + {latency}"
         else:
             emit(f"completion = issue + {latency}")
+            completion = "completion"
         if mem_kind:
             mem_index += 1
         for reg in tuple(writes) + ((_FLAGS,) if sets_flags else ()):
             if reg not in written:
                 written.append(reg)
-            emit(f"{local(reg)} = completion")
-        emit("if completion > last_completion: "
-             "last_completion = completion")
+            emit(f"{local(reg)} = {completion}")
+            writers[reg] = (i, None if mem_kind == 1 else latency)
+        if not dominated:
+            emit("if completion > last_completion: "
+                 "last_completion = completion")
+    if fetch_extra > 1 and len(rows) > 1:
+        emit(f"data_stall += {(fetch_extra - 1) * (len(rows) - 1)}")
     if mem_index:
         emit(f"k += {mem_index}")
     emit("fetch_ready = issue")

@@ -19,21 +19,34 @@ self-loop can start, and keeps it when it is a self-loop
 (:meth:`SuperblockTable.loop_at`):
 
 * **One call per window of trips.**  The generated function runs a
-  whole window of trips in one ``while`` loop over the registers and
-  flags it names, held in locals for the whole window, and the memory
-  buffer: integer ALU, compare and (conditional) moves, binary32
+  whole window of trips in one loop over the registers and flags it
+  names, held in locals for the whole window, and the memory buffer:
+  integer ALU, compare and (conditional) moves, binary32
   add/sub/mul/max/min/abs/neg on float registers, scalar loads and
-  stores (symbol bases resolved to address literals at fuse time,
-  bounds and read-only checks inline), float-register mask idioms
-  (``and``/``orr``), and the closing branch.  Whatever shape the
-  emitter declines is one call of the reference
-  :class:`~repro.interp.executor.Executor` on that instruction, the
-  interpreter the per-instruction path runs
+  stores (symbol bases resolved to address literals at fuse time),
+  float-register mask idioms (``and``/``orr``), and the closing
+  branch.  Whatever shape the emitter declines is one call of the
+  reference :class:`~repro.interp.executor.Executor` on that
+  instruction, the interpreter the per-instruction path runs
   (``codegen.superblock.chained.<opcode>`` counts them).
+* **Checked once per window.**  The loop's static shape
+  (:meth:`SuperblockTable.shape_at`, lift only) names its inductions,
+  its affine accesses and whether its trip count is counted by one
+  compare.  The closure's prologue turns these into one trip budget:
+  the counted exit, the trips before an induction leaves the i32
+  range, and the trips every affine access stays in bounds and off
+  the read-only ranges.  The body then runs those trips with no
+  per-trip test on an affine access (a typed ``memoryview`` index)
+  and, for a counted loop, as ``for trips in range(n)`` with the
+  compare taken out.  A next trip the prologue cannot prove safe
+  returns zero trips, and the machine runs that step per instruction.
+  Any other access keeps its bounds and read-only test inline.
 * **Event-free inline retirement.**  An inline instruction builds no
   ``RetireEvent`` (a chained executor call builds its one event).
   Memory operations append their effective address to the window's
-  own list, and the machine charges the window with one
+  own list (when every access is affine the window carries only the
+  first trip's, and :attr:`FusedBlock.slopes` extends them), and the
+  machine charges the window with one
   :meth:`~repro.pipeline.core.PipelineModel.account_loop` call over
   that address stream and the block's pre-extracted
   :class:`~repro.pipeline.core.BlockTiming` (one
@@ -53,19 +66,22 @@ writes back the registers it holds in locals and restores ``state.pc``
 to the faulting instruction and ``instructions_retired`` to the
 completed prefix (every finished trip of the window included) before
 re-raising, so diagnostics and registers match the per-instruction
-engines.  An inline load or store
-whose bounds or read-only test fails calls ``Memory._check_load`` /
-``_check_store`` to raise, so the exception and its text come from
-:class:`~repro.memory.memory.Memory` itself.  A malformed instruction
-is never inlined: the executor raises its error when it executes.
+engines.  An inline load or store whose bounds or read-only test fails
+calls ``Memory._check_load`` / ``_check_store`` to raise, so the
+exception and its text come from :class:`~repro.memory.memory.Memory`
+itself; an affine access that would fault is never run fused, so its
+fault comes from the reference executor.  A malformed instruction is
+never inlined: the executor raises its error when it executes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.codegen.ir import BlockSpec
-from repro.codegen.lift import lift_superblock
+import numpy as np
+
+from repro.codegen.ir import BlockSpec, LoopShape
+from repro.codegen.lift import lift_loop_shape, lift_superblock
 from repro.codegen.superblock import emit_fused_block, loop_condition
 from repro.interp.macro import build_fragment_plan
 from repro.interp.state import MachineState
@@ -89,21 +105,29 @@ class FusedBlock:
 
     ``run(state, limit, window) -> (trips, taken)`` runs trips until the
     closing branch falls through or *limit* trips have run (raising from
-    the faulting pc exactly like the per-instruction engines), appending
-    their effective addresses to the caller's fresh *window* list; the
-    machine charges the window with one
+    the faulting pc exactly like the per-instruction engines), or
+    returns ``(0, False)`` untouched when its prologue cannot prove the
+    next trip safe; the machine then runs that step per instruction.
+    The machine charges a window with one
     :meth:`~repro.pipeline.core.PipelineModel.account_loop` (one
     :meth:`~repro.pipeline.core.PipelineModel.account_block` for a
-    single trip) over ``timing``.  ``count`` is the instructions per
-    trip.
+    single trip) over ``timing`` and the window's address stream.
+    ``run`` appends every trip's effective addresses to the caller's
+    fresh *window* list, except when every access of the loop is
+    affine: then it writes only the first trip's, and ``slopes`` (an
+    int64 array, one per memory row, else None) extends them to the
+    trip-major stream ``first + t * slopes``.  ``count`` is the
+    instructions per trip.
     """
 
-    __slots__ = ("run", "timing", "count")
+    __slots__ = ("run", "timing", "count", "slopes")
 
-    def __init__(self, run, timing: BlockTiming) -> None:
+    def __init__(self, run, timing: BlockTiming, shape: LoopShape) -> None:
         self.run = run
         self.timing = timing
         self.count = timing.count
+        self.slopes = np.asarray(shape.slopes, dtype=np.int64) \
+            if shape.slopes else None
 
 
 class SuperblockTable:
@@ -111,12 +135,13 @@ class SuperblockTable:
     :class:`~repro.isa.decoded.DecodedProgram`) into superblocks, keyed
     by entry pc, and fuses its self-loops.
 
-    Four per-entry products are built on demand, each at most once:
+    Five per-entry products are built on demand, each at most once:
     the lifted :class:`~repro.codegen.ir.BlockSpec` (:meth:`spec_at`),
     its :class:`~repro.pipeline.core.BlockTiming` (:meth:`timing_at`),
-    the self-loop test (:meth:`loop_at`), none of which generates code,
-    and the :class:`FusedBlock` with its window closure
-    (:meth:`block_at`), which reuses the first two.  A caller that
+    the self-loop test (:meth:`loop_at`), a self-loop's
+    :class:`~repro.codegen.ir.LoopShape` (:meth:`shape_at`), none of
+    which generates code, and the :class:`FusedBlock` with its window
+    closure (:meth:`block_at`), which reuses the others.  A caller that
     needs only a block's extent or timing -- the machine's gates, the
     fragment kernel plan -- never pays for a compile.  A fragment's
     table serves only the plan's timings: no fragment block is ever
@@ -153,6 +178,7 @@ class SuperblockTable:
         self._specs: Dict[int, BlockSpec] = {}
         self._timings: Dict[int, BlockTiming] = {}
         self._loops: Dict[int, Optional[BlockSpec]] = {}
+        self._shapes: Dict[int, LoopShape] = {}
         self._blocks: Dict[int, FusedBlock] = {}
         #: The pcs some backward branch targets (the branch itself
         #: included): the only entries a self-loop can have.
@@ -204,6 +230,17 @@ class SuperblockTable:
             self._loops[pc] = spec
             return spec
 
+    def shape_at(self, pc: int) -> LoopShape:
+        """The static facts of the self-loop at *pc*
+        (:func:`~repro.codegen.lift.lift_loop_shape`): its inductions,
+        affine accesses and counted form.  Generates no code; *pc* must
+        be a :meth:`loop_at` entry."""
+        shape = self._shapes.get(pc)
+        if shape is None:
+            shape = self._shapes[pc] = lift_loop_shape(self,
+                                                       self.spec_at(pc))
+        return shape
+
     def block_at(self, pc: int) -> FusedBlock:
         """The fused self-loop at *pc*, compiling its window closure on
         first use; *pc* must be a :meth:`loop_at` entry."""
@@ -211,7 +248,8 @@ class SuperblockTable:
         if block is None:
             self.compiles += 1
             block = self._blocks[pc] = FusedBlock(
-                emit_fused_block(self.spec_at(pc), self), self.timing_at(pc))
+                emit_fused_block(self.spec_at(pc), self), self.timing_at(pc),
+                self.shape_at(pc))
         return block
 
 

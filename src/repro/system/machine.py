@@ -28,6 +28,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.core.translate.translator import (
     AbortReason,
     DynamicTranslator,
@@ -304,9 +306,13 @@ class Machine:
                 block = block_at(pc)
                 count = block.count
                 # One call runs the window: trips until the branch falls
-                # through, the window cap, or the last trip max_steps
-                # allows.  The fresh list takes the window's addresses
-                # and is dropped once charged.
+                # through, the window cap, the last trip max_steps
+                # allows, or the last its prologue proves safe.  The
+                # fresh list takes the window's addresses (only the
+                # first trip's when block.slopes extends them) and is
+                # dropped once charged.  Zero trips: the prologue could
+                # not prove the next trip safe (a fault, an induction
+                # wrap), so this step runs per instruction below.
                 mem = []
                 try:
                     trips, taken = block.run(
@@ -317,19 +323,26 @@ class Machine:
                     raise MachineError(
                         f"{program.name} @pc={state.pc}: {exc}"
                     ) from exc
-                steps += trips * count
-                if trips == 1:
-                    account_block(block.timing, mem, taken)
-                else:
-                    fallback = account_loop(block.timing, trips, mem, taken)
-                    if tel_on:
-                        tel.count("turbo.loop.windows")
-                        tel.observe("turbo.loop.trips", trips)
-                        if fallback is not None:
-                            tel.count("turbo.loop.fallback." + fallback)
-                if translating is not None and tel_on:
-                    tel.count("translate.fused_blocks")
-                continue
+                if trips:
+                    steps += trips * count
+                    if trips == 1:
+                        account_block(block.timing, mem, taken)
+                    else:
+                        slopes = block.slopes
+                        if slopes is not None:
+                            mem = (np.asarray(mem, dtype=np.int64)
+                                   + np.arange(trips, dtype=np.int64)[:, None]
+                                   * slopes).ravel()
+                        fallback = account_loop(block.timing, trips, mem,
+                                                taken)
+                        if tel_on:
+                            tel.count("turbo.loop.windows")
+                            tel.observe("turbo.loop.trips", trips)
+                            if fallback is not None:
+                                tel.count("turbo.loop.fallback." + fallback)
+                    if translating is not None and tel_on:
+                        tel.count("translate.fused_blocks")
+                    continue
             steps += 1
             if steps > max_steps:
                 raise MachineError(

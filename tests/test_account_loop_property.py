@@ -88,10 +88,18 @@ ICACHES = (
     CacheConfig(),                                        # holds any loop
     CacheConfig(size_bytes=128, assoc=1, line_bytes=32),  # lines conflict
     CacheConfig(size_bytes=256, assoc=2, line_bytes=16),
+    # Slower hits: every fetch is ready hit_latency - 1 cycles late, so
+    # a row issues later than one cycle after the row before it.
+    CacheConfig(hit_latency=2),
+    CacheConfig(size_bytes=256, assoc=2, line_bytes=16, hit_latency=3),
 )
 DCACHES = (
     CacheConfig(),
     CacheConfig(size_bytes=128, assoc=2, line_bytes=16),  # evicts
+    # Slower hits: a load completes no earlier than hit_latency cycles
+    # after it issues.
+    CacheConfig(hit_latency=2),
+    CacheConfig(size_bytes=128, assoc=2, line_bytes=16, hit_latency=3),
 )
 
 

@@ -3,11 +3,16 @@
 import math
 import random
 import struct
+import sys
 from array import array
 
 import pytest
 
 from repro import arith
+from repro.codegen.superblock import _ACCESSORS, _VIEW_FORMATS
+from repro.isa.opcodes import ELEM_SIZES, LOAD_ELEM, STORE_ELEM
+
+from test_fused_inline_property import SPECIAL_BITS
 
 
 class TestIntWrap:
@@ -159,3 +164,69 @@ class TestFloatBits:
     def test_unknown_bitwise_op(self):
         with pytest.raises(ValueError):
             arith.float_bitwise("xor", 1.0, 0)
+
+
+def _patterns():
+    """Every special binary32 pattern, then seeded random words."""
+    rng = random.Random(20261020)
+    return list(SPECIAL_BITS) + [rng.getrandbits(32) for _ in range(256)]
+
+
+def _same_bits(a, b) -> bool:
+    """Equal values of one type; floats by binary64 bit pattern, so a
+    NaN's payload counts."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+@pytest.mark.skipif(sys.byteorder != "little",
+                    reason="typed views serve little-endian hosts only")
+class TestTypedViews:
+    """A window closure's affine access indexes a typed ``memoryview``
+    cast of the memory buffer (``codegen.superblock._VIEW_FORMATS``)
+    where every other access calls its ``struct`` accessor
+    (``_ACCESSORS``); both must read and write the same bits, at every
+    byte offset a view may be cast from."""
+
+    @staticmethod
+    def _view(buf, offset: int, size: int, fmt: str):
+        end = offset + (len(buf) - offset) // size * size
+        return memoryview(buf)[offset:end].cast(fmt)
+
+    @pytest.mark.parametrize("opcode", sorted(LOAD_ELEM))
+    def test_loads_match_struct(self, opcode):
+        buf = bytearray(struct.pack(f"<{len(_patterns())}I", *_patterns()))
+        size = ELEM_SIZES[LOAD_ELEM[opcode][0]]
+        read = _ACCESSORS[opcode]
+        for offset in range(size):
+            view = self._view(buf, offset, size, _VIEW_FORMATS[opcode])
+            for i in range(len(view)):
+                assert _same_bits(view[i], read(buf, offset + i * size)[0])
+            view.release()
+
+    @pytest.mark.parametrize("opcode", sorted(STORE_ELEM))
+    def test_stores_match_struct(self, opcode):
+        elem = STORE_ELEM[opcode]
+        size = ELEM_SIZES[elem]
+        words = _patterns()
+        if elem == "f32":
+            # What a float register holds: a loaded binary32 value.
+            values = [struct.unpack("<f", struct.pack("<I", w))[0]
+                      for w in words]
+        else:
+            # What the emitted store writes: the register masked.
+            mask = (1 << (8 * size)) - 1
+            values = [w & mask for w in words]
+        write = _ACCESSORS[opcode]
+        for offset in range(size):
+            packed = bytearray(offset + len(values) * size)
+            viewed = bytearray(len(packed))
+            view = self._view(viewed, offset, size, _VIEW_FORMATS[opcode])
+            for i, value in enumerate(values):
+                write(packed, offset + i * size, value)
+                view[i] = value
+            view.release()
+            assert viewed == packed

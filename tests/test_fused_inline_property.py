@@ -23,13 +23,14 @@ The fast engine must match ``engine="reference"``: the same
 count) or the same ``MachineError`` text.
 
 The fixed cases fault on a late trip of a self-loop window -- a store
-into ``.rodata``, a store past the end of memory, a negative-address
-load, a store fault after a chained executor step has counted itself
-retired, a fault after an all-inline window has advanced an integer
-register, a float accumulator and the flags -- and inside a window on
-an undefined symbol or an immediate no inline form holds, which must
-stay executor steps.  Each must leave the reference's pc, retired
-count, message, registers and flags.
+into ``.rodata``, one whose stride lands in it, a store past the end of
+memory, a negative-address load, a load whose index register wraps
+before its address leaves memory, a store fault after a chained
+executor step has counted itself retired, a fault after an all-inline
+window has advanced an integer register, a float accumulator and the
+flags -- and inside a window on an undefined symbol or an immediate no
+inline form holds, which must stay executor steps.  Each must leave
+the reference's pc, retired count, message, registers and flags.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import contextlib
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro.codegen.superblock as superblock
 import repro.system.machine as machine_module
 from repro import arith
 from repro.isa.assembler import assemble
@@ -366,6 +368,9 @@ def _walk(access: str, start: str, step: int, trips: int = 64,
                       f"cmp r0, #{trips}", "blt loop", "halt"])
 
 
+#: 256 below 2^31, one past the i32 maximum: sixteen steps of 16 wrap.
+WRAP_START = 0x7FFFFF00
+
 FAULTS = {
     # A is 32 bytes, padded to 64; the read-only K follows it, so the
     # walk reaches K on trip 17.
@@ -399,6 +404,15 @@ FAULTS = {
     # the executor executes it.
     "infinite-integer-immediate": _walk(
         "ldw r3, [A + #0]\nadd r3, r3, #1e999", "#0", 4, trips=40),
+    # The offset brings r1's address down to 4096 + 16 * trip.  r1's
+    # sixteenth update (WRAP_START + 16 * 16 = 2^31) wraps it, so the
+    # next trip's address is far below zero, although the unwrapped
+    # walk would stay inside memory.
+    "wrap-before-fault": _walk(f"ldw r3, [r1 + #{(4096 - WRAP_START) // 4}]",
+                               f"#{WRAP_START}", 16),
+    # A stride of 40 bytes, wider than K's 32, lands in K on trip 20.
+    "stride-lands-in-rodata": _walk("stw r2, [r1 + #0]", "#64800", 40,
+                                    data=".rodata K i32 8 = 1"),
 }
 
 
@@ -425,6 +439,20 @@ def test_late_trip_fault_matches_reference(case, monkeypatch):
             assert fast[4]["f1"] != 0.0 and fast[5]["lt"]
         assert fast[0] == "MachineError"
         assert fast[3] > 10, "the fault should land on a late trip"
+
+
+def test_wrap_before_fault_needs_the_no_wrap_bound(monkeypatch):
+    """The window prologue bounds a window to the trips before an
+    induction's update would wrap: without that bound the window would
+    run the ``wrap-before-fault`` walk with unwrapped addresses, which
+    stay inside memory, and miss the reference's fault."""
+    program = assemble(FAULTS["wrap-before-fault"])
+    reference = _outcome(program, "reference")
+    assert reference.startswith("MachineError: ") \
+        and "load out of range" in reference
+    monkeypatch.setattr(superblock, "no_wrap_trips",
+                        lambda value, step, n: n)
+    assert _outcome(program, "fast") != reference
 
 
 @pytest.mark.parametrize("opcode", sorted(STORE_ELEM))

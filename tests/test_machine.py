@@ -533,6 +533,125 @@ class TestLoopWindows:
         assert fast.to_dict() == ref.to_dict()
 
 
+    def _shapes(self, monkeypatch, source, **config):
+        """(fast, reference) outcomes, the static shapes of the loops
+        the fast engine compiled, and the counters of a telemetry-on
+        fast run (which may end in a ``MachineError``)."""
+        shapes = []
+        real_emit = turbo_module.emit_fused_block
+
+        def emit(spec, table):
+            shapes.append(table.shape_at(spec.entry))
+            return real_emit(spec, table)
+
+        monkeypatch.setattr(turbo_module, "emit_fused_block", emit)
+        outcomes = _both_engines(source, **config)
+        tel = telemetry.enable()
+        try:
+            Machine(MachineConfig(**config)).run(assemble(source))
+        except MachineError:
+            pass
+        finally:
+            counters = tel.to_dict()["counters"]
+            telemetry.disable()
+        return outcomes, shapes, counters
+
+    def test_store_stride_jumps_over_a_read_only_range(self, monkeypatch):
+        """A 96-byte store stride steps over the read-only K (32 bytes
+        at A + 64) on every trip: the prologue proves every trip safe,
+        so each window runs to its end fused."""
+        source = "\n".join([
+            ".data A i32 8 = 7", ".rodata K i32 8 = 1", "main:",
+            "mov r0, #0", "mov r1, A", "mov r2, #-1", "loop:",
+            "stw r2, [r1 + #0]", "add r1, r1, #96", "add r0, r0, #1",
+            "cmp r0, #200", "blt loop", "halt"])
+        (fast, ref), shapes, counters = self._shapes(monkeypatch, source)
+        assert fast == ref
+        assert isinstance(fast, dict)
+        assert shapes[0].slopes == (96,) and shapes[0].counted
+        assert counters["turbo.loop.windows"] == 1
+
+    def test_misaligned_first_address_runs_fused(self, monkeypatch):
+        """Base registers one and three bytes past an aligned array: the
+        word stride is a multiple of the element size, so the accesses
+        index typed views cast from the misaligned offset."""
+        source = "\n".join([
+            ".data A i32 64 = " + ", ".join(str(i * 0x01010101 % 997)
+                                            for i in range(64)),
+            ".data B i32 64 = 0", "main:", "mov r0, #0", "mov r1, A",
+            "add r1, r1, #1", "mov r4, B", "add r4, r4, #3", "loop:",
+            "ldw r2, [r1 + r0]", "ldh r3, [r1 + r0]", "add r2, r2, r3",
+            "stw r2, [r4 + r0]", "sth r3, [r4 + #40]", "add r0, r0, #1",
+            "cmp r0, #60", "blt loop", "halt"])
+        (fast, ref), shapes, counters = self._shapes(monkeypatch, source)
+        assert fast == ref
+        assert isinstance(fast, dict)
+        assert len(shapes[0].accesses) == 4 and shapes[0].slopes
+        assert counters["turbo.loop.windows"] > 0
+
+    @pytest.mark.parametrize("body", [
+        # A conditional move reads the flags the closing compare left.
+        ("ldw r2, [A + r0]", "movlt r3, r2", "stw r3, [A + r0]"),
+        # The compare's bound is a register the body writes.
+        ("ldw r2, [A + r0]", "sub r5, r5, #1"),
+        # A second compare.
+        ("ldw r2, [A + r0]", "cmp r2, #3", "stw r2, [A + r0]"),
+    ], ids=["conditional-move", "written-bound", "two-compares"])
+    def test_loops_that_stay_uncounted(self, monkeypatch, body):
+        source = "\n".join([
+            ".data A i32 64 = 5", "main:", "mov r0, #0", "mov r5, #90",
+            "loop:", *body, "add r0, r0, #1",
+            "cmp r0, r5" if "sub r5, r5, #1" in body else "cmp r0, #50",
+            "blt loop", "halt"])
+        (fast, ref), shapes, counters = self._shapes(monkeypatch, source)
+        assert fast == ref
+        assert isinstance(fast, dict)
+        assert shapes[0].counted is None
+        assert counters["turbo.loop.windows"] > 0
+
+    def test_bne_whose_bound_is_never_hit(self, monkeypatch):
+        """``r0`` steps by 2^28 and never equals 5, so the loop runs
+        until the step limit.  Its exit trip never comes, and each
+        window ends where ``r0``'s next update would wrap: that trip
+        runs per instruction, then a window resumes."""
+        source = "\n".join([
+            ".data A i32 64 = 5", "main:", "mov r0, #0", "loop:",
+            "ldw r2, [A + #3]", "add r2, r2, r0", "stw r2, [A + #4]",
+            "add r0, r0, #268435456", "cmp r0, #5", "bne loop", "halt"])
+        (fast, ref), shapes, counters = self._shapes(
+            monkeypatch, source, max_steps=3000)
+        assert fast == ref
+        assert fast.startswith("MachineError: ") and "exceeded" in fast
+        assert shapes[0].counted[3] == "ne"
+        assert counters["turbo.loop.windows"] > 1
+
+    def test_affine_access_in_a_loop_with_no_integer_line(self,
+                                                           monkeypatch):
+        """The only integer register the window reads is the address
+        base, in its prologue: the body is float work and an
+        executor-stepped ``fcmp``, so nothing else loads the bank."""
+        source = "\n".join([
+            ".data F f32 4 = 1.5, 2.0, 3.0, 4.0", "main:", "mov r1, F",
+            "fmov f2, #0.0", "loop:", "ldf f1, [r1 + #2]",
+            "fadd f2, f2, f1", "fcmp f2, #100.0", "blt loop", "halt"])
+        (fast, ref), shapes, counters = self._shapes(monkeypatch, source)
+        assert fast == ref
+        assert isinstance(fast, dict)
+        assert shapes[0].slopes == (0,) and shapes[0].counted is None
+        assert counters["codegen.superblock.chained.fcmp"] == 1
+        assert counters["turbo.loop.windows"] == 1
+
+    def test_counted_loop_longer_than_a_window(self, monkeypatch):
+        trips = 2 * LOOP_WINDOW_TRIPS + 7
+        source = _counted_loop(trips, ("ldw r2, [A + r0]", "add r2, r2, r0",
+                                       "stw r2, [A + r0]"))
+        (fast, ref), shapes, counters = self._shapes(monkeypatch, source)
+        assert fast == ref
+        assert fast["instructions"] == 1 + trips * 6 + 1
+        assert shapes[0].counted and shapes[0].slopes == (4, 4)
+        assert counters["turbo.loop.windows"] == 3
+
+
 class TestOutlinedSizes:
     def test_sizes_match_function_bodies(self):
         kernel = simple_kernel()
