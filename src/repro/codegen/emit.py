@@ -15,14 +15,18 @@ separately:
   instead of ``<string>``.
 
 One thing is cached here, per process: the compiled module code object
-of each ``(filename, source)`` pair, so a source met again (the same
-Liquid binary at another width, another run of the same program) is
-only ``exec``-ed.  A code object holds the source's literals and names,
-never a namespace, so the functions built from it still live as long
-as the tables of the one machine run that built them.  Telemetry: every
-``compile()`` bumps ``codegen.compile.<kind>`` and every cache hit
-``codegen.reuse.<kind>``, one of ``superblock``, ``loop-timing`` and
-``numpy-kernel`` (docs/observability.md).
+of each source, so a source met again (the same Liquid binary at
+another width, another benchmark's identical loop, another run of the
+same program) is only ``exec``-ed.  The cache is keyed on the source
+alone: a source met under another filename reuses the code object with
+its ``co_filename`` (and its nested code objects') set to the new one,
+so tracebacks and profiles still name their own closure.  A code object
+holds the source's literals and names, never a namespace, so the
+functions built from it still live as long as the tables of the one
+machine run that built them.  Telemetry: every ``compile()`` bumps
+``codegen.compile.<kind>`` and every cache hit ``codegen.reuse.<kind>``,
+one of ``superblock``, ``loop-timing`` and ``numpy-kernel``
+(docs/observability.md).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import hashlib
 import math
 import threading
 from types import CodeType
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.observability import telemetry as _telemetry
 
@@ -40,10 +44,10 @@ from repro.observability import telemetry as _telemetry
 #: insertion order), and a source met again after that compiles again.
 CODE_ENTRIES = 1024
 
-#: ``(filename, sha256(source))`` -> compiled module code.  The digest
-#: keeps the sources themselves out of memory; the filename keeps a
-#: reused closure's tracebacks and profiles naming its own kernel.
-_code: Dict[Tuple[str, bytes], CodeType] = {}
+#: ``sha256(source)`` -> compiled module code, under the filename it
+#: was first compiled with.  The digest keeps the sources themselves
+#: out of memory.
+_code: Dict[bytes, CodeType] = {}
 #: Guards the evict-then-insert of a miss; a lookup needs no lock.
 _code_lock = threading.Lock()
 
@@ -77,11 +81,20 @@ def assemble(header: str, body: Iterable[str], indent: str = "    ") -> str:
     return "\n".join(lines)
 
 
+def _renamed(code: CodeType, filename: str) -> CodeType:
+    """*code* with ``co_filename`` *filename*, its nested code objects
+    (the functions the module defines) included."""
+    consts = tuple(_renamed(const, filename)
+                   if isinstance(const, CodeType) else const
+                   for const in code.co_consts)
+    return code.replace(co_filename=filename, co_consts=consts)
+
+
 def compile_closure(source: str, filename: str, namespace: dict,
                     fn_name: str, kind: str = "closure"):
     """``exec()`` *source*'s code into *namespace* and return
     ``namespace[fn_name]``, compiling it only on a cache miss."""
-    key = (filename, hashlib.sha256(source.encode()).digest())
+    key = hashlib.sha256(source.encode()).digest()
     code = _code.get(key)
     if code is None:
         _telemetry.get().count("codegen.compile." + kind)
@@ -92,5 +105,7 @@ def compile_closure(source: str, filename: str, namespace: dict,
             _code[key] = code
     else:
         _telemetry.get().count("codegen.reuse." + kind)
+        if code.co_filename != filename:
+            code = _renamed(code, filename)
     exec(code, namespace)
     return namespace[fn_name]

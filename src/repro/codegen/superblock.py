@@ -22,7 +22,11 @@ The emitted code is semantically unchanged from the inline versions:
   trip in one loop, stepping the reference executor for the rest, with
   the registers and flags the inline lines name held in locals for the
   whole window (written back on exit and on a fault), and restores
-  ``state.pc`` and the retired count on a fault.  Its form follows the
+  ``state.pc`` and the retired count on a fault.  Its recording form,
+  ``run(state, limit, window, values)``, also appends the value each
+  of a given set of inline loads wrote, for a dynamic translator's
+  value collectors; with nothing to record the source is the plain
+  form's.  Its form follows the
   loop's lift-only :class:`~repro.codegen.ir.LoopShape`: a prologue
   checks the affine accesses, the counted exit and the inductions'
   i32 range once per window (:func:`safe_trips`, :func:`exit_trips`,
@@ -557,7 +561,7 @@ def loop_condition(spec: BlockSpec, program) -> Optional[str]:
     return _COND_EXPRS.get(instr.opcode[1:])
 
 
-def emit_fused_block(spec: BlockSpec, table):
+def emit_fused_block(spec: BlockSpec, table, recorded=()):
     """The window closure of one lifted self-loop block.
 
     *table* is the owning :class:`~repro.interp.turbo.SuperblockTable`
@@ -620,6 +624,16 @@ def emit_fused_block(spec: BlockSpec, table):
     argument, or was folded into a literal at fuse time.  The typed
     views are locals, released on the way out.
 
+    *recorded* (body pcs, in body order) asks for the recording form,
+    ``run(state, limit, window, values)``, which a dynamic translator's
+    observation window runs (``DynamicTranslator.pending_values``):
+    after each recorded load it appends the value the load wrote to its
+    register to *values*, trip-major and in body order.  The value is
+    the load's own, never read back from memory, where a later store of
+    the same trip may already have replaced it.  Only an inline load is
+    recorded: when a recorded pc is anything else this returns None.
+    With nothing recorded the source is the plain form's.
+
     Telemetry: ``codegen.superblock.inline`` counts the instructions
     emitted as inline lines and ``codegen.superblock.chained.<opcode>``
     the ones emitted as an executor step.
@@ -632,6 +646,11 @@ def emit_fused_block(spec: BlockSpec, table):
     cond = loop_condition(spec, table.program)
     if cond is None:
         raise ValueError(f"block at pc {entry} is not a self-loop")
+    for pc in recorded:
+        instr = instructions[pc]
+        if instr.opcode not in LOAD_ELEM \
+                or scalar_access(instr, state) is None:
+            return None
     shape = table.shape_at(entry)
     steps = {reg: (step, update) for reg, step, update in shape.inductions}
     counted = shape.counted
@@ -697,6 +716,10 @@ def emit_fused_block(spec: BlockSpec, table):
             hoists |= needs
         body.append(f"p = {pc}")
         body.extend(lines)
+        if pc in recorded:
+            bank = "floats" if LOAD_ELEM[instr.opcode][0] == "f32" \
+                else "ints"
+            body.append(f"_v({_access_target(instr, bank)})")
 
     post: List[str] = []
     fault: List[str] = []
@@ -728,7 +751,8 @@ def emit_fused_block(spec: BlockSpec, table):
     # A loop whose accesses are not all affine appends every trip's.
     src = _window_source(
         prologue, setup, header, body, post, fault, exit_lines, hoists,
-        releases, shape.slopes is None, not chained, entry, spec.blen)
+        releases, shape.slopes is None, bool(recorded), not chained, entry,
+        spec.blen)
     fused = _emit.compile_closure(
         "\n".join(src),
         _emit.closure_filename("superblock", spec.label, entry),
@@ -837,7 +861,7 @@ def _trip_expr(first: str, slope: int) -> str:
 def _window_source(prologue: List[str], setup: List[str], header: str,
                    body: List[str], post: List[str], fault: List[str],
                    exit_lines: List[str], hoists, releases: List[str],
-                   appends: bool, local: bool, entry: int,
+                   appends: bool, records: bool, local: bool, entry: int,
                    blen: int) -> List[str]:
     """Source lines of a self-loop block's window closure.
 
@@ -847,7 +871,9 @@ def _window_source(prologue: List[str], setup: List[str], header: str,
     ``range(n)``, or a ``while`` whose body ends in the ``break`` test
     -- then *post* once after the loop; *fault* runs on a fault before
     the re-raise, and *exit_lines* set ``taken`` and ``state.pc``.
-    The typed views in *releases* are released on the way out.
+    The typed views in *releases* are released on the way out.  With
+    *records*, the closure takes a fourth argument, ``values``, whose
+    ``append`` the body's recorded loads call as ``_v``.
 
     With *local*, every bank subscript in those lines becomes a local of
     the register's or flag's own name, loaded once before the prologue
@@ -865,7 +891,11 @@ def _window_source(prologue: List[str], setup: List[str], header: str,
         groups = [[re.sub(_BANK_REF, to_local, line) for line in lines]
                   for lines in groups]
     prologue, setup, body, post, fault, exit_lines = groups
-    src = ["def _fused(state, limit, window):"]
+    if records:
+        src = ["def _fused(state, limit, window, values):",
+               "    _v = values.append"]
+    else:
+        src = ["def _fused(state, limit, window):"]
     if appends:
         src.append("    _m = window.append")
     src.append("    n0 = state.instructions_retired")

@@ -268,22 +268,53 @@ class DynamicTranslator:
             self._record_abort(AbortReason.NESTED_CALL,
                                "call inside outlined region")
 
+    def pending_values(self, pcs) -> Optional[Tuple[int, ...]]:
+        """What retirements at *pcs* would still give the attempt.
+
+        None while some pc in *pcs* has not retired in this attempt:
+        its first encounter does translation work, so the machine must
+        step it.  Otherwise the pcs, in the order given, whose value
+        collector is still short of ``value_history_limit``: observing
+        any of them only appends its value (:meth:`record_values`), and
+        observing any other is an exact no-op.  Empty once the attempt
+        has aborted or finished.
+        """
+        if self.aborted is not None or self.done:
+            return ()
+        seen = self.seen
+        collectors = self.collectors
+        limit = self.config.value_history_limit
+        pending = []
+        for pc in pcs:
+            if pc not in seen:
+                return None
+            trace = collectors.get(pc)
+            if trace is not None and len(trace.values) < limit:
+                pending.append(pc)
+        return tuple(pending)
+
     def ignores(self, pc: int) -> bool:
         """Would a retirement at *pc* change nothing?
 
         True once the attempt has aborted or finished, or when *pc* was
         seen before and has no value collector still short of
-        ``value_history_limit``.  Once true for a pc it stays true, and
-        :meth:`observe` of such an event is an exact no-op — so the
-        machine may run those instructions fused, without events.
+        ``value_history_limit`` (:meth:`pending_values`).  Once true
+        for a pc it stays true, and :meth:`observe` of such an event is
+        an exact no-op.
         """
+        return self.pending_values((pc,)) == ()
+
+    def record_values(self, pc: int, values) -> None:
+        """:meth:`observe` of a run of retirements at the seen pc *pc*
+        that loaded *values*, in order: append them to its collector,
+        up to ``value_history_limit``."""
         if self.aborted is not None or self.done:
-            return True
-        if pc not in self.seen:
-            return False
+            return
         trace = self.collectors.get(pc)
-        return trace is None \
-            or len(trace.values) >= self.config.value_history_limit
+        if trace is not None:
+            room = self.config.value_history_limit - len(trace.values)
+            if room > 0:
+                trace.values.extend(values[:room])
 
     def observe(self, event: RetireEvent) -> None:
         """Feed one retired instruction of the outlined function."""

@@ -55,11 +55,13 @@ self-loop can start, and keeps it when it is a self-loop
   force the machine onto the per-instruction path, whose events are
   the reference executor's own (see ``docs/execution-engines.md``): a
   :class:`~repro.system.trace.TraceRecorder` for the whole run, the
-  dynamic translator only for pcs it does not yet ignore
-  (:meth:`~repro.core.translate.translator.DynamicTranslator.ignores`).
-  The machine checks a loop against the translator and the step limit
-  through its lift-only spec, so a loop it may not run fused is never
-  compiled.
+  dynamic translator only for a loop with a pc it has not seen yet
+  (:meth:`~repro.core.translate.translator.DynamicTranslator
+  .pending_values`).  The values its collectors still need come from
+  the recording form of the window closure, built per set of recorded
+  loads (:meth:`SuperblockTable.block_at`).  The machine checks a loop
+  against the translator and the step limit through its lift-only
+  spec, so a loop it may not run fused is never compiled.
 
 Error fidelity is preserved exactly: a window closure that faults
 writes back the registers it holds in locals and restores ``state.pc``
@@ -141,7 +143,8 @@ class SuperblockTable:
     the self-loop test (:meth:`loop_at`), a self-loop's
     :class:`~repro.codegen.ir.LoopShape` (:meth:`shape_at`), none of
     which generates code, and the :class:`FusedBlock` with its window
-    closure (:meth:`block_at`), which reuses the others.  A caller that
+    closure (:meth:`block_at`, once per form: plain, or recording a
+    set of loads), which reuses the others.  A caller that
     needs only a block's extent or timing -- the machine's gates, the
     fragment kernel plan -- never pays for a compile.  A fragment's
     table serves only the plan's timings: no fragment block is ever
@@ -179,7 +182,7 @@ class SuperblockTable:
         self._timings: Dict[int, BlockTiming] = {}
         self._loops: Dict[int, Optional[BlockSpec]] = {}
         self._shapes: Dict[int, LoopShape] = {}
-        self._blocks: Dict[int, FusedBlock] = {}
+        self._blocks: Dict[tuple, Optional[FusedBlock]] = {}
         #: The pcs some backward branch targets (the branch itself
         #: included): the only entries a self-loop can have.
         self._heads = set()
@@ -189,7 +192,8 @@ class SuperblockTable:
                     self.program, self.instructions[pc].target)
                 if target is not None and target <= pc:
                     self._heads.add(target)
-        #: Window closures built (one per fused self-loop): the run's
+        #: Window closures built, one per form a self-loop ran in (plain,
+        #: or recording a set of pcs): the run's
         #: ``turbo.superblock.compiles`` count (docs/observability.md).
         self.compiles = 0
 
@@ -241,15 +245,30 @@ class SuperblockTable:
                                                        self.spec_at(pc))
         return shape
 
-    def block_at(self, pc: int) -> FusedBlock:
+    def block_at(self, pc: int, recorded=()) -> Optional[FusedBlock]:
         """The fused self-loop at *pc*, compiling its window closure on
-        first use; *pc* must be a :meth:`loop_at` entry."""
-        block = self._blocks.get(pc)
-        if block is None:
+        first use; *pc* must be a :meth:`loop_at` entry.
+
+        Memoized per ``(pc, recorded)``: a non-empty *recorded* (body
+        pcs, in body order) builds the recording form
+        (:func:`~repro.codegen.superblock.emit_fused_block`), whose
+        ``run`` takes a fourth argument, the list the recorded loads'
+        values go to.  None when a recorded pc is not an inline load:
+        that loop keeps the per-instruction path while it records.
+        """
+        key = pc, recorded
+        try:
+            return self._blocks[key]
+        except KeyError:
+            pass
+        block = None
+        spec = self.spec_at(pc)
+        run = emit_fused_block(spec, self, recorded) if recorded \
+            else emit_fused_block(spec, self)
+        if run is not None:
             self.compiles += 1
-            block = self._blocks[pc] = FusedBlock(
-                emit_fused_block(self.spec_at(pc), self), self.timing_at(pc),
-                self.shape_at(pc))
+            block = FusedBlock(run, self.timing_at(pc), self.shape_at(pc))
+        self._blocks[key] = block
         return block
 
 

@@ -9,8 +9,9 @@ Execution of one Liquid binary proceeds exactly as the paper describes:
 
 1. The first time a marked (``blo``) call retires, the translator starts
    observing the outlined function's retire stream while the function
-   runs in scalar form.  Self-loops whose retirements the translator
-   would ignore run fused, without events.
+   runs in scalar form.  A self-loop's trips after its first run fused,
+   without events: the window records the values its loads still owe
+   the translator's value collectors and hands them over at its end.
 2. At the function's ``ret`` the translation finalizes; after a
    configurable latency (cycles per observed instruction) the microcode
    becomes available in the cache.  Aborted translations blacklist the
@@ -274,12 +275,17 @@ class Machine:
         # window closure and one account_loop() call per window of
         # trips; every other instruction takes the per-instruction path
         # below.  A tracer needs every RetireEvent, so tracing disables
-        # fusion wholesale.  While a translation is in flight, a loop
-        # runs fused only when the translator ignores every pc in it
-        # (DynamicTranslator.ignores): those retirements would change
-        # nothing it computes.  Everything else it observes takes the
-        # per-instruction path through the reference executor, whose
-        # events are eager — all of it when interrupt_interval is set,
+        # fusion wholesale.  While a translation is in flight, one
+        # DynamicTranslator.pending_values call per loop head picks the
+        # path.  None: some pc has not retired in the attempt, and its
+        # first encounter does translation work, so the loop steps per
+        # instruction.  Empty: nothing is left to observe, so the plain
+        # window runs.  Otherwise the loads whose value collectors are
+        # still short: the recording window runs, and the values those
+        # loads wrote go to record_values, which is all observing them
+        # would do (block_at returns None, and the loop steps per
+        # instruction, when one is not an inline load).  With
+        # interrupt_interval set the whole call steps per instruction,
         # since the external-abort instant is read after every
         # instruction.  Both gates read the loop's lift-only spec, so a
         # loop that may not run fused compiles nothing.
@@ -293,17 +299,26 @@ class Machine:
         fuse_observed = config.interrupt_interval is None
         account_block = pipeline.account_block
         account_loop = pipeline.account_loop
+        decode = config.observation_point == "decode"
         while not state.halted:
             pc = state.pc
             spec = loop_at(pc) if loop_at is not None else None
             # Near max_steps, fall through to the per-instruction path
             # so the step-limit error fires at the exact instruction it
             # would under the reference engine.
-            if spec is not None and steps + spec.blen <= max_steps \
-                    and (translating is None
-                         or (fuse_observed
-                             and all(map(translating.ignores, spec.pcs)))):
-                block = block_at(pc)
+            block = None
+            if spec is not None and steps + spec.blen <= max_steps:
+                if translating is None:
+                    recorded = ()
+                elif fuse_observed:
+                    recorded = translating.pending_values(spec.pcs)
+                else:
+                    recorded = None
+                if recorded:
+                    block = block_at(pc, recorded)
+                elif recorded is not None:
+                    block = block_at(pc)
+            if block is not None:
                 count = block.count
                 # One call runs the window: trips until the branch falls
                 # through, the window cap, the last trip max_steps
@@ -314,11 +329,13 @@ class Machine:
                 # not prove the next trip safe (a fault, an induction
                 # wrap), so this step runs per instruction below.
                 mem = []
+                limit = min(LOOP_WINDOW_TRIPS, (max_steps - steps) // count)
                 try:
-                    trips, taken = block.run(
-                        state, min(LOOP_WINDOW_TRIPS,
-                                   (max_steps - steps) // count),
-                        mem)
+                    if recorded:
+                        values = []
+                        trips, taken = block.run(state, limit, mem, values)
+                    else:
+                        trips, taken = block.run(state, limit, mem)
                 except (ExecutionError, MemoryError_) as exc:
                     raise MachineError(
                         f"{program.name} @pc={state.pc}: {exc}"
@@ -340,8 +357,19 @@ class Machine:
                             tel.observe("turbo.loop.trips", trips)
                             if fallback is not None:
                                 tel.count("turbo.loop.fallback." + fallback)
+                    if recorded:
+                        # Trip-major, in body order: each recorded pc's
+                        # values are every len(recorded)-th one.
+                        stride = len(recorded)
+                        for i, load_pc in enumerate(recorded):
+                            loaded = values[i::stride]
+                            translating.record_values(
+                                load_pc,
+                                [None] * len(loaded) if decode else loaded)
                     if translating is not None and tel_on:
                         tel.count("translate.fused_blocks")
+                        if recorded:
+                            tel.count("translate.recording_windows")
                     continue
             steps += 1
             if steps > max_steps:

@@ -9,6 +9,7 @@ still pins none of its own objects once it returns.
 import gc
 import sys
 import threading
+import traceback
 from collections import Counter
 
 import pytest
@@ -113,13 +114,32 @@ def test_threads_compiling_at_once_keep_the_bound(empty_code_cache,
     assert len(emit._code) <= 4
 
 
-def test_same_source_under_another_filename_compiles_again(empty_code_cache):
-    first = emit.compile_closure("def f():\n    return 1", "<test:a@0>",
-                                 {}, "f")
-    second = emit.compile_closure("def f():\n    return 1", "<test:b@0>",
-                                  {}, "f")
+def test_same_source_under_another_filename_compiles_once(empty_code_cache):
+    """The cache is keyed on the source alone; a closure reused under
+    another filename still names its own in tracebacks, nested code
+    objects (here a generator expression's) included."""
+    source = "def f(x):\n    return sum(1 // v for v in x)"
+    tel = telemetry.enable()
+    try:
+        first = emit.compile_closure(source, "<test:a@0>", {}, "f",
+                                     kind="test")
+        second = emit.compile_closure(source, "<test:b@0>", {}, "f",
+                                      kind="test")
+        counters = dict(tel.counters)
+    finally:
+        telemetry.disable()
+    assert counters["codegen.compile.test"] == 1
+    assert counters["codegen.reuse.test"] == 1
+    assert len(emit._code) == 1
+    assert first([1]) == second([1]) == 1
     assert first.__code__.co_filename == "<test:a@0>"
     assert second.__code__.co_filename == "<test:b@0>"
+    with pytest.raises(ZeroDivisionError) as raised:
+        second([0])
+    frames = [frame.filename
+              for frame in traceback.extract_tb(raised.value.__traceback__)]
+    assert frames[-2:] == ["<test:b@0>", "<test:b@0>"]
+    assert "<test:a@0>" not in frames
 
 
 def test_warm_run_pins_no_run_object(empty_code_cache, monkeypatch):

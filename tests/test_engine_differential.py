@@ -136,7 +136,7 @@ def test_scalar_machine_engines_identical():
     assert fast.to_dict() == ref.to_dict()
 
 
-@pytest.mark.parametrize("variant", [
+_TRANSLATOR_VARIANTS = [
     dict(translation_mode="software"),
     dict(observation_point="decode"),
     dict(verify_translations=True),
@@ -144,14 +144,25 @@ def test_scalar_machine_engines_identical():
     dict(interrupt_interval=500),
     dict(max_ucode_instructions=2),
     dict(attempt_plain_bl=True),
-])
-def test_turbo_identical_across_translator_configs(variant):
+]
+
+
+@pytest.mark.parametrize("variant,width", [
+    pytest.param(variant, width,
+                 id=f"variant{i}" if width == 4 else f"variant{i}-w{width}")
+    for width in (4, 16) for i, variant in enumerate(_TRANSLATOR_VARIANTS)])
+def test_turbo_identical_across_translator_configs(variant, width):
     """Translator-heavy configs: fused (untraced) and eager (traced,
     one executor step per retirement) fast runs must agree.  Untraced,
-    blocks the translator ignores run fused during the observed call; a
-    2-entry microcode buffer makes aborted attempts end at a fused
-    block's ``ret``."""
+    an observed loop's trips after its first run as one window that
+    records its loads' values for the translator's collectors, which
+    fill at 2 x width values (8 at width 4, 32 at width 16): handed
+    over as ``None`` under decode observation, and met by software
+    translation, verification and the pretranslation scout.  A 2-entry
+    microcode buffer aborts every attempt on its first trip, after which
+    the observed loops run as plain windows until the ``ret``, which
+    retires per instruction."""
     program = build_liquid_program(build_kernel("FFT"))
-    config = MachineConfig(accelerator=config_for_width(4), **variant)
+    config = MachineConfig(accelerator=config_for_width(width), **variant)
     traced = Machine(config, tracer=TraceRecorder()).run(program)
     assert Machine(config).run(program).to_dict() == traced.to_dict()

@@ -123,8 +123,8 @@ class TestRunLifetime:
             refs["blocks"] = weakref.ref(blocks)
             block_at = blocks.block_at
 
-            def first_block(pc):
-                block = block_at(pc)
+            def first_block(pc, *recorded):
+                block = block_at(pc, *recorded)
                 refs.setdefault("closure", weakref.ref(block.run))
                 return block
             blocks.block_at = first_block
@@ -435,22 +435,23 @@ class TestLoopWindows:
 
     def test_observed_loop_compiles_only_where_it_runs_fused(
             self, monkeypatch):
-        """During an observed call the translator still observes the
-        callee's loop, so the machine compiles nothing for it then.  Its
-        window closure is compiled right where its first window runs,
+        """During an observed call the translator still collects the
+        values the callee's loop loads, so the loop's recording form is
+        compiled on its second trip, right where that window runs.  Its
+        plain form is compiled right where its first plain window runs,
         on a later scalar call (the microcode is not ready yet)."""
         events = []
         real_emit = turbo_module.emit_fused_block
 
-        def emit(spec, table):
+        def emit(spec, table, *recorded):
             events.append(("compile", spec.entry,
                            table.state.instructions_retired))
-            run = real_emit(spec, table)
+            run = real_emit(spec, table, *recorded)
 
-            def window(state, limit, mem):
+            def window(state, limit, mem, *values):
                 events.append(("run", spec.entry,
                                state.instructions_retired))
-                return run(state, limit, mem)
+                return run(state, limit, mem, *values)
             return window
 
         monkeypatch.setattr(turbo_module, "emit_fused_block", emit)

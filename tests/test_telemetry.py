@@ -313,7 +313,8 @@ class TestFusedPathCounters:
 
 class TestObservedCallCounters:
     """``translate.fused_blocks`` counts self-loop windows run while a
-    translation is in flight; fragment code runs as kernels or
+    translation is in flight, ``translate.recording_windows`` those of
+    them that record values for it; fragment code runs as kernels or
     reference steps and compiles no window closure."""
 
     def _counters(self, **config):
@@ -328,6 +329,21 @@ class TestObservedCallCounters:
     def test_fused_blocks_during_observation(self):
         counters = self._counters(accelerator=config_for_width(8))
         assert counters["translate.fused_blocks"] > 0
+
+    def test_recording_windows_are_fused_blocks(self):
+        """An observed loop's trips after its first record their loads'
+        values in one window; a baseline run translates nothing."""
+        counters = self._counters(accelerator=config_for_width(8))
+        assert 0 < counters["translate.recording_windows"] \
+            <= counters["translate.fused_blocks"]
+        telemetry.enable()
+        try:
+            result = Machine(MachineConfig()).run(
+                build_baseline_program(build_kernel("FFT")))
+        finally:
+            telemetry.disable()
+        assert "translate.recording_windows" not in \
+            result.telemetry["counters"]
 
     def test_interrupts_keep_observation_per_instruction(self):
         counters = self._counters(accelerator=config_for_width(8),

@@ -3,21 +3,27 @@
 Untraced, the fast engine materializes no :class:`RetireEvent` objects
 inside self-loop windows — but the dynamic translator is an *observer*.
 While a translation is in flight, the machine runs a self-loop fused
-only when the translator ignores every pc in it
-(:meth:`DynamicTranslator.ignores`): the attempt has aborted or
-finished, or the pc was seen and has no value collector still filling.
-Everything else runs on the per-instruction path and is observed.
+once every pc in it has retired in the attempt
+(:meth:`DynamicTranslator.pending_values` is not None).  When some of
+its loads still fill value collectors, the window records the values
+those loads wrote and hands them to
+:meth:`DynamicTranslator.record_values`; any other retirement there
+would change nothing.  Everything else runs on the per-instruction path
+and is observed, so an untraced attempt observes each pc once, unless a
+load still owed values is one a window cannot record (not run inline).
 
-So the untraced translator sees the eager (traced) stream minus ignored
-events.  These tests pin that contract on outlined functions whose
-translation starts and completes mid-run: the fused stream is an
-in-order subsequence of the eager one; every event it skipped was
-ignored when it retired, and replaying the skipped events into a deep
-copy of the translator changes none of its state; ``ignores`` never
-turns false again once true; and the :class:`TranslationResult` is
-identical (byte-identical microcode for successes, identical
-:class:`AbortReason` and blacklist behaviour for failures).  With
-``interrupt_interval`` set, the translator still sees every event.
+So the untraced translator sees the eager (traced) stream minus events
+that were either ignored when they retired or whose values are in
+their collectors by the next observed event.  These tests pin that
+contract on outlined functions whose translation starts and completes
+mid-run: the fused stream is an in-order subsequence of the eager one;
+replaying the skipped events into a deep copy of the translator at the
+next observed event changes none of its state; ``ignores`` never turns
+false again once true; and the :class:`TranslationResult` is identical
+(byte-identical microcode for successes, identical
+:class:`AbortReason` and blacklist behaviour for failures), also where
+a trip stores over the element it loaded or feeds a later trip's load.
+With ``interrupt_interval`` set, the translator still sees every event.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import pytest
 
 from repro.core.scalarize import build_liquid_program
 from repro.core.translate.translator import AbortReason, DynamicTranslator
+from repro.isa.assembler import assemble
 from repro.isa.encoding import encode_program
 from repro.kernels.suite import build_kernel
 from repro.simd.accelerator import config_for_width
@@ -239,5 +246,87 @@ def test_interrupt_interval_observes_every_event(monkeypatch, fft_program):
         monkeypatch, fft_program, False, **config)
     assert eager_streams
     assert fused_streams == eager_streams
+    _assert_same_translations(eager_result, fused_result)
+    assert eager_result.to_dict() == fused_result.to_dict()
+
+
+@pytest.mark.parametrize("width", [4, 16])
+def test_untraced_attempt_observes_each_pc_once(monkeypatch, fft_program,
+                                                width):
+    """Trips 2..2W of an observed loop run as one recording window, not
+    as observed steps: no untraced attempt observes a pc twice."""
+    _, streams = _run_recording(monkeypatch, fft_program, False,
+                                accelerator=config_for_width(width))
+    assert streams
+    for function, events in streams:
+        pcs = [event.pc for event in events]
+        assert len(pcs) == len(set(pcs)), function
+
+
+def _liquid_loop(data, body):
+    """A program that calls the outlined ``work`` twice: the first call
+    is observed, the second runs the microcode if it translated."""
+    return assemble("\n".join(
+        data + ["main:", "blo work", "blo work", "halt",
+                "work:", "mov r0, #0", "loop:", *body,
+                "add r0, r0, #1", "cmp r0, #64", "blt loop", "ret"]))
+
+
+def _ints(values):
+    return ", ".join(str(v) for v in values)
+
+
+#: Each trip loads M[i] and X[i] and then stores new values over both;
+#: M[i] is the lane mask the translator materializes from the loaded
+#: values, so recording them from memory after the trip would change
+#: the microcode.
+LOAD_THEN_STORE = _liquid_loop(
+    [f".data M i32 64 = {_ints([-1, 0] * 32)}",
+     ".data X f32 64 = 1.5", ".data Y f32 64 = 0.0"],
+    ["ldw r1, [M + r0]", "ldf f1, [X + r0]", "and f2, f1, r1",
+     "stf f2, [Y + r0]", "fadd f1, f1, f1", "stf f1, [X + r0]",
+     "add r2, r1, #1", "stw r2, [M + r0]"])
+
+#: Each trip gathers T[i + P[i]] through the butterfly offsets +1, -1
+#: and stores P[i] to T[i]: an odd trip loads what the trip before it
+#: stored, an even trip the initial T[i + 1].  The gathered values are
+#: the lane mask, as above.
+STORE_FEEDS_LATER_LOAD = _liquid_loop(
+    [f".data P i32 64 = {_ints([1, -1] * 32)}", ".data T i32 65 = 7",
+     ".data X f32 64 = 1.5", ".data Y f32 64 = 0.0"],
+    ["ldw r13, [P + r0]", "add r12, r0, r13", "ldw r3, [T + r12]",
+     "ldf f1, [X + r0]", "and f2, f1, r3", "stf f2, [Y + r0]",
+     "stw r13, [T + r0]"])
+
+
+@pytest.mark.parametrize("width", [4, 16])
+@pytest.mark.parametrize("program", [LOAD_THEN_STORE,
+                                     STORE_FEEDS_LATER_LOAD],
+                         ids=["load-then-store", "store-feeds-later-load"])
+def test_recorded_values_are_the_loads_own(monkeypatch, program, width):
+    """The values a recording window hands the translator are the ones
+    its loads wrote, in trip order: the lane constant they resolve to
+    is the traced run's, byte for byte."""
+    eager_result, eager_streams, fused_result, fused_streams = _run_pair(
+        monkeypatch, program, accelerator=config_for_width(width))
+    assert [t.ok for t in eager_result.translations] == [True]
+    assert _observed(fused_streams) < _observed(eager_streams)
+    _assert_same_translations(eager_result, fused_result)
+    assert eager_result.to_dict() == fused_result.to_dict()
+
+
+@pytest.mark.parametrize("width", [4, 16])
+def test_load_no_window_records_is_observed(monkeypatch, width):
+    """An ``ldf`` into an integer register runs as an executor step in
+    a window, which records only inline loads: its loop stays on the
+    per-instruction path until its collector holds 2 x width values,
+    and only then runs a plain window."""
+    program = _liquid_loop([".data A f32 64 = 2.5", ".data B i32 64 = 0"],
+                           ["ldf r1, [A + r0]", "stw r1, [B + r0]"])
+    eager_result, _, fused_result, fused_streams = _run_pair(
+        monkeypatch, program, accelerator=config_for_width(width))
+    [(_, events)] = fused_streams
+    load_pc = program.label_index("loop")
+    assert [event.pc for event in events].count(load_pc) == 2 * width
     _assert_same_translations(eager_result, fused_result)
     assert eager_result.to_dict() == fused_result.to_dict()
